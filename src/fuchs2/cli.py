@@ -101,7 +101,7 @@ def cmd_info(args):
 
 def cmd_screen(args):
     G = _build(args.spec)
-    verdict = screen(G, workers=args.workers)
+    verdict = screen(G)
     _emit(args, verdict.to_dict())
     return {"realizable": EXIT_OK,
             "not_realizable": EXIT_NOT_REALIZABLE,
@@ -121,7 +121,7 @@ def cmd_realize(args):
             raise ParseError("the constructive method works in "
                              "characteristic 2 only")
         try:
-            cert = realize_exponent4(G, workers=args.workers)
+            cert = realize_exponent4(G)
         except InternalInvariantError:
             if method == "star":
                 raise
@@ -130,7 +130,7 @@ def cmd_realize(args):
             _emit(args, cert.to_dict())
             return EXIT_OK
 
-    verdict = screen(G, workers=args.workers, realize=(method == "auto"))
+    verdict = screen(G, realize=(method == "auto"))
     if verdict.status == "realizable":
         _emit(args, verdict.certificate.to_dict())
         return EXIT_OK
@@ -141,7 +141,7 @@ def cmd_realize(args):
     if method == "screen-only":
         _emit(args, verdict.to_dict())
         return EXIT_UNKNOWN
-    config = SearchConfig(m=m, budget=args.budget, workers=args.workers)
+    config = SearchConfig(m=m, budget=args.budget)
     cert = search_realizing_ideal(G, config)
     if cert is None:
         payload = verdict.to_dict()
@@ -221,7 +221,6 @@ def make_parser():
 
     p = add("screen", help="run the non-realizability screeners")
     p.add_argument("spec")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_screen)
 
     p = add("realize", help="find a realization certificate")
@@ -231,7 +230,6 @@ def make_parser():
                                         "screen-only"],
                    default="auto")
     p.add_argument("--budget", type=int, default=SearchConfig.budget)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", help="also write the JSON document here")
     p.set_defaults(func=cmd_realize)
 

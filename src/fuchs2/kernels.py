@@ -1,60 +1,127 @@
-"""Backend selection for the cubic-scan kernels.
+"""Table checks: exact structural deciders plus the cubic witness scans.
 
-Tries the compiled extension first and falls back to the pure-Python
-implementation.  Callers pass multiplication/star tables as lists of rows;
-flattening to the backend's layout happens here (it costs O(n^2) against the
-O(n^3) scans).
+The deciders use the structure the mathematics gives.  `is_associative`
+runs Light's test on a generating set, O(n^2 d) for d generators;
+`translations_affine` checks that every translation is affine on the
+exponent vectors, O(n^2).  Both decide exactly the property the cubic
+scans check.  The scans walk all |G|^3 triples and return the
+lexicographically least violation, so callers run them only after a
+decider has failed, to name the witness.
+
+Tables are lists of rows: ``mul[x][y]`` is the index of x*y.
 """
 
-from array import array
-
-from . import _pykernels
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _ckernels
-except ImportError:  # pragma: no cover
-    _ckernels = None
-
-BACKEND = "compiled" if _ckernels is not None else "pure-python"
+BACKEND = "pure-python"
 
 
-def _flat(rows, n):
-    out = array("i", bytes(4 * n * n))
-    k = 0
-    for row in rows:
-        out[k:k + n] = array("i", row)
-        k += n
-    return out
+def is_associative(mul):
+    """Light's test on a greedily found generating set.
+
+    A table is associative iff (xa)y == x(ay) for all x, y and every a in
+    a generating set (Clifford & Preston, *Algebraic Theory of Semigroups*
+    I, section 1.2).  Elements are taken in index order and tested when
+    they lie outside the submagma generated by those passed before.
+    """
+    n = len(mul)
+    gens = []
+    inside = [False] * n
+    for a in range(n):
+        if inside[a]:
+            continue
+        row_a = mul[a]
+        for row_x in mul:
+            if mul[row_x[a]] != [row_x[v] for v in row_a]:
+                return False
+        gens.append(a)
+        # elements passing the test form a submagma in which every product
+        # is a left-normed word, so right multiplication by the generators
+        # reaches all of the submagma they generate
+        inside = [False] * n
+        frontier = gens
+        for g in gens:
+            inside[g] = True
+        while frontier:
+            found = []
+            for x in frontier:
+                row_x = mul[x]
+                for g in gens:
+                    z = row_x[g]
+                    if not inside[z]:
+                        inside[z] = True
+                        found.append(z)
+            frontier = found
+    return True
 
 
-def first_assoc_violation(mul_rows, backend=None):
-    """First non-associative triple of a row-list table, or None."""
-    n = len(mul_rows)
-    impl = _pick(backend)
-    if impl is _pykernels:
-        flat = [v for row in mul_rows for v in row]
-    else:
-        flat = _flat(mul_rows, n)
-    return impl.first_assoc_violation(flat, n)
+def translations_affine(mul, encode):
+    """Whether the two translation-compatibility conditions hold.
+
+    With enc the exponent-vector map and a*b = dec(enc(a) XOR enc(b)),
+    condition (1) for all a, b at fixed c says that u -> enc(c dec(u)) XOR
+    enc(c) is GF(2)-linear, and condition (2) says the same of
+    u -> enc(dec(u) c) XOR enc(c).  A map f with f(0) = 0 is linear iff it
+    equals the XOR-span of its values on the unit vectors.
+    """
+    n = len(mul)
+    decode = [0] * n
+    for g, u in enumerate(encode):
+        decode[u] = g
+    units = [1 << i for i in range(n.bit_length() - 1)]
+    for c in range(n):
+        ec = encode[c]
+        row_c = mul[c]
+        left = [encode[row_c[g]] ^ ec for g in decode]
+        right = [encode[mul[g][c]] ^ ec for g in decode]
+        for f in (left, right):
+            span = [0]
+            for u in units:
+                image = f[u]
+                span += [v ^ image for v in span]
+            if span != f:
+                return False
+    return True
 
 
-def first_condition_violation(mul_rows, star_rows, a_start=0, a_stop=None,
-                              backend=None):
-    """Lex-least violation of the translation conditions, or None."""
-    n = len(mul_rows)
-    impl = _pick(backend)
-    if impl is _pykernels:
-        mul = [v for row in mul_rows for v in row]
-        star = [v for row in star_rows for v in row]
-    else:
-        mul = _flat(mul_rows, n)
-        star = _flat(star_rows, n)
-    return impl.first_condition_violation(mul, star, n, a_start, a_stop)
+def first_assoc_violation(mul):
+    """First (x, y, z) with (xy)z != x(yz), scanning triples in lex order.
+
+    Returns None when the table is associative.  For fixed (x, y) the whole
+    z-row is compared at once before a scalar scan locates the witness.
+    """
+    n = len(mul)
+    for x in range(n):
+        row_x = mul[x]
+        for y in range(n):
+            lhs = mul[row_x[y]]
+            rhs = [row_x[v] for v in mul[y]]
+            if lhs != rhs:
+                for z in range(n):
+                    if lhs[z] != rhs[z]:
+                        return (x, y, z)
+    return None
 
 
-def _pick(backend):
-    if backend == "pure-python" or (backend is None and _ckernels is None):
-        return _pykernels
-    if backend in (None, "compiled") and _ckernels is not None:
-        return _ckernels
-    raise ValueError(f"unknown kernel backend {backend!r}")
+def first_condition_violation(mul, star):
+    """Lex-least failure of the two translation-compatibility conditions.
+
+    For each triple (a, b, c) checks
+      (1)  (c(a*b))*c == (ca)*(cb)
+      (2)  ((a*b)c)*c == (ac)*(bc)
+    and returns (a, b, c, which) for the lexicographically least violating
+    triple (condition 1 tested before 2), or None.
+    """
+    n = len(mul)
+    for a in range(n):
+        star_a = star[a]
+        mrow_a = mul[a]
+        for b in range(n):
+            ab = star_a[b]
+            mrow_ab = mul[ab]
+            mrow_b = mul[b]
+            for c in range(n):
+                mrow_c = mul[c]
+                if star[mrow_c[ab]][c] != star[mrow_c[a]][mrow_c[b]]:
+                    return (a, b, c, 1)
+                if star[mrow_ab[c]][c] != star[mrow_a[c]][mrow_b[c]]:
+                    return (a, b, c, 2)
+    return None

@@ -165,7 +165,7 @@ def char_constraint(G: CayleyGroup) -> bool:
     return True
 
 
-def screen(G: CayleyGroup, workers=1, realize=True) -> Verdict:
+def screen(G: CayleyGroup, realize=True) -> Verdict:
     """Aggregate verdict.
 
     Exponent <= 4 delegates to the constructive realizer.  Otherwise all
@@ -198,7 +198,7 @@ def screen(G: CayleyGroup, workers=1, realize=True) -> Verdict:
 
     if exponent <= 4 and realize:
         try:
-            cert = realize_exponent4(G, workers=workers)
+            cert = realize_exponent4(G)
         except InternalInvariantError as exc:
             # exponent 4 means realizable in characteristic 2 by theory,
             # but without a verified certificate the honest verdict is

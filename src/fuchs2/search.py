@@ -5,8 +5,7 @@ fixed deterministic order, closes each candidate to a canonical two-sided
 ideal, prunes unless the residue count is exactly 2|G| (the only shape a
 realizing residue ring can have), and certifies the first candidate whose
 unit group is isomorphic to G.  Identical (group, config) inputs give
-byte-identical certificates, at any worker count: parallel evaluation is
-merged by candidate index.
+byte-identical certificates.
 
 The fixture suite rebuilds every explicit ideal from the literature this
 package tracks and hard-checks the resulting unit groups.
@@ -25,15 +24,14 @@ from .errors import (
     InternalInvariantError,
     UndecidedError,
 )
-from .gring import IdealBasis, RingElement, quotient_ring, unit_group, \
-    verify_two_sided
+from .gring import IdealBasis, RingElement, ideal_closure, quotient_ring, \
+    unit_group, verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism, \
     verify_homomorphism
 from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
 
 DEFAULT_BUDGET = 1_000_000
-SEARCH_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class SearchConfig:
     support_sizes: tuple[int, ...] = (2, 4)
     max_gens: int = 4
     budget: int = DEFAULT_BUDGET
-    workers: int = 1
     dedup_cache: int = 1 << 20
 
     def __post_init__(self):
@@ -96,7 +93,7 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
         if index >= config.budget:
             return
         try:
-            basis = ideal_closure_cached(list(gens))
+            basis = ideal_closure(list(gens))
         except ImproperIdealError:
             continue
         key = tuple(map(tuple, basis.rows))
@@ -105,11 +102,6 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
         if len(seen) < config.dedup_cache:
             seen.add(key)
         yield index, gens, basis
-
-
-def ideal_closure_cached(gens):
-    from .gring import ideal_closure
-    return ideal_closure(gens)
 
 
 def _evaluate(G: CayleyGroup, config: SearchConfig, index, gens, basis):
@@ -133,64 +125,14 @@ def _evaluate(G: CayleyGroup, config: SearchConfig, index, gens, basis):
     return cert
 
 
-def _search_batch(G, config, start, stop):
-    """Evaluate candidates with raw index in [start, stop); return the
-    first successful index or None.  Dedup inside a batch only: duplicates
-    evaluate identically, so skipping repeats never changes which index
-    succeeds first."""
-    seen = set()
-    stream = itertools.islice(
-        enumerate(_candidate_stream(G, config)), start, stop)
-    for index, gens in stream:
-        try:
-            basis = ideal_closure_cached(list(gens))
-        except ImproperIdealError:
-            continue
-        key = tuple(map(tuple, basis.rows))
-        if key in seen:
-            continue
-        seen.add(key)
-        if _evaluate(G, config, index, gens, basis) is not None:
-            return index
-    return None
-
-
 def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     """First certificate in enumeration order, or None at budget
     exhaustion (which is not a refutation)."""
-    if config.workers <= 1:
-        for index, gens, basis in enumerate_candidates(G, config):
-            cert = _evaluate(G, config, index, gens, basis)
-            if cert is not None:
-                return cert
-        return None
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = []
-        for start in range(0, config.budget, SEARCH_BATCH):
-            stop = min(start + SEARCH_BATCH, config.budget)
-            futures.append(pool.submit(_search_batch, G, config, start, stop))
-        winner = None
-        for fut in futures:
-            hit = fut.result()
-            if hit is not None:
-                winner = hit
-                break
-        for fut in futures:
-            fut.cancel()
-    if winner is None:
-        return None
-    # re-derive the certificate for the winning index in this process so
-    # serial and parallel runs return the identical object
-    index, gens = next(itertools.islice(
-        enumerate(_candidate_stream(G, config)), winner, winner + 1))
-    basis = ideal_closure_cached(list(gens))
-    cert = _evaluate(G, config, index, gens, basis)
-    if cert is None:
-        raise InternalInvariantError("parallel winner failed re-evaluation")
-    return cert
+    for index, gens, basis in enumerate_candidates(G, config):
+        cert = _evaluate(G, config, index, gens, basis)
+        if cert is not None:
+            return cert
+    return None
 
 
 # -- certificate verification -------------------------------------------------
@@ -358,8 +300,6 @@ FIXTURES = [
 
 
 def run_fixture(name, ambient_spec, m, literals, expected_spec):
-    from .gring import ideal_closure
-
     ambient = build_group(ambient_spec)
     gens = [RingElement(ambient, m, parse_element_literal(lit, ambient, m))
             for lit in literals]

@@ -3,12 +3,14 @@
 Pipeline: find a center-last composition basis (every element a unique
 {0,1}-product of the basis), induce the elementary-abelian XOR operation on
 exponent vectors, verify the two translation-compatibility conditions
-exhaustively over all |G|^3 triples, take the complement ideal (even-sum
-vectors whose XOR-sum of supports vanishes), and certify that the unit
-group of the resulting residue ring is the group we started from.
+(exactly: every left and right translation is affine on the exponent
+vectors; a cubic scan over all |G|^3 triples names the lex-least witness
+when they fail), take the complement ideal (even-sum vectors whose XOR-sum
+of supports vanishes), and certify that the unit group of the resulting
+residue ring is the group we started from.
 
 Every step that the underlying theory guarantees is still checked: the
-normal forms are enumerated exhaustively, the conditions are scanned over
+normal forms are enumerated exhaustively, the conditions are decided for
 all triples, the kernel basis is re-verified to be a two-sided ideal, and
 the final isomorphism witness is checked on all pairs.  The certificate
 records enough to redo all of that from scratch.
@@ -264,37 +266,22 @@ def star_table_from_elements(G: CayleyGroup, elements) -> StarTable:
     return star_table(G, seq)
 
 
-def verify_star_conditions(G: CayleyGroup, star: StarTable, workers=1):
-    """Exhaustive |G|^3 check of
+def verify_star_conditions(G: CayleyGroup, star: StarTable):
+    """Check, for all a, b, c,
         (1) (c(a*b))*c == (ca)*(cb)
         (2) ((a*b)c)*c == (ac)*(bc).
     Returns (ok, witness): witness is the lexicographically least violating
-    (a, b, c, condition) or None.  With workers > 1 the scan is partitioned
-    by the first coordinate; the merge keeps the lex-least violation, so
-    results are identical to the serial scan.
+    (a, b, c, condition) or None.  The conditions are decided by checking
+    that every translation is affine on the exponent vectors; only when
+    that fails does the cubic scan run, to name the witness.
     """
-    n = G.n
-    if workers <= 1 or n < 16:
-        bad = kernels.first_condition_violation(G.mul, star.table)
-        return (bad is None, bad)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, (n + workers - 1) // workers)
-    ranges = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
-    hits = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(kernels.first_condition_violation,
-                        G.mul, star.table, lo, hi)
-            for lo, hi in ranges
-        ]
-        for fut in futures:
-            bad = fut.result()
-            if bad is not None:
-                hits.append(bad)
-    if not hits:
+    if kernels.translations_affine(G.mul, star.encode):
         return (True, None)
-    return (False, min(hits))
+    bad = kernels.first_condition_violation(G.mul, star.table)
+    if bad is None:
+        raise InternalInvariantError(
+            "affine-translation check and triple scan disagree")
+    return (False, bad)
 
 
 def complement_ideal(G: CayleyGroup, star: StarTable) -> IdealBasis:
@@ -415,11 +402,10 @@ def projection_witness(G: CayleyGroup, units: UnitGroup, ring: QuotientRing):
     return None
 
 
-def realize_exponent4(G: CayleyGroup, workers=1,
-                      max_attempts=PC_ATTEMPTS) -> Certificate:
+def realize_exponent4(G: CayleyGroup, max_attempts=PC_ATTEMPTS) -> Certificate:
     """Full pipeline for exponent <= 4 groups in characteristic 2.
 
-    Composition basis -> star table -> exhaustive condition check ->
+    Composition basis -> star table -> exact condition check ->
     complement ideal -> residue ring -> unit group -> verified isomorphism.
     Generator orderings are retried (bounded) if the condition check
     rejects one; a verified certificate is returned.
@@ -442,27 +428,28 @@ def realize_exponent4(G: CayleyGroup, workers=1,
                 continue
             seq = PcSequence(G, made[0], made[1], made[2], attempts)
             cand = star_table(G, seq)
-            ok, _ = verify_star_conditions(G, cand, workers)
+            ok, _ = verify_star_conditions(G, cand)
             if ok:
                 star = cand
                 break
     else:
         try:
             seq = pc_sequence(G, max_attempts)
-            attempts = seq.attempts
-            cand = star_table(G, seq)
-            ok, _ = verify_star_conditions(G, cand, workers)
-            if ok:
-                star = cand
         except InternalInvariantError:
             pass
+        else:
+            attempts = seq.attempts
+            cand = star_table(G, seq)
+            ok, _ = verify_star_conditions(G, cand)
+            if ok:
+                star = cand
     if star is None and G.n > 1:
         # the recursive construction can fail the conditions from class 3
         # up; fall back to chief series through the center
         for seq in chief_chain_sequences(G):
             attempts += 1
             cand = star_table(G, seq)
-            ok, _ = verify_star_conditions(G, cand, workers)
+            ok, _ = verify_star_conditions(G, cand)
             if ok:
                 star = cand
                 break

@@ -198,18 +198,12 @@ def test_criterion_6_determinism(tmp_path, capsys):
             a = realize_exponent4(build_group(spec)).to_json()
             b = realize_exponent4(build_group(spec)).to_json()
             assert a == b, spec
-        # multi-worker condition scan must not change the certificate
-        w1 = realize_exponent4(build_group("Q8xC2"), workers=1).to_json()
-        w2 = realize_exponent4(build_group("Q8xC2"), workers=2).to_json()
-        assert w1 == w2
-        # repeated searches, serial and multi-worker
+        # repeated searches
         G1 = build_group("C8xC2")
         G2 = build_group("C8xC2")
         s1 = search_realizing_ideal(G1, SearchConfig(m=1)).to_json()
         s2 = search_realizing_ideal(G2, SearchConfig(m=1)).to_json()
-        s3 = search_realizing_ideal(
-            build_group("C8xC2"), SearchConfig(m=1, workers=2)).to_json()
-        assert s1 == s2 == s3
+        assert s1 == s2
         # every emitted certificate round-trips through `verify`, exit 0
         docs = [cert.to_json() for _, cert in _certs.values()]
         docs.append(s1)

@@ -69,13 +69,6 @@ def test_search_c8_negative_control():
     assert cert is None
 
 
-def test_search_deterministic_across_workers():
-    G = build_group("C8xC2")
-    c1 = search_realizing_ideal(G, SearchConfig(m=1))
-    c2 = search_realizing_ideal(G, SearchConfig(m=1, workers=2))
-    assert c1.to_json() == c2.to_json()
-
-
 def test_search_c8xc2_support4_only():
     G = build_group("C8xC2")
     cert = search_realizing_ideal(G, SearchConfig(m=1, support_sizes=(4,)))

@@ -119,15 +119,6 @@ def test_conditions_fail_for_c8_naive_sequence():
     assert rhs == G.power(a, 6)
 
 
-def test_conditions_partitioned_scan_matches_serial():
-    G = build_group("C8")
-    a = G.gen_indices[0]
-    st = star_table_from_elements(G, [a, G.power(a, 2), G.power(a, 4)])
-    ok1, w1 = verify_star_conditions(G, st, workers=1)
-    ok2, w2 = verify_star_conditions(G, st, workers=3)
-    assert (ok1, w1) == (ok2, w2)
-
-
 def test_nonunique_sequence_rejected():
     G = build_group("C8")
     a = G.gen_indices[0]
