@@ -7,6 +7,15 @@ Howell normal form over Z_{2^m} otherwise.  Both forms are unique for the
 span they generate, support exact membership tests, and make certificates
 byte-stable.
 
+Residue rings Z_{2^m}[G]/I are products on the canonical representatives
+of the quotient module.  The quotient map is linear, so multiplication is
+bilinear on the module generators (the columns of radix > 1) and fixed by
+their d x d structure constants proj(g_a g_b), read off the group table
+once.  Over GF(2) a residue index is its own coordinate vector, so products
+are XORs of structure constants; over Z_{2^m} the same bilinear sum is
+Howell-reduced.  No table over the whole ring is ever built: the unit
+group's table is evaluated on the units alone.
+
 The group ring of a 2-group over Z_{2^m} is local: the elements of even
 coefficient sum form the unique maximal ideal and everything else is a
 unit.  Unit-group extraction from residue rings relies on that; the test
@@ -29,7 +38,7 @@ from .errors import (
 from .groups import CayleyGroup, catalog_group
 
 M_CAP = 6
-TABLE_CAP = 4096
+UNIT_TABLE_CAP = 4096
 RESIDUE_CAP = 65536
 
 
@@ -536,9 +545,17 @@ class QuotientRing:
 
     Representatives are the vectors whose entry at each pivot column is
     below the pivot value (free columns unrestricted); they are enumerated
-    with column 0 varying fastest, which fixes residue indexing.  Addition
-    and multiplication tables are materialized when the residue count is at
-    most 4096, otherwise products are computed on demand and memoized.
+    with column 0 varying fastest, which fixes residue indexing.  The
+    columns of radix > 1 are the residue module generators g_0..g_{d-1},
+    and the representative of residue i is sum_a c_a(i) g_a with its
+    mixed-radix digits c_a(i) as coefficients.
+
+    The quotient map is linear, so multiplication is bilinear on the
+    generators and fixed by the d x d structure constants
+    T[a][b] = proj(g_a g_b), read off the group table once.  No table over
+    the ring is built: ``products`` evaluates the bilinear form on the
+    pairs a caller asks for, and ``mul_index`` / ``add_index`` answer single
+    pairs on demand.
     """
 
     def __init__(self, ideal: IdealBasis):
@@ -574,48 +591,66 @@ class QuotientRing:
             raise InternalInvariantError("transversal enumeration mismatch")
         self.reps = reps
         self.index = {r: i for i, r in enumerate(reps)}
-        self.zero_index = self.index[(0,) * n]
         self.one_index = self.index[ideal.reduce((1,) + (0,) * (n - 1))]
-        self._mul_table = None
-        self._add_table = None
-        self._mul_cache = {}
-        if total <= TABLE_CAP:
-            self._materialize()
+        self.gens = [g for g in range(n) if radix[g] > 1]
+        # proj(g) for every group element: a residue index over GF(2), where
+        # residue index bit t is the coefficient at generator t, so indices
+        # add by XOR; otherwise the reduced representative itself
+        proj = [ideal.reduce(tuple(int(g == h) for h in range(n)))
+                for g in range(n)]
+        if self.m == 1:
+            proj = [self.index[v] for v in proj]
+        mul = self.group.mul
+        self._sc = [[proj[mul[a][b]] for b in self.gens] for a in self.gens]
 
-    def _materialize(self):
-        size = self.size
-        mul = [[0] * size for _ in range(size)]
-        add = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                p = self._mul_raw(i, j)
-                mul[i][j] = p
-                if i != j:
-                    mul[j][i] = self._mul_raw(j, i)
-                s = self.add_index(i, j)
-                add[i][j] = add[j][i] = s
-        self._mul_table = mul
-        self._add_table = add
+    def products(self, rows, cols):
+        """Residue indices of r * c for r in rows, c in cols, as a
+        len(rows) x len(cols) table, from the structure constants.  Rows
+        of a repeated residue may be one shared list."""
+        if self.m == 1:
+            return self._gf2_products(rows, cols)
+        return self._howell_products(rows, cols)
 
-    def _mul_raw(self, i, j):
-        prod = convolve(self.group, self.m, self.reps[i], self.reps[j])
-        return self.index[self.ideal.reduce(prod)]
+    def _gf2_products(self, rows, cols):
+        # R[a][k] = proj(g_a * rep(cols[k])) is the XOR of T[a][b] over the
+        # set bits b of cols[k]; the products of residue i with every column
+        # follow from the subset recurrence row(i) = row(i ^ low) ^ R[low].
+        R = [[_xor_bits(Ta, j) for j in cols] for Ta in self._sc]
+        memo = {0: [0] * len(cols)}
+
+        def row(i):
+            r = memo.get(i)
+            if r is None:
+                low = i & -i
+                r = memo[i] = [x ^ y for x, y in
+                               zip(row(i ^ low), R[low.bit_length() - 1])]
+            return r
+
+        return [row(i) for i in rows]
+
+    def _howell_products(self, rows, cols):
+        # The same bilinear form on mixed-radix digits; sums of reduced
+        # constants can overflow at pivot columns, so each product is
+        # Howell-reduced by project().
+        mod = self.mod
+        digits = [[self.reps[j][g] for g in self.gens] for j in cols]
+        R = [[_combine(Ta, cj) for cj in digits] for Ta in self._sc]
+        table = []
+        for i in rows:
+            ci = [self.reps[i][g] for g in self.gens]
+            row = []
+            for k in range(len(cols)):
+                v = _combine([Ra[k] for Ra in R], ci)
+                row.append(self.project([x % mod for x in v]))
+            table.append(row)
+        return table
 
     def mul_index(self, i, j):
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        key = (i, j)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            hit = self._mul_cache[key] = self._mul_raw(i, j)
-        return hit
+        return self.products([i], [j])[0][0]
 
     def add_index(self, i, j):
-        if self._add_table is not None:
-            return self._add_table[i][j]
-        a, b = self.reps[i], self.reps[j]
-        s = tuple((x + y) % self.mod for x, y in zip(a, b))
-        return self.index[self.ideal.reduce(s)]
+        s = [(x + y) % self.mod for x, y in zip(self.reps[i], self.reps[j])]
+        return self.project(s)
 
     def project(self, coeffs):
         """Residue index of an ambient coefficient vector."""
@@ -623,6 +658,25 @@ class QuotientRing:
 
     def augmentation_index(self, i):
         return sum(self.reps[i]) % self.mod
+
+
+def _xor_bits(values, mask):
+    """XOR of values[b] over the set bits b of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= values[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _combine(vectors, coeffs):
+    """sum_b coeffs[b] * vectors[b], entries left unreduced."""
+    out = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
 
 
 def quotient_ring(ideal: IdealBasis) -> QuotientRing:
@@ -646,9 +700,9 @@ def unit_group(ring) -> UnitGroup:
     """Unit group of a QuotientRing (or of Z_{2^m}[G] via the zero ideal).
 
     Residue rings of Z_{2^m}[G] inside the even-sum maximal ideal are
-    local, so the units are exactly the odd-augmentation residues; their
-    multiplication table is closed by construction and verified
-    associative.
+    local, so the units are exactly the odd-augmentation residues.  Their
+    multiplication table comes straight from the ring's structure
+    constants; it is checked closed and verified to be a group.
     """
     if not isinstance(ring, QuotientRing):
         raise Fuchs2Error("unit_group expects a QuotientRing")
@@ -658,18 +712,15 @@ def unit_group(ring) -> UnitGroup:
         raise InternalInvariantError("1 has even augmentation")
     units.remove(ring.one_index)
     units.insert(0, ring.one_index)
-    if len(units) > TABLE_CAP:
+    if len(units) > UNIT_TABLE_CAP:
         raise SizeCapError(f"unit group of size {len(units)} exceeds table cap")
     pos = {r: k for k, r in enumerate(units)}
     table = []
-    for i in units:
-        row = []
-        for j in units:
-            p = ring.mul_index(i, j)
-            if p not in pos:
-                raise InternalInvariantError("units are not closed")
-            row.append(pos[p])
-        table.append(row)
+    for row in ring.products(units, units):
+        try:
+            table.append([pos[p] for p in row])
+        except KeyError:
+            raise InternalInvariantError("units are not closed") from None
     G = CayleyGroup(table, name="units", check=True)
     return UnitGroup(group=G, residue_index=units, ring=ring)
 

@@ -14,7 +14,10 @@ One whitespace-insensitive grammar covers every textual surface:
 commutator [x, y] means x^-1 * y^-1 * x * y.  Coefficients are decimal
 residues mod 2^m.  Generator names are resolved against the group being
 parsed into, longest match first.  In group specs the product separator is
-a literal 'x', so file atoms cannot contain that letter in their path.
+a literal 'x', which a file path may contain too: the path runs up to the
+first 'x' whose remainder parses as a group spec, or else to the end of the
+spec.  So file:dir/box.pres and file:g.txt are single atoms, while
+file:g.presxC2 is a product with C2.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .groups import (
 )
 
 _ATOM_RE = re.compile(
-    r"QD(\d+)|C(\d+)|D(\d+)|Q(\d+)|M16|SG32_37|SG64_88|SG64_104|file:([^x]+)")
+    r"QD(\d+)|C(\d+)|D(\d+)|Q(\d+)|M16|SG32_37|SG64_88|SG64_104")
 
 
 @dataclass(frozen=True)
@@ -69,19 +72,29 @@ class GroupSpec:
         return group
 
 
-def parse_group_spec(text) -> GroupSpec:
-    src = "".join(text.split())
-    if not src:
-        raise ParseError("empty group spec")
+def _parse_atoms(src, pos):
+    """The atoms of src[pos:], or ParseError at the first bad position."""
     atoms = []
-    pos = 0
     while True:
+        if src.startswith("file:", pos):
+            start = pos + len("file:")
+            for cut in range(start + 1, len(src)):
+                if src[cut] != "x":
+                    continue
+                try:
+                    rest = _parse_atoms(src, cut + 1)
+                except ParseError:
+                    continue
+                return atoms + [("file", src[start:cut])] + rest
+            if start == len(src):
+                raise ParseError("empty file path", src, start)
+            return atoms + [("file", src[start:])]
         m = _ATOM_RE.match(src, pos)
         if not m:
             raise ParseError("expected a group atom "
                              "(Cn, Dn, Qn, QDn, M16, SG32_37, SG64_88, "
                              "SG64_104, file:<path>)", src, pos)
-        qd, c, d, q, path = m.groups()
+        qd, c, d, q = m.groups()
         if qd is not None:
             atoms.append(("QD", int(qd)))
         elif c is not None:
@@ -90,16 +103,21 @@ def parse_group_spec(text) -> GroupSpec:
             atoms.append(("D", int(d)))
         elif q is not None:
             atoms.append(("Q", int(q)))
-        elif path is not None:
-            atoms.append(("file", path))
         else:
             atoms.append((m.group(0),))
         pos = m.end()
         if pos == len(src):
-            break
+            return atoms
         if src[pos] != "x":
             raise ParseError("expected 'x' between atoms", src, pos)
         pos += 1
+
+
+def parse_group_spec(text) -> GroupSpec:
+    src = "".join(text.split())
+    if not src:
+        raise ParseError("empty group spec")
+    atoms = _parse_atoms(src, 0)
     order = 1
     for atom in atoms:
         if len(atom) == 2 and atom[0] != "file":

@@ -141,7 +141,8 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
 def _build_from_spec(spec):
     if isinstance(spec, str):
         return build_group(spec)
-    if isinstance(spec, dict) and "gens" in spec and "relators" in spec:
+    if (isinstance(spec, dict) and _is_str_list(spec.get("gens"))
+            and _is_str_list(spec.get("relators"))):
         from .groups import enumerate_presentation
         from .parsing import parse_presentation_text
         text = "gens: " + " ".join(spec["gens"]) + "\n" \
@@ -171,14 +172,45 @@ def extend_generator_map(G: CayleyGroup, gen_elements, images,
     return phi
 
 
+_REQUIRED_FIELDS = {"group", "ambient", "char", "ideal_basis",
+                    "quotient_size", "iso_witness", "method", "tool_version"}
+
+
 def certificate_from_json(text) -> dict:
-    doc = json.loads(text)
-    required = {"group", "ambient", "char", "ideal_basis", "quotient_size",
-                "iso_witness", "method", "tool_version"}
-    missing = required - doc.keys()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CertificateError(f"certificate is not JSON: {exc}") from exc
+    _check_fields(doc)
+    return doc
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_str_list(x):
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _check_fields(doc):
+    """Reject an untrusted certificate document whose fields are missing
+    or of the wrong type, before any of them is used."""
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate is not a JSON object")
+    missing = _REQUIRED_FIELDS - doc.keys()
     if missing:
         raise CertificateError(f"certificate missing fields {sorted(missing)}")
-    return doc
+    if not _is_int(doc["char"]):
+        raise CertificateError("char must be an integer")
+    if not _is_int(doc["quotient_size"]):
+        raise CertificateError("quotient_size must be an integer")
+    if not _is_str_list(doc["ideal_basis"]):
+        raise CertificateError("ideal_basis must be a list of strings")
+    witness = doc["iso_witness"]
+    if not (isinstance(witness, dict) and _is_str_list(list(witness))
+            and _is_str_list(list(witness.values()))):
+        raise CertificateError("iso_witness must map names to strings")
 
 
 def verify_certificate(cert) -> bool:
@@ -193,6 +225,7 @@ def verify_certificate(cert) -> bool:
         doc = cert.to_dict()
     elif isinstance(cert, dict):
         doc = cert
+        _check_fields(doc)
     elif isinstance(cert, str):
         doc = certificate_from_json(cert)
     else:

@@ -107,6 +107,37 @@ def test_presentation_file_with_commutators(tmp_path):
     assert G.n == 16
 
 
+Q16_TEXT = "gens: a b\nrels: a^8, a^4*b^-2, b*a*b^-1*a\n"
+
+
+def test_presentation_file_path_containing_x(tmp_path):
+    path = tmp_path / "box" / "q16.pres"
+    path.parent.mkdir()
+    path.write_text(Q16_TEXT)
+    assert parse_group_spec(f"file:{path}").atoms == (("file", str(path)),)
+    assert build_group(f"file:{path}").n == 16
+    assert dispatch(["info", f"file:{path}"]) == 0
+
+
+def test_presentation_file_with_txt_suffix(tmp_path):
+    path = tmp_path / "q16.txt"
+    path.write_text(Q16_TEXT)
+    assert build_group(f"file:{path}").n == 16
+
+
+def test_presentation_file_in_a_product(tmp_path):
+    path = tmp_path / "q16.pres"
+    path.write_text(Q16_TEXT)
+    spec = parse_group_spec(f"file:{path}xC2")
+    assert spec.atoms == (("file", str(path)), ("C", 2))
+    assert build_group(f"file:{path}xC2").n == 32
+    # a path with an 'x' in it, then a product
+    boxed = tmp_path / "box.txt"
+    boxed.write_text(Q16_TEXT)
+    assert parse_group_spec(f"C2xfile:{boxed}xD8").atoms == \
+        (("C", 2), ("file", str(boxed)), ("D", 8))
+
+
 # -- dispatch -----------------------------------------------------------------
 
 def test_info_exit_code(capsys):
@@ -170,6 +201,17 @@ def test_unknown_flag_rejected(capsys):
 def test_usage_errors(capsys):
     assert dispatch(["screen", "C6"]) == 3
     assert dispatch(["verify", "/nonexistent/cert.json"]) == 3
+
+
+def test_verify_ill_typed_certificate_exit_code(capsys, tmp_path):
+    out = tmp_path / "cert.json"
+    assert dispatch(["realize", "Q8", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["char"] = "2"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["verify", str(out)]) == 3
+    assert "char must be an integer" in capsys.readouterr().err
 
 
 def test_cli_json_outputs_are_json(capsys):

@@ -2,14 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuchs2.errors import (
     ImproperIdealError,
     NotAUnitError,
     RingMismatchError,
+    SizeCapError,
     UnclosedIdealError,
 )
 from fuchs2.gring import (
+    UNIT_TABLE_CAP,
     IdealBasis,
     RingElement,
     cyclic_quotient_order,
@@ -340,6 +344,64 @@ def test_quotient_ring_axioms_on_representatives():
             ring.mul_index(i, ring.mul_index(j, k))
         assert ring.mul_index(i, ring.add_index(j, k)) == \
             ring.add_index(ring.mul_index(i, j), ring.mul_index(i, k))
+
+
+# catalog groups of order <= 16
+SMALL = ("C2", "C4", "C2xC2", "C8", "C4xC2", "Q8", "D8", "C2xC2xC2", "C16",
+         "C8xC2", "C4xC4", "D16", "Q16", "QD16", "M16", "Q8xC2", "D8xC2",
+         "C4xC2xC2")
+
+
+@st.composite
+def random_quotients(draw):
+    """A residue ring of Z_{2^m}[G] by 1-4 random generators, each with odd
+    coefficients on an even-size support (so inside the maximal ideal)."""
+    G = build_group(draw(st.sampled_from(SMALL)))
+    m = draw(st.sampled_from((1, 2, 3)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from((2, 4) if G.n >= 4 else (2,)))
+        support = draw(st.lists(st.integers(0, G.n - 1), min_size=size,
+                                max_size=size, unique=True))
+        coeffs = [0] * G.n
+        for g in support:
+            coeffs[g] = draw(st.integers(0, (1 << (m - 1)) - 1)) * 2 + 1
+        gens.append(RingElement(G, m, tuple(coeffs)))
+    try:
+        return quotient_ring(ideal_closure(gens))
+    except SizeCapError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=random_quotients(), data=st.data())
+def test_products_match_naive_convolution(ring, data):
+    G, m, mod = ring.group, ring.m, ring.mod
+    index = st.integers(0, ring.size - 1)
+    for _ in range(8):
+        i, j = data.draw(index), data.draw(index)
+        a, b = ring.reps[i], ring.reps[j]
+        assert ring.mul_index(i, j) == \
+            ring.project(oracles.naive_convolve(G, m, a, b))
+        assert ring.add_index(i, j) == \
+            ring.project([(x + y) % mod for x, y in zip(a, b)])
+    rows = data.draw(st.lists(index, max_size=6))
+    cols = data.draw(st.lists(index, max_size=6))
+    assert ring.products(rows, cols) == \
+        [[ring.mul_index(i, j) for j in cols] for i in rows]
+
+
+def test_products_on_demand_above_unit_table_cap():
+    random.seed(47)
+    G = build_group("C16")
+    ring = full_group_ring(G, 1)
+    assert ring.size // 2 > UNIT_TABLE_CAP
+    with pytest.raises(SizeCapError):
+        unit_group(ring)
+    for _ in range(40):
+        i, j = random.randrange(ring.size), random.randrange(ring.size)
+        assert ring.mul_index(i, j) == ring.project(
+            oracles.naive_convolve(G, 1, ring.reps[i], ring.reps[j]))
 
 
 # -- unit groups --------------------------------------------------------------

@@ -150,6 +150,34 @@ def test_verify_malformed_document():
         verify_certificate(json.dumps({"group": "Q8"}))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("char", "2"),
+    ("char", True),
+    ("char", 2.0),
+    ("ideal_basis", "1+i"),
+    ("ideal_basis", [1]),
+    ("iso_witness", ["i", "j"]),
+    ("iso_witness", {"i": 1, "j": "j"}),
+    ("quotient_size", "16"),
+    ("quotient_size", None),
+])
+def test_verify_rejects_ill_typed_fields(field, value):
+    from fuchs2.errors import CertificateError
+    doc = realize_exponent4(build_group("Q8")).to_dict()
+    doc[field] = value
+    with pytest.raises(CertificateError, match=field):
+        verify_certificate(doc)
+    with pytest.raises(CertificateError, match=field):
+        verify_certificate(json.dumps(doc))
+
+
+def test_verify_rejects_non_object_json():
+    from fuchs2.errors import CertificateError
+    for text in ("[1, 2]", "not json"):
+        with pytest.raises(CertificateError):
+            verify_certificate(text)
+
+
 def test_verify_presentation_built_group():
     # groups built from raw presentations serialize their presentation
     # inline and re-verify from it

@@ -175,6 +175,14 @@ def test_realize_small(spec):
     assert verify_certificate(cert)
 
 
+@pytest.mark.parametrize("spec", ["D8xC4xC4", "C4xC4xC4xC2xC2"])
+def test_realize_orders_128_and_256(spec):
+    G = build_group(spec)
+    cert = realize_exponent4(G)
+    assert cert.quotient_size == 2 * G.n
+    assert verify_certificate(cert.to_json())
+
+
 def test_realize_rejects_exponent_8():
     with pytest.raises(Fuchs2Error) as err:
         realize_exponent4(build_group("C8"))
