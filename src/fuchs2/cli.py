@@ -113,24 +113,17 @@ def cmd_realize(args):
     m = _parse_char(args.char)
     method = args.method
 
-    if method == "star" or (method == "auto" and m == 1
-                            and G.exponent() <= 4):
+    if method == "star":
         if G.exponent() > 4:
             raise ParseError("the constructive method needs exponent <= 4")
         if m != 1:
             raise ParseError("the constructive method works in "
                              "characteristic 2 only")
-        try:
-            cert = realize_exponent4(G)
-        except InternalInvariantError:
-            if method == "star":
-                raise
-            cert = None  # auto: fall through to screen + search
-        if cert is not None:
-            _emit(args, cert.to_dict())
-            return EXIT_OK
+        _emit(args, realize_exponent4(G).to_dict())
+        return EXIT_OK
 
-    verdict = screen(G, realize=(method == "auto"))
+    # screen runs the constructive realizer itself, in characteristic 2 only
+    verdict = screen(G, realize=(method == "auto" and m == 1))
     if verdict.status == "realizable":
         _emit(args, verdict.certificate.to_dict())
         return EXIT_OK

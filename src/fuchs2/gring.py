@@ -421,9 +421,6 @@ class IdealBasis:
             return [_unpack(r, self.group.n) for r in self._impl.rows]
         return self._impl.row_vectors()
 
-    def row_elements(self):
-        return [RingElement(self.group, self.m, r) for r in self.rows]
-
     def rank(self):
         return len(self.rows)
 
@@ -692,9 +689,6 @@ class UnitGroup:
     residue_index: list[int]
     ring: QuotientRing
 
-    def residue_of(self, unit_index):
-        return self.residue_index[unit_index]
-
 
 def unit_group(ring) -> UnitGroup:
     """Unit group of a QuotientRing (or of Z_{2^m}[G] via the zero ideal).
@@ -723,15 +717,6 @@ def unit_group(ring) -> UnitGroup:
             raise InternalInvariantError("units are not closed") from None
     G = CayleyGroup(table, name="units", check=True)
     return UnitGroup(group=G, residue_index=units, ring=ring)
-
-
-def group_ring_quotient(group, m, ideal_elements):
-    """Convenience: close the given generators and quotient."""
-    if ideal_elements:
-        basis = ideal_closure(list(ideal_elements))
-    else:
-        basis = IdealBasis.zero(group, m)
-    return quotient_ring(basis)
 
 
 def full_group_ring(group, m) -> QuotientRing:

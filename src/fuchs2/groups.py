@@ -144,10 +144,6 @@ class CayleyGroup:
         m = self.mul
         return m[m[self.inv[x]][self.inv[y]]][m[x][y]]
 
-    def conjugate(self, x, g):
-        """g^-1 * x * g."""
-        return self.mul[self.mul[self.inv[g]][x]][g]
-
     def centralizer(self, x):
         m = self.mul
         row = m[x]
@@ -205,12 +201,6 @@ class CayleyGroup:
                 classes.append(tuple(sorted(orb)))
             self._classes = classes
         return self._classes
-
-    def class_of(self, x):
-        for cls in self.conjugacy_classes():
-            if x in cls:
-                return cls
-        raise IndexError(x)
 
     def derived_subgroup(self):
         if self._derived is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CertificateError,
@@ -32,6 +32,7 @@ from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
 
 DEFAULT_BUDGET = 1_000_000
+DEDUP_CACHE = 1 << 20  # most basis fingerprints remembered for dedup
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class SearchConfig:
     support_sizes: tuple[int, ...] = (2, 4)
     max_gens: int = 4
     budget: int = DEFAULT_BUDGET
-    dedup_cache: int = 1 << 20
 
     def __post_init__(self):
         if self.budget <= 0:
@@ -56,12 +56,9 @@ def _single_elements(G: CayleyGroup, config: SearchConfig):
     filtered to even coefficient sum."""
     scalars = [1 << e for e in range(config.m)]
     out = []
-    mod = 1 << config.m
     for size in sorted(config.support_sizes):
         for combo in itertools.combinations(range(1, G.n), size - 1):
             for c in scalars:
-                if (c * size) % 2 != 0 and size % 2 != 0:
-                    continue
                 coeffs = [0] * G.n
                 coeffs[0] = c
                 for g in combo:
@@ -99,12 +96,12 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
         key = tuple(map(tuple, basis.rows))
         if key in seen:
             continue
-        if len(seen) < config.dedup_cache:
+        if len(seen) < DEDUP_CACHE:
             seen.add(key)
         yield index, gens, basis
 
 
-def _evaluate(G: CayleyGroup, config: SearchConfig, index, gens, basis):
+def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
     """Certificate for one closed candidate, or None."""
     if basis.span_size() * 2 * G.n != (1 << (config.m * G.n)):
         return None
@@ -128,8 +125,8 @@ def _evaluate(G: CayleyGroup, config: SearchConfig, index, gens, basis):
 def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     """First certificate in enumeration order, or None at budget
     exhaustion (which is not a refutation)."""
-    for index, gens, basis in enumerate_candidates(G, config):
-        cert = _evaluate(G, config, index, gens, basis)
+    for _, _, basis in enumerate_candidates(G, config):
+        cert = _evaluate(G, config, basis)
         if cert is not None:
             return cert
     return None

@@ -1,13 +1,14 @@
 """Constructive realization of exponent-4 groups in characteristic 2.
 
-Pipeline: find a center-last composition basis (every element a unique
-{0,1}-product of the basis), induce the elementary-abelian XOR operation on
-exponent vectors, verify the two translation-compatibility conditions
-(exactly: every left and right translation is affine on the exponent
-vectors; a cubic scan over all |G|^3 triples names the lex-least witness
-when they fail), take the complement ideal (even-sum vectors whose XOR-sum
-of supports vanishes), and certify that the unit group of the resulting
-residue ring is the group we started from.
+Pipeline: take the first center-last composition basis (every element a
+unique {0,1}-product of the basis) whose induced elementary-abelian XOR
+operation on exponent vectors satisfies the two translation-compatibility
+conditions (exactly: every left and right translation is affine on the
+exponent vectors; a cubic scan over all |G|^3 triples names the lex-least
+witness when they fail), take the complement ideal (even-sum vectors whose
+XOR-sum of supports vanishes), and certify that the unit group of the
+resulting residue ring is the group we started from.  The candidate bases
+are tried in the single order that ``composition_bases`` yields.
 
 Every step that the underlying theory guarantees is still checked: the
 normal forms are enumerated exhaustively, the conditions are decided for
@@ -18,9 +19,9 @@ records enough to redo all of that from scratch.
 
 from __future__ import annotations
 
+import itertools
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernels
 from .errors import Fuchs2Error, InternalInvariantError
@@ -53,7 +54,6 @@ class PcSequence:
     elements: tuple[int, ...]
     split: int
     encode: list[int]  # element index -> exponent bitmask (bit i = x_{i+1})
-    attempts: int = 1
 
     def decode(self):
         dec = [None] * (1 << len(self.elements))
@@ -141,7 +141,17 @@ def _base_sequence(G: CayleyGroup, gens):
     return seq, len(noncentral), encode
 
 
-def pc_sequence(G: CayleyGroup, max_attempts=PC_ATTEMPTS) -> PcSequence:
+def _direct_bases(G: CayleyGroup):
+    """Class <= 2 bases: the _base_sequence results that pass its checks,
+    over the first PC_ATTEMPTS minimal generating sequences."""
+    for gens in itertools.islice(G.minimal_generating_sequences(),
+                                 PC_ATTEMPTS):
+        made = _base_sequence(G, list(gens))
+        if made is not None:
+            yield PcSequence(G, *made)
+
+
+def pc_sequence(G: CayleyGroup) -> PcSequence:
     """Center-last composition basis.
 
     Class <= 2 groups get the direct basis (generators, then their square
@@ -151,39 +161,32 @@ def pc_sequence(G: CayleyGroup, max_attempts=PC_ATTEMPTS) -> PcSequence:
     checks pass; valid 2-groups always succeed.
     """
     if G.n == 1:
-        return PcSequence(G, (), 0, [0], attempts=1)
-    attempts = 0
+        return PcSequence(G, (), 0, [0])
     if G.nilpotency_class() <= 2:
-        for gens in G.minimal_generating_sequences():
-            attempts += 1
-            if attempts > max_attempts:
-                break
-            made = _base_sequence(G, list(gens))
-            if made is not None:
-                seq, split, encode = made
-                return PcSequence(G, seq, split, encode, attempts)
-        raise InternalInvariantError(
-            f"no composition basis found for {G.name or 'group'} "
-            f"within {max_attempts} attempts")
+        seq = next(_direct_bases(G), None)
+        if seq is None:
+            raise InternalInvariantError(
+                f"no composition basis found for {G.name or 'group'} "
+                f"within {PC_ATTEMPTS} attempts")
+        return seq
 
     center = G.center()
     quot, coset_of, reps = G.quotient_group(center)
-    inner = pc_sequence(quot, max_attempts)
+    inner = pc_sequence(quot)
     lifted = []
     for q_elt in inner.elements:
         # canonical lift: the minimal-index member of the coset
         members = [x for x in range(G.n) if coset_of[x] == q_elt]
         lifted.append(min(members))
     zsub, _, zmembers = G.subgroup_cayley(center)
-    ztail = pc_sequence(zsub, max_attempts)
+    ztail = pc_sequence(zsub)
     tail = [zmembers[z] for z in ztail.elements]
     seq = tuple(lifted) + tuple(tail)
     encode = _normal_forms(G, seq)
     if encode is None:
         raise InternalInvariantError(
             "lifted composition basis lost normal-form uniqueness")
-    return PcSequence(G, seq, len(lifted), encode,
-                      attempts=inner.attempts + ztail.attempts)
+    return PcSequence(G, seq, len(lifted), encode)
 
 
 def chief_chain_sequences(G: CayleyGroup, limit=256):
@@ -230,6 +233,28 @@ def chief_chain_sequences(G: CayleyGroup, limit=256):
                 yield from walk(chain + [cand])
 
     yield from walk([{0}])
+
+
+def composition_bases(G: CayleyGroup):
+    """Every candidate center-last composition basis, in the order the
+    construction tries them.
+
+    Class <= 2 groups (other than 1) yield their direct bases; higher
+    classes and the trivial group yield the recursive ``pc_sequence``
+    result, unless it fails its own checks.  The chief-chain bases follow,
+    since from class 3 up those first candidates can fail the translation
+    conditions.
+    """
+    if G.n > 1 and G.nilpotency_class() <= 2:
+        yield from _direct_bases(G)
+    else:
+        try:
+            seq = pc_sequence(G)
+        except InternalInvariantError:
+            pass
+        else:
+            yield seq
+    yield from chief_chain_sequences(G)
 
 
 @dataclass
@@ -354,8 +379,6 @@ class Certificate:
     witness: dict               # generator label -> ambient element literal
     method: str
     tool_version: str = __version__
-    timings: dict = field(default_factory=dict)
-    attempts: int = 1
 
     def to_dict(self):
         ambient = self.basis.group
@@ -402,96 +425,42 @@ def projection_witness(G: CayleyGroup, units: UnitGroup, ring: QuotientRing):
     return None
 
 
-def realize_exponent4(G: CayleyGroup, max_attempts=PC_ATTEMPTS) -> Certificate:
+def realize_exponent4(G: CayleyGroup) -> Certificate:
     """Full pipeline for exponent <= 4 groups in characteristic 2.
 
     Composition basis -> star table -> exact condition check ->
     complement ideal -> residue ring -> unit group -> verified isomorphism.
-    Generator orderings are retried (bounded) if the condition check
-    rejects one; a verified certificate is returned.
+    The first of ``composition_bases`` that passes the condition check is
+    used; a verified certificate is returned.
     """
     if G.exponent() > 4:
         raise Fuchs2Error(
             f"exponent {G.exponent()} > 4: out of scope for the star "
             f"construction; run the screeners instead")
-    t0 = time.monotonic()
-    timings = {}
-    star = None
-    attempts = 0
-    if G.nilpotency_class() <= 2 and G.n > 1:
-        for gens in G.minimal_generating_sequences():
-            attempts += 1
-            if attempts > max_attempts:
-                break
-            made = _base_sequence(G, list(gens))
-            if made is None:
-                continue
-            seq = PcSequence(G, made[0], made[1], made[2], attempts)
-            cand = star_table(G, seq)
-            ok, _ = verify_star_conditions(G, cand)
-            if ok:
-                star = cand
-                break
+    tried = 0
+    for seq in composition_bases(G):
+        tried += 1
+        star = star_table(G, seq)
+        if verify_star_conditions(G, star)[0]:
+            break
     else:
-        try:
-            seq = pc_sequence(G, max_attempts)
-        except InternalInvariantError:
-            pass
-        else:
-            attempts = seq.attempts
-            cand = star_table(G, seq)
-            ok, _ = verify_star_conditions(G, cand)
-            if ok:
-                star = cand
-    if star is None and G.n > 1:
-        # the recursive construction can fail the conditions from class 3
-        # up; fall back to chief series through the center
-        for seq in chief_chain_sequences(G):
-            attempts += 1
-            cand = star_table(G, seq)
-            ok, _ = verify_star_conditions(G, cand)
-            if ok:
-                star = cand
-                break
-    if star is None:
         raise InternalInvariantError(
             f"no composition basis satisfied the translation conditions "
-            f"within the bounded search ({attempts} sequences tried); "
+            f"within the bounded search ({tried} sequences tried); "
             f"the constructive route is exhausted for this group")
-    timings["star"] = time.monotonic() - t0
 
-    t1 = time.monotonic()
     basis = complement_ideal(G, star)
     ring = quotient_ring(basis)
     if ring.size != 2 * G.n:
         raise InternalInvariantError(
             f"residue ring has {ring.size} elements, expected {2 * G.n}")
     units = unit_group(ring)
-    timings["quotient"] = time.monotonic() - t1
-
-    t2 = time.monotonic()
     phi = projection_witness(G, units, ring)
     if phi is None:
         phi = isomorphism(G, units.group)
     if phi is None or not verify_homomorphism(G, units.group, phi):
         raise InternalInvariantError("unit group is not isomorphic to G")
-    witness = {}
-    for name, g in zip(G.gen_names, G.gen_indices):
-        rep = ring.reps[units.residue_index[phi[g]]]
-        witness[name] = element_literal(rep, G)
-    timings["isomorphism"] = time.monotonic() - t2
-
-    return Certificate(
-        group_spec=group_spec_of(G),
-        ambient_spec=group_spec_of(G),
-        m=1,
-        basis=basis,
-        quotient_size=ring.size,
-        witness=witness,
-        method="star",
-        timings=timings,
-        attempts=attempts,
-    )
+    return certificate_from_parts(G, G, 1, basis, ring, units, phi, "star")
 
 
 def certificate_from_parts(G: CayleyGroup, ambient: CayleyGroup, m,

@@ -177,6 +177,18 @@ def test_realize_refuted(capsys):
     assert doc["status"] in ("unknown", "not_realizable")
 
 
+@pytest.mark.parametrize("char", [2, 4])
+def test_realize_emits_requested_characteristic(capsys, tmp_path, char):
+    out = tmp_path / "cert.json"
+    assert dispatch(["realize", "Q8", "--char", str(char),
+                     "--output", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["char"] == char
+    # characteristic 2 keeps the constructive route
+    assert doc["method"] == ("star" if char == 2 else "search")
+    assert dispatch(["verify", str(out)]) == 0
+
+
 def test_realize_char_parsing(capsys):
     assert dispatch(["realize", "Q8", "--char", "2^1"]) == 0
     capsys.readouterr()

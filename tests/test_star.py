@@ -8,6 +8,7 @@ from fuchs2.groups import build_group
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
     complement_ideal,
+    composition_bases,
     pc_sequence,
     realize_exponent4,
     star_table,
@@ -43,9 +44,11 @@ def test_pc_sequence_q8():
     assert seq.split == 2
 
 
-@pytest.mark.parametrize("spec", ["C1", "C2", "C4", "C8", "C2xC2", "D8",
-                                  "Q8", "M16", "Q16", "C4xC4", "D8xC2",
-                                  "SG32_37", "SG64_88"])
+PC_SPECS = ["C1", "C2", "C4", "C8", "C2xC2", "D8", "Q8", "M16", "Q16",
+            "C4xC4", "D8xC2", "SG32_37", "SG64_88"]
+
+
+@pytest.mark.parametrize("spec", PC_SPECS)
 def test_pc_sequence_properties(spec):
     G = build_group(spec)
     seq = pc_sequence(G)
@@ -258,3 +261,44 @@ def test_class_4_group_is_a_recorded_open_case():
     v = screen(G)
     assert v.status == "unknown"
     assert any("bounded search" in note for note in v.notes)
+
+
+# -- the candidate stream -----------------------------------------------------
+
+def _group(spec):
+    return _presented(CLS3_64) if spec == "CLS3_64" else build_group(spec)
+
+
+def _basis_key(seq):
+    return seq.elements, seq.split, seq.encode
+
+
+@pytest.mark.parametrize("spec", PC_SPECS + ["CLS3_64"])
+def test_pc_sequence_is_first_composition_basis(spec):
+    G = _group(spec)
+    first = next(composition_bases(G))
+    assert _basis_key(pc_sequence(G)) == _basis_key(first)
+
+
+@pytest.mark.parametrize("spec", ["C2", "Q8", "D8xC2", "C4xC4xC2",
+                                  "CLS3_64"])
+def test_realize_takes_first_basis_passing_the_conditions(spec):
+    G = _group(spec)
+    for seq in composition_bases(G):
+        st = star_table(G, seq)
+        if verify_star_conditions(G, st)[0]:
+            break
+    else:
+        pytest.fail("no composition basis passed the conditions")
+    cert = realize_exponent4(G)
+    assert cert.basis.rows == complement_ideal(G, st).rows
+
+
+def test_open_case_message_counts_the_bases_checked():
+    import re
+    from fuchs2.errors import InternalInvariantError
+    G = _presented(CLS4_128)
+    with pytest.raises(InternalInvariantError) as info:
+        realize_exponent4(G)
+    tried = re.search(r"\((\d+) sequences tried\)", str(info.value))
+    assert int(tried.group(1)) == len(list(composition_bases(G)))
