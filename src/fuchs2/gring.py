@@ -442,8 +442,14 @@ class IdealBasis:
         one = (1,) + (0,) * (self.group.n - 1)
         return self.contains(one)
 
+    def key(self):
+        """Hashable canonical form of the rows: equal keys, equal spans."""
+        if self.m == 1:
+            return tuple(self._impl.rows)
+        return tuple(map(tuple, self._impl.row_vectors()))
+
     def fingerprint(self):
-        return hash((self.m, tuple(map(tuple, self.rows))))
+        return hash((self.m, self.key()))
 
     def __eq__(self, other):
         return (isinstance(other, IdealBasis)
@@ -512,6 +518,29 @@ def ideal_closure(gens) -> IdealBasis:
     basis = IdealBasis(group, m, impl, closed=True)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
+    return basis
+
+
+def ideal_sum(a: IdealBasis, b: IdealBasis) -> IdealBasis:
+    """Canonical basis of the span a + b: the rows of the smaller basis
+    inserted into a copy of the larger one (echelon insertion over GF(2),
+    Howell insertion over Z_{2^m}).
+
+    A sum of two-sided ideals is a two-sided ideal, so the sum is closed
+    when both inputs are; a closed sum that reaches 1 raises
+    ImproperIdealError, as ideal_closure does.
+    """
+    if a.group is not b.group or a.m != b.m:
+        raise RingMismatchError("ideals from different group rings")
+    if a.span_size() < b.span_size():
+        a, b = b, a
+    impl = a._impl.copy()
+    rows = b._impl.rows if b.m == 1 else b._impl.row_vectors()
+    for row in rows:
+        impl.insert(row)
+    basis = IdealBasis(a.group, a.m, impl, closed=a.closed and b.closed)
+    if basis.closed and basis.contains_one():
+        raise ImproperIdealError("sum reached the whole ring")
     return basis
 
 
@@ -697,17 +726,23 @@ def unit_group(ring) -> UnitGroup:
     local, so the units are exactly the odd-augmentation residues.  Their
     multiplication table comes straight from the ring's structure
     constants; it is checked closed and verified to be a group.
+
+    The residue field is GF(2), so there are exactly size/2 units: the cap
+    is checked before any residue is scanned.
     """
     if not isinstance(ring, QuotientRing):
         raise Fuchs2Error("unit_group expects a QuotientRing")
+    if ring.size // 2 > UNIT_TABLE_CAP:
+        raise SizeCapError(
+            f"unit group of size {ring.size // 2} exceeds table cap")
     units = [i for i in range(ring.size)
              if ring.augmentation_index(i) % 2 == 1]
+    if len(units) != ring.size // 2:
+        raise InternalInvariantError("residue ring is not local")
     if ring.one_index not in units:
         raise InternalInvariantError("1 has even augmentation")
     units.remove(ring.one_index)
     units.insert(0, ring.one_index)
-    if len(units) > UNIT_TABLE_CAP:
-        raise SizeCapError(f"unit group of size {len(units)} exceeds table cap")
     pos = {r: k for k, r in enumerate(units)}
     table = []
     for row in ring.products(units, units):

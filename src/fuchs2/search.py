@@ -1,11 +1,17 @@
 """Bounded ideal search, certificate verification, and the fixture suite.
 
-The search enumerates small even-support generator sets in Z_{2^m}[G] in a
-fixed deterministic order, closes each candidate to a canonical two-sided
-ideal, prunes unless the residue count is exactly 2|G| (the only shape a
-realizing residue ring can have), and certifies the first candidate whose
-unit group is isomorphic to G.  Identical (group, config) inputs give
-byte-identical certificates.
+The search walks small even-support generator tuples in Z_{2^m}[G] in a
+fixed deterministic order (by generator count, then lexicographically over
+a pool of single generators), depth first over the ideal lattice.  Each
+pool element is closed to its principal two-sided ideal once; a tuple's
+ideal is the sum of its entries' principal ideals, obtained by merging one
+canonical basis into its prefix's.  A prefix whose span already leaves
+fewer than 2|G| residues (the only size a realizing residue ring can have)
+is not extended, and its subtree is counted into the raw index, so the
+budget ends the stream at the same raw index as closing every tuple in
+turn would.  The first candidate with exactly 2|G| residues whose unit
+group is isomorphic to G is certified.  Identical (group, config) inputs
+give byte-identical certificates.
 
 The fixture suite rebuilds every explicit ideal from the literature this
 package tracks and hard-checks the resulting unit groups.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,8 +31,8 @@ from .errors import (
     InternalInvariantError,
     UndecidedError,
 )
-from .gring import IdealBasis, RingElement, ideal_closure, quotient_ring, \
-    unit_group, verify_two_sided
+from .gring import IdealBasis, RingElement, ideal_closure, ideal_sum, \
+    quotient_ring, unit_group, verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism, \
     verify_homomorphism
 from .parsing import parse_element_literal
@@ -69,36 +76,110 @@ def _single_elements(G: CayleyGroup, config: SearchConfig):
     return out
 
 
-def _candidate_stream(G: CayleyGroup, config: SearchConfig):
-    """All generator tuples in enumeration order: by generator count, then
-    lexicographically over the single-element pool."""
-    pool = _single_elements(G, config)
-    for ng in range(1, config.max_gens + 1):
-        for combo in itertools.combinations(range(len(pool)), ng):
-            yield tuple(pool[i] for i in combo)
+def _principal_closures(G: CayleyGroup, pool):
+    """Lazy principal closure of each pool element, None when improper.
+
+    A group element s in the support of x is a unit, so s^-1 x and x s^-1
+    generate the same two-sided ideal as x; they are pool elements too
+    (same scalar, same support size, identity in the support).  The whole
+    orbit under these moves shares one closure, computed once, and equal
+    closures are one interned basis."""
+    where = {x.coeffs: i for i, x in enumerate(pool)}
+    closures = {}
+    interned = {}
+
+    def closure(i):
+        if i in closures:
+            return closures[i]
+        try:
+            basis = ideal_closure([pool[i]])
+            basis = interned.setdefault(basis.key(), basis)
+        except ImproperIdealError:
+            basis = None
+        closures[i] = basis
+        orbit = [i]
+        while orbit:
+            coeffs = pool[orbit.pop()].coeffs
+            support = [g for g, c in enumerate(coeffs) if c]
+            for s in support:
+                t = G.inv[s]
+                for perm in (G.mul[t], [row[t] for row in G.mul]):
+                    moved = [0] * G.n
+                    for g in support:
+                        moved[perm[g]] = coeffs[g]
+                    j = where[tuple(moved)]
+                    if j not in closures:
+                        closures[j] = basis
+                        orbit.append(j)
+        return basis
+
+    return closure
+
+
+def _merge(prefix, basis):
+    """Span of a prefix plus one principal closure, None when improper."""
+    if basis is None:
+        return None
+    try:
+        return ideal_sum(prefix, basis)
+    except ImproperIdealError:
+        return None
 
 
 def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     """Yield (index, generators, closed basis) for each distinct ideal.
 
-    Candidates closing to an already-seen canonical basis are skipped
-    (dedup by basis fingerprint); improper closures are skipped too.  The
-    stream ends when `budget` closures have been performed.
+    The raw stream is every generator tuple, by generator count and then
+    lexicographically over the single-element pool; `index` is a tuple's
+    position in it, and the stream ends at raw index `budget`.  It is
+    walked depth first.  The closure of a tuple is the sum of the principal
+    closures of its entries, because a sum of two-sided ideals is a
+    two-sided ideal: each pool element is closed once, and a tuple's basis
+    is its prefix's basis with one principal closure merged in.
+
+    Spans only grow along a branch.  A proper prefix whose span leaves
+    fewer than 2|G| residues, or contains 1, is not extended: its subtree
+    is skipped and counted into the raw index, so the budget still ends the
+    stream at raw index `budget`, inside a skipped subtree or not.  Leaves
+    that close improperly, or to an already-yielded basis, are skipped.
+
+    So every ideal with at least 2|G| residues is yielded at the same index,
+    with the same generators and rows, as by closing every raw tuple in
+    turn.  Only candidates inside skipped subtrees are never yielded; they
+    have fewer than 2|G| residues and cannot certify.
     """
+    pool = _single_elements(G, config)
+    closure = _principal_closures(G, pool)
+    limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
     seen = set()
-    for index, gens in enumerate(_candidate_stream(G, config)):
-        if index >= config.budget:
-            return
-        try:
-            basis = ideal_closure(list(gens))
-        except ImproperIdealError:
-            continue
-        key = tuple(map(tuple, basis.rows))
-        if key in seen:
-            continue
-        if len(seen) < DEDUP_CACHE:
-            seen.add(key)
-        yield index, gens, basis
+    chosen = []
+    index = 0
+
+    def walk(start, left, prefix):
+        nonlocal index
+        for i in range(start, len(pool) - left):
+            if index >= config.budget:
+                return
+            span = closure(i) if prefix is None else _merge(prefix, closure(i))
+            if left == 0:
+                index += 1
+                if span is None:
+                    continue
+                key = span.key()
+                if key in seen:
+                    continue
+                if len(seen) < DEDUP_CACHE:
+                    seen.add(key)
+                yield index - 1, tuple(pool[j] for j in chosen + [i]), span
+            elif span is None or span.span_size() > limit:
+                index += math.comb(len(pool) - i - 1, left)
+            else:
+                chosen.append(i)
+                yield from walk(i + 1, left - 1, span)
+                chosen.pop()
+
+    for ng in range(1, config.max_gens + 1):
+        yield from walk(0, ng - 1, None)
 
 
 def _evaluate(G: CayleyGroup, config: SearchConfig, basis):

@@ -156,3 +156,38 @@ def brute_find_inverse(G, m, coeffs):
                 (1,) + (0,) * (G.n - 1):
             return cand
     return None
+
+
+def raw_candidates(G, config):
+    """Every generator tuple of the search, unbudgeted: by count, then
+    lexicographically over its single-element pool."""
+    from fuchs2.search import _single_elements
+
+    pool = _single_elements(G, config)
+    for ng in range(1, config.max_gens + 1):
+        yield from itertools.combinations(pool, ng)
+
+
+def candidate_stream_oracle(G, config):
+    """The search's candidate stream, one full closure per raw candidate.
+
+    Every generator tuple over the search's single-element pool, by count
+    and then lexicographically, is closed with ideal_closure; improper
+    closures and bases already yielded are skipped, and the stream ends at
+    raw index config.budget.  Yields (index, gens, basis)."""
+    from fuchs2.errors import ImproperIdealError
+    from fuchs2.gring import ideal_closure
+
+    seen = set()
+    for index, gens in enumerate(raw_candidates(G, config)):
+        if index >= config.budget:
+            return
+        try:
+            basis = ideal_closure(list(gens))
+        except ImproperIdealError:
+            continue
+        key = tuple(map(tuple, basis.rows))
+        if key in seen:
+            continue
+        seen.add(key)
+        yield index, gens, basis

@@ -19,6 +19,7 @@ from fuchs2.gring import (
     cyclic_quotient_order,
     full_group_ring,
     ideal_closure,
+    ideal_sum,
     quotient_ring,
     scalar_unit_identity_check,
     unit_group,
@@ -402,6 +403,63 @@ def test_products_on_demand_above_unit_table_cap():
         i, j = random.randrange(ring.size), random.randrange(ring.size)
         assert ring.mul_index(i, j) == ring.project(
             oracles.naive_convolve(G, 1, ring.reps[i], ring.reps[j]))
+
+
+def test_unit_table_cap_checked_before_scanning(monkeypatch):
+    # a local ring with residue field GF(2) has size/2 units, so the cap is
+    # decided without looking at a residue
+    ring = full_group_ring(build_group("C16"), 1)
+
+    def scanned(i):
+        raise AssertionError("residues scanned")
+
+    monkeypatch.setattr(ring, "augmentation_index", scanned)
+    with pytest.raises(SizeCapError, match="32768"):
+        unit_group(ring)
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two lists of 1-3 random generators of Z_{2^m}[G] inside the maximal
+    ideal (odd coefficients on even supports)."""
+    G = build_group(draw(st.sampled_from(SMALL)))
+    m = draw(st.sampled_from((1, 2, 3)))
+
+    def element():
+        size = draw(st.sampled_from((2, 4) if G.n >= 4 else (2,)))
+        support = draw(st.lists(st.integers(0, G.n - 1), min_size=size,
+                                max_size=size, unique=True))
+        coeffs = [0] * G.n
+        for g in support:
+            coeffs[g] = draw(st.integers(0, (1 << (m - 1)) - 1)) * 2 + 1
+        return RingElement(G, m, tuple(coeffs))
+
+    return ([element() for _ in range(draw(st.integers(1, 3)))],
+            [element() for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=ideal_pairs())
+def test_ideal_sum_is_closure_of_union(pair):
+    a, b = pair
+    total = ideal_sum(ideal_closure(list(a)), ideal_closure(list(b)))
+    assert total.closed
+    assert total.rows == ideal_closure(a + b).rows
+    assert verify_two_sided(total)
+
+
+def test_ideal_sum_unclosed_and_mismatched_inputs():
+    b = ideal_closure([elem("C4", "1+a^2")])
+    G = b.group
+    a = IdealBasis.from_vectors(G, 1, [(1, 1, 0, 0)])
+    total = ideal_sum(a, b)
+    assert not total.closed
+    assert total.span_size() == 8
+    other = ideal_closure([RingElement(G, 2, (2, 2, 0, 0))])
+    with pytest.raises(RingMismatchError):
+        ideal_sum(b, other)
+    with pytest.raises(RingMismatchError):
+        ideal_sum(b, ideal_closure([elem("C8", "1+a^4")]))
 
 
 # -- unit groups --------------------------------------------------------------

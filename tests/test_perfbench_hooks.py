@@ -18,3 +18,18 @@ def test_traced_names_resolve(monkeypatch):
     for module, attr, _ in spans.GENERATORS:
         fn = getattr(importlib.import_module(f"fuchs2.{module}"), attr, None)
         assert inspect.isgeneratorfunction(fn), f"fuchs2.{module}.{attr}"
+
+
+def test_search_closures_stay_traced(monkeypatch):
+    # the traced closure count and distinct-ideal count measure the search
+    # only while it calls gring.ideal_closure by that name and
+    # enumerate_candidates stays a generator function
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    search = importlib.import_module("fuchs2.search")
+    gring = importlib.import_module("fuchs2.gring")
+    assert ("gring", "ideal_closure") in [t[:2] for t in spans.TARGETS]
+    assert ("search", "enumerate_candidates") in \
+        [g[:2] for g in spans.GENERATORS]
+    assert search.ideal_closure is gring.ideal_closure
+    assert inspect.isgeneratorfunction(search.enumerate_candidates)

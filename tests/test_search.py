@@ -1,12 +1,20 @@
+import itertools
 import json
+import math
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fuchs2.search
+from fuchs2.gring import ideal_closure
 from fuchs2.groups import build_group
 from fuchs2.parsing import element_literal
 from fuchs2.search import (
     FIXTURES,
     SearchConfig,
+    _single_elements,
     enumerate_candidates,
     run_fixture,
     run_fixtures,
@@ -14,6 +22,8 @@ from fuchs2.search import (
     verify_certificate,
 )
 from fuchs2.star import realize_exponent4
+
+import oracles
 
 
 # -- candidate enumeration ----------------------------------------------------
@@ -48,6 +58,144 @@ def test_scalar_candidates_in_char4():
     lits = [element_literal(gens[0].coeffs, G)
             for _, gens, _ in enumerate_candidates(G, cfg)]
     assert "2+2*i" in lits  # the published generator shape
+
+
+# catalog groups of order <= 16
+SMALL = ("C2", "C4", "C2xC2", "C8", "C4xC2", "Q8", "D8", "C2xC2xC2", "C16",
+         "C8xC2", "C4xC4", "D16", "Q16", "QD16", "M16", "Q8xC2", "D8xC2",
+         "C4xC2xC2")
+
+
+def _span_limit(G, config):
+    """Largest span whose quotient still has 2|G| residues."""
+    return (1 << (config.m * G.n)) // (2 * G.n)
+
+
+def _with_enough_residues(G, config, stream):
+    limit = _span_limit(G, config)
+    return [(index, [g.coeffs for g in gens], basis.rows)
+            for index, gens, basis in stream if basis.span_size() <= limit]
+
+
+@st.composite
+def search_inputs(draw):
+    G = build_group(draw(st.sampled_from(SMALL)))
+    config = SearchConfig(
+        m=draw(st.sampled_from((1, 2))),
+        support_sizes=draw(st.sampled_from(((2,), (4,), (2, 4)))),
+        max_gens=draw(st.integers(1, 3)),
+        # the oracle closes every raw candidate: keep order 16 cheaper
+        budget=draw(st.integers(1, 3000 if G.n <= 8 else 400)))
+    return G, config
+
+
+@settings(max_examples=25, deadline=None)
+@given(inputs=search_inputs())
+@example(inputs=(build_group("C8"), SearchConfig(m=1, max_gens=3,
+                                                  budget=2000)))
+@example(inputs=(build_group("C4xC2"), SearchConfig(m=2, max_gens=2,
+                                                     budget=1500)))
+def test_walk_matches_closing_every_candidate(inputs):
+    G, config = inputs
+    walk = list(enumerate_candidates(G, config))
+    assert _with_enough_residues(G, config, walk) == _with_enough_residues(
+        G, config, oracles.candidate_stream_oracle(G, config))
+    raw = list(itertools.islice(oracles.raw_candidates(G, config),
+                                config.budget))
+    for index, gens, basis in walk:
+        assert index < config.budget and gens == raw[index]
+        assert basis.closed
+        assert basis.rows == ideal_closure(list(gens)).rows
+        if G.n <= 8 and basis.span_size() <= 256:
+            span = oracles.brute_two_sided_ideal(
+                G, config.m, [g.coeffs for g in gens])
+            assert len(span) == basis.span_size()
+            assert all(basis.contains(v) for v in span)
+
+
+def _first_skipped_subtree(G, config):
+    """Raw index and size of the first subtree below a kept prefix that the
+    walk skips: a triple's leading pair spans too much, its first entry
+    alone does not."""
+    pool = _single_elements(G, config)
+    limit = _span_limit(G, config)
+    span = {}
+
+    def size(prefix):
+        if prefix not in span:
+            span[prefix] = ideal_closure(
+                [pool[i] for i in prefix]).span_size()
+        return span[prefix]
+
+    raw = (combo for ng in range(1, config.max_gens + 1)
+           for combo in itertools.combinations(range(len(pool)), ng))
+    for index, combo in enumerate(raw):
+        if (len(combo) == 3 and size(combo[:1]) <= limit
+                and size(combo[:2]) > limit):
+            return index, len(pool) - combo[1] - 1
+    raise AssertionError("no skipped subtree below a kept prefix")
+
+
+@pytest.mark.parametrize("spec,m,sizes", [("C8", 1, (2, 4)),
+                                          ("Q8", 2, (2,))],
+                         ids=["C8-m1", "Q8-m2"])
+def test_budget_inside_skipped_subtree(spec, m, sizes):
+    G = build_group(spec)
+    start, size = _first_skipped_subtree(
+        G, SearchConfig(m=m, support_sizes=sizes, max_gens=3))
+    assert size > 2
+    budgets = (start, start + 1, start + size // 2, start + size - 1,
+               start + size, start + size + 1)
+    config = SearchConfig(m=m, support_sizes=sizes, max_gens=3,
+                          budget=max(budgets))
+    expected = _with_enough_residues(
+        G, config, oracles.candidate_stream_oracle(G, config))
+    raw = list(itertools.islice(oracles.raw_candidates(G, config),
+                                config.budget))
+    for budget in budgets:
+        config = SearchConfig(m=m, support_sizes=sizes, max_gens=3,
+                              budget=budget)
+        walk = list(enumerate_candidates(G, config))
+        for index, gens, _ in walk:
+            assert index < budget and gens == raw[index]
+        assert _with_enough_residues(G, config, walk) == \
+            [row for row in expected if row[0] < budget]
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    real = fuchs2.search.ideal_closure
+
+    def counted(gens):
+        calls.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(fuchs2.search, "ideal_closure", counted)
+    return calls
+
+
+def test_search_closes_each_pool_element_at_most_once(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    G = build_group("C8xC2")
+    cert = search_realizing_ideal(G, SearchConfig(m=1))
+    assert cert is not None
+    assert len(_single_elements(G, SearchConfig())) == 470
+    assert 0 < len(calls) <= 470
+    assert set(calls) == {1}
+
+
+def test_search_c8_full_stream(monkeypatch):
+    # the whole default-budget stream (124,313 raw candidates) is walked:
+    # most of it in skipped subtrees
+    calls = _count_closures(monkeypatch)
+    G = build_group("C8")
+    config = SearchConfig(m=1)
+    assert sum(math.comb(42, k) for k in range(1, 5)) == 124_313 \
+        < config.budget
+    t0 = time.perf_counter()
+    assert search_realizing_ideal(G, config) is None
+    assert time.perf_counter() - t0 < 1.0
+    assert len(calls) <= len(_single_elements(G, config)) == 42
 
 
 # -- search -------------------------------------------------------------------
