@@ -2,10 +2,14 @@
 
 Elements are coefficient vectors mod 2^m indexed by group elements.  Ideals
 are kept in a canonical basis: reduced row echelon over GF(2) when m = 1
-(rows bit-packed into Python ints, so row operations are word-parallel) and
-Howell normal form over Z_{2^m} otherwise.  Both forms are unique for the
-span they generate, support exact membership tests, and make certificates
-byte-stable.
+(rows bit-packed into Python ints, so row operations are word-parallel, and
+indexed by pivot bit, so reducing a vector costs one XOR per pivot it hits)
+and Howell normal form over Z_{2^m} otherwise.  Both forms are unique for
+the span they generate, support exact membership tests, and make
+certificates byte-stable.
+
+Two-sided closure runs a worklist: translations are linear, so only the
+vectors that grew the span need translating, each of them once.
 
 Residue rings Z_{2^m}[G]/I are products on the canonical representatives
 of the quotient module.  The quotient map is linear, so multiplication is
@@ -193,24 +197,38 @@ def invert(x: RingElement) -> RingElement:
 class _Gf2Basis:
     """Reduced row echelon basis over GF(2), rows packed into ints.
 
-    Bit g of a row is the coefficient at group element g; pivots are the
-    lowest set bits, rows are kept sorted by pivot, and every pivot column
-    is cleared in all other rows, so the row list is unique for the span.
+    Bit g of a row is the coefficient at group element g and a row's pivot
+    is its lowest set bit.  Every pivot column is cleared in all other rows,
+    so the row set is unique for the span; ``rows`` lists it sorted by
+    pivot.  Rows are indexed by pivot bit and ``mask`` is the OR of the
+    pivot bits.  Since no row has a bit at another row's pivot, adding a
+    row flips only its own pivot among the pivot bits, so ``reduce(v)``
+    adds exactly the rows whose pivot bit is set in v: its cost is the
+    number of those bits, not the rank.
     """
 
     def __init__(self, n):
         self.n = n
-        self.rows = []
+        self.pivots = {}  # pivot bit -> row
+        self.mask = 0
 
     def copy(self):
         dup = _Gf2Basis(self.n)
-        dup.rows = list(self.rows)
+        dup.pivots = dict(self.pivots)
+        dup.mask = self.mask
         return dup
 
+    @property
+    def rows(self):
+        return [self.pivots[p] for p in sorted(self.pivots)]
+
     def reduce(self, v):
-        for r in self.rows:
-            if v & (r & -r):
-                v ^= r
+        pivots = self.pivots
+        hit = v & self.mask
+        while hit:
+            p = hit & -hit
+            v ^= pivots[p]
+            hit ^= p
         return v
 
     def insert(self, v):
@@ -219,29 +237,29 @@ class _Gf2Basis:
         if v == 0:
             return False
         p = v & -v
-        self.rows = [r ^ v if r & p else r for r in self.rows]
-        self.rows.append(v)
-        self.rows.sort(key=lambda r: r & -r)
+        pivots = self.pivots
+        for q, r in pivots.items():
+            if r & p:
+                pivots[q] = r ^ v
+        pivots[p] = v
+        self.mask |= p
         return True
 
     def contains(self, v):
         return self.reduce(v) == 0
 
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def span_size(self):
-        return 1 << len(self.rows)
+        return 1 << len(self.pivots)
 
     def pivot_radices(self):
         """Per-column residue counts for canonical representatives."""
         radix = [2] * self.n
-        for r in self.rows:
-            radix[(r & -r).bit_length() - 1] = 1
+        for p in self.pivots:
+            radix[p.bit_length() - 1] = 1
         return radix
-
-    def row_vectors(self):
-        return [tuple((r >> g) & 1 for g in range(self.n)) for r in self.rows]
 
 
 def _val2(x):
@@ -350,6 +368,9 @@ class _HowellBasis:
     def contains(self, v):
         return not any(self.reduce(v))
 
+    def rank(self):
+        return len(self.pivots)
+
     def span_size(self):
         size = 1
         for k, _ in self.pivots.values():
@@ -422,7 +443,7 @@ class IdealBasis:
         return self._impl.row_vectors()
 
     def rank(self):
-        return len(self.rows)
+        return self._impl.rank()
 
     def span_size(self):
         return self._impl.span_size()
@@ -455,7 +476,7 @@ class IdealBasis:
         return (isinstance(other, IdealBasis)
                 and self.group is other.group
                 and self.m == other.m
-                and self.rows == other.rows)
+                and self.key() == other.key())
 
     def __hash__(self):
         return self.fingerprint()
@@ -463,8 +484,8 @@ class IdealBasis:
 
 def _translations(group):
     """Left/right index permutations by a fixed minimal generating set.
-    Translating by generators on both sides per round reaches the whole
-    two-sided closure because the generators generate."""
+    A span closed under these is closed under translation by every group
+    element on both sides, because the generators generate."""
     gens = group.minimal_generators()
     left = [group.mul[g] for g in gens]
     right = [[group.mul[h][g] for h in range(group.n)] for g in gens]
@@ -480,8 +501,8 @@ def _translate_mask(mask, perm):
     return out
 
 
-def _translate_vec(vec, perm, n):
-    out = [0] * n
+def _translate_vec(vec, perm):
+    out = [0] * len(vec)
     for h, c in enumerate(vec):
         if c:
             out[perm[h]] = c
@@ -491,9 +512,12 @@ def _translate_vec(vec, perm, n):
 def ideal_closure(gens) -> IdealBasis:
     """Smallest two-sided ideal containing ``gens``, in canonical form.
 
-    Iterates one-sided translations by a minimal generating set of G on the
-    current basis rows, re-normalizing until stable.  Raises
-    ImproperIdealError if the closure reaches the whole ring.
+    Translations are linear, so a span is closed once the vectors spanning
+    it are.  A worklist starts with the generators; each popped vector is
+    translated by the generator permutations, and a translate is queued
+    only when inserting it grew the span.  Every queued vector is thus
+    translated once, and the span of the queued vectors is the ideal.
+    Raises ImproperIdealError if the closure reaches the whole ring.
     """
     if not gens:
         raise Fuchs2Error("ideal_closure needs at least one generator")
@@ -501,20 +525,19 @@ def ideal_closure(gens) -> IdealBasis:
     for x in gens:
         gens[0]._match(x)
     perms = _translations(group)
-    impl = _make_impl(group, m, [x.coeffs for x in gens])
-    changed = True
-    while changed:
-        changed = False
-        if m == 1:
-            for row in list(impl.rows):
-                for perm in perms:
-                    if impl.insert(_translate_mask(row, perm)):
-                        changed = True
-        else:
-            for row in impl.row_vectors():
-                for perm in perms:
-                    if impl.insert(_translate_vec(row, perm, group.n)):
-                        changed = True
+    if m == 1:
+        impl, translate = _Gf2Basis(group.n), _translate_mask
+        work = [_pack(x.coeffs) for x in gens]
+    else:
+        impl, translate = _HowellBasis(group.n, m), _translate_vec
+        work = [x.coeffs for x in gens]
+    work = [v for v in work if impl.insert(v)]
+    while work:
+        v = work.pop()
+        for perm in perms:
+            t = translate(v, perm)
+            if impl.insert(t):
+                work.append(t)
     basis = IdealBasis(group, m, impl, closed=True)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
@@ -547,20 +570,14 @@ def ideal_sum(a: IdealBasis, b: IdealBasis) -> IdealBasis:
 def verify_two_sided(basis: IdealBasis) -> bool:
     """Check that the span of the basis rows is a two-sided ideal without
     extending it (generator translations stay inside the span)."""
-    group = basis.group
-    perms = _translations(group)
+    impl = basis._impl
     if basis.m == 1:
-        for row in basis._impl.rows:
-            for perm in perms:
-                if not basis._impl.contains(_translate_mask(row, perm)):
-                    return False
+        rows, translate = impl.rows, _translate_mask
     else:
-        for row in basis._impl.row_vectors():
-            for perm in perms:
-                if not basis._impl.contains(
-                        _translate_vec(row, perm, group.n)):
-                    return False
-    return True
+        rows, translate = impl.row_vectors(), _translate_vec
+    perms = _translations(basis.group)
+    return all(impl.contains(translate(row, perm))
+               for row in rows for perm in perms)
 
 
 # -- quotient rings -----------------------------------------------------------

@@ -122,6 +122,8 @@ def brute_two_sided_ideal(G, m, gen_vectors):
             work.append(tuple(right))
     span = {(0,) * G.n}
     for v in translates:
+        if v in span:  # its multiples are already there
+            continue
         new = set(span)
         for k in range(1, mod):
             for s in span:

@@ -1,0 +1,81 @@
+"""Golden certificate bytes: sha256 of certificates pinned across commits.
+
+The other determinism tests compare two runs of the same code; these pin
+the bytes themselves, so a change to the canonical bases, the closure or
+the search order that alters any certificate fails here.  To re-pin after
+an intended change, state the reason for the new bytes with the change.
+"""
+
+import hashlib
+
+import pytest
+
+from fuchs2.groups import build_group
+from fuchs2.search import SearchConfig, enumerate_candidates, \
+    run_fixtures, search_realizing_ideal
+from fuchs2.star import realize_exponent4
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+REALIZE = {
+    "Q8": "6fdb637435ef413bd201e623a562a36a"
+          "8677814761248e93c6ea93adc61a07bd",
+    "Q8xQ8": "5e90c3fe64e5fc158e45c25ee342fd1f"
+             "fd426faf43baf0d251dda1410c4651be",
+    "C4xC4xC4xC2xC2": "c70ea8b0e5df2d672d0521cefc76d7d0"
+                      "a66ea243c76f42ae203f349ee4d98f64",
+}
+
+FIXTURES = {
+    "SG32_37_char2": "6de95d867cd5f3d09f293b0a855a0259"
+                     "4f203e15530be8dc145a5ea32ab7cedd",
+    "SG64_88_char2": "d611b36ced70e2c5d2a07752e1983a81"
+                     "d8622ef82101e675be8c1f65441ff1a2",
+    "SG64_104_char2": "1a24cb1fca21653f60dda2dac0d8f4cd"
+                      "3a5cd934397b06e71a6879193c6fe165",
+    "Q8_char4": "07f66a9b1c65fa3bb8a40705d58b9430"
+                "c28bb9465ec9cdad5966772da18ac28f",
+    "C8_char2": "a5b65f310557d8852ee901a477636a7b"
+                "dbc6cc8a18bc02b44761951a9481e00e",
+    "C16_char2": "778ad940d14717c68183f5b3adf5b6d8"
+                 "7d1ac1aa5fb1af537c09d052ae5345c6",
+}
+
+SEARCH_C8XC2_CHAR2 = ("6dc3e8d9603e8e5c02af3affbaa81df4"
+                      "784f9f5e8eb38b05b279d49a964c4557")
+# the char-4 search exhausts its budget, so the candidates' canonical
+# Howell rows, with their raw indices, are what it leaves to pin
+STREAM_C8XC2_CHAR4 = ("8fae0c87231bcb0554f46aa39974f0ba"
+                      "7f7f8edadc272f961b31442920fd06fb")
+
+
+@pytest.mark.parametrize("spec", sorted(REALIZE))
+def test_realize_certificate_bytes(spec):
+    assert sha(realize_exponent4(build_group(spec)).to_json()) == \
+        REALIZE[spec]
+
+
+def test_fixture_certificate_bytes():
+    got = {r.name: sha(r.certificate.to_json()) for r in run_fixtures()}
+    assert got == FIXTURES
+
+
+def test_search_certificate_bytes_char2():
+    cert = search_realizing_ideal(build_group("C8xC2"), SearchConfig())
+    assert sha(cert.to_json()) == SEARCH_C8XC2_CHAR2
+
+
+def test_search_stream_bytes_char4():
+    G = build_group("C8xC2")
+    config = SearchConfig(m=2, budget=1500)
+    assert search_realizing_ideal(G, config) is None
+    digest = hashlib.sha256()
+    count = 0
+    for index, _, basis in enumerate_candidates(G, config):
+        digest.update(repr((index, basis.rows)).encode())
+        count += 1
+    assert count == 113
+    assert digest.hexdigest() == STREAM_C8XC2_CHAR4

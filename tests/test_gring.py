@@ -164,6 +164,63 @@ def test_gf2_basis_is_canonical():
     assert b1.rows == b2.rows
 
 
+def _in_span(masks, v):
+    return oracles.gf2_rank(masks + [v]) == oracles.gf2_rank(masks)
+
+
+@st.composite
+def gf2_spans(draw):
+    """Random masks over n columns, two insertion orders of them (the
+    second with one redundant sum), and probe vectors."""
+    n = draw(st.integers(1, 24))
+    mask = st.integers(0, (1 << n) - 1)
+    masks = draw(st.lists(mask, max_size=12))
+    other = draw(st.permutations(masks))
+    if len(masks) >= 2:
+        i, j = draw(st.integers(0, len(masks) - 1)), \
+            draw(st.integers(0, len(masks) - 1))
+        pos = draw(st.integers(0, len(other)))
+        other = other[:pos] + [masks[i] ^ masks[j]] + other[pos:]
+    subset = draw(st.lists(st.booleans(), min_size=len(masks),
+                           max_size=len(masks)))
+    in_span = 0
+    for keep, v in zip(subset, masks):
+        if keep:
+            in_span ^= v
+    probes = draw(st.lists(mask, max_size=4)) + [in_span]
+    return n, masks, other, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gf2_spans())
+def test_gf2_basis_against_rank_oracle(case):
+    n, masks, other, probes = case
+    b1 = _Gf2Basis(n)
+    for v in masks:
+        b1.insert(v)
+    rows = b1.rows
+    pivots = [r & -r for r in rows]
+    # reduced echelon form: nonzero rows sorted by pivot, and each pivot
+    # bit is set in exactly one row
+    assert all(rows)
+    assert pivots == sorted(set(pivots))
+    for p in pivots:
+        assert sum(1 for r in rows if r & p) == 1
+    assert b1.rank() == len(rows) == oracles.gf2_rank(masks)
+    pivot_bits = 0
+    for p in pivots:
+        pivot_bits |= p
+    for v in probes:
+        assert b1.contains(v) == _in_span(masks, v)
+        red = b1.reduce(v)
+        assert red & pivot_bits == 0
+        assert _in_span(masks, v ^ red)
+    b2 = _Gf2Basis(n)
+    for v in other:
+        b2.insert(v)
+    assert b2.rows == rows
+
+
 def test_howell_membership_matches_brute_span():
     random.seed(17)
     n, m = 4, 2
@@ -260,6 +317,34 @@ def test_closure_idempotent():
     again = ideal_closure([RingElement(basis.group, 1, tuple(r))
                            for r in basis.rows])
     assert [tuple(r) for r in again.rows] == [tuple(r) for r in basis.rows]
+
+
+@st.composite
+def small_closures(draw):
+    """1-2 generators in the even-sum ideal of Z_{2^m}[G], |G| <= 8."""
+    G = build_group(draw(st.sampled_from(SMALL[:8])))
+    m = draw(st.sampled_from((1, 2)))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = draw(st.lists(st.integers(0, (1 << m) - 1),
+                               min_size=G.n, max_size=G.n))
+        if sum(coeffs) % 2:
+            coeffs[draw(st.integers(0, G.n - 1))] ^= 1
+        gens.append(RingElement(G, m, tuple(coeffs)))
+    return G, m, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_closures())
+def test_closure_against_brute_ideal(case):
+    G, m, gens = case
+    basis = ideal_closure(gens)
+    brute = oracles.brute_two_sided_ideal(G, m, [x.coeffs for x in gens])
+    assert basis.span_size() == len(brute)
+    assert all(basis.contains(v) for v in brute)
+    again = ideal_closure([RingElement(G, m, tuple(r)) for r in basis.rows]
+                          or [RingElement.zero(G, m)])
+    assert again.rows == basis.rows
 
 
 def test_improper_ideal_rejected():
