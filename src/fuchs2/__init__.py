@@ -11,13 +11,9 @@ from .gring import (
     QuotientRing,
     RingElement,
     UnitGroup,
-    augmentation,
     cyclic_quotient_order,
     full_group_ring,
     ideal_closure,
-    invert,
-    is_unit,
-    multiply,
     quotient_ring,
     scalar_unit_identity_check,
     unit_group,

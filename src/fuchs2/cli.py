@@ -25,8 +25,8 @@ from .errors import (
     InternalInvariantError,
     ParseError,
 )
-from .gring import IdealBasis, RingElement, ideal_closure, quotient_ring, \
-    unit_group
+from .gring import M_CAP, IdealBasis, RingElement, ideal_closure, \
+    quotient_ring, unit_group
 from .groups import structure_report
 from .parsing import parse_element_literal, parse_group_spec
 from .screeners import screen
@@ -52,18 +52,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_char(text):
     """Accept '2', '4', ... or '2^m'."""
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        if base.strip() != "2":
-            raise ParseError(f"characteristic base must be 2, got {base!r}")
-        m = int(exp)
-    else:
-        c = int(text)
-        if c < 2 or c & (c - 1):
-            raise ParseError(f"characteristic {c} is not a power of 2")
-        m = c.bit_length() - 1
-    if not 1 <= m <= 6:
-        raise ParseError(f"characteristic exponent {m} outside [1, 6]")
+    base, caret, exp = text.partition("^")
+    if caret and base.strip() != "2":
+        raise ParseError(f"characteristic base must be 2, got {base!r}")
+    try:
+        m = int(exp if caret else text)
+    except ValueError:
+        raise ParseError(f"malformed characteristic {text!r}") from None
+    if not caret:
+        if m < 2 or m & (m - 1):
+            raise ParseError(f"characteristic {m} is not a power of 2")
+        m = m.bit_length() - 1
+    if not 1 <= m <= M_CAP:
+        raise ParseError(f"characteristic exponent {m} outside [1, {M_CAP}]")
     return m
 
 
@@ -249,7 +250,8 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, CertificateError, FileNotFoundError) as exc:
+    except (ParseError, CertificateError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:

@@ -6,19 +6,25 @@ are kept in a canonical basis: reduced row echelon over GF(2) when m = 1
 indexed by pivot bit, so reducing a vector costs one XOR per pivot it hits)
 and Howell normal form over Z_{2^m} otherwise.  Both forms are unique for
 the span they generate, support exact membership tests, and make
-certificates byte-stable.
+certificates byte-stable.  Each basis class owns its vector format: it
+packs coefficient sequences into its own vectors, unpacks them, and
+translates them by group permutations, so callers never ask which form
+they hold; ``_make_impl`` alone chooses the class.
 
 Two-sided closure runs a worklist: translations are linear, so only the
 vectors that grew the span need translating, each of them once.
 
 Residue rings Z_{2^m}[G]/I are products on the canonical representatives
-of the quotient module.  The quotient map is linear, so multiplication is
-bilinear on the module generators (the columns of radix > 1) and fixed by
-their d x d structure constants proj(g_a g_b), read off the group table
-once.  Over GF(2) a residue index is its own coordinate vector, so products
-are XORs of structure constants; over Z_{2^m} the same bilinear sum is
-Howell-reduced.  No table over the whole ring is ever built: the unit
-group's table is evaluated on the units alone.
+of the quotient module.  A residue index is the mixed-radix number of its
+representative, column 0 least significant, so indices are encoded and
+decoded by arithmetic and the residues are never listed.  The quotient map
+is linear, so multiplication is bilinear on the module generators (the
+columns of radix > 1) and fixed by their d x d structure constants
+proj(g_a g_b), read off the group table once.  Over GF(2) a residue index
+is its own coordinate vector, so products are XORs of structure constants;
+over Z_{2^m} the same bilinear sum is Howell-reduced.  No table over the
+whole ring is ever built: the unit group's table is evaluated on the units
+alone.
 
 The group ring of a 2-group over Z_{2^m} is local: the elements of even
 coefficient sum form the unique maximal ideal and everything else is a
@@ -175,22 +181,6 @@ def convolve(group, m, a, b):
     return tuple(out)
 
 
-def multiply(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
-
-
-def augmentation(x: RingElement) -> int:
-    return x.augmentation()
-
-
-def is_unit(x: RingElement) -> bool:
-    return x.is_unit()
-
-
-def invert(x: RingElement) -> RingElement:
-    return x.inverse()
-
-
 # -- canonical bases ----------------------------------------------------------
 
 
@@ -217,6 +207,28 @@ class _Gf2Basis:
         dup.pivots = dict(self.pivots)
         dup.mask = self.mask
         return dup
+
+    @staticmethod
+    def pack(coeffs):
+        """The packed vector of a coefficient sequence, read mod 2."""
+        v = 0
+        for g, c in enumerate(coeffs):
+            if c & 1:
+                v |= 1 << g
+        return v
+
+    def unpack(self, v):
+        return tuple((v >> g) & 1 for g in range(self.n))
+
+    @staticmethod
+    def translate(v, perm):
+        """The vector with bit perm[g] set for every bit g set in v."""
+        out = 0
+        while v:
+            low = v & -v
+            out |= 1 << perm[low.bit_length() - 1]
+            v ^= low
+        return out
 
     @property
     def rows(self):
@@ -268,7 +280,8 @@ def _val2(x):
 
 class _HowellBasis:
     """Howell normal form over Z_{2^m}: unique canonical rows, exact
-    membership, and canonical coset representatives via reduce()."""
+    membership, and canonical coset representatives via reduce().  Vectors
+    are coefficient tuples with entries in [0, 2^m)."""
 
     def __init__(self, n, m):
         self.n = n
@@ -280,6 +293,28 @@ class _HowellBasis:
         dup = _HowellBasis(self.n, self.m)
         dup.pivots = {c: (k, list(r)) for c, (k, r) in self.pivots.items()}
         return dup
+
+    def pack(self, coeffs):
+        """The vector of a coefficient sequence, read mod 2^m."""
+        mod = self.mod
+        return tuple(c % mod for c in coeffs)
+
+    @staticmethod
+    def unpack(v):
+        return tuple(v)
+
+    @staticmethod
+    def translate(v, perm):
+        """The vector with entry v[g] at perm[g] for every g."""
+        out = [0] * len(v)
+        for g, c in enumerate(v):
+            if c:
+                out[perm[g]] = c
+        return tuple(out)
+
+    @property
+    def rows(self):
+        return [tuple(self.pivots[c][1]) for c in sorted(self.pivots)]
 
     def _leading(self, v):
         for j, x in enumerate(v):
@@ -383,32 +418,14 @@ class _HowellBasis:
             radix[col] = 1 << k
         return radix
 
-    def row_vectors(self):
-        return [tuple(self.pivots[c][1]) for c in sorted(self.pivots)]
-
 
 def _make_impl(group, m, vectors):
-    if m == 1:
-        impl = _Gf2Basis(group.n)
-        for v in vectors:
-            impl.insert(_pack(v))
-    else:
-        impl = _HowellBasis(group.n, m)
-        for v in vectors:
-            impl.insert(v)
+    """The canonical basis of the span of ``vectors``: bit-packed GF(2)
+    rows when m = 1, Howell rows otherwise."""
+    impl = _Gf2Basis(group.n) if m == 1 else _HowellBasis(group.n, m)
+    for v in vectors:
+        impl.insert(impl.pack(v))
     return impl
-
-
-def _pack(coeffs):
-    mask = 0
-    for g, c in enumerate(coeffs):
-        if c & 1:
-            mask |= 1 << g
-    return mask
-
-
-def _unpack(mask, n):
-    return tuple((mask >> g) & 1 for g in range(n))
 
 
 class IdealBasis:
@@ -438,9 +455,7 @@ class IdealBasis:
 
     @property
     def rows(self):
-        if self.m == 1:
-            return [_unpack(r, self.group.n) for r in self._impl.rows]
-        return self._impl.row_vectors()
+        return [self._impl.unpack(r) for r in self._impl.rows]
 
     def rank(self):
         return self._impl.rank()
@@ -449,15 +464,12 @@ class IdealBasis:
         return self._impl.span_size()
 
     def contains(self, coeffs):
-        if self.m == 1:
-            return self._impl.contains(_pack(coeffs))
-        return self._impl.contains(coeffs)
+        return self._impl.contains(self._impl.pack(coeffs))
 
     def reduce(self, coeffs):
         """Canonical representative of coeffs modulo the span."""
-        if self.m == 1:
-            return _unpack(self._impl.reduce(_pack(coeffs)), self.group.n)
-        return self._impl.reduce(coeffs)
+        impl = self._impl
+        return impl.unpack(impl.reduce(impl.pack(coeffs)))
 
     def contains_one(self):
         one = (1,) + (0,) * (self.group.n - 1)
@@ -465,9 +477,7 @@ class IdealBasis:
 
     def key(self):
         """Hashable canonical form of the rows: equal keys, equal spans."""
-        if self.m == 1:
-            return tuple(self._impl.rows)
-        return tuple(map(tuple, self._impl.row_vectors()))
+        return tuple(self._impl.rows)
 
     def fingerprint(self):
         return hash((self.m, self.key()))
@@ -492,23 +502,6 @@ def _translations(group):
     return list(left) + list(right)
 
 
-def _translate_mask(mask, perm):
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _translate_vec(vec, perm):
-    out = [0] * len(vec)
-    for h, c in enumerate(vec):
-        if c:
-            out[perm[h]] = c
-    return out
-
-
 def ideal_closure(gens) -> IdealBasis:
     """Smallest two-sided ideal containing ``gens``, in canonical form.
 
@@ -525,17 +518,12 @@ def ideal_closure(gens) -> IdealBasis:
     for x in gens:
         gens[0]._match(x)
     perms = _translations(group)
-    if m == 1:
-        impl, translate = _Gf2Basis(group.n), _translate_mask
-        work = [_pack(x.coeffs) for x in gens]
-    else:
-        impl, translate = _HowellBasis(group.n, m), _translate_vec
-        work = [x.coeffs for x in gens]
-    work = [v for v in work if impl.insert(v)]
+    impl = _make_impl(group, m, [])
+    work = [v for v in (impl.pack(x.coeffs) for x in gens) if impl.insert(v)]
     while work:
         v = work.pop()
         for perm in perms:
-            t = translate(v, perm)
+            t = impl.translate(v, perm)
             if impl.insert(t):
                 work.append(t)
     basis = IdealBasis(group, m, impl, closed=True)
@@ -558,8 +546,7 @@ def ideal_sum(a: IdealBasis, b: IdealBasis) -> IdealBasis:
     if a.span_size() < b.span_size():
         a, b = b, a
     impl = a._impl.copy()
-    rows = b._impl.rows if b.m == 1 else b._impl.row_vectors()
-    for row in rows:
+    for row in b._impl.rows:
         impl.insert(row)
     basis = IdealBasis(a.group, a.m, impl, closed=a.closed and b.closed)
     if basis.closed and basis.contains_one():
@@ -571,13 +558,9 @@ def verify_two_sided(basis: IdealBasis) -> bool:
     """Check that the span of the basis rows is a two-sided ideal without
     extending it (generator translations stay inside the span)."""
     impl = basis._impl
-    if basis.m == 1:
-        rows, translate = impl.rows, _translate_mask
-    else:
-        rows, translate = impl.row_vectors(), _translate_vec
     perms = _translations(basis.group)
-    return all(impl.contains(translate(row, perm))
-               for row in rows for perm in perms)
+    return all(impl.contains(impl.translate(row, perm))
+               for row in impl.rows for perm in perms)
 
 
 # -- quotient rings -----------------------------------------------------------
@@ -587,11 +570,13 @@ class QuotientRing:
     """Z_{2^m}[G]/I on canonical residue representatives.
 
     Representatives are the vectors whose entry at each pivot column is
-    below the pivot value (free columns unrestricted); they are enumerated
-    with column 0 varying fastest, which fixes residue indexing.  The
-    columns of radix > 1 are the residue module generators g_0..g_{d-1},
-    and the representative of residue i is sum_a c_a(i) g_a with its
-    mixed-radix digits c_a(i) as coefficients.
+    below the pivot value (free columns unrestricted).  The columns of
+    radix > 1 are the residue module generators g_0..g_{d-1}, and the
+    representative of residue i is sum_a c_a(i) g_a, where the c_a(i) are
+    the mixed-radix digits of i, column 0 least significant: a residue
+    index is the mixed-radix number of its representative.  ``digits`` and
+    ``rep`` decode an index and ``project`` encodes one; no list of the
+    residues is built.
 
     The quotient map is linear, so multiplication is bilinear on the
     generators and fixed by the d x d structure constants
@@ -616,33 +601,28 @@ class QuotientRing:
             raise SizeCapError(
                 f"quotient has {total} residues (> {RESIDUE_CAP})")
         self.size = total
-        radix = ideal._impl.pivot_radices()
-        reps = []
-        counter = [0] * n
-        while True:
-            reps.append(tuple(counter))
-            j = 0
-            while j < n:
-                counter[j] += 1
-                if counter[j] < radix[j]:
-                    break
-                counter[j] = 0
-                j += 1
-            if j == n:
-                break
-        if len(reps) != total:
-            raise InternalInvariantError("transversal enumeration mismatch")
-        self.reps = reps
-        self.index = {r: i for i, r in enumerate(reps)}
-        self.one_index = self.index[ideal.reduce((1,) + (0,) * (n - 1))]
+        impl = ideal._impl
+        radix = impl.pivot_radices()
+        self._place = []  # place value of each column in a residue index
+        place = 1
+        for r in radix:
+            self._place.append(place)
+            place *= r
+        if place != total:
+            raise InternalInvariantError(
+                f"residue radices multiply to {place}, not {total}")
         self.gens = [g for g in range(n) if radix[g] > 1]
+        self._radix = [radix[g] for g in self.gens]
+        self.one_index = self.project((1,) + (0,) * (n - 1))
         # proj(g) for every group element: a residue index over GF(2), where
         # residue index bit t is the coefficient at generator t, so indices
         # add by XOR; otherwise the reduced representative itself
-        proj = [ideal.reduce(tuple(int(g == h) for h in range(n)))
-                for g in range(n)]
         if self.m == 1:
-            proj = [self.index[v] for v in proj]
+            proj = [_xor_bits(self._place, impl.reduce(1 << g))
+                    for g in range(n)]
+        else:
+            proj = [ideal.reduce(tuple(int(g == h) for h in range(n)))
+                    for g in range(n)]
         mul = self.group.mul
         self._sc = [[proj[mul[a][b]] for b in self.gens] for a in self.gens]
 
@@ -675,32 +655,42 @@ class QuotientRing:
         # The same bilinear form on mixed-radix digits; sums of reduced
         # constants can overflow at pivot columns, so each product is
         # Howell-reduced by project().
-        mod = self.mod
-        digits = [[self.reps[j][g] for g in self.gens] for j in cols]
-        R = [[_combine(Ta, cj) for cj in digits] for Ta in self._sc]
+        R = [[_combine(Ta, self.digits(j)) for j in cols] for Ta in self._sc]
         table = []
         for i in rows:
-            ci = [self.reps[i][g] for g in self.gens]
-            row = []
-            for k in range(len(cols)):
-                v = _combine([Ra[k] for Ra in R], ci)
-                row.append(self.project([x % mod for x in v]))
-            table.append(row)
+            ci = self.digits(i)
+            table.append([self.project(_combine([Ra[k] for Ra in R], ci))
+                          for k in range(len(cols))])
         return table
 
     def mul_index(self, i, j):
         return self.products([i], [j])[0][0]
 
     def add_index(self, i, j):
-        s = [(x + y) % self.mod for x, y in zip(self.reps[i], self.reps[j])]
-        return self.project(s)
+        return self.project([x + y for x, y in zip(self.rep(i), self.rep(j))])
 
     def project(self, coeffs):
         """Residue index of an ambient coefficient vector."""
-        return self.index[self.ideal.reduce(tuple(coeffs))]
+        return sum(p * c for p, c in
+                   zip(self._place, self.ideal.reduce(coeffs)))
+
+    def digits(self, i):
+        """The mixed-radix digits c_a(i) of residue index i."""
+        out = []
+        for r in self._radix:
+            i, d = divmod(i, r)
+            out.append(d)
+        return out
+
+    def rep(self, i):
+        """The canonical representative of residue i."""
+        coeffs = [0] * self.group.n
+        for g, c in zip(self.gens, self.digits(i)):
+            coeffs[g] = c
+        return tuple(coeffs)
 
     def augmentation_index(self, i):
-        return sum(self.reps[i]) % self.mod
+        return sum(self.digits(i)) % self.mod
 
 
 def _xor_bits(values, mask):

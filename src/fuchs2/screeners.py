@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError, SizeCapError
+from .gring import M_CAP
 from .groups import (
     CayleyGroup,
     INDECOMP_CAP,
@@ -25,7 +26,7 @@ from .groups import (
 )
 from .star import Certificate, group_spec_of, realize_exponent4
 
-M_RANGE = range(1, 7)
+M_RANGE = range(1, M_CAP + 1)
 
 SCOPE_CHAR2 = "characteristic 2"
 SCOPE_ALL_2M = "all characteristics 2^m"
@@ -79,7 +80,7 @@ class Verdict:
 
 
 def characteristic_candidates(G: CayleyGroup):
-    """All m in [1, 6] whose scalar unit group embeds in Z(G).
+    """All m in M_RANGE whose scalar unit group embeds in Z(G).
 
     The units of Z_{2^m} are trivial (m = 1), C2 (m = 2), or
     C_{2^(m-2)} x C2 (m >= 3); a central copy of them must exist in any

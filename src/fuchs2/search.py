@@ -26,13 +26,16 @@ from dataclasses import dataclass
 
 from .errors import (
     CertificateError,
+    ConstructionError,
     Fuchs2Error,
     ImproperIdealError,
     InternalInvariantError,
+    ParseError,
+    SizeCapError,
     UndecidedError,
 )
-from .gring import IdealBasis, RingElement, ideal_closure, ideal_sum, \
-    quotient_ring, unit_group, verify_two_sided
+from .gring import M_CAP, IdealBasis, RingElement, ideal_closure, \
+    ideal_sum, quotient_ring, unit_group, verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism, \
     verify_homomorphism
 from .parsing import parse_element_literal
@@ -217,15 +220,20 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
 
 
 def _build_from_spec(spec):
-    if isinstance(spec, str):
-        return build_group(spec)
-    if (isinstance(spec, dict) and _is_str_list(spec.get("gens"))
-            and _is_str_list(spec.get("relators"))):
-        from .groups import enumerate_presentation
-        from .parsing import parse_presentation_text
-        text = "gens: " + " ".join(spec["gens"]) + "\n" \
-               + "rels: " + ", ".join(spec["relators"])
-        return enumerate_presentation(parse_presentation_text(text))
+    try:
+        if isinstance(spec, str):
+            return build_group(spec)
+        if (isinstance(spec, dict) and _is_str_list(spec.get("gens"))
+                and _is_str_list(spec.get("relators"))):
+            from .groups import enumerate_presentation
+            from .parsing import parse_presentation_text
+            text = "gens: " + " ".join(spec["gens"]) + "\n" \
+                   + "rels: " + ", ".join(spec["relators"])
+            return enumerate_presentation(parse_presentation_text(text))
+    except (ParseError, ConstructionError, SizeCapError, OSError,
+            UnicodeDecodeError) as exc:
+        raise CertificateError(
+            f"group spec {spec!r} does not build: {exc}") from exc
     raise CertificateError(f"unbuildable group spec {spec!r}")
 
 
@@ -313,6 +321,8 @@ def verify_certificate(cert) -> bool:
     if char < 2 or char & (char - 1):
         raise CertificateError(f"characteristic {char} is not a 2-power")
     m = char.bit_length() - 1
+    if m > M_CAP:
+        raise CertificateError(f"characteristic {char} above 2^{M_CAP}")
 
     ambient = _build_from_spec(doc["ambient"])
     target = (_build_from_spec(doc["group"])

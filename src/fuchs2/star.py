@@ -29,6 +29,7 @@ from .gring import (
     IdealBasis,
     QuotientRing,
     UnitGroup,
+    _Gf2Basis,
     quotient_ring,
     unit_group,
     verify_two_sided,
@@ -319,40 +320,26 @@ def complement_ideal(G: CayleyGroup, star: StarTable) -> IdealBasis:
     """
     n = G.n
     k = len(star.sequence.elements)
-    # constraint matrix rows over columns 0..n-1
-    rows = [(1 << n) - 1]  # parity of the support
+    # constraint rows over columns 0..n-1: the parity of the support, then
+    # one row per exponent bit, in reduced echelon form
+    constraints = _Gf2Basis(n)
+    constraints.insert((1 << n) - 1)
     for bit in range(k):
-        mask = 0
-        for g in range(n):
-            if star.encode[g] >> bit & 1:
-                mask |= 1 << g
-        rows.append(mask)
-    # RREF of the constraint matrix
-    pivots = []  # (column, row mask)
-    for row in rows:
-        for col, r in pivots:
-            if row >> col & 1:
-                row ^= r
-        if row:
-            col = (row & -row).bit_length() - 1
-            pivots = [(c, r ^ row if r >> col & 1 else r) for c, r in pivots]
-            pivots.append((col, row))
-            pivots.sort()
-    pivot_cols = {c for c, _ in pivots}
-    basis_vectors = []
+        constraints.insert(constraints.pack(e >> bit & 1
+                                            for e in star.encode))
+    # one kernel vector per free column f: x_f = 1, and every pivot column
+    # takes the entry its row has at f
+    kernel = _Gf2Basis(n)
     for f in range(n):
-        if f in pivot_cols:
-            continue
-        v = 1 << f
-        for c, r in pivots:
-            if r >> f & 1:
-                v |= 1 << c
-        basis_vectors.append(tuple((v >> g) & 1 for g in range(n)))
+        if not constraints.mask >> f & 1:
+            kernel.insert((1 << f) | sum(p for p, r in
+                                         constraints.pivots.items()
+                                         if r >> f & 1))
     expected = n - k - 1
-    if len(basis_vectors) != expected:
+    if kernel.rank() != expected:
         raise InternalInvariantError(
-            f"kernel dimension {len(basis_vectors)} != {expected}")
-    basis = IdealBasis.from_vectors(G, 1, basis_vectors, closed=False)
+            f"kernel dimension {kernel.rank()} != {expected}")
+    basis = IdealBasis(G, 1, kernel)
     if not verify_two_sided(basis):
         raise InternalInvariantError(
             "complement kernel failed the two-sided ideal check")
@@ -468,7 +455,7 @@ def certificate_from_parts(G: CayleyGroup, ambient: CayleyGroup, m,
     """Assemble a certificate from an already-verified pipeline run."""
     witness = {}
     for name, g in zip(G.gen_names, G.gen_indices):
-        rep = ring.reps[units.residue_index[phi[g]]]
+        rep = ring.rep(units.residue_index[phi[g]])
         witness[name] = element_literal(rep, ambient)
     return Certificate(
         group_spec=group_spec_of(G),

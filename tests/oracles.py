@@ -193,3 +193,19 @@ def candidate_stream_oracle(G, config):
             continue
         seen.add(key)
         yield index, gens, basis
+
+
+def residue_transversal(ideal):
+    """Canonical residue representatives of Z_{2^m}[G]/I, listed in
+    residue-index order.
+
+    A canonical row whose first nonzero entry is 2^k at column c leaves the
+    2^k values below it at c; every other column takes all 2^m values.  The
+    representatives are counted with column 0 varying fastest."""
+    n, mod = ideal.group.n, 1 << ideal.m
+    radix = [mod] * n
+    for row in ideal.rows:
+        c = next(j for j, x in enumerate(row) if x)
+        radix[c] = row[c]
+    digits = itertools.product(*[range(r) for r in reversed(radix)])
+    return [tuple(reversed(d)) for d in digits]

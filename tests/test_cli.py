@@ -193,6 +193,8 @@ def test_realize_char_parsing(capsys):
     assert dispatch(["realize", "Q8", "--char", "2^1"]) == 0
     capsys.readouterr()
     assert dispatch(["realize", "Q8", "--char", "3"]) == 3
+    for bad in ("abc", "2^x", "2^", "4.0", "3^2", "2^7", "128"):
+        assert dispatch(["realize", "Q8", "--char", bad]) == 3, bad
 
 
 def test_unitgroup(capsys):
@@ -210,9 +212,15 @@ def test_unknown_flag_rejected(capsys):
     assert dispatch(["screen", "Q8", "--frobnicate"]) == 3
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert dispatch(["screen", "C6"]) == 3
     assert dispatch(["verify", "/nonexistent/cert.json"]) == 3
+    assert dispatch(["verify", str(tmp_path)]) == 3
+    assert dispatch(["info", f"file:{tmp_path}"]) == 3
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"char": "\xe9"}')
+    assert dispatch(["verify", str(binary)]) == 3
+    assert dispatch(["info", f"file:{binary}"]) == 3
 
 
 def test_verify_ill_typed_certificate_exit_code(capsys, tmp_path):

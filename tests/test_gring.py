@@ -264,7 +264,7 @@ def test_howell_form_is_canonical():
         h2 = _HowellBasis(n, m)
         for v in combos + vecs:
             h2.insert(list(v))
-        assert h1.row_vectors() == h2.row_vectors()
+        assert h1.rows == h2.rows
 
 
 def test_gf2_agrees_with_howell_at_m1():
@@ -277,7 +277,7 @@ def test_gf2_agrees_with_howell_at_m1():
         how = _HowellBasis(G.n, 1)
         for v in vecs:
             how.insert(list(v))
-        assert [tuple(r) for r in gf2.rows] == how.row_vectors()
+        assert gf2.rows == how.rows
 
 
 # -- ideal closure ------------------------------------------------------------
@@ -466,7 +466,7 @@ def test_products_match_naive_convolution(ring, data):
     index = st.integers(0, ring.size - 1)
     for _ in range(8):
         i, j = data.draw(index), data.draw(index)
-        a, b = ring.reps[i], ring.reps[j]
+        a, b = ring.rep(i), ring.rep(j)
         assert ring.mul_index(i, j) == \
             ring.project(oracles.naive_convolve(G, m, a, b))
         assert ring.add_index(i, j) == \
@@ -475,6 +475,18 @@ def test_products_match_naive_convolution(ring, data):
     cols = data.draw(st.lists(index, max_size=6))
     assert ring.products(rows, cols) == \
         [[ring.mul_index(i, j) for j in cols] for i in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=random_quotients())
+def test_residue_index_is_mixed_radix_number(ring):
+    assume(ring.size <= 4096)
+    transversal = oracles.residue_transversal(ring.ideal)
+    assert len(transversal) == ring.size
+    for i, rep in enumerate(transversal):
+        assert ring.rep(i) == rep
+        assert ring.project(rep) == i
+        assert ring.augmentation_index(i) == sum(rep) % ring.mod
 
 
 def test_products_on_demand_above_unit_table_cap():
@@ -487,7 +499,7 @@ def test_products_on_demand_above_unit_table_cap():
     for _ in range(40):
         i, j = random.randrange(ring.size), random.randrange(ring.size)
         assert ring.mul_index(i, j) == ring.project(
-            oracles.naive_convolve(G, 1, ring.reps[i], ring.reps[j]))
+            oracles.naive_convolve(G, 1, ring.rep(i), ring.rep(j)))
 
 
 def test_unit_table_cap_checked_before_scanning(monkeypatch):

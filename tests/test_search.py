@@ -319,6 +319,24 @@ def test_verify_rejects_ill_typed_fields(field, value):
         verify_certificate(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("char", 2 ** 100),
+    ("char", 2 ** 7),
+    ("group", "C6"),
+    ("ambient", "zz"),
+    ("group", "C2x" * 9 + "C2"),
+    ("group", {"gens": ["a"], "relators": ["a^3"]}),
+    ("group", {"gens": ["a"], "relators": ["a^1024"]}),
+    ("ambient", "file:/nonexistent/group.pres"),
+])
+def test_verify_rejects_unbuildable_fields(field, value):
+    from fuchs2.errors import CertificateError
+    doc = realize_exponent4(build_group("Q8")).to_dict()
+    doc[field] = value
+    with pytest.raises(CertificateError):
+        verify_certificate(doc)
+
+
 def test_verify_rejects_non_object_json():
     from fuchs2.errors import CertificateError
     for text in ("[1, 2]", "not json"):
