@@ -6,9 +6,11 @@ are kept in a canonical basis: reduced row echelon over GF(2) when m = 1
 indexed by pivot bit, so reducing a vector costs one XOR per pivot it hits)
 and Howell normal form over Z_{2^m} otherwise.  Both forms are unique for
 the span they generate, support exact membership tests, and make
-certificates byte-stable.  Each basis class owns its vector format: it
-packs coefficient sequences into its own vectors, unpacks them, and
-translates them by group permutations, so callers never ask which form
+certificates byte-stable.  Howell rows are back-substituted only when they
+are read; membership, reduction and residue radices need only the Howell
+property, which every insert keeps.  Each basis class owns its vector
+format: it packs coefficient sequences into its own vectors, unpacks them,
+and translates them by group permutations, so callers never ask which form
 they hold; ``_make_impl`` alone chooses the class.
 
 Two-sided closure runs a worklist: translations are linear, so only the
@@ -279,19 +281,29 @@ def _val2(x):
 
 
 class _HowellBasis:
-    """Howell normal form over Z_{2^m}: unique canonical rows, exact
-    membership, and canonical coset representatives via reduce().  Vectors
-    are coefficient tuples with entries in [0, 2^m)."""
+    """Howell form over Z_{2^m}: unique canonical rows, exact membership,
+    and canonical coset representatives via reduce().  Vectors are
+    coefficient tuples with entries in [0, 2^m).
+
+    The row at pivot column c has leading entry 2^k.  Inserts keep the
+    Howell property (a span vector that is zero before column c is a
+    combination of the rows with pivot >= c), which is all that
+    ``reduce``, ``contains``, ``span_size`` and ``pivot_radices`` need.
+    Back-substitution, which makes the rows unique for their span, runs
+    only when ``rows`` is read.
+    """
 
     def __init__(self, n, m):
         self.n = n
         self.m = m
         self.mod = 1 << m
-        self.pivots = {}  # col -> (k, row list) with row[col] == 1 << k
+        self.pivots = {}  # col -> (k, row) with row[col] == 1 << k
+        self.substituted = True
 
     def copy(self):
         dup = _HowellBasis(self.n, self.m)
-        dup.pivots = {c: (k, list(r)) for c, (k, r) in self.pivots.items()}
+        dup.pivots = dict(self.pivots)
+        dup.substituted = self.substituted
         return dup
 
     def pack(self, coeffs):
@@ -314,85 +326,45 @@ class _HowellBasis:
 
     @property
     def rows(self):
-        return [tuple(self.pivots[c][1]) for c in sorted(self.pivots)]
-
-    def _leading(self, v):
-        for j, x in enumerate(v):
-            if x:
-                return j
-        return None
-
-    def _absorb(self, v):
-        """Echelon-insert one vector, queueing displaced/annihilator rows.
-        Returns list of queued vectors and whether the span grew."""
-        mod = self.mod
-        queued = []
-        grew = False
-        v = list(v)
-        while True:
-            col = self._leading(v)
-            if col is None:
-                break
-            entry = v[col]
-            if col not in self.pivots:
-                k = _val2(entry)
-                uinv = pow(entry >> k, -1, mod)
-                v = [(uinv * x) % mod for x in v]
-                self.pivots[col] = (k, v)
-                grew = True
-                if k > 0:
-                    ann = [(x << (self.m - k)) % mod for x in v]
-                    if any(ann):
-                        queued.append(ann)
-                break
-            k0, r0 = self.pivots[col]
-            if _val2(entry) >= k0:
-                q = entry >> k0
-                v = [(x - q * y) % mod for x, y in zip(v, r0)]
-            else:
-                k = _val2(entry)
-                uinv = pow(entry >> k, -1, mod)
-                v = [(uinv * x) % mod for x in v]
-                self.pivots[col] = (k, v)
-                grew = True
-                queued.append(r0)
-                if k > 0:
-                    ann = [(x << (self.m - k)) % mod for x in v]
-                    if any(ann):
-                        queued.append(ann)
-                break
-        return queued, grew
+        """The rows sorted by pivot, each reduced at every later pivot."""
+        pivots = self.pivots
+        if not self.substituted:
+            for col in sorted(pivots):
+                # popped, so the row is reduced by the others only
+                k, row = pivots.pop(col)
+                pivots[col] = (k, self.reduce(row))
+            self.substituted = True
+        return [pivots[c][1] for c in sorted(pivots)]
 
     def insert(self, v):
-        pending = [list(v)]
-        grew = False
-        while pending:
-            queued, g = self._absorb(pending.pop())
-            grew = grew or g
-            pending.extend(queued)
-        if grew:
-            self._normalize()
-        return grew
+        """Add v to the span; True if the span grew.
 
-    def _normalize(self):
-        """Back-substitution: entries at later pivot columns reduced mod
-        their pivot value, making the rows canonical for the span."""
-        mod = self.mod
-        cols = sorted(self.pivots)
-        for col in cols:
-            k, row = self.pivots[col]
-            for col2 in cols:
-                if col2 <= col:
-                    continue
-                k2, row2 = self.pivots[col2]
-                q = row[col2] >> k2
-                if q:
-                    row = [(x - q * y) % mod for x, y in zip(row, row2)]
-            self.pivots[col] = (k, row)
+        A worklist: each vector is reduced, scaled so its leading entry is
+        2^k, and placed as the row at that column.  The row it displaces,
+        and its annihilator 2^(m-k)*v, go back on the worklist."""
+        mod, m, pivots = self.mod, self.m, self.pivots
+        grew = False
+        work = [v]
+        while work:
+            v = self.reduce(work.pop())
+            col = next((j for j, x in enumerate(v) if x), None)
+            if col is None:
+                continue
+            k = _val2(v[col])
+            unit = pow(v[col] >> k, -1, mod)
+            if unit != 1:
+                v = tuple([unit * x % mod for x in v])
+            if col in pivots:
+                work.append(pivots[col][1])
+            pivots[col] = (k, v)
+            if k:
+                work.append(tuple([(x << (m - k)) % mod for x in v]))
+            grew = True
+            self.substituted = False
+        return grew
 
     def reduce(self, v):
         mod = self.mod
-        v = list(v)
         for col in sorted(self.pivots):
             k, row = self.pivots[col]
             q = v[col] >> k

@@ -30,6 +30,9 @@ ENUM_VERTEX_CAP = 200_000
 ISO_NODE_BUDGET = 10_000_000
 INDECOMP_CAP = 128
 NORMAL_SUBGROUP_CAP = 50_000
+# coset enumeration of the QD presentation outgrows ENUM_VERTEX_CAP above
+# order 128 (QD256 needs 324,405 vertices)
+QD_ORDER_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,6 @@ class CayleyGroup:
         self._frattini = None
         self._derived = None
         self._ucs = None
-        self._sqrt_counts = None
         self._fingerprints = None
         self._normal_subgroups = None
 
@@ -592,8 +594,9 @@ def catalog_presentation(kind, order=None):
 
     C{2^k} (cyclic), D{2^n} (dihedral, n >= 2), Q{2^n} (generalized
     quaternion, n >= 3; Q8 uses generators i, j), QD{2^n} (quasidihedral,
-    n >= 4), M16 (modular group of order 16), and the three named order-32
-    and order-64 groups used as fixtures.
+    4 <= n <= 7), M16 (modular group of order 16), and the three named
+    order-32 and order-64 groups used as fixtures.  Every order is at most
+    ORDER_CAP.
     """
     if kind == "C":
         if not _pow2(order) or order > ORDER_CAP:
@@ -620,8 +623,10 @@ def catalog_presentation(kind, order=None):
             (f"{gens[0]}^{h}", f"{gens[0]}^{q}*{gens[1]}^-2",
              f"{gens[1]}*{gens[0]}*{gens[1]}^-1*{gens[0]}"))
     if kind == "QD":
-        if not _pow2(order) or order < 16 or order > ORDER_CAP:
-            raise ConstructionError(f"QD{order}: order must be a power of 2 in [16, {ORDER_CAP}]")
+        if not _pow2(order) or order < 16 or order > QD_ORDER_CAP:
+            raise ConstructionError(
+                f"QD{order}: order must be a power of 2 in "
+                f"[16, {QD_ORDER_CAP}]")
         h, r = order // 2, order // 4 - 1
         return Presentation(
             ("a", "b"),
@@ -789,36 +794,29 @@ def group_fingerprint(G: CayleyGroup):
     )
 
 
-def _generation_chain(G: CayleyGroup, gens):
-    """BFS data for the chain <g_1..g_i>: per level, the member list in
-    discovery order with each element's definition (parent position, gen
-    position used on the right)."""
-    chain = []
+def generator_map(G: CayleyGroup, gens, images, H: CayleyGroup):
+    """The homomorphism <gens> -> H sending gens[j] to images[j], as an
+    index list over G with None outside <gens>; None if there is none.
+
+    Walks the Cayley graph of <gens> from the identity: each new element
+    y = x*g gets phi(y) = phi(x)*h, and an edge into an element that
+    already has a different image is a clash.  A map that agrees with
+    right multiplication on every generator edge is a homomorphism,
+    because every member of <gens> is a positive word in the generators.
+    """
+    phi = [None] * G.n
+    phi[0] = 0
     members = [0]
-    defs = [None]
-    index = {0: 0}
-    for i, g in enumerate(gens):
-        if g in index:
-            chain.append((list(members), list(defs)))
-            continue
-        members.append(g)
-        defs.append((0, i))
-        index[g] = len(members) - 1
-        frontier = list(range(len(members)))
-        while frontier:
-            nxt = []
-            for pos in frontier:
-                x = members[pos]
-                for j in range(i + 1):
-                    y = G.mul[x][gens[j]]
-                    if y not in index:
-                        index[y] = len(members)
-                        members.append(y)
-                        defs.append((pos, j))
-                        nxt.append(len(members) - 1)
-            frontier = nxt
-        chain.append((list(members), list(defs)))
-    return chain
+    for x in members:
+        row, hrow = G.mul[x], H.mul[phi[x]]
+        for g, h in zip(gens, images):
+            y, hy = row[g], hrow[h]
+            if phi[y] is None:
+                phi[y] = hy
+                members.append(y)
+            elif phi[y] != hy:
+                return None
+    return phi
 
 
 def isomorphism(G: CayleyGroup, H: CayleyGroup,
@@ -826,9 +824,11 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup,
     """Explicit isomorphism G -> H as an index list, or None.
 
     Strategy: reject on invariant fingerprints, then backtrack over images
-    of a minimal generating sequence of G, checking the induced partial map
-    on each generated subgroup.  Every returned witness has been verified as
-    a bijective homomorphism on all pairs.  Raises UndecidedError when the
+    of a minimal generating sequence of G, candidates in index order among
+    the elements of H with the same fingerprint.  A prefix of images is
+    kept when ``generator_map`` extends it to a homomorphism on the
+    subgroup its generators span and that map is injective; a full tuple
+    whose map covers G is an isomorphism.  Raises UndecidedError when the
     node budget runs out (never guesses).
     """
     if G.n != H.n:
@@ -839,7 +839,6 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup,
         return None
 
     gens = list(G.minimal_generators())
-    chain = _generation_chain(G, gens)
     fps_g = _element_fingerprints(G)
     fps_h = _element_fingerprints(H)
     candidates = [
@@ -847,53 +846,29 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup,
     ]
     nodes = 0
 
-    def check_level(i, images):
-        """Build phi on <g_1..g_i> from generator images; None if invalid."""
-        members, defs = chain[i - 1]
-        phi = [0] * len(members)
-        for pos in range(1, len(members)):
-            parent, j = defs[pos]
-            phi[pos] = H.mul[phi[parent]][images[j]]
-        if len(set(phi)) != len(members):
-            return None
-        to_pos = {x: p for p, x in enumerate(members)}
-        for p in range(len(members)):
-            xp = members[p]
-            rowx = G.mul[xp]
-            hp = phi[p]
-            rowh = H.mul[hp]
-            for q in range(len(members)):
-                prod = rowx[members[q]]
-                pos = to_pos.get(prod)
-                if pos is None or phi[pos] != rowh[phi[q]]:
-                    return None
-        return phi, members
-
-    def backtrack(i, images):
+    def backtrack(images):
         nonlocal nodes
-        if i == len(gens):
-            result = check_level(i, images)
-            if result is None:
-                return None
-            phi, members = result
-            if len(members) != G.n:
-                return None
-            out = [0] * G.n
-            for pos, x in enumerate(members):
-                out[x] = phi[pos]
-            return out
+        i = len(images)
         for h in candidates[i]:
             nodes += 1
             if nodes > node_budget:
                 raise UndecidedError(
                     f"isomorphism search exceeded {node_budget} nodes")
-            if check_level(i + 1, images + [h]) is not None:
-                found = backtrack(i + 1, images + [h])
+            phi = generator_map(G, gens[:i + 1], images + [h], H)
+            if phi is None:
+                continue
+            mapped = [y for y in phi if y is not None]
+            if len(set(mapped)) != len(mapped):
+                continue
+            if i + 1 < len(gens):
+                found = backtrack(images + [h])
                 if found is not None:
                     return found
+            elif len(mapped) == G.n:
+                return phi
         return None
 
-    return backtrack(0, [])
+    return backtrack([])
 
 
 def is_isomorphic(G: CayleyGroup, H: CayleyGroup,

@@ -35,6 +35,8 @@ from .groups import (
     enumerate_presentation,
 )
 
+PRESENTATION_FILE_CAP = 1 << 20  # bytes
+
 _ATOM_RE = re.compile(
     r"QD(\d+)|C(\d+)|D(\d+)|Q(\d+)|M16|SG32_37|SG64_88|SG64_104")
 
@@ -358,5 +360,11 @@ def _split_relators(text):
 
 
 def parse_presentation_file(path) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation_text(fh.read())
+    """Parse a UTF-8 presentation file of at most PRESENTATION_FILE_CAP
+    bytes; a longer file (or a device that never ends) is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read(PRESENTATION_FILE_CAP + 1)
+    if len(data) > PRESENTATION_FILE_CAP:
+        raise ParseError(f"presentation file {path} is longer than "
+                         f"{PRESENTATION_FILE_CAP} bytes")
+    return parse_presentation_text(data.decode("utf-8"))

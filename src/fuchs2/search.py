@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gring import M_CAP, IdealBasis, RingElement, ideal_closure, \
     ideal_sum, quotient_ring, unit_group, verify_two_sided
-from .groups import CayleyGroup, build_group, isomorphism, \
+from .groups import CayleyGroup, build_group, generator_map, isomorphism, \
     verify_homomorphism
 from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
@@ -237,27 +237,6 @@ def _build_from_spec(spec):
     raise CertificateError(f"unbuildable group spec {spec!r}")
 
 
-def extend_generator_map(G: CayleyGroup, gen_elements, images,
-                         H: CayleyGroup):
-    """Extend generator images to a full map G -> H by following words, or
-    None when the generators fail to generate G."""
-    phi = [None] * G.n
-    phi[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, h in zip(gen_elements, images):
-                y = G.mul[x][g]
-                if phi[y] is None:
-                    phi[y] = H.mul[phi[x]][h]
-                    nxt.append(y)
-        frontier = nxt
-    if any(p is None for p in phi):
-        return None
-    return phi
-
-
 _REQUIRED_FIELDS = {"group", "ambient", "char", "ideal_basis",
                     "quotient_size", "iso_witness", "method", "tool_version"}
 
@@ -363,9 +342,8 @@ def verify_certificate(cert) -> bool:
         if residue not in unit_pos:
             return False
         images.append(unit_pos[residue])
-    phi = extend_generator_map(target, list(target.gen_indices), images,
-                               units.group)
-    if phi is None:
+    phi = generator_map(target, target.gen_indices, images, units.group)
+    if phi is None or None in phi:
         return False
     return verify_homomorphism(target, units.group, phi)
 

@@ -209,3 +209,45 @@ def residue_transversal(ideal):
         radix[c] = row[c]
     digits = itertools.product(*[range(r) for r in reversed(radix)])
     return [tuple(reversed(d)) for d in digits]
+
+
+def word_map(G, gens, images, H):
+    """Generator images extended by words: each element of <gens>, found
+    breadth first, takes phi(x) * h for the first edge x -> x * g that
+    reaches it.  No consistency check.  Returns a dict over <gens>."""
+    phi = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, h in zip(gens, images):
+                y = G.mul[x][g]
+                if y not in phi:
+                    phi[y] = H.mul[phi[x]][h]
+                    nxt.append(y)
+        frontier = nxt
+    return phi
+
+
+def is_homomorphism_on(G, H, phi):
+    """All-pairs check of phi (a dict over a subgroup of G)."""
+    return all(phi[G.mul[x][y]] == H.mul[phi[x]][phi[y]]
+               for x in phi for y in phi)
+
+
+def first_isomorphism(G, H):
+    """The isomorphism G -> H whose images of G.minimal_generators() form
+    the lexicographically least tuple, as an index list, or None.
+
+    Each generator's candidates are the elements of H of the same order,
+    in index order; each tuple is extended by words and checked to be a
+    bijective homomorphism on all pairs."""
+    gens = G.minimal_generators()
+    candidates = [[h for h in range(H.n) if element_order_brute(H, h)
+                   == element_order_brute(G, g)] for g in gens]
+    for images in itertools.product(*candidates):
+        phi = word_map(G, gens, images, H)
+        if (len(phi) == G.n == H.n and len(set(phi.values())) == H.n
+                and is_homomorphism_on(G, H, phi)):
+            return [phi[x] for x in range(G.n)]
+    return None

@@ -6,6 +6,7 @@ from fuchs2.cli import dispatch
 from fuchs2.errors import ParseError
 from fuchs2.groups import build_group
 from fuchs2.parsing import (
+    PRESENTATION_FILE_CAP,
     element_literal,
     parse_element_literal,
     parse_group_spec,
@@ -123,6 +124,31 @@ def test_presentation_file_with_txt_suffix(tmp_path):
     path = tmp_path / "q16.txt"
     path.write_text(Q16_TEXT)
     assert build_group(f"file:{path}").n == 16
+
+
+def test_presentation_file_size_cap(capsys, tmp_path):
+    def padded(name, size):
+        # a comment line pads the presentation to exactly `size` bytes
+        path = tmp_path / name
+        pad = size - len(Q16_TEXT) - 2
+        path.write_text(Q16_TEXT + "#" + "-" * pad + "\n")
+        assert path.stat().st_size == size
+        return path
+
+    at_cap = padded("at_cap.pres", PRESENTATION_FILE_CAP)
+    assert dispatch(["info", f"file:{at_cap}"]) == 0
+    over = padded("over.pres", PRESENTATION_FILE_CAP + 1)
+    capsys.readouterr()
+    assert dispatch(["info", f"file:{over}"]) == 3
+    assert "longer than" in capsys.readouterr().err
+    cert = tmp_path / "cert.json"
+    assert dispatch(["realize", "Q8", "--output", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    doc["ambient"] = f"file:{over}"
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["verify", str(cert)]) == 3
+    assert "longer than" in capsys.readouterr().err
 
 
 def test_presentation_file_in_a_product(tmp_path):

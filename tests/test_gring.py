@@ -267,6 +267,54 @@ def test_howell_form_is_canonical():
         assert h1.rows == h2.rows
 
 
+@st.composite
+def howell_spans(draw):
+    """Vectors over Z_{2^m} (m = 2..4), a second insertion order of them,
+    combinations that lie in their span, and arbitrary probes."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(2, 4))
+    mod = 1 << m
+    vector = st.lists(st.integers(0, mod - 1), min_size=n, max_size=n)
+    vecs = draw(st.lists(vector, min_size=1, max_size=6))
+    other = draw(st.permutations(vecs))
+    combos = []
+    for _ in range(3):
+        coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=len(vecs),
+                               max_size=len(vecs)))
+        combos.append(tuple(sum(c * v[j] for c, v in zip(coeffs, vecs))
+                            % mod for j in range(n)))
+    probes = draw(st.lists(vector, max_size=4))
+    return n, m, vecs, other, combos, probes
+
+
+def _howell_reads(h, probes):
+    return ([h.reduce(v) for v in probes], [h.contains(v) for v in probes],
+            h.span_size(), h.pivot_radices())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=howell_spans())
+def test_howell_reads_agree_before_and_after_back_substitution(case):
+    n, m, vecs, other, combos, probes = case
+    h1 = _HowellBasis(n, m)
+    for v in vecs:
+        h1.insert(v)
+    mod = 1 << m
+    # combinations and the 2^j-multiples of the inserted vectors lie in
+    # the span; the multiples need the annihilator rows
+    members = combos + [tuple((x << j) % mod for x in v)
+                        for v in vecs for j in range(m)]
+    assert all(h1.contains(v) for v in members)
+    probes = [tuple(v) for v in probes] + members
+    before = _howell_reads(h1, probes)
+    rows = h1.rows
+    assert _howell_reads(h1, probes) == before
+    h2 = _HowellBasis(n, m)
+    for v in other:
+        h2.insert(v)
+    assert h2.rows == rows
+
+
 def test_gf2_agrees_with_howell_at_m1():
     random.seed(31)
     G = build_group("C8")

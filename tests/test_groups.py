@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchs2.errors import ConstructionError
 from fuchs2.groups import (
+    ORDER_CAP,
+    QD_ORDER_CAP,
     CayleyGroup,
     Presentation,
     build_group,
     direct_product,
     enumerate_presentation,
+    generator_map,
     group_fingerprint,
     is_indecomposable,
     is_isomorphic,
@@ -80,6 +85,23 @@ def test_order_cap():
         build_group("C1024")
     with pytest.raises(Fuchs2Error):
         build_group("Q8xQ8xQ8xQ8")
+    for spec in ("QD256", "QD512"):
+        with pytest.raises(ConstructionError, match=r"\[16, 128\]"):
+            build_group(spec)
+
+
+def test_catalog_builds_every_stated_order():
+    # each kind's stated range of orders, from catalog_presentation
+    ranges = {"C": 1, "D": 4, "Q": 8, "QD": 16}
+    for kind, low in ranges.items():
+        top = QD_ORDER_CAP if kind == "QD" else ORDER_CAP
+        order = low
+        while order <= top:
+            assert build_group(f"{kind}{order}").n == order, (kind, order)
+            order *= 2
+    for spec, order in (("M16", 16), ("SG32_37", 32), ("SG64_88", 64),
+                        ("SG64_104", 64)):
+        assert build_group(spec).n == order
 
 
 def test_associativity_rejected():
@@ -234,6 +256,60 @@ def test_sg32_37_is_m16_x_c2(groups):
     phi = isomorphism(groups["SG32_37"], other)
     assert phi is not None
     assert verify_homomorphism(groups["SG32_37"], other, phi)
+
+
+# catalog groups of order <= 16
+SMALL_GROUPS = ("C2", "C4", "C8", "C16", "C2xC2", "C4xC2", "C2xC2xC2",
+                "C4xC4", "C8xC2", "C4xC2xC2", "C2xC2xC2xC2", "D8", "D16",
+                "Q8", "Q16", "QD16", "M16", "D8xC2", "Q8xC2")
+
+
+def _relabel(G, perm):
+    """The same group on indices perm[x]; perm fixes the identity 0."""
+    mul = [[0] * G.n for _ in range(G.n)]
+    for x in range(G.n):
+        for y in range(G.n):
+            mul[perm[x]][perm[y]] = perm[G.mul[x][y]]
+    return CayleyGroup(mul, check=False)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    G = build_group(draw(st.sampled_from(SMALL_GROUPS)))
+    perm = [0] + draw(st.permutations(range(1, G.n)))
+    return G, _relabel(G, perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=relabelled_pairs())
+def test_isomorphism_is_the_lex_least_oracle_map(pair):
+    G, H = pair
+    phi = isomorphism(G, H)
+    assert phi == oracles.first_isomorphism(G, H)
+    assert verify_homomorphism(G, H, phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generator_map_is_none_exactly_when_all_pairs_fails(data):
+    G = build_group(data.draw(st.sampled_from(SMALL_GROUPS)))
+    H = build_group(data.draw(st.sampled_from(SMALL_GROUPS)))
+    gens = data.draw(st.lists(st.integers(0, G.n - 1), min_size=1,
+                              max_size=3))
+    if data.draw(st.booleans()) and H.n == G.n:
+        # images of an isomorphism, so the map exists
+        perm = [0] + data.draw(st.permutations(range(1, G.n)))
+        H = _relabel(G, perm)
+        images = [perm[g] for g in gens]
+    else:
+        images = [data.draw(st.integers(0, H.n - 1)) for _ in gens]
+    words = oracles.word_map(G, gens, images, H)
+    exists = (all(words[g] == h for g, h in zip(gens, images))
+              and oracles.is_homomorphism_on(G, H, words))
+    phi = generator_map(G, gens, images, H)
+    assert (phi is None) == (not exists)
+    if phi is not None:
+        assert phi == [words.get(x) for x in range(G.n)]
 
 
 def test_fingerprint_separates(groups):

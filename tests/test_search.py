@@ -285,6 +285,17 @@ def test_verify_rejects_tampered_witness():
     assert not verify_certificate(doc)
 
 
+def test_verify_checks_every_generator_image():
+    # b = a in this presentation of C4, so b's image must equal a's
+    doc = realize_exponent4(build_group("C4")).to_dict()
+    doc["group"] = {"gens": ["a", "b"], "relators": ["a^4", "a*b^-1"]}
+    image = doc["iso_witness"]["a"]
+    doc["iso_witness"] = {"a": image, "b": image}
+    assert verify_certificate(doc)
+    doc["iso_witness"] = {"a": image, "b": "1"}
+    assert not verify_certificate(doc)
+
+
 def test_verify_rejects_wrong_group():
     cert = realize_exponent4(build_group("Q8"))
     doc = cert.to_dict()
