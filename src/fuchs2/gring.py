@@ -548,7 +548,8 @@ class QuotientRing:
     the mixed-radix digits of i, column 0 least significant: a residue
     index is the mixed-radix number of its representative.  ``digits`` and
     ``rep`` decode an index and ``project`` encodes one; no list of the
-    residues is built.
+    residues is built.  ``element_index[g]`` is the residue index of g + I,
+    kept from building the structure constants.
 
     The quotient map is linear, so multiplication is bilinear on the
     generators and fixed by the d x d structure constants
@@ -585,16 +586,19 @@ class QuotientRing:
                 f"residue radices multiply to {place}, not {total}")
         self.gens = [g for g in range(n) if radix[g] > 1]
         self._radix = [radix[g] for g in self.gens]
-        self.one_index = self.project((1,) + (0,) * (n - 1))
         # proj(g) for every group element: a residue index over GF(2), where
         # residue index bit t is the coefficient at generator t, so indices
         # add by XOR; otherwise the reduced representative itself
         if self.m == 1:
             proj = [_xor_bits(self._place, impl.reduce(1 << g))
                     for g in range(n)]
+            self.element_index = proj
         else:
             proj = [ideal.reduce(tuple(int(g == h) for h in range(n)))
                     for g in range(n)]
+            self.element_index = [
+                sum(p * c for p, c in zip(self._place, v)) for v in proj]
+        self.one_index = self.element_index[0]
         mul = self.group.mul
         self._sc = [[proj[mul[a][b]] for b in self.gens] for a in self.gens]
 
@@ -758,7 +762,7 @@ def cyclic_quotient_order(N: int, k: int) -> int:
         coeffs[e % G.n] ^= 1
     gen = RingElement(G, 1, tuple(coeffs))
     q = quotient_ring(ideal_closure([gen]))
-    t = q.project(RingElement.group_element(G, 1, 1).coeffs)
+    t = q.element_index[1]
     order = 1
     r = t
     while r != q.one_index:

@@ -1,15 +1,18 @@
 """Finite 2-groups as explicit multiplication tables.
 
 Groups are constructed from presentations by coset enumeration over the
-trivial subgroup (HLT-style scan with a union-find over cosets), from the
-built-in catalog of named groups, or as direct products.  Element 0 is
-always the identity and element indexing is the coset-discovery order,
-which is fixed, so identical inputs always produce identical tables.
+trivial subgroup (one HLT scan with a union-find over cosets), from the
+built-in catalog, whose presentations are written once in the
+presentation-file grammar, or as direct products.  Element 0 is always the
+identity and element indexing is the coset-discovery order, which is
+fixed, so identical inputs always produce identical tables.
 
 Everything downstream (group rings, screeners, the realization pipeline)
 consumes the structural data computed here: element orders, centralizers,
-the center, conjugacy classes, upper central series, minimal generating
-sequences, abelian invariants, isomorphism testing and indecomposability.
+conjugacy classes, minimal generating sequences, abelian invariants,
+isomorphism testing and indecomposability.  The conjugacy classes are the
+one source of the commutator structure: the center, the derived subgroup,
+the upper central series and the centralizer orders are read off them.
 All of it is exact and exhaustive; there are no probabilistic shortcuts.
 """
 
@@ -21,6 +24,7 @@ from . import kernels
 from .errors import (
     ConstructionError,
     Fuchs2Error,
+    InternalInvariantError,
     SizeCapError,
     UndecidedError,
 )
@@ -152,11 +156,10 @@ class CayleyGroup:
         return tuple(g for g in range(self.n) if row[g] == m[g][x])
 
     def center(self):
+        """The elements whose conjugacy class is a singleton."""
         if self._center is None:
-            m = self.mul
             self._center = tuple(
-                x for x in range(self.n)
-                if all(m[x][g] == m[g][x] for g in range(self.n)))
+                cls[0] for cls in self.conjugacy_classes() if len(cls) == 1)
         return self._center
 
     def is_abelian(self):
@@ -205,9 +208,12 @@ class CayleyGroup:
         return self._classes
 
     def derived_subgroup(self):
+        """Generated by the commutators [x, g] = x^-1 x^g, which are the
+        x^-1 y for y in the class of x."""
         if self._derived is None:
-            comms = {self.commutator(x, y)
-                     for x in range(self.n) for y in range(self.n)}
+            m, inv = self.mul, self.inv
+            comms = {m[inv[x]][y] for cls in self.conjugacy_classes()
+                     for x in cls for y in cls}
             self._derived = self.subgroup(sorted(comms))
         return self._derived
 
@@ -221,15 +227,21 @@ class CayleyGroup:
 
     def upper_central_series(self):
         """[{1}, Z(G), Z_2(G), ...] ending at G (or stalling for non-nilpotent,
-        which cannot happen for 2-groups)."""
+        which cannot happen for 2-groups).
+
+        x lies in Z_{i+1} exactly when every [x, g] = x^-1 x^g lies in Z_i,
+        that is when x^-1 y does for every y in the class of x.  Z_{i+1} is
+        normal, so one member of a class decides the whole class.
+        """
         if self._ucs is None:
+            m, inv = self.mul, self.inv
             series = [(0,)]
             current = {0}
             while len(current) < self.n:
-                nxt = tuple(
-                    x for x in range(self.n)
-                    if all(self.commutator(x, g) in current
-                           for g in range(self.n)))
+                nxt = tuple(sorted(
+                    y for cls in self.conjugacy_classes()
+                    if all(m[inv[cls[0]]][y] in current for y in cls)
+                    for y in cls))
                 if len(nxt) == len(current):
                     break
                 series.append(nxt)
@@ -372,10 +384,14 @@ _UNDEF = -1
 class _CosetTable:
     """HLT coset enumeration over the trivial subgroup.
 
-    Directions 2i / 2i+1 are generator i and its inverse.  Vertices are
-    merged through a union-find; every live vertex gets each relator traced
-    from it once, in discovery order, which makes the final numbering (and
-    hence element indexing) deterministic.
+    Directions 2i / 2i+1 are generator i and its inverse; the relators
+    g g^-1 and g^-1 g define every edge.  Vertices are merged through a
+    union-find that keeps the smaller index as root.  One scan, in
+    discovery order, traces every relator from every live vertex, and that
+    completes the table (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, 2005, 5.1): a vertex live at the end was live when the
+    scan reached it, and a merge maps closed relator loops to closed loops.
+    The discovery order fixes the final numbering, hence element indexing.
     """
 
     def __init__(self, ngens, relators, cap=ENUM_VERTEX_CAP):
@@ -447,22 +463,6 @@ class _CosetTable:
                         c = self.follow(c, d)
                     self.unify(c, i)
             i += 1
-        # final deduction pass: edges created after a vertex was scanned
-        # still need its relators; iterate until stable
-        changed = True
-        while changed:
-            changed = False
-            live = [v for v in range(len(self.labels)) if self.find(v) == v]
-            for v in live:
-                if self.find(v) != v:
-                    continue
-                for rel in self.relators:
-                    c = v
-                    for d in rel:
-                        c = self.follow(c, d)
-                    if self.find(c) != self.find(v):
-                        self.unify(c, v)
-                        changed = True
 
     def permutations(self):
         live = [v for v in range(len(self.labels)) if self.find(v) == v]
@@ -496,6 +496,15 @@ def enumerate_presentation(pres: Presentation, name="") -> CayleyGroup:
     table = _CosetTable(ngens, relators)
     table.run()
     perms = table.permutations()
+    relator_text = pres.relator_text or tuple(
+        _render_word(w, pres.gens) for w in pres.relators)
+    for rel, text in zip(relators, relator_text):
+        c = 0
+        for d in rel:
+            c = perms[d][c]
+        if c != 0:
+            raise InternalInvariantError(
+                f"relator {text} does not close on the coset table")
     n = len(perms[0]) if perms else 1
     if n > ORDER_CAP:
         raise SizeCapError(f"presented group has order {n} > {ORDER_CAP}")
@@ -533,8 +542,6 @@ def enumerate_presentation(pres: Presentation, name="") -> CayleyGroup:
     label_words = [_compress_word(words[x]) for x in range(n)]
     G = CayleyGroup(mul, gen_names=pres.gens, gen_indices=gen_indices,
                     label_words=label_words, name=name or "presented")
-    relator_text = pres.relator_text or tuple(
-        _render_word(w, pres.gens) for w in pres.relators)
     G.source_spec = {"gens": list(pres.gens), "relators": list(relator_text)}
     return G
 
@@ -581,97 +588,53 @@ def _find_culprit(pres, gen_idx):
 # -- catalog ----------------------------------------------------------------
 
 
-def _word(*runs):
-    return tuple(runs)
-
-
-def _pow2(n):
-    return n >= 1 and n & (n - 1) == 0
+# kind -> (least order, greatest order, presentation of the group of order
+# n, with h = n/2, q = n/4 and r = n/4 - 1)
+CATALOG_FAMILIES = {
+    "C": (1, ORDER_CAP, "gens: a\nrels: a^{n}"),
+    "D": (4, ORDER_CAP, "gens: a b\nrels: a^{h}, b^2, b*a*b^-1*a"),
+    "Q": (8, ORDER_CAP, "gens: a b\nrels: a^{h}, a^{q}*b^-2, b*a*b^-1*a"),
+    "QD": (16, QD_ORDER_CAP,
+           "gens: a b\nrels: a^{h}, b^2, b*a*b^-1*a^-{r}"),
+}
+# the modular group of order 16 and three fixture groups of order 32 and 64
+CATALOG_NAMED = {
+    "M16": "gens: x1 x2\nrels: x1^8, x2^2, [x2,x1]^2, x1^4*[x2,x1]",
+    "SG32_37": "gens: x1 x2 x3\n"
+               "rels: x1^8, x2^2, x3^2, x1^4*[x2,x1], [x3,x1], [x3,x2]",
+    "SG64_88": "gens: x1 x2 x3\n"
+               "rels: x1^8, x2^2, x3^2, [x2,x1]^2, [x2,x1^2], x1^4*[x3,x1], "
+               "[x3,x2]",
+    "SG64_104": "gens: x1 x2 x3\n"
+                "rels: x1^8, x2^4, x3^2, x2^2*[x2,x1], x1^4*[x3,x1], [x3,x2]",
+}
 
 
 def catalog_presentation(kind, order=None):
     """Presentation for a named catalog group.
 
-    C{2^k} (cyclic), D{2^n} (dihedral, n >= 2), Q{2^n} (generalized
-    quaternion, n >= 3; Q8 uses generators i, j), QD{2^n} (quasidihedral,
-    4 <= n <= 7), M16 (modular group of order 16), and the three named
-    order-32 and order-64 groups used as fixtures.  Every order is at most
-    ORDER_CAP.
+    C{2^k} (cyclic), D{2^n} (dihedral), Q{2^n} (generalized quaternion;
+    Q8 names its generators i, j) and QD{2^n} (quasidihedral), each for the
+    orders of its CATALOG_FAMILIES entry, plus the CATALOG_NAMED groups.
+    Each presentation is written once, in the presentation-file grammar,
+    and parsed by ``parse_presentation_text``.
     """
-    if kind == "C":
-        if not _pow2(order) or order > ORDER_CAP:
-            raise ConstructionError(f"C{order}: order must be a power of 2 <= {ORDER_CAP}")
-        return Presentation(("a",), (_word((0, order)),),
-                            (f"a^{order}",))
-    if kind == "D":
-        if not _pow2(order) or order < 4 or order > ORDER_CAP:
-            raise ConstructionError(f"D{order}: order must be a power of 2 in [4, {ORDER_CAP}]")
-        h = order // 2
-        return Presentation(
-            ("a", "b"),
-            (_word((0, h)), _word((1, 2)), _word((1, 1), (0, 1), (1, -1), (0, 1))),
-            (f"a^{h}", "b^2", "b*a*b^-1*a"))
-    if kind == "Q":
-        if not _pow2(order) or order < 8 or order > ORDER_CAP:
-            raise ConstructionError(f"Q{order}: order must be a power of 2 in [8, {ORDER_CAP}]")
-        h, q = order // 2, order // 4
-        gens = ("i", "j") if order == 8 else ("a", "b")
-        return Presentation(
-            gens,
-            (_word((0, h)), _word((0, q), (1, -2)),
-             _word((1, 1), (0, 1), (1, -1), (0, 1))),
-            (f"{gens[0]}^{h}", f"{gens[0]}^{q}*{gens[1]}^-2",
-             f"{gens[1]}*{gens[0]}*{gens[1]}^-1*{gens[0]}"))
-    if kind == "QD":
-        if not _pow2(order) or order < 16 or order > QD_ORDER_CAP:
+    if kind in CATALOG_NAMED:
+        text = CATALOG_NAMED[kind]
+    elif kind in CATALOG_FAMILIES:
+        low, top, template = CATALOG_FAMILIES[kind]
+        if (not isinstance(order, int) or not low <= order <= top
+                or order & (order - 1)):
             raise ConstructionError(
-                f"QD{order}: order must be a power of 2 in "
-                f"[16, {QD_ORDER_CAP}]")
-        h, r = order // 2, order // 4 - 1
-        return Presentation(
-            ("a", "b"),
-            (_word((0, h)), _word((1, 2)),
-             _word((1, 1), (0, 1), (1, -1), (0, -r))),
-            (f"a^{h}", "b^2", f"b*a*b^-1*a^-{r}"))
-    if kind == "M16":
-        # <x1, x2 : x1^8 = x2^2 = [x2,x1]^2 = x1^4[x2,x1] = 1>
-        comm = ((1, -1), (0, -1), (1, 1), (0, 1))
-        return Presentation(
-            ("x1", "x2"),
-            (_word((0, 8)), _word((1, 2)),
-             comm + comm,
-             _word((0, 4)) + comm),
-            ("x1^8", "x2^2", "[x2,x1]^2", "x1^4*[x2,x1]"))
-    if kind == "SG32_37":
-        c21 = ((1, -1), (0, -1), (1, 1), (0, 1))
-        c31 = ((2, -1), (0, -1), (2, 1), (0, 1))
-        c32 = ((2, -1), (1, -1), (2, 1), (1, 1))
-        return Presentation(
-            ("x1", "x2", "x3"),
-            (_word((0, 8)), _word((1, 2)), _word((2, 2)),
-             _word((0, 4)) + c21, c31, c32),
-            ("x1^8", "x2^2", "x3^2", "x1^4*[x2,x1]", "[x3,x1]", "[x3,x2]"))
-    if kind == "SG64_88":
-        c21 = ((1, -1), (0, -1), (1, 1), (0, 1))
-        c21sq = ((1, -1), (0, -2), (1, 1), (0, 2))
-        c31 = ((2, -1), (0, -1), (2, 1), (0, 1))
-        c32 = ((2, -1), (1, -1), (2, 1), (1, 1))
-        return Presentation(
-            ("x1", "x2", "x3"),
-            (_word((0, 8)), _word((1, 2)), _word((2, 2)),
-             c21 + c21, c21sq, _word((0, 4)) + c31, c32),
-            ("x1^8", "x2^2", "x3^2", "[x2,x1]^2", "[x2,x1^2]",
-             "x1^4*[x3,x1]", "[x3,x2]"))
-    if kind == "SG64_104":
-        c21 = ((1, -1), (0, -1), (1, 1), (0, 1))
-        c31 = ((2, -1), (0, -1), (2, 1), (0, 1))
-        c32 = ((2, -1), (1, -1), (2, 1), (1, 1))
-        return Presentation(
-            ("x1", "x2", "x3"),
-            (_word((0, 8)), _word((1, 4)), _word((2, 2)),
-             _word((1, 2)) + c21, _word((0, 4)) + c31, c32),
-            ("x1^8", "x2^4", "x3^2", "x2^2*[x2,x1]", "x1^4*[x3,x1]", "[x3,x2]"))
-    raise ConstructionError(f"unknown catalog group kind {kind!r}")
+                f"{kind}{order}: order must be a power of 2 in [{low}, {top}]")
+        text = template.format(n=order, h=order // 2, q=order // 4,
+                               r=order // 4 - 1)
+        if kind == "Q" and order == 8:  # written in i, j
+            text = text.translate(str.maketrans("ab", "ij"))
+    else:
+        raise ConstructionError(f"unknown catalog group kind {kind!r}")
+    from .parsing import parse_presentation_text
+    return parse_presentation_text(text)
 
 
 def catalog_group(kind, order=None, name=None) -> CayleyGroup:
@@ -768,9 +731,8 @@ def _element_fingerprints(G: CayleyGroup):
     sqrt_count = [0] * n
     for y in range(n):
         sqrt_count[G.mul[y][y]] += 1
-    cent_size = [len(G.centralizer(x)) for x in range(n)]
     fps = [
-        (orders[x], class_size[x], cent_size[x], sqrt_count[x],
+        (orders[x], class_size[x], n // class_size[x], sqrt_count[x],
          x in center, x in derived)
         for x in range(n)
     ]
@@ -782,16 +744,9 @@ def group_fingerprint(G: CayleyGroup):
     """Cheap isomorphism invariants, used to reject before backtracking."""
     fps = _element_fingerprints(G)
     inv = G.abelian_invariants() if G.is_abelian() else ()
-    return (
-        G.n,
-        tuple(sorted(G.element_orders())),
-        len(G.center()),
-        tuple(sorted(G.element_order(z) for z in G.center())),
-        G.nilpotency_class(),
-        len(G.derived_subgroup()),
-        inv,
-        tuple(sorted(fps)),
-    )
+    # the sorted element fingerprints also fix the multiset of orders and
+    # the sizes and orders of the center and the derived subgroup
+    return (G.n, G.nilpotency_class(), inv, tuple(sorted(fps)))
 
 
 def generator_map(G: CayleyGroup, gens, images, H: CayleyGroup):

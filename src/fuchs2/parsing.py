@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .groups import (
+    CATALOG_FAMILIES,
+    CATALOG_NAMED,
     CayleyGroup,
     ORDER_CAP,
     Presentation,
@@ -37,8 +39,11 @@ from .groups import (
 
 PRESENTATION_FILE_CAP = 1 << 20  # bytes
 
+# a family kind and its order, or a named group
 _ATOM_RE = re.compile(
-    r"QD(\d+)|C(\d+)|D(\d+)|Q(\d+)|M16|SG32_37|SG64_88|SG64_104")
+    f"({'|'.join(CATALOG_FAMILIES)})(\\d+)|({'|'.join(CATALOG_NAMED)})")
+_ATOM_NAMES = ", ".join([f"{kind}n" for kind in CATALOG_FAMILIES]
+                        + list(CATALOG_NAMED) + ["file:<path>"])
 
 
 @dataclass(frozen=True)
@@ -93,20 +98,10 @@ def _parse_atoms(src, pos):
             return atoms + [("file", src[start:])]
         m = _ATOM_RE.match(src, pos)
         if not m:
-            raise ParseError("expected a group atom "
-                             "(Cn, Dn, Qn, QDn, M16, SG32_37, SG64_88, "
-                             "SG64_104, file:<path>)", src, pos)
-        qd, c, d, q = m.groups()
-        if qd is not None:
-            atoms.append(("QD", int(qd)))
-        elif c is not None:
-            atoms.append(("C", int(c)))
-        elif d is not None:
-            atoms.append(("D", int(d)))
-        elif q is not None:
-            atoms.append(("Q", int(q)))
-        else:
-            atoms.append((m.group(0),))
+            raise ParseError(f"expected a group atom ({_ATOM_NAMES})",
+                             src, pos)
+        kind, order, named = m.groups()
+        atoms.append((named,) if named else (kind, int(order)))
         pos = m.end()
         if pos == len(src):
             return atoms

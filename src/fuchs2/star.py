@@ -397,19 +397,14 @@ def group_spec_of(G: CayleyGroup):
 
 def projection_witness(G: CayleyGroup, units: UnitGroup, ring: QuotientRing):
     """The natural map g -> residue of g, as a unit-index list, when it is
-    an isomorphism onto the unit group; None otherwise."""
+    a bijection onto the unit group; None otherwise.  It is multiplicative
+    because the quotient map is a ring map; the caller checks that on all
+    pairs."""
     pos = {r: k for k, r in enumerate(units.residue_index)}
-    phi = []
-    for g in range(G.n):
-        coeffs = [0] * G.n
-        coeffs[g] = 1
-        r = ring.project(tuple(coeffs))
-        if r not in pos:
-            return None
-        phi.append(pos[r])
-    if verify_homomorphism(G, units.group, phi):
-        return phi
-    return None
+    phi = [pos.get(r) for r in ring.element_index]
+    if None in phi or len(set(phi)) != units.group.n:
+        return None
+    return phi
 
 
 def realize_exponent4(G: CayleyGroup) -> Certificate:

@@ -31,19 +31,52 @@ def center_brute(G):
                   if all(G.mul[x][g] == G.mul[g][x] for g in range(G.n)))
 
 
-def upper_central_length(G):
-    """Length of the upper central series, recomputed directly."""
-    current = {0}
-    length = 0
-    while len(current) < G.n:
-        comm = lambda x, g: G.mul[G.mul[G.inv[x]][G.inv[g]]][G.mul[x][g]]
-        nxt = {x for x in range(G.n)
-               if all(comm(x, g) in current for g in range(G.n))}
+def commutator_brute(G, x, g):
+    """[x, g] = x^-1 g^-1 x g, from the table."""
+    return G.mul[G.mul[G.inv[x]][G.inv[g]]][G.mul[x][g]]
+
+
+def closure_brute(G, elements):
+    """The subgroup generated by ``elements``: products of members until
+    nothing new appears (finite, so inverses come for free)."""
+    members = {0} | set(elements)
+    while True:
+        grown = members | {G.mul[x][y] for x in members for y in members}
+        if grown == members:
+            return sorted(members)
+        members = grown
+
+
+def derived_brute(G):
+    """Generated by every commutator [x, g], all pairs."""
+    return closure_brute(G, {commutator_brute(G, x, g)
+                             for x in range(G.n) for g in range(G.n)})
+
+
+def frattini_brute(G):
+    """Generated by the squares and the commutators (p = 2)."""
+    return closure_brute(G, {G.mul[x][x] for x in range(G.n)}
+                         | set(derived_brute(G)))
+
+
+def upper_central_series_brute(G):
+    """Every term [{1}, Z_1, Z_2, ..., G] as sorted lists: Z_{i+1} holds
+    the x with [x, g] in Z_i for every g."""
+    series = [[0]]
+    while len(series[-1]) < G.n:
+        current = set(series[-1])
+        nxt = [x for x in range(G.n)
+               if all(commutator_brute(G, x, g) in current
+                      for g in range(G.n))]
         if len(nxt) == len(current):
             raise AssertionError("series stalled")
-        current = nxt
-        length += 1
-    return length
+        series.append(nxt)
+    return series
+
+
+def upper_central_length(G):
+    """Length of the upper central series, recomputed directly."""
+    return len(upper_central_series_brute(G)) - 1
 
 
 def gf2_left_mul_matrix(G, m, coeffs):

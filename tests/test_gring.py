@@ -535,6 +535,10 @@ def test_residue_index_is_mixed_radix_number(ring):
         assert ring.rep(i) == rep
         assert ring.project(rep) == i
         assert ring.augmentation_index(i) == sum(rep) % ring.mod
+    n = ring.group.n
+    for g in range(n):
+        e_g = tuple(int(h == g) for h in range(n))
+        assert ring.element_index[g] == ring.project(e_g)
 
 
 def test_products_on_demand_above_unit_table_cap():

@@ -1,15 +1,21 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchs2.errors import ConstructionError
+from fuchs2.errors import ConstructionError, InternalInvariantError
 from fuchs2.groups import (
+    CATALOG_FAMILIES,
+    CATALOG_NAMED,
     ORDER_CAP,
     QD_ORDER_CAP,
     CayleyGroup,
     Presentation,
+    _CosetTable,
+    _element_fingerprints,
     build_group,
     direct_product,
     enumerate_presentation,
@@ -24,6 +30,7 @@ from fuchs2.groups import (
 )
 
 import oracles
+from test_star import CLS3_64, CLS4_128, _presented
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +111,101 @@ def test_catalog_builds_every_stated_order():
         assert build_group(spec).n == order
 
 
+def test_relator_that_does_not_close_is_an_invariant_error(monkeypatch):
+    # the table of C8 does not satisfy a^4, and enumerate_presentation
+    # traces every relator through the table it is given
+    c8 = _CosetTable(1, [(0,) * 8])
+    c8.run()
+    perms = c8.permutations()
+    monkeypatch.setattr(_CosetTable, "permutations", lambda self: perms)
+    with pytest.raises(InternalInvariantError, match="a\\^4"):
+        enumerate_presentation(Presentation(("a",), (((0, 4),),), ("a^4",)))
+
+
+# sha256 of json [mul, gen_indices, labels] for every catalog group:
+# certificates name elements by index and label, so these must not drift
+GOLDEN_TABLES = {
+    "C1":
+        "1700b9fa6081a57dc3f2069d388b6d00e5bf2af3dbcdd2c0484ccf3e36819820",
+    "C2":
+        "b2fb4df787c1c7fdc8eb06b7497f68749a0af1ff7650232160c2c5570834ba01",
+    "C4":
+        "1229ce55eb194b36215bb2e69872208ea10389a4cf8c95f48ec5df63a10a24af",
+    "C8":
+        "040c98f8810b8286c98d1eb34dd1763a48f3c2be88176ee44c6eae6cdbb6d95c",
+    "C16":
+        "260c1ede65a9ff52c77cc57cfd76d1c460c31728b6057d0d6541afd616782380",
+    "C32":
+        "9f1dad22d97767294e0e3c132b6ce45e9f05ceb072d3a013c039da05a06fbe51",
+    "C64":
+        "0e887aece26b5e28927295ec17d58adddb016679f332b43f6b075951e83f2a5b",
+    "C128":
+        "e65c047e1fe926fa7bb7b1fddd0337386d410d0cd157a67413d5ef794ffa39e4",
+    "C256":
+        "b8f1c6bcc4571705072cf31c39edd95466eac2ea23e55afdecd042be5a490ace",
+    "C512":
+        "382ebb18090f0112afa71ce8892dbf794a3d197d2e234c088b854396af03c23d",
+    "D4":
+        "f1b53ccc980f3ef01b523f953585708c0eb0bc72f49f37e9af0994503d6a89aa",
+    "D8":
+        "398502b653a086343e199b5898df69ba278f254dcf1879b5698298a955dca3d9",
+    "D16":
+        "5c61950db535adcdf2f8a4aa602cf5587f15e34932b83a16fc3bbdbef09f90fe",
+    "D32":
+        "aae0883103f7fe36e3e4e31ff254c088a9ba59130aedfa8b724691834fecfdaf",
+    "D64":
+        "690a7d7c4895d211db920ef8a5f644740d9280ec9ca4ce07853bab569debad17",
+    "D128":
+        "de7ee38e527add7a9300e793bda1995fa2cc5e3acc6a73eebe1190916d76e272",
+    "D256":
+        "4802589f14a60a17df38cc61ad5dc2c527a261287219aa549f7eb2691fe84754",
+    "D512":
+        "e140f51680211cae70530000e9d5f273771684fae64d17df0f8219b8f09e99e2",
+    "Q8":
+        "8915b704a445703c751d3a205dc036813eda4808d7cfaee13b58bdfb0d971e0c",
+    "Q16":
+        "bb40ecaa158acd371cc683c1cebdd97a42ef13bcb8cc630d5c0c9b7fbe9af371",
+    "Q32":
+        "ab49d0a71b11e08d1a50cc22af3ef011fb90dc25fa8769165bf269c9a3fab5a1",
+    "Q64":
+        "e24f53433c166cf4da8027c0f8bc161cda0faf75386cbe6857b6fa4f11138e6a",
+    "Q128":
+        "da722b696c7b55be171ba7e8b13e4a6c39bb2f6570f3e75b8bef0a39ba7ecefc",
+    "Q256":
+        "e57858f7c06c1e26f755872846c119d6c6298bcb5f7f4c29d6c6550169fd3079",
+    "Q512":
+        "869798767b8fb773a27509a407bf1b10b54dd520bc00e98a44e9744aa08e0f7f",
+    "QD16":
+        "7026710cb01a35c639b4251f37fa043ca893d4f3c84610be5559b6cb1c0d17e6",
+    "QD32":
+        "383026bb2434f7dd63c3b36dbdb4e36c5db35e0c0b74b8eaba8659997d66bdf9",
+    "QD64":
+        "e35be2e18bfc6ecdda78a79ce4fd8f9b5d250513056b7ccbfad9a4a7e1abed1d",
+    "QD128":
+        "5048073bc94ed6bf580045f4e032fa7109edf37c2b365aac90a276d3e79d1a42",
+    "M16":
+        "1c7b11e81299bd0e159281be513c4473ceb962b282e5403050cb111e827eb35c",
+    "SG32_37":
+        "b071c714ba8ba15fe2ded932b5b49cba254f16698040ddefe608cb9add5e89cc",
+    "SG64_88":
+        "f910d9e597237c2f50d828399e7551c5ab80491fd80ef5af2db2784e6eca3e89",
+    "SG64_104":
+        "c474d9824f02e38b1adfe1773447ccb82a0d383d02b90c565d05c2448704b914",
+}
+
+
+def test_catalog_tables_are_pinned():
+    specs = list(CATALOG_NAMED)
+    for kind, (low, top, _) in CATALOG_FAMILIES.items():
+        specs += [f"{kind}{1 << k}" for k in range(low.bit_length() - 1,
+                                                   top.bit_length())]
+    assert sorted(specs) == sorted(GOLDEN_TABLES)
+    for spec, digest in GOLDEN_TABLES.items():
+        G = build_group(spec)
+        data = json.dumps([G.mul, list(G.gen_indices), G.labels()])
+        assert hashlib.sha256(data.encode()).hexdigest() == digest, spec
+
+
 def test_associativity_rejected():
     table = [[0, 1], [1, 1]]  # not a latin square / not a group
     with pytest.raises(ConstructionError):
@@ -155,6 +257,34 @@ def test_nilpotency_class(groups):
         assert G.nilpotency_class() == oracles.upper_central_length(G)
     G = build_group("SG64_88")
     assert G.nilpotency_class() == oracles.upper_central_length(G)
+
+
+# every catalog group and a spread of products up to order 64, and the
+# class-3 and class-4 exponent-4 groups of orders 64 and 128
+STRUCTURE_SPECS = (
+    [f"C{1 << k}" for k in range(7)] + [f"D{1 << k}" for k in range(2, 7)]
+    + [f"Q{1 << k}" for k in range(3, 7)] + ["QD16", "QD32", "QD64"]
+    + list(CATALOG_NAMED)
+    + ["C2xC2", "C4xC2xC2", "C8xC8", "D8xC2", "Q8xC4", "D16xC2",
+       "M16xC2", "QD16xC4", "Q8xC2xC2", "D8xD8", "Q8xQ8", "Q8xD8",
+       "SG32_37xC2", "Q16xC2xC2"]
+    + ["CLS3_64", "CLS4_128"])
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_SPECS)
+def test_class_structure_against_oracles(spec):
+    presented = {"CLS3_64": CLS3_64, "CLS4_128": CLS4_128}
+    G = _presented(presented[spec]) if spec in presented \
+        else build_group(spec)
+    assert list(G.center()) == oracles.center_brute(G)
+    assert list(G.derived_subgroup()) == oracles.derived_brute(G)
+    assert list(G.frattini_subgroup()) == oracles.frattini_brute(G)
+    assert [list(t) for t in G.upper_central_series()] == \
+        oracles.upper_central_series_brute(G)
+    fps = _element_fingerprints(G)
+    for cls in G.conjugacy_classes():
+        for x in cls:
+            assert G.n // len(cls) == fps[x][2] == len(G.centralizer(x))
 
 
 def test_n_a_values():

@@ -4,7 +4,7 @@ import pytest
 
 from fuchs2.errors import Fuchs2Error
 from fuchs2.gring import quotient_ring, unit_group
-from fuchs2.groups import build_group
+from fuchs2.groups import build_group, verify_homomorphism
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
     complement_ideal,
@@ -206,6 +206,19 @@ def test_certificate_units_are_local():
     units = unit_group(ring)
     odd = [i for i in range(ring.size) if ring.augmentation_index(i) % 2]
     assert sorted(units.residue_index) == odd
+
+
+def test_realize_verifies_the_natural_map_once(monkeypatch):
+    from fuchs2 import star
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_homomorphism(*args)
+
+    monkeypatch.setattr(star, "verify_homomorphism", counted)
+    realize_exponent4(build_group("Q8"))
+    assert len(calls) == 1
 
 
 def test_realize_deterministic():
