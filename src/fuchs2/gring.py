@@ -2,16 +2,22 @@
 
 Elements are coefficient vectors mod 2^m indexed by group elements.  Ideals
 are kept in a canonical basis: reduced row echelon over GF(2) when m = 1
-(rows bit-packed into Python ints, so row operations are word-parallel, and
-indexed by pivot bit, so reducing a vector costs one XOR per pivot it hits)
-and Howell normal form over Z_{2^m} otherwise.  Both forms are unique for
-the span they generate, support exact membership tests, and make
-certificates byte-stable.  Howell rows are back-substituted only when they
-are read; membership, reduction and residue radices need only the Howell
-property, which every insert keeps.  Each basis class owns its vector
-format: it packs coefficient sequences into its own vectors, unpacks them,
-and translates them by group permutations, so callers never ask which form
-they hold; ``_make_impl`` alone chooses the class.
+and Howell normal form over Z_{2^m} otherwise.  Both pack a row into one
+Python int, so row operations are word-parallel, and both find the pivots
+a vector hits with one AND against a mask, so reducing a vector costs one
+row operation per pivot it hits.  A GF(2) row has one bit per group
+element.  A Howell row has a 2m-bit field per group element with the
+entry in its low m bits: a row operation multiplies a row by a scalar
+below 2^m, and the m spare bits hold that product, so no field carries
+into the next (``_HowellBasis`` gives the arithmetic and its ``hit``
+mask).  Both forms are unique for the span they generate, support exact
+membership tests, and make certificates byte-stable.  Howell rows are
+back-substituted only when they are read; membership, reduction and
+residue radices need only the Howell property, which every insert keeps.
+Each basis class owns its vector format: it packs coefficient sequences
+into its own vectors, unpacks them, and translates them by group
+permutations, so callers never ask which form they hold; ``_make_impl``
+alone chooses the class.
 
 Two-sided closure runs a worklist: translations are linear, so only the
 vectors that grew the span need translating, each of them once.
@@ -276,53 +282,77 @@ class _Gf2Basis:
         return radix
 
 
-def _val2(x):
-    return (x & -x).bit_length() - 1
-
-
 class _HowellBasis:
-    """Howell form over Z_{2^m}: unique canonical rows, exact membership,
-    and canonical coset representatives via reduce().  Vectors are
-    coefficient tuples with entries in [0, 2^m).
+    """Howell form over Z_{2^m}, rows packed into ints: unique canonical
+    rows, exact membership, and canonical coset representatives via
+    reduce().
 
-    The row at pivot column c has leading entry 2^k.  Inserts keep the
-    Howell property (a span vector that is zero before column c is a
-    combination of the rows with pivot >= c), which is all that
-    ``reduce``, ``contains``, ``span_size`` and ``pivot_radices`` need.
-    Back-substitution, which makes the rows unique for their span, runs
-    only when ``rows`` is read.
+    A vector is one int with a field of w = 2m bits per group element:
+    the entry at g, in [0, 2^m), sits in the low m bits of bits
+    [g*w, (g+1)*w).  ``low`` is 2^m - 1 in every field and ``add`` is 2^m
+    in every field.  A row operation v - q*row (q < 2^m) is
+    ``(v + add - ((q * row) & low)) & low``: q * row_g < 2^(2m) fits its
+    field, and v_g + 2^m - t_g lies in [1, 2^(m+1)), so no field carries
+    into or borrows from the next.  Unit scaling is ``(v * u) & low`` and
+    the annihilator 2^(m-k)*v is ``(v << (m-k)) & low``.
+
+    The row at pivot column c has leading entry 2^k.  ``hit`` holds bits
+    k..m-1 of field c for each pivot: v & hit is nonzero in field c
+    exactly when v_c >= 2^k, i.e. when the row at c must be subtracted.
+    So ``reduce(v)`` visits only those pivots, lowest first, as
+    ``_Gf2Basis.reduce`` does; a reduced vector's lowest set bit names its
+    leading column and, by its offset in the field, the valuation k.
+
+    Inserts keep the Howell property (a span vector that is zero before
+    column c is a combination of the rows with pivot >= c), which is all
+    that ``reduce``, ``contains``, ``span_size`` and ``pivot_radices``
+    need.  Back-substitution, which makes the rows unique for their span,
+    runs only when ``rows`` is read.
     """
 
     def __init__(self, n, m):
         self.n = n
         self.m = m
         self.mod = 1 << m
-        self.pivots = {}  # col -> (k, row) with row[col] == 1 << k
+        self.width = w = 2 * m
+        self.low = sum((self.mod - 1) << (g * w) for g in range(n))
+        self.add = sum(self.mod << (g * w) for g in range(n))
+        self.pivots = {}  # col -> (k, row) with entry 2^k at col
+        self.hit = 0
         self.substituted = True
 
     def copy(self):
-        dup = _HowellBasis(self.n, self.m)
+        dup = _HowellBasis.__new__(_HowellBasis)
+        dup.__dict__.update(self.__dict__)
         dup.pivots = dict(self.pivots)
-        dup.substituted = self.substituted
         return dup
 
     def pack(self, coeffs):
-        """The vector of a coefficient sequence, read mod 2^m."""
-        mod = self.mod
-        return tuple(c % mod for c in coeffs)
+        """The packed vector of a coefficient sequence, read mod 2^m."""
+        w, mask = self.width, self.mod - 1
+        v = 0
+        for g, c in enumerate(coeffs):
+            v |= (c & mask) << (g * w)
+        return v
 
-    @staticmethod
-    def unpack(v):
-        return tuple(v)
+    def unpack(self, v):
+        w, mask = self.width, self.mod - 1
+        return tuple((v >> (g * w)) & mask for g in range(self.n))
 
-    @staticmethod
-    def translate(v, perm):
-        """The vector with entry v[g] at perm[g] for every g."""
-        out = [0] * len(v)
-        for g, c in enumerate(v):
-            if c:
-                out[perm[g]] = c
-        return tuple(out)
+    def translate(self, v, perm):
+        """The vector with entry v_g in field perm[g] for every g."""
+        w, mask = self.width, self.mod - 1
+        out = 0
+        while v:
+            g = ((v & -v).bit_length() - 1) // w
+            c = (v >> (g * w)) & mask
+            out |= c << (perm[g] * w)
+            v ^= c << (g * w)
+        return out
+
+    def _hit_bits(self, col, k):
+        """Bits k..m-1 of field col."""
+        return ((self.mod - 1) >> k << k) << (col * self.width)
 
     @property
     def rows(self):
@@ -330,9 +360,13 @@ class _HowellBasis:
         pivots = self.pivots
         if not self.substituted:
             for col in sorted(pivots):
-                # popped, so the row is reduced by the others only
-                k, row = pivots.pop(col)
+                # the row's own hit bits are dropped while it is reduced,
+                # so it is reduced by the others only
+                k, row = pivots[col]
+                bits = self._hit_bits(col, k)
+                self.hit ^= bits
                 pivots[col] = (k, self.reduce(row))
+                self.hit ^= bits
             self.substituted = True
         return [pivots[c][1] for c in sorted(pivots)]
 
@@ -342,38 +376,46 @@ class _HowellBasis:
         A worklist: each vector is reduced, scaled so its leading entry is
         2^k, and placed as the row at that column.  The row it displaces,
         and its annihilator 2^(m-k)*v, go back on the worklist."""
-        mod, m, pivots = self.mod, self.m, self.pivots
+        m, w, low, pivots = self.m, self.width, self.low, self.pivots
         grew = False
         work = [v]
         while work:
             v = self.reduce(work.pop())
-            col = next((j for j, x in enumerate(v) if x), None)
-            if col is None:
+            if not v:
                 continue
-            k = _val2(v[col])
-            unit = pow(v[col] >> k, -1, mod)
+            col, k = divmod((v & -v).bit_length() - 1, w)
+            unit = pow((v >> (col * w + k)) & ((self.mod - 1) >> k), -1,
+                       self.mod)
             if unit != 1:
-                v = tuple([unit * x % mod for x in v])
+                v = (v * unit) & low
             if col in pivots:
                 work.append(pivots[col][1])
             pivots[col] = (k, v)
+            # v was reduced at col, so k is below a displaced row's and
+            # the new bits cover the old ones
+            self.hit |= self._hit_bits(col, k)
             if k:
-                work.append(tuple([(x << (m - k)) % mod for x in v]))
+                work.append((v << (m - k)) & low)
             grew = True
             self.substituted = False
         return grew
 
     def reduce(self, v):
-        mod = self.mod
-        for col in sorted(self.pivots):
-            k, row = self.pivots[col]
-            q = v[col] >> k
-            if q:
-                v = [(x - q * y) % mod for x, y in zip(v, row)]
-        return tuple(v)
+        w, low, add, hit, pivots = (self.width, self.low, self.add,
+                                     self.hit, self.pivots)
+        h = v & hit
+        while h:
+            col = ((h & -h).bit_length() - 1) // w
+            k, row = pivots[col]
+            q = (v >> (col * w + k)) & ((self.mod - 1) >> k)
+            # fields below col are untouched and field col drops below 2^k,
+            # so the next hit lies above col
+            v = (v + add - ((q * row) & low)) & low
+            h = v & hit
+        return v
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return self.reduce(v) == 0
 
     def rank(self):
         return len(self.pivots)

@@ -94,6 +94,7 @@ class CayleyGroup:
         self._frattini = None
         self._derived = None
         self._ucs = None
+        self._min_gens = None
         self._fingerprints = None
         self._normal_subgroups = None
 
@@ -297,7 +298,9 @@ class CayleyGroup:
         yield from extend([], frat)
 
     def minimal_generators(self):
-        return next(self.minimal_generating_sequences())
+        if self._min_gens is None:
+            self._min_gens = next(self.minimal_generating_sequences())
+        return self._min_gens
 
     def abelian_invariants(self):
         """Invariant factors in descending divisibility order.

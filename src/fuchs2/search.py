@@ -34,8 +34,8 @@ from .errors import (
     SizeCapError,
     UndecidedError,
 )
-from .gring import M_CAP, IdealBasis, RingElement, ideal_closure, \
-    ideal_sum, quotient_ring, unit_group, verify_two_sided
+from .gring import M_CAP, IdealBasis, RingElement, _check_m, \
+    ideal_closure, ideal_sum, quotient_ring, unit_group, verify_two_sided
 from .groups import CayleyGroup, build_group, generator_map, isomorphism, \
     verify_homomorphism
 from .parsing import parse_element_literal
@@ -53,8 +53,13 @@ class SearchConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        _check_m(self.m)
         if self.budget <= 0:
             raise Fuchs2Error("search budget must be positive")
+        if self.max_gens < 1:
+            raise Fuchs2Error("a candidate needs at least one generator")
+        if any(s < 2 for s in self.support_sizes):
+            raise Fuchs2Error("candidate supports need at least 2 elements")
         if any(s % 2 for s in self.support_sizes):
             raise Fuchs2Error("candidate supports must be even "
                               "(generators must lie in the maximal ideal)")

@@ -112,6 +112,96 @@ def gf2_rank(masks):
     return rank
 
 
+class HowellReference:
+    """Howell form over Z_{2^m} on coefficient tuples, one entry at a time.
+
+    The reference for the packed ``gring._HowellBasis``: the same worklist
+    insert and lazy back-substitution, with vectors as tuples of entries
+    in [0, 2^m), pivots visited in sorted order and every row operation a
+    list comprehension, so no bit layout is shared with the code under
+    test.  The row at pivot column c has leading entry 2^k.
+    """
+
+    def __init__(self, n, m):
+        self.n = n
+        self.m = m
+        self.mod = 1 << m
+        self.pivots = {}  # col -> (k, row) with row[col] == 1 << k
+        self.substituted = True
+
+    @staticmethod
+    def translate(v, perm):
+        """The vector with entry v[g] at perm[g] for every g."""
+        out = [0] * len(v)
+        for g, c in enumerate(v):
+            if c:
+                out[perm[g]] = c
+        return tuple(out)
+
+    @property
+    def rows(self):
+        """The rows sorted by pivot, each reduced at every later pivot."""
+        pivots = self.pivots
+        if not self.substituted:
+            for col in sorted(pivots):
+                # popped, so the row is reduced by the others only
+                k, row = pivots.pop(col)
+                pivots[col] = (k, self.reduce(row))
+            self.substituted = True
+        return [pivots[c][1] for c in sorted(pivots)]
+
+    def insert(self, v):
+        """Add v to the span; True if the span grew."""
+        mod, m, pivots = self.mod, self.m, self.pivots
+        grew = False
+        work = [tuple(c % mod for c in v)]
+        while work:
+            v = self.reduce(work.pop())
+            col = next((j for j, x in enumerate(v) if x), None)
+            if col is None:
+                continue
+            k = (v[col] & -v[col]).bit_length() - 1
+            unit = pow(v[col] >> k, -1, mod)
+            if unit != 1:
+                v = tuple([unit * x % mod for x in v])
+            if col in pivots:
+                work.append(pivots[col][1])
+            pivots[col] = (k, v)
+            if k:
+                work.append(tuple([(x << (m - k)) % mod for x in v]))
+            grew = True
+            self.substituted = False
+        return grew
+
+    def reduce(self, v):
+        mod = self.mod
+        v = [c % mod for c in v]
+        for col in sorted(self.pivots):
+            k, row = self.pivots[col]
+            q = v[col] >> k
+            if q:
+                v = [(x - q * y) % mod for x, y in zip(v, row)]
+        return tuple(v)
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    def rank(self):
+        return len(self.pivots)
+
+    def span_size(self):
+        size = 1
+        for k, _ in self.pivots.values():
+            size *= 1 << (self.m - k)
+        return size
+
+    def pivot_radices(self):
+        radix = [self.mod] * self.n
+        for col, (k, _) in self.pivots.items():
+            radix[col] = 1 << k
+        return radix
+
+
 def is_unit_by_linear_algebra(G, m, coeffs):
     """Unit test via invertibility of the left-multiplication matrix.
 

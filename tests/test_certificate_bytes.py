@@ -46,6 +46,9 @@ FIXTURES = {
 
 SEARCH_C8XC2_CHAR2 = ("6dc3e8d9603e8e5c02af3affbaa81df4"
                       "784f9f5e8eb38b05b279d49a964c4557")
+# realize Q8 --char 4 --method search
+SEARCH_Q8_CHAR4 = ("f1913869cf647f340111d31ee47ac70c"
+                   "32cdb917c9df5939f481ea0ba9611368")
 # the char-4 search exhausts its budget, so the candidates' canonical
 # Howell rows, with their raw indices, are what it leaves to pin
 STREAM_C8XC2_CHAR4 = ("8fae0c87231bcb0554f46aa39974f0ba"
@@ -66,6 +69,11 @@ def test_fixture_certificate_bytes():
 def test_search_certificate_bytes_char2():
     cert = search_realizing_ideal(build_group("C8xC2"), SearchConfig())
     assert sha(cert.to_json()) == SEARCH_C8XC2_CHAR2
+
+
+def test_search_certificate_bytes_char4():
+    cert = search_realizing_ideal(build_group("Q8"), SearchConfig(m=2))
+    assert sha(cert.to_json()) == SEARCH_Q8_CHAR4
 
 
 def test_search_stream_bytes_char4():

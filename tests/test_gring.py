@@ -13,6 +13,7 @@ from fuchs2.errors import (
     UnclosedIdealError,
 )
 from fuchs2.gring import (
+    M_CAP,
     UNIT_TABLE_CAP,
     IdealBasis,
     RingElement,
@@ -230,7 +231,7 @@ def test_howell_membership_matches_brute_span():
                 for _ in range(random.randrange(1, 4))]
         h = _HowellBasis(n, m)
         for v in vecs:
-            h.insert(list(v))
+            h.insert(h.pack(v))
         # brute span: all Z_4-combinations
         span = {(0,) * n}
         for v in vecs:
@@ -241,7 +242,7 @@ def test_howell_membership_matches_brute_span():
             span = new
         assert h.span_size() == len(span)
         for v in itertools.product(range(mod), repeat=n):
-            assert h.contains(v) == (v in span), v
+            assert h.contains(h.pack(v)) == (v in span), v
 
 
 def test_howell_form_is_canonical():
@@ -253,7 +254,7 @@ def test_howell_form_is_canonical():
                 for _ in range(3)]
         h1 = _HowellBasis(n, m)
         for v in vecs:
-            h1.insert(v)
+            h1.insert(h1.pack(v))
         # same span, different generators: random unimodular-ish recombos
         combos = []
         for _ in range(4):
@@ -263,7 +264,7 @@ def test_howell_form_is_canonical():
                            for a, b in zip(vecs[i], vecs[j])])
         h2 = _HowellBasis(n, m)
         for v in combos + vecs:
-            h2.insert(list(v))
+            h2.insert(h2.pack(v))
         assert h1.rows == h2.rows
 
 
@@ -288,7 +289,9 @@ def howell_spans(draw):
 
 
 def _howell_reads(h, probes):
-    return ([h.reduce(v) for v in probes], [h.contains(v) for v in probes],
+    packed = [h.pack(v) for v in probes]
+    return ([h.unpack(h.reduce(v)) for v in packed],
+            [h.contains(v) for v in packed],
             h.span_size(), h.pivot_radices())
 
 
@@ -298,20 +301,20 @@ def test_howell_reads_agree_before_and_after_back_substitution(case):
     n, m, vecs, other, combos, probes = case
     h1 = _HowellBasis(n, m)
     for v in vecs:
-        h1.insert(v)
+        h1.insert(h1.pack(v))
     mod = 1 << m
     # combinations and the 2^j-multiples of the inserted vectors lie in
     # the span; the multiples need the annihilator rows
     members = combos + [tuple((x << j) % mod for x in v)
                         for v in vecs for j in range(m)]
-    assert all(h1.contains(v) for v in members)
+    assert all(h1.contains(h1.pack(v)) for v in members)
     probes = [tuple(v) for v in probes] + members
     before = _howell_reads(h1, probes)
     rows = h1.rows
     assert _howell_reads(h1, probes) == before
     h2 = _HowellBasis(n, m)
     for v in other:
-        h2.insert(v)
+        h2.insert(h2.pack(v))
     assert h2.rows == rows
 
 
@@ -324,8 +327,81 @@ def test_gf2_agrees_with_howell_at_m1():
         gf2 = IdealBasis.from_vectors(G, 1, vecs)
         how = _HowellBasis(G.n, 1)
         for v in vecs:
-            how.insert(list(v))
-        assert gf2.rows == how.rows
+            how.insert(how.pack(v))
+        assert gf2.rows == [how.unpack(r) for r in how.rows]
+
+
+@st.composite
+def howell_sessions(draw):
+    """A width n <= 24 and an m in 1..M_CAP, two batches of vectors over
+    Z_{2^m} (inserted before and after the rows are first read), probes
+    and a column permutation.  Entries favour 0, 2^m - 1 and the powers
+    of 2, where carries, borrows and valuations change."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, M_CAP))
+    mod = 1 << m
+    entry = st.one_of(
+        st.sampled_from([0, mod - 1] + [1 << j for j in range(m)]),
+        st.integers(0, mod - 1))
+    vector = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    batches = [draw(st.lists(vector, min_size=1, max_size=6)),
+               draw(st.lists(vector, max_size=3))]
+    probes = draw(st.lists(vector, max_size=4))
+    perm = draw(st.permutations(range(n)))
+    return n, m, batches, probes, perm
+
+
+def _packed_reads(h, probes, perm):
+    packed = [h.pack(v) for v in probes]
+    return ([h.unpack(h.reduce(v)) for v in packed],
+            [h.contains(v) for v in packed],
+            [h.unpack(h.translate(v, perm)) for v in packed],
+            h.rank(), h.span_size(), h.pivot_radices())
+
+
+def _reference_reads(ref, probes, perm):
+    return ([ref.reduce(v) for v in probes],
+            [ref.contains(v) for v in probes],
+            [ref.translate(v, perm) for v in probes],
+            ref.rank(), ref.span_size(), ref.pivot_radices())
+
+
+def _check_against_reference(n, m, batches, probes, perm):
+    """Every read of the packed basis equals the reference Howell form's,
+    after each batch of inserts, before and after the rows are read."""
+    h = _HowellBasis(n, m)
+    ref = oracles.HowellReference(n, m)
+    for batch in batches:
+        for v in batch:
+            # entry g sits in the low bits of the 2m-bit field at bit 2mg
+            assert h.pack(v) == sum(c << (2 * m * g) for g, c in enumerate(v))
+            assert h.insert(h.pack(v)) == ref.insert(v)
+        # the inserted vectors reduce to zero; the probes need not
+        here = probes + batch
+        assert _packed_reads(h, here, perm) == _reference_reads(ref, here,
+                                                                perm)
+        assert [h.unpack(r) for r in h.rows] == ref.rows
+        assert _packed_reads(h, here, perm) == _reference_reads(ref, here,
+                                                                perm)
+
+
+def test_packed_howell_fields_never_carry_or_borrow():
+    # entries 2^m - 1 after the pivots: q * row reaches (2^m - 1)^2, which
+    # needs the full 2m-bit field, and entries below the subtrahend need
+    # the 2^m added to every field
+    n, m = 512, 6
+    top = (1 << m) - 1
+    ones = (top,) * n
+    batches = [[(1,) + ones[1:]], [(0, 2) + ones[2:]], [ones]]
+    probes = [ones, (top,) + (0,) * (n - 1),
+              tuple(top if g % 3 else 1 for g in range(n))]
+    _check_against_reference(n, m, batches, probes, list(range(n))[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=howell_sessions())
+def test_packed_howell_matches_reference(case):
+    _check_against_reference(*case)
 
 
 # -- ideal closure ------------------------------------------------------------

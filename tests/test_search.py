@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.search
-from fuchs2.gring import ideal_closure
+from fuchs2.errors import Fuchs2Error
+from fuchs2.gring import M_CAP, ideal_closure
 from fuchs2.groups import build_group
 from fuchs2.parsing import element_literal
 from fuchs2.search import (
@@ -199,6 +200,21 @@ def test_search_c8_full_stream(monkeypatch):
 
 
 # -- search -------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"m": 0}, "characteristic exponent"),
+    ({"m": M_CAP + 1}, "characteristic exponent"),
+    ({"max_gens": 0}, "at least one generator"),
+    ({"support_sizes": (0,)}, "at least 2 elements"),
+    ({"support_sizes": (2, 0)}, "at least 2 elements"),
+])
+def test_search_config_validates_its_fields(kwargs, match):
+    # the config used to accept these: the search then returned None for
+    # m = 0 or max_gens = 0, which reads as an exhausted budget, and
+    # raised a bare ValueError for a support size of 0
+    with pytest.raises(Fuchs2Error, match=match):
+        SearchConfig(**kwargs)
+
 
 def test_search_c8xc2_finds_certificate():
     G = build_group("C8xC2")
