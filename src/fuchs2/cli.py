@@ -27,8 +27,8 @@ from .errors import (
 )
 from .gring import M_CAP, IdealBasis, RingElement, ideal_closure, \
     quotient_ring, unit_group
-from .groups import structure_report
-from .parsing import parse_element_literal, parse_group_spec
+from .groups import build_group, structure_report
+from .parsing import parse_element_literal
 from .screeners import screen
 from .search import (
     SearchConfig,
@@ -78,12 +78,8 @@ def _emit(args, payload, text=None):
         print(text)
 
 
-def _build(spec_text):
-    return parse_group_spec(spec_text).build()
-
-
 def cmd_info(args):
-    G = _build(args.spec)
+    G = build_group(args.spec)
     report = structure_report(G)
     lines = [
         f"group {G.name or args.spec}: order {report.order}",
@@ -101,7 +97,7 @@ def cmd_info(args):
 
 
 def cmd_screen(args):
-    G = _build(args.spec)
+    G = build_group(args.spec)
     verdict = screen(G)
     _emit(args, verdict.to_dict())
     return {"realizable": EXIT_OK,
@@ -110,7 +106,7 @@ def cmd_screen(args):
 
 
 def cmd_realize(args):
-    G = _build(args.spec)
+    G = build_group(args.spec)
     m = _parse_char(args.char)
     method = args.method
 
@@ -135,7 +131,18 @@ def cmd_realize(args):
     if method == "screen-only":
         _emit(args, verdict.to_dict())
         return EXIT_UNKNOWN
-    config = SearchConfig(m=m, budget=args.budget)
+    if method == "auto" and m == 1 and G.exponent() <= 4:
+        # screen ran the construction and it was exhausted (known only at
+        # order 128, where the search's pool has 333,502 generators)
+        payload = verdict.to_dict()
+        payload["search"] = {"result": "not_run",
+                             "reason": "exponent <= 4 in characteristic 2: "
+                                       "run --method search to force it"}
+        _emit(args, payload)
+        return EXIT_UNKNOWN
+    # the default support sizes that fit in G (all of them from order 4)
+    sizes = tuple(s for s in SearchConfig.support_sizes if s <= G.n)
+    config = SearchConfig(m=m, support_sizes=sizes, budget=args.budget)
     cert = search_realizing_ideal(G, config)
     if cert is None:
         payload = verdict.to_dict()
@@ -147,7 +154,7 @@ def cmd_realize(args):
 
 
 def cmd_unitgroup(args):
-    G = _build(args.spec)
+    G = build_group(args.spec)
     m = _parse_char(args.char)
     if args.ideal:
         literals = [s.strip() for s in args.ideal.split(";") if s.strip()]

@@ -493,18 +493,6 @@ class IdealBasis:
         """Hashable canonical form of the rows: equal keys, equal spans."""
         return tuple(self._impl.rows)
 
-    def fingerprint(self):
-        return hash((self.m, self.key()))
-
-    def __eq__(self, other):
-        return (isinstance(other, IdealBasis)
-                and self.group is other.group
-                and self.m == other.m
-                and self.key() == other.key())
-
-    def __hash__(self):
-        return self.fingerprint()
-
 
 def _translations(group):
     """Left/right index permutations by a fixed minimal generating set.
@@ -737,10 +725,12 @@ def quotient_ring(ideal: IdealBasis) -> QuotientRing:
 @dataclass
 class UnitGroup:
     """Cayley table on the units of a residue ring, identity first, plus
-    the residue index of each unit."""
+    the residue index of each unit and its inverse map ``position``
+    (residue index -> unit index; non-units are absent)."""
 
     group: CayleyGroup
     residue_index: list[int]
+    position: dict[int, int]
     ring: QuotientRing
 
 
@@ -776,7 +766,7 @@ def unit_group(ring) -> UnitGroup:
         except KeyError:
             raise InternalInvariantError("units are not closed") from None
     G = CayleyGroup(table, name="units", check=True)
-    return UnitGroup(group=G, residue_index=units, ring=ring)
+    return UnitGroup(group=G, residue_index=units, position=pos, ring=ring)
 
 
 def full_group_ring(group, m) -> QuotientRing:

@@ -881,26 +881,11 @@ def normal_subgroups(G: CayleyGroup):
 def direct_factor_pair(G: CayleyGroup):
     """A pair (N1, N2) of complementary nontrivial normal subgroups, or
     None when G is indecomposable.  Deterministic: first pair in the sorted
-    normal-subgroup order."""
+    normal-subgroup order.  On an abelian group this searches the whole
+    subgroup lattice; ``is_indecomposable`` reads the invariants instead."""
     if G.n > INDECOMP_CAP:
         raise SizeCapError(
             f"indecomposability is only decided for order <= {INDECOMP_CAP}")
-    if G.n == 1:
-        return None
-    if G.is_abelian():
-        inv = G.abelian_invariants()
-        if len(inv) == 1:
-            return None
-        # split off a cyclic factor of maximal order
-        orders = G.element_orders()
-        a = orders.index(max(orders))
-        n1 = G.subgroup([a])
-        target = G.n // len(n1)
-        n1set = set(n1)
-        for n2 in normal_subgroups(G):
-            if len(n2) == target and len(n1set & set(n2)) == 1:
-                return (n1, n2)
-        raise Fuchs2Error("no complement for a maximal cyclic factor")
     subs = normal_subgroups(G)
     by_size = {}
     for s in subs:
@@ -917,7 +902,13 @@ def direct_factor_pair(G: CayleyGroup):
 
 
 def is_indecomposable(G: CayleyGroup):
-    """True iff G is not a direct product of two nontrivial subgroups."""
+    """True iff G is not a direct product of two nontrivial subgroups.
+
+    An abelian group is indecomposable exactly when it is cyclic, so its
+    invariants decide it at every order; a nonabelian group needs the
+    normal-subgroup search of ``direct_factor_pair`` (order <= 128)."""
+    if G.is_abelian():
+        return len(G.abelian_invariants()) <= 1
     return direct_factor_pair(G) is None
 
 

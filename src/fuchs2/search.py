@@ -156,6 +156,9 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     turn.  Only candidates inside skipped subtrees are never yielded; they
     have fewer than 2|G| residues and cannot certify.
     """
+    for size in config.support_sizes:
+        if size > G.n:
+            raise Fuchs2Error(f"support size {size} exceeds |G| = {G.n}")
     pool = _single_elements(G, config)
     closure = _principal_closures(G, pool)
     limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
@@ -191,10 +194,12 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
 
 
 def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
-    """Certificate for one closed candidate, or None."""
+    """Certificate for one closed candidate, or None.
+
+    The candidate is proper without a check: every pool element has even
+    coefficient sum, so its ideal lies in the even-sum maximal ideal of
+    the local ring Z_{2^m}[G]."""
     if basis.span_size() * 2 * G.n != (1 << (config.m * G.n)):
-        return None
-    if any(sum(r) % 2 for r in basis.rows):
         return None
     ring = quotient_ring(basis)
     units = unit_group(ring)
@@ -336,7 +341,6 @@ def verify_certificate(cert) -> bool:
     witness = doc["iso_witness"]
     if set(witness) != set(target.gen_names):
         return False
-    unit_pos = {r: k for k, r in enumerate(units.residue_index)}
     images = []
     for name in target.gen_names:
         try:
@@ -344,9 +348,9 @@ def verify_certificate(cert) -> bool:
         except Fuchs2Error as exc:
             raise CertificateError(f"bad witness literal: {exc}") from exc
         residue = ring.project(coeffs)
-        if residue not in unit_pos:
+        if residue not in units.position:
             return False
-        images.append(unit_pos[residue])
+        images.append(units.position[residue])
     phi = generator_map(target, target.gen_indices, images, units.group)
     if phi is None or None in phi:
         return False

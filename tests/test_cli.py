@@ -275,6 +275,32 @@ def test_realize_search_method(capsys):
     assert doc["method"] == "search"
 
 
+def test_realize_searches_order_2_with_the_sizes_that_fit(capsys):
+    # support size 4 does not fit in C2; the default sizes that do still
+    # find Z_4 = Z_4[C2]/(1+a)
+    assert dispatch(["realize", "C2", "--char", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "search" and doc["char"] == 4
+
+
+def test_auto_mode_does_not_search_an_exhausted_exponent_4_group(
+        capsys, tmp_path, monkeypatch):
+    import fuchs2.cli
+    from test_star import CLS4_128
+
+    def refuse(*args):
+        raise AssertionError("auto mode ran the bounded search")
+
+    monkeypatch.setattr(fuchs2.cli, "search_realizing_ideal", refuse)
+    pres = tmp_path / "cls4_128.pres"
+    pres.write_text(CLS4_128)
+    assert dispatch(["realize", f"file:{pres}"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unknown"
+    assert doc["search"]["result"] == "not_run"
+    assert any("bounded search" in note for note in doc["notes"])
+
+
 def test_certificates_identical_across_processes(tmp_path):
     # byte-identical output from separate interpreter invocations (guards
     # against hash-order leaking into serialization)

@@ -17,6 +17,7 @@ from fuchs2.groups import (
     _CosetTable,
     _element_fingerprints,
     build_group,
+    direct_factor_pair,
     direct_product,
     enumerate_presentation,
     generator_map,
@@ -456,6 +457,19 @@ def test_fingerprint_separates(groups):
 
 # -- decomposability ----------------------------------------------------------
 
+def _partitions(k, top):
+    if k == 0:
+        yield ()
+    for part in range(min(k, top), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
+# every abelian group of order 2..32, as a product of cyclic catalog groups
+ABELIAN_UP_TO_32 = ["x".join(f"C{1 << e}" for e in parts)
+                    for k in range(1, 6) for parts in _partitions(k, k)]
+
+
 def test_indecomposable():
     assert is_indecomposable(build_group("C2"))
     assert is_indecomposable(build_group("Q16"))
@@ -463,6 +477,12 @@ def test_indecomposable():
     assert not is_indecomposable(build_group("C4xC2"))
     assert not is_indecomposable(build_group("SG32_37"))
     assert is_indecomposable(build_group("SG64_88"))
+    # abelian groups are decided by their invariants; the normal-subgroup
+    # search must agree on every abelian catalog product of order <= 32
+    for spec in ABELIAN_UP_TO_32:
+        G = build_group(spec)
+        assert is_indecomposable(G) == (direct_factor_pair(G) is None), spec
+        assert is_indecomposable(G) == ("x" not in spec), spec
 
 
 def test_normal_subgroup_orders_divide():
@@ -481,6 +501,9 @@ def test_structure_report(groups):
     assert r.indecomposable is True
     assert r.minimal_generator_count == 2
     assert r.abelian_invariants == ()
+    # above the normal-subgroup search's order cap an abelian group is
+    # still decided by its invariants
+    assert structure_report(build_group("C4xC4xC4xC4")).indecomposable is False
 
 
 def test_invariant_order_divides_exponent(groups):

@@ -83,7 +83,8 @@ def search_inputs(draw):
     G = build_group(draw(st.sampled_from(SMALL)))
     config = SearchConfig(
         m=draw(st.sampled_from((1, 2))),
-        support_sizes=draw(st.sampled_from(((2,), (4,), (2, 4)))),
+        support_sizes=draw(st.sampled_from(
+            [s for s in ((2,), (4,), (2, 4)) if max(s) <= G.n])),
         max_gens=draw(st.integers(1, 3)),
         # the oracle closes every raw candidate: keep order 16 cheaper
         budget=draw(st.integers(1, 3000 if G.n <= 8 else 400)))
@@ -107,6 +108,8 @@ def test_walk_matches_closing_every_candidate(inputs):
         assert index < config.budget and gens == raw[index]
         assert basis.closed
         assert basis.rows == ideal_closure(list(gens)).rows
+        # inside the even-sum maximal ideal, so proper
+        assert all(sum(r) % 2 == 0 for r in basis.rows)
         if G.n <= 8 and basis.span_size() <= 256:
             span = oracles.brute_two_sided_ideal(
                 G, config.m, [g.coeffs for g in gens])
@@ -214,6 +217,16 @@ def test_search_config_validates_its_fields(kwargs, match):
     # raised a bare ValueError for a support size of 0
     with pytest.raises(Fuchs2Error, match=match):
         SearchConfig(**kwargs)
+
+
+def test_support_size_above_the_group_order_is_an_error():
+    # such a size draws an empty pool; ending with None would read as an
+    # exhausted budget
+    G = build_group("C8")
+    for sizes in ((16,), (2, 16)):
+        with pytest.raises(Fuchs2Error, match="support size 16 exceeds"):
+            search_realizing_ideal(G, SearchConfig(support_sizes=sizes))
+    assert list(enumerate_candidates(G, SearchConfig(support_sizes=(8,))))
 
 
 def test_search_c8xc2_finds_certificate():

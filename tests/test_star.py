@@ -5,6 +5,7 @@ import pytest
 from fuchs2.errors import Fuchs2Error
 from fuchs2.gring import quotient_ring, unit_group
 from fuchs2.groups import build_group, verify_homomorphism
+from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
     complement_ideal,
@@ -169,6 +170,15 @@ def test_normal_complement_meets_group_trivially(spec):
 
 # -- full pipeline ------------------------------------------------------------
 
+def assert_natural_witness(G, cert):
+    """The witness is g -> g + I: each generator's image is its own
+    residue."""
+    ring = quotient_ring(cert.basis)
+    for name, g in zip(G.gen_names, G.gen_indices):
+        image = parse_element_literal(cert.witness[name], G, 1)
+        assert ring.project(image) == ring.element_index[g], name
+
+
 @pytest.mark.parametrize("spec", ["C2", "C2xC2", "C4", "Q8", "D8"])
 def test_realize_small(spec):
     G = build_group(spec)
@@ -176,6 +186,7 @@ def test_realize_small(spec):
     assert cert.quotient_size == 2 * G.n
     assert cert.method == "star"
     assert verify_certificate(cert)
+    assert_natural_witness(G, cert)
 
 
 @pytest.mark.parametrize("spec", ["D8xC4xC4", "C4xC4xC4xC2xC2"])
@@ -184,6 +195,7 @@ def test_realize_orders_128_and_256(spec):
     cert = realize_exponent4(G)
     assert cert.quotient_size == 2 * G.n
     assert verify_certificate(cert.to_json())
+    assert_natural_witness(G, cert)
 
 
 def test_realize_rejects_exponent_8():
@@ -206,6 +218,8 @@ def test_certificate_units_are_local():
     units = unit_group(ring)
     odd = [i for i in range(ring.size) if ring.augmentation_index(i) % 2]
     assert sorted(units.residue_index) == odd
+    assert all(units.position[r] == k
+               for k, r in enumerate(units.residue_index))
 
 
 def test_realize_verifies_the_natural_map_once(monkeypatch):
@@ -221,10 +235,21 @@ def test_realize_verifies_the_natural_map_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_realize_raises_when_the_natural_map_fails(monkeypatch):
+    # the natural map is the isomorphism by theory; no other one is sought
+    from fuchs2 import star
+    from fuchs2.errors import InternalInvariantError
+    monkeypatch.setattr(star, "projection_witness", lambda *args: None)
+    with pytest.raises(InternalInvariantError, match="natural map"):
+        realize_exponent4(build_group("Q8"))
+
+
 def test_realize_deterministic():
     G1 = build_group("Q8xC2")
     G2 = build_group("Q8xC2")
-    assert realize_exponent4(G1).to_json() == realize_exponent4(G2).to_json()
+    cert = realize_exponent4(G1)
+    assert cert.to_json() == realize_exponent4(G2).to_json()
+    assert_natural_witness(G1, cert)
 
 
 # -- class >= 3 ---------------------------------------------------------------
@@ -255,6 +280,7 @@ def test_realize_class_3_group_via_chief_chain_fallback():
     cert = realize_exponent4(G)
     assert cert.quotient_size == 2 * G.n
     assert verify_certificate(cert)
+    assert_natural_witness(G, cert)
 
 
 def test_class_4_group_is_a_recorded_open_case():
@@ -305,6 +331,7 @@ def test_realize_takes_first_basis_passing_the_conditions(spec):
         pytest.fail("no composition basis passed the conditions")
     cert = realize_exponent4(G)
     assert cert.basis.rows == complement_ideal(G, st).rows
+    assert_natural_witness(G, cert)
 
 
 def test_open_case_message_counts_the_bases_checked():
