@@ -358,26 +358,6 @@ class CayleyGroup:
         sub = CayleyGroup(mul, name=f"subgroup({self.name})", check=False)
         return sub, to_sub, list(members)
 
-    def quotient_group(self, normal):
-        """CayleyGroup on G/N plus the coset map (N must be normal)."""
-        nset = set(normal)
-        coset_of = [None] * self.n
-        reps = []
-        for x in range(self.n):
-            if coset_of[x] is None:
-                coset = {self.mul[x][v] for v in nset}
-                idx = len(reps)
-                reps.append(x)
-                for y in coset:
-                    if coset_of[y] is not None:
-                        raise ConstructionError("subgroup is not normal")
-                    coset_of[y] = idx
-        q = len(reps)
-        mul = [[coset_of[self.mul[reps[i]][reps[j]]] for j in range(q)]
-               for i in range(q)]
-        quot = CayleyGroup(mul, name=f"{self.name}/N", check=False)
-        return quot, coset_of, reps
-
 
 # -- presentation enumeration ---------------------------------------------
 

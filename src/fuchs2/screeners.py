@@ -151,11 +151,11 @@ def maximal_exponent_obstruction(G: CayleyGroup) -> bool:
 def char_constraint(G: CayleyGroup) -> bool:
     """True when G is a direct product of nonabelian indecomposable
     groups, forcing char(R) = 2^m for any realizing ring R."""
+    if G.n == 1 or G.is_abelian():
+        return False
     if G.n > INDECOMP_CAP:
         raise SizeCapError(
             f"characteristic constraint needs order <= {INDECOMP_CAP}")
-    if G.n == 1 or G.is_abelian():
-        return False
     pair = direct_factor_pair(G)
     if pair is None:
         return True
@@ -252,20 +252,20 @@ def screen(G: CayleyGroup, realize=True) -> Verdict:
                 "2-power-characteristic constraint for products of "
                 "nonabelian indecomposables")
 
-    prop_2m = None
-    if G.n <= INDECOMP_CAP:
+    try:
         prop_2m = char_constraint(G)
-        if prop_2m:
-            reasons.append(Reason(
-                rule="two_power_characteristic_only",
-                statement=("direct product of nonabelian indecomposable "
-                           "groups: any realizing ring has characteristic "
-                           "2^m"),
-                scope=SCOPE_CONSTRAINT,
-            ))
-    else:
+    except SizeCapError:
+        prop_2m = None
         notes.append("indecomposability not tested above order "
                      f"{INDECOMP_CAP}; absolute refutations limited")
+    if prop_2m:
+        reasons.append(Reason(
+            rule="two_power_characteristic_only",
+            statement=("direct product of nonabelian indecomposable "
+                       "groups: any realizing ring has characteristic "
+                       "2^m"),
+            scope=SCOPE_CONSTRAINT,
+        ))
 
     if cor_max or (thm_self is not None and prop_2m):
         return Verdict(spec, "not_realizable", SCOPE_ANY_RING, reasons,

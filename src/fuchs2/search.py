@@ -9,9 +9,10 @@ canonical basis into its prefix's.  A prefix whose span already leaves
 fewer than 2|G| residues (the only size a realizing residue ring can have)
 is not extended, and its subtree is counted into the raw index, so the
 budget ends the stream at the same raw index as closing every tuple in
-turn would.  The first candidate with exactly 2|G| residues whose unit
-group is isomorphic to G is certified.  Identical (group, config) inputs
-give byte-identical certificates.
+turn would.  The zero ideal is tried before the walk.  The first
+candidate with exactly 2|G| residues whose unit group is isomorphic to G
+is certified.  Identical (group, config) inputs give byte-identical
+certificates.
 
 The fixture suite rebuilds every explicit ideal from the literature this
 package tracks and hard-checks the resulting unit groups.
@@ -218,8 +219,11 @@ def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
 
 def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     """First certificate in enumeration order, or None at budget
-    exhaustion (which is not a refutation)."""
-    for _, _, basis in enumerate_candidates(G, config):
+    exhaustion (which is not a refutation).  The zero ideal is tried
+    first: Z_2[C1] and Z_2[C2] realize their own groups, and for every
+    other group and m its size test rejects it before any ring is built."""
+    candidates = (basis for _, _, basis in enumerate_candidates(G, config))
+    for basis in itertools.chain([IdealBasis.zero(G, config.m)], candidates):
         cert = _evaluate(G, config, basis)
         if cert is not None:
             return cert

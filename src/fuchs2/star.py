@@ -8,7 +8,9 @@ exponent vectors; a cubic scan over all |G|^3 triples names the lex-least
 witness when they fail), take the complement ideal (even-sum vectors whose
 XOR-sum of supports vanishes), and certify that the unit group of the
 resulting residue ring is the group we started from.  The candidate bases
-are tried in the single order that ``composition_bases`` yields.
+are tried in the single order that ``composition_bases`` yields: direct
+bases for class <= 2, then bases read off chief chains through the
+center.
 
 Every step that the underlying theory guarantees is still checked: the
 normal forms are enumerated exhaustively, the conditions are decided for
@@ -34,12 +36,13 @@ from .gring import (
     unit_group,
     verify_two_sided,
 )
-from .groups import CayleyGroup, verify_homomorphism
+from .groups import CayleyGroup, normal_subgroups, verify_homomorphism
 from .parsing import element_literal
 
 __version__ = "0.1.0"
 
 PC_ATTEMPTS = 64
+CHIEF_CHAINS = 256
 
 
 @dataclass
@@ -142,89 +145,42 @@ def _base_sequence(G: CayleyGroup, gens):
     return seq, len(noncentral), encode
 
 
-def _direct_bases(G: CayleyGroup):
-    """Class <= 2 bases: the _base_sequence results that pass its checks,
-    over the first PC_ATTEMPTS minimal generating sequences."""
-    for gens in itertools.islice(G.minimal_generating_sequences(),
-                                 PC_ATTEMPTS):
-        made = _base_sequence(G, list(gens))
-        if made is not None:
-            yield PcSequence(G, *made)
-
-
 def pc_sequence(G: CayleyGroup) -> PcSequence:
-    """Center-last composition basis.
-
-    Class <= 2 groups get the direct basis (generators, then their square
-    layers and independent commutators); higher classes recurse on G/Z(G)
-    and lift, appending a basis of the center.  Generator choices are
-    backtracked (bounded) until the exhaustive normal-form and center-split
-    checks pass; valid 2-groups always succeed.
-    """
-    if G.n == 1:
-        return PcSequence(G, (), 0, [0])
-    if G.nilpotency_class() <= 2:
-        seq = next(_direct_bases(G), None)
-        if seq is None:
-            raise InternalInvariantError(
-                f"no composition basis found for {G.name or 'group'} "
-                f"within {PC_ATTEMPTS} attempts")
-        return seq
-
-    center = G.center()
-    quot, coset_of, reps = G.quotient_group(center)
-    inner = pc_sequence(quot)
-    lifted = []
-    for q_elt in inner.elements:
-        # canonical lift: the minimal-index member of the coset
-        members = [x for x in range(G.n) if coset_of[x] == q_elt]
-        lifted.append(min(members))
-    zsub, _, zmembers = G.subgroup_cayley(center)
-    ztail = pc_sequence(zsub)
-    tail = [zmembers[z] for z in ztail.elements]
-    seq = tuple(lifted) + tuple(tail)
-    encode = _normal_forms(G, seq)
-    if encode is None:
+    """The first center-last composition basis of ``composition_bases``."""
+    seq = next(composition_bases(G), None)
+    if seq is None:
         raise InternalInvariantError(
-            "lifted composition basis lost normal-form uniqueness")
-    return PcSequence(G, seq, len(lifted), encode)
+            f"no composition basis found for {G.name or 'group'}")
+    return seq
 
 
-def chief_chain_sequences(G: CayleyGroup, limit=256):
+def chief_chain_sequences(G: CayleyGroup):
     """Center-last composition bases from chief series through Z(G).
 
-    Fallback for groups where the recursive construction fails the
-    translation conditions (possible from nilpotency class 3 up): walk
-    maximal chains of normal subgroups that pass through the center,
-    taking the minimal-index representative at each step.  Every such
-    chain gives unique {0,1} normal forms with the suffix generating the
-    center.  Deterministic order; at most `limit` sequences.
+    Walk the maximal chains of normal subgroups that climb to the center
+    and then through it to G, taking the minimal-index new element at each
+    step, in a deterministic order.  Every such chain gives unique {0,1}
+    normal forms with the suffix generating the center; that is checked,
+    and a chain that fails it raises InternalInvariantError.
     """
-    from .groups import normal_subgroups
-
     if G.n == 1:
         return
     center = set(G.center())
-    subs = [set(s) for s in normal_subgroups(G)]
+    split = G.n.bit_length() - len(center).bit_length()
     by_size = {}
-    for s in subs:
-        by_size.setdefault(len(s), []).append(s)
-    budget = [limit]
+    for s in normal_subgroups(G):
+        by_size.setdefault(len(s), []).append(set(s))
 
     def walk(chain):
-        if budget[0] <= 0:
-            return
         cur = chain[-1]
         if len(cur) == G.n:
-            budget[0] -= 1
-            seq = []
-            for lvl in range(len(chain) - 1, 0, -1):
-                seq.append(min(chain[lvl] - chain[lvl - 1]))
-            encode = _normal_forms(G, tuple(seq))
+            seq = tuple(min(chain[lvl] - chain[lvl - 1])
+                        for lvl in range(len(chain) - 1, 0, -1))
+            encode = _normal_forms(G, seq)
             if encode is None:
-                return
-            split = G.n.bit_length() - len(center).bit_length()
-            yield PcSequence(G, tuple(seq), split, encode)
+                raise InternalInvariantError(
+                    "chief-chain basis lost normal-form uniqueness")
+            yield PcSequence(G, seq, split, encode)
             return
         for cand in by_size.get(len(cur) * 2, []):
             # climb to the center first, then through it to the top
@@ -240,22 +196,23 @@ def composition_bases(G: CayleyGroup):
     """Every candidate center-last composition basis, in the order the
     construction tries them.
 
-    Class <= 2 groups (other than 1) yield their direct bases; higher
-    classes and the trivial group yield the recursive ``pc_sequence``
-    result, unless it fails its own checks.  The chief-chain bases follow,
-    since from class 3 up those first candidates can fail the translation
-    conditions.
+    Class <= 2 groups (C1 included) first yield their direct bases: the
+    ``_base_sequence`` results that pass its checks, over the first
+    PC_ATTEMPTS minimal generating sequences.  The first CHIEF_CHAINS
+    chief-chain bases follow; from class 3 up they are the only ones.  A
+    basis is yielded once: the conditions depend on its elements only.
     """
-    if G.n > 1 and G.nilpotency_class() <= 2:
-        yield from _direct_bases(G)
-    else:
-        try:
-            seq = pc_sequence(G)
-        except InternalInvariantError:
-            pass
-        else:
+    direct = ()
+    if G.nilpotency_class() <= 2:
+        made = (_base_sequence(G, list(gens)) for gens in itertools.islice(
+            G.minimal_generating_sequences(), PC_ATTEMPTS))
+        direct = (PcSequence(G, *m) for m in made if m is not None)
+    chains = itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS)
+    seen = set()
+    for seq in itertools.chain(direct, chains):
+        if seq.elements not in seen:
+            seen.add(seq.elements)
             yield seq
-    yield from chief_chain_sequences(G)
 
 
 @dataclass

@@ -275,6 +275,12 @@ def test_realize_search_method(capsys):
     assert doc["method"] == "search"
 
 
+def test_realize_c2_by_search(capsys):
+    assert dispatch(["realize", "C2", "--method", "search"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "search" and doc["ideal_basis"] == []
+
+
 def test_realize_searches_order_2_with_the_sizes_that_fit(capsys):
     # support size 4 does not fit in C2; the default sizes that do still
     # find Z_4 = Z_4[C2]/(1+a)

@@ -87,6 +87,23 @@ def test_inconsistent_presentation_reports_relator():
     assert "a" in str(err.value)
 
 
+def test_collapsing_generator_names_a_relator_it_needs():
+    from fuchs2.parsing import parse_presentation_text
+    rels = ["a^2", "b^2", "[a,b]", "a*b*a"]
+    text = "gens: a b\nrels: " + ", ".join(rels)
+    with pytest.raises(ConstructionError) as err:
+        enumerate_presentation(parse_presentation_text(text))
+    message = str(err.value)
+    assert "generator 'b' collapses" in message
+    culprit = message.rsplit("offending relator: ", 1)[1]
+    assert culprit in rels
+    # without the named relator, b survives
+    rest = [r for r in rels if r != culprit]
+    G = enumerate_presentation(
+        parse_presentation_text("gens: a b\nrels: " + ", ".join(rest)))
+    assert G.gen_indices[1] != 0
+
+
 def test_order_cap():
     from fuchs2.errors import Fuchs2Error
     with pytest.raises(Fuchs2Error):

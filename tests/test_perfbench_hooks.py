@@ -33,3 +33,19 @@ def test_search_closures_stay_traced(monkeypatch):
         [g[:2] for g in spans.GENERATORS]
     assert search.ideal_closure is gring.ideal_closure
     assert inspect.isgeneratorfunction(search.enumerate_candidates)
+
+
+def test_benchmark_smoke_run():
+    # one round of every workload, untraced: the benchmark's own output
+    # checks pass, and the one failed operation is the CLS4_128 open case
+    import json
+    import subprocess
+    import sys
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--seconds", "0", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True
+    assert report["failed"] == 1

@@ -78,6 +78,19 @@ def test_char_constraint():
     assert not char_constraint(build_group("C1"))
 
 
+def test_char_constraint_decides_abelian_groups_above_the_cap():
+    # an abelian group is never a product of nonabelian groups, at any order
+    G = build_group("C8xC4xC4xC2")
+    assert G.n > 128 and G.is_abelian()
+    assert not char_constraint(G)
+
+
+def test_indecomposability_note_only_where_it_is_untested():
+    assert screen(build_group("C8xC4xC4xC2")).notes == []
+    note = "indecomposability not tested above order 128"
+    assert any(note in n for n in screen(build_group("D16xC4xC4")).notes)
+
+
 # -- aggregation --------------------------------------------------------------
 
 def test_screen_realizable():

@@ -238,6 +238,17 @@ def test_search_c8xc2_finds_certificate():
     assert verify_certificate(cert)
 
 
+@pytest.mark.parametrize("spec", ["C1", "C2"])
+def test_search_finds_the_zero_ideal(spec):
+    # Z_2[C1] and Z_2[C2] have 2|G| elements: the group ring is the answer
+    G = build_group(spec)
+    cert = search_realizing_ideal(G, SearchConfig(m=1))
+    assert cert is not None
+    assert cert.to_dict()["ideal_basis"] == []
+    assert cert.quotient_size == 2 * G.n
+    assert verify_certificate(cert)
+
+
 def test_search_c8_negative_control():
     # the screeners refute C8 in characteristic 2; the search must come up
     # empty (budgeted run, not a proof)

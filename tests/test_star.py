@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from fuchs2.groups import build_group, verify_homomorphism
 from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
+    CHIEF_CHAINS,
+    chief_chain_sequences,
     complement_ideal,
     composition_bases,
     pc_sequence,
@@ -269,43 +272,60 @@ def _presented(text):
     return enumerate_presentation(parse_presentation_text(text))
 
 
+# CLS4_128 with one more relator: the first two give non-isomorphic groups
+# of order 64, class 4 and |Z| = 2, the third a class-3 group of order 64
+OPEN_64 = [CLS4_128 + ", a^2*b*a^2*b", CLS4_128 + ", a^2*b*a*b^2*a*b^-1"]
+CLS3_64B = CLS4_128 + ", a*b^2*a^-1*b^2"
+
+
 def test_realize_class_3_group_via_chief_chain_fallback():
-    # exponent-4 group of nilpotency class 3: the recursive construction
-    # fails the translation conditions here, and the chief-series fallback
-    # finds a working composition basis
-    G = _presented(CLS3_64)
-    assert G.n == 64
-    assert G.exponent() == 4
-    assert G.nilpotency_class() == 3
-    cert = realize_exponent4(G)
-    assert cert.quotient_size == 2 * G.n
-    assert verify_certificate(cert)
-    assert_natural_witness(G, cert)
+    # exponent-4 groups of nilpotency class 3, where every composition
+    # basis comes from a chief chain through the center; one of them
+    # passes the translation conditions
+    for text in (CLS3_64, CLS3_64B):
+        G = _presented(text)
+        assert G.n == 64
+        assert G.exponent() == 4
+        assert G.nilpotency_class() == 3
+        cert = realize_exponent4(G)
+        assert cert.quotient_size == 2 * G.n
+        assert verify_certificate(cert)
+        assert_natural_witness(G, cert)
 
 
 def test_class_4_group_is_a_recorded_open_case():
-    # exponent-4 group of class 4 where no tried composition basis
-    # satisfies the conditions (recursion, chief chains, and offline
-    # sweeps over ~10^4 normal/subgroup-chain sequences all fail); the
+    # exponent-4 groups of class 4 where no tried composition basis
+    # satisfies the conditions (every chief chain fails, and offline sweeps
+    # over ~10^4 normal/subgroup-chain sequences of CLS4_128 fail too); the
     # constructive route reports honest exhaustion and the screeners
     # degrade to "unknown" with an explanatory note
     from fuchs2.errors import InternalInvariantError
+    from fuchs2.groups import isomorphism
     from fuchs2.screeners import screen
-    G = _presented(CLS4_128)
-    assert G.n == 128
-    assert G.exponent() == 4
-    assert G.nilpotency_class() == 4
-    with pytest.raises(InternalInvariantError):
-        realize_exponent4(G)
-    v = screen(G)
-    assert v.status == "unknown"
-    assert any("bounded search" in note for note in v.notes)
+    groups = [_presented(text) for text in [CLS4_128] + OPEN_64]
+    assert [G.n for G in groups] == [128, 64, 64]
+    assert isomorphism(groups[1], groups[2]) is None
+    for G in groups:
+        assert G.exponent() == 4
+        assert G.nilpotency_class() == 4
+        if G.n == 64:
+            assert len(G.center()) == 2
+        with pytest.raises(InternalInvariantError):
+            realize_exponent4(G)
+        v = screen(G)
+        assert v.status == "unknown"
+        assert any("bounded search" in note for note in v.notes)
 
 
 # -- the candidate stream -----------------------------------------------------
 
+PRESENTED = {"CLS3_64": CLS3_64, "CLS4_128": CLS4_128}
+
+
 def _group(spec):
-    return _presented(CLS3_64) if spec == "CLS3_64" else build_group(spec)
+    if spec in PRESENTED:
+        return _presented(PRESENTED[spec])
+    return build_group(spec)
 
 
 def _basis_key(seq):
@@ -342,3 +362,33 @@ def test_open_case_message_counts_the_bases_checked():
         realize_exponent4(G)
     tried = re.search(r"\((\d+) sequences tried\)", str(info.value))
     assert int(tried.group(1)) == len(list(composition_bases(G)))
+
+
+def _elements(bases):
+    return [seq.elements for seq in bases]
+
+
+@pytest.mark.parametrize("spec", ["CLS3_64", "CLS4_128", "Q16"])
+def test_class_3_up_bases_are_the_chief_chain_bases(spec):
+    G = _group(spec)
+    assert G.nilpotency_class() >= 3
+    chains = itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS)
+    assert _elements(composition_bases(G)) == _elements(chains)
+
+
+@pytest.mark.parametrize("spec", ["C1", "Q8", "CLS3_64", "CLS4_128"])
+def test_composition_bases_do_not_repeat(spec):
+    elements = _elements(composition_bases(_group(spec)))
+    assert elements
+    assert len(set(elements)) == len(elements)
+
+
+def test_chief_chain_without_normal_forms_is_an_error(monkeypatch):
+    # every chief chain through the center gives unique normal forms by
+    # theory; a chain that does not is reported, not skipped
+    from fuchs2 import star
+    from fuchs2.errors import InternalInvariantError
+    G = _presented(CLS3_64)
+    monkeypatch.setattr(star, "_normal_forms", lambda *args: None)
+    with pytest.raises(InternalInvariantError, match="normal-form"):
+        list(chief_chain_sequences(G))
