@@ -217,6 +217,20 @@ class _Gf2Basis:
         return dup
 
     @staticmethod
+    def from_reduced(n, rows):
+        """The basis whose rows are ``rows``, already in reduced echelon
+        form: each row's lowest bit is its pivot and no row has a bit at
+        another row's pivot.  Raises InternalInvariantError otherwise."""
+        basis = _Gf2Basis(n)
+        for row in rows:
+            basis.pivots[row & -row] = row
+        basis.mask = sum(basis.pivots)
+        if len(basis.pivots) != len(rows) or any(
+                row == 0 or row & basis.mask != row & -row for row in rows):
+            raise InternalInvariantError("rows are not in reduced echelon form")
+        return basis
+
+    @staticmethod
     def pack(coeffs):
         """The packed vector of a coefficient sequence, read mod 2."""
         v = 0

@@ -193,17 +193,29 @@ class CayleyGroup:
         return tuple(sorted(seen))
 
     def conjugacy_classes(self):
+        """Classes ordered by least member, each a sorted tuple.
+
+        A class is the closure of one member under conjugation y -> g^-1 y g
+        by the generators g of ``kernels.greedy_generators``: conjugation by
+        a product is the composite of the conjugations, so O(n d) in all.
+        """
         if self._classes is None:
-            m = self.mul
-            inv = self.inv
-            seen = [False] * self.n
+            m, n = self.mul, self.n
+            conj = [[m[r][g] for r in m[self.inv[g]]]
+                    for g in kernels.greedy_generators(m) if g]
+            seen = [False] * n
             classes = []
-            for x in range(self.n):
+            for x in range(n):
                 if seen[x]:
                     continue
-                orb = {m[m[inv[g]][x]][g] for g in range(self.n)}
-                for y in orb:
-                    seen[y] = True
+                seen[x] = True
+                orb = [x]
+                for y in orb:  # grows while it is walked
+                    for c in conj:
+                        z = c[y]
+                        if not seen[z]:
+                            seen[z] = True
+                            orb.append(z)
                 classes.append(tuple(sorted(orb)))
             self._classes = classes
         return self._classes

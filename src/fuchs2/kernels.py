@@ -1,12 +1,13 @@
 """Table checks: exact structural deciders plus the cubic witness scans.
 
-The deciders use the structure the mathematics gives.  `is_associative`
-runs Light's test on a generating set, O(n^2 d) for d generators;
-`translations_affine` checks that every translation is affine on the
-exponent vectors, O(n^2).  Both decide exactly the property the cubic
-scans check.  The scans walk all |G|^3 triples and return the
-lexicographically least violation, so callers run them only after a
-decider has failed, to name the witness.
+The deciders use the structure the mathematics gives, and both test only
+a greedily found generating set (``greedy_generators``).
+`is_associative` runs Light's test, O(n^2 d) for d generators;
+`translations_affine` checks that the left and right translations by each
+generator are affine on the exponent vectors, O(n d).  Both decide
+exactly the property the cubic scans check.  The scans walk all |G|^3
+triples and return the lexicographically least violation, so callers run
+them only after a decider has failed, to name the witness.
 
 Tables are lists of rows: ``mul[x][y]`` is the index of x*y.
 """
@@ -14,42 +15,50 @@ Tables are lists of rows: ``mul[x][y]`` is the index of x*y.
 BACKEND = "pure-python"
 
 
+def greedy_generators(mul):
+    """Yield elements in index order, each one outside the submagma
+    generated by those yielded before.
+
+    A caller that tests each element as it is yielded and stops at the
+    first failure has tested a generating set of the table whenever every
+    test passed.  The submagma is grown by right multiplication by the
+    generators, which reaches every left-normed word in them.  That is all
+    of the submagma when the table is associative, and for Light's test
+    too: a product of elements that pass it equals its left-normed form.
+    """
+    n = len(mul)
+    inside = [False] * n
+    members = []
+    gens = []
+    for a in range(n):
+        if inside[a]:
+            continue
+        yield a
+        gens.append(a)
+        # the old members are closed under the old generators, so only
+        # their products with a, and everything new, need multiplying out
+        work = [a] + [mul[x][a] for x in members]
+        for x in work:
+            if inside[x]:
+                continue
+            inside[x] = True
+            members.append(x)
+            row_x = mul[x]
+            work.extend(row_x[g] for g in gens)
+
+
 def is_associative(mul):
     """Light's test on a greedily found generating set.
 
     A table is associative iff (xa)y == x(ay) for all x, y and every a in
     a generating set (Clifford & Preston, *Algebraic Theory of Semigroups*
-    I, section 1.2).  Elements are taken in index order and tested when
-    they lie outside the submagma generated by those passed before.
+    I, section 1.2).
     """
-    n = len(mul)
-    gens = []
-    inside = [False] * n
-    for a in range(n):
-        if inside[a]:
-            continue
+    for a in greedy_generators(mul):
         row_a = mul[a]
         for row_x in mul:
             if mul[row_x[a]] != [row_x[v] for v in row_a]:
                 return False
-        gens.append(a)
-        # elements passing the test form a submagma in which every product
-        # is a left-normed word, so right multiplication by the generators
-        # reaches all of the submagma they generate
-        inside = [False] * n
-        frontier = gens
-        for g in gens:
-            inside[g] = True
-        while frontier:
-            found = []
-            for x in frontier:
-                row_x = mul[x]
-                for g in gens:
-                    z = row_x[g]
-                    if not inside[z]:
-                        inside[z] = True
-                        found.append(z)
-            frontier = found
     return True
 
 
@@ -61,13 +70,17 @@ def translations_affine(mul, encode):
     enc(c) is GF(2)-linear, and condition (2) says the same of
     u -> enc(dec(u) c) XOR enc(c).  A map f with f(0) = 0 is linear iff it
     equals the XOR-span of its values on the unit vectors.
+
+    Affine maps compose, and L_cd = L_c L_d and R_cd = R_d R_c, so the c
+    whose translations are affine form a subgroup: testing a generating
+    set decides all of G.
     """
     n = len(mul)
     decode = [0] * n
     for g, u in enumerate(encode):
         decode[u] = g
     units = [1 << i for i in range(n.bit_length() - 1)]
-    for c in range(n):
+    for c in greedy_generators(mul):
         ec = encode[c]
         row_c = mul[c]
         left = [encode[row_c[g]] ^ ec for g in decode]

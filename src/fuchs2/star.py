@@ -4,23 +4,25 @@ Pipeline: take the first center-last composition basis (every element a
 unique {0,1}-product of the basis) whose induced elementary-abelian XOR
 operation on exponent vectors satisfies the two translation-compatibility
 conditions (exactly: every left and right translation is affine on the
-exponent vectors; a cubic scan over all |G|^3 triples names the lex-least
-witness when they fail), take the complement ideal (even-sum vectors whose
-XOR-sum of supports vanishes), and certify that the unit group of the
+exponent vectors, which holds for all of G once it holds for a generating
+set; a cubic scan over all |G|^3 triples names the lex-least witness when
+they fail), take the complement ideal (even-sum vectors whose XOR-sum of
+supports vanishes), and certify that the unit group of the
 resulting residue ring is the group we started from.  The candidate bases
 are tried in the single order that ``composition_bases`` yields: direct
 bases for class <= 2, then bases read off chief chains through the
 center.
 
 Every step that the underlying theory guarantees is still checked: the
-normal forms are enumerated exhaustively, the conditions are decided for
-all triples, the kernel basis is re-verified to be a two-sided ideal, and
+normal forms are enumerated exhaustively, the conditions are decided
+exactly, the kernel basis is re-verified to be a two-sided ideal, and
 the witness, the natural map g -> g + I, is checked on all pairs.  The
 certificate records enough to redo all of that from scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -218,25 +220,25 @@ def composition_bases(G: CayleyGroup):
 @dataclass
 class StarTable:
     """The elementary abelian operation a*b = decode(encode(a) XOR
-    encode(b)) induced by a composition basis."""
+    encode(b)) induced by a composition basis.  The |G| x |G| table is
+    built on first read: deciding the conditions needs only ``encode``."""
 
     group: CayleyGroup
     sequence: PcSequence
     encode: list[int]
-    table: list[list[int]]  # star rows, |G| x |G|
+
+    @functools.cached_property
+    def table(self):
+        decode = self.sequence.decode()
+        enc = self.encode
+        return [[decode[ea ^ eb] for eb in enc] for ea in enc]
 
     def star(self, a, b):
         return self.table[a][b]
 
 
 def star_table(G: CayleyGroup, seq: PcSequence) -> StarTable:
-    encode = seq.encode
-    decode = seq.decode()
-    table = []
-    for a in range(G.n):
-        ea = encode[a]
-        table.append([decode[ea ^ encode[b]] for b in range(G.n)])
-    return StarTable(G, seq, encode, table)
+    return StarTable(G, seq, seq.encode)
 
 
 def star_table_from_elements(G: CayleyGroup, elements) -> StarTable:
@@ -255,8 +257,9 @@ def verify_star_conditions(G: CayleyGroup, star: StarTable):
         (2) ((a*b)c)*c == (ac)*(bc).
     Returns (ok, witness): witness is the lexicographically least violating
     (a, b, c, condition) or None.  The conditions are decided by checking
-    that every translation is affine on the exponent vectors; only when
-    that fails does the cubic scan run, to name the witness.
+    that the translations by a generating set are affine on the exponent
+    vectors; only when that fails are the star table built and the cubic
+    scan run, to name the witness.
     """
     if kernels.translations_affine(G.mul, star.encode):
         return (True, None)
@@ -277,21 +280,25 @@ def complement_ideal(G: CayleyGroup, star: StarTable) -> IdealBasis:
     """
     n = G.n
     k = len(star.sequence.elements)
-    # constraint rows over columns 0..n-1: the parity of the support, then
-    # one row per exponent bit, in reduced echelon form
+    top = n - 1
+    # constraint rows with column g at bit top - g: the parity of the
+    # support, then one row per exponent bit.  Reduced echelon on their
+    # lowest bits, they are reduced echelon on their highest columns.
     constraints = _Gf2Basis(n)
     constraints.insert((1 << n) - 1)
     for bit in range(k):
         constraints.insert(constraints.pack(e >> bit & 1
-                                            for e in star.encode))
+                                            for e in reversed(star.encode)))
+    rows_at = {top - (p.bit_length() - 1): r
+               for p, r in constraints.pivots.items()}
     # one kernel vector per free column f: x_f = 1, and every pivot column
-    # takes the entry its row has at f
-    kernel = _Gf2Basis(n)
-    for f in range(n):
-        if not constraints.mask >> f & 1:
-            kernel.insert((1 << f) | sum(p for p, r in
-                                         constraints.pivots.items()
-                                         if r >> f & 1))
+    # takes the entry its row has at f.  Each pivot column lies above the
+    # free columns of its row, so f is the lowest bit and the only free
+    # one: the vectors are already the reduced echelon basis.
+    kernel = _Gf2Basis.from_reduced(n, [
+        (1 << f) | sum(1 << p for p, r in rows_at.items()
+                       if r >> (top - f) & 1)
+        for f in range(n) if f not in rows_at])
     expected = n - k - 1
     if kernel.rank() != expected:
         raise InternalInvariantError(

@@ -47,6 +47,22 @@ def closure_brute(G, elements):
         members = grown
 
 
+def conjugacy_classes_brute(G):
+    """Classes ordered by least member, each a sorted tuple: every
+    element conjugated by all of G."""
+    m, inv = G.mul, G.inv
+    seen = [False] * G.n
+    classes = []
+    for x in range(G.n):
+        if seen[x]:
+            continue
+        orb = {m[m[inv[g]][x]][g] for g in range(G.n)}
+        for y in orb:
+            seen[y] = True
+        classes.append(tuple(sorted(orb)))
+    return classes
+
+
 def derived_brute(G):
     """Generated by every commutator [x, g], all pairs."""
     return closure_brute(G, {commutator_brute(G, x, g)
@@ -269,6 +285,43 @@ def brute_star_kernel(G, encode):
         if acc == 0:
             out.add(mask)
     return out
+
+
+def star_kernel_planes(encode):
+    """Vectors e_g + e_u + e_gu + e_1 spanning the star kernel, packed:
+    one for every g and every unit exponent vector u, where gu has the
+    exponent vector enc(g) XOR u.  They span it because, modulo them,
+    e_g is a sum of e_1 and the e_u over the bits of enc(g); so their
+    span has codimension at most log2|G| + 1, the kernel's."""
+    n = len(encode)
+    decode = [0] * n
+    for g, e in enumerate(encode):
+        decode[e] = g
+    return [1 ^ 1 << g ^ 1 << decode[1 << i] ^ 1 << decode[encode[g] ^ 1 << i]
+            for g in range(n) for i in range(n.bit_length() - 1)]
+
+
+def translations_affine_brute(mul, encode):
+    """Every left and right translation, for all |G| elements c, is
+    affine on the exponent vectors: u -> enc(c dec(u)) XOR enc(c) and
+    u -> enc(dec(u) c) XOR enc(c) equal the XOR-span of their values on
+    the unit vectors."""
+    n = len(mul)
+    decode = [0] * n
+    for g, u in enumerate(encode):
+        decode[u] = g
+    units = [1 << i for i in range(n.bit_length() - 1)]
+    for c in range(n):
+        ec = encode[c]
+        left = [encode[mul[c][g]] ^ ec for g in decode]
+        right = [encode[mul[g][c]] ^ ec for g in decode]
+        for f in (left, right):
+            span = [0]
+            for u in units:
+                span += [v ^ f[u] for v in span]
+            if span != f:
+                return False
+    return True
 
 
 def brute_find_inverse(G, m, coeffs):

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from fuchs2.groups import build_group
+from fuchs2.parsing import parse_presentation_text
 from fuchs2.search import SearchConfig, enumerate_candidates, \
     run_fixtures, search_realizing_ideal
 from fuchs2.star import realize_exponent4
@@ -27,6 +28,19 @@ REALIZE = {
              "fd426faf43baf0d251dda1410c4651be",
     "C4xC4xC4xC2xC2": "c70ea8b0e5df2d672d0521cefc76d7d0"
                       "a66ea243c76f42ae203f349ee4d98f64",
+    "Q8xD8xC4": "5420f5ac179371fe399ba77a1a1bfcc0"
+                "1c04bc284309e4521817bee228a2b8fc",
+    "Q8xC4xC4xC2": "12732d9eee7a9d716d3c954f6de63be4"
+                   "455984ef0fb84c1286ddfe92acad28b4",
+    # exponent 4, class 3: its basis comes from a chief chain
+    "CLS3_64": "937a8b74a7b9d46068e58cb35c6715c1"
+               "7bb987d9c875f73d5d382bf92b0d80a0",
+}
+
+PRESENTED = {
+    "CLS3_64": "gens: a b\n"
+               "rels: a^4, b^4, a*b*a*b*a*b*a*b, "
+               "a*b^-1*a*b^-1*a*b^-1*a*b^-1, [b,a]^2, [a^2,b]",
 }
 
 FIXTURES = {
@@ -57,8 +71,9 @@ STREAM_C8XC2_CHAR4 = ("8fae0c87231bcb0554f46aa39974f0ba"
 
 @pytest.mark.parametrize("spec", sorted(REALIZE))
 def test_realize_certificate_bytes(spec):
-    assert sha(realize_exponent4(build_group(spec)).to_json()) == \
-        REALIZE[spec]
+    G = build_group(parse_presentation_text(PRESENTED[spec])
+                    if spec in PRESENTED else spec)
+    assert sha(realize_exponent4(G).to_json()) == REALIZE[spec]
 
 
 def test_fixture_certificate_bytes():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuchs2.errors import (
     ImproperIdealError,
+    InternalInvariantError,
     NotAUnitError,
     RingMismatchError,
     SizeCapError,
@@ -220,6 +221,27 @@ def test_gf2_basis_against_rank_oracle(case):
     for v in other:
         b2.insert(v)
     assert b2.rows == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gf2_spans())
+def test_gf2_from_reduced_takes_an_echelon_basis(case):
+    n, masks, _, _ = case
+    built = _Gf2Basis(n)
+    for v in masks:
+        built.insert(v)
+    placed = _Gf2Basis.from_reduced(n, built.rows)
+    assert (placed.pivots, placed.mask) == (built.pivots, built.mask)
+
+
+@pytest.mark.parametrize("rows", [
+    [0b011, 0b110],   # the first row has a bit at the second's pivot
+    [0b011, 0b101],   # two rows share a pivot
+    [0b011, 0],       # a zero row
+])
+def test_gf2_from_reduced_rejects_rows_that_are_not_reduced(rows):
+    with pytest.raises(InternalInvariantError, match="reduced echelon"):
+        _Gf2Basis.from_reduced(4, rows)
 
 
 def test_howell_membership_matches_brute_span():

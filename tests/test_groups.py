@@ -31,7 +31,7 @@ from fuchs2.groups import (
 )
 
 import oracles
-from test_star import CLS3_64, CLS4_128, _presented
+from test_star import CLS3_64, CLS4_128, ENCODE_POOL, _presented
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +303,41 @@ def test_class_structure_against_oracles(spec):
     for cls in G.conjugacy_classes():
         for x in cls:
             assert G.n // len(cls) == fps[x][2] == len(G.centralizer(x))
+
+
+def _catalog_specs(top):
+    """The named catalog groups (all of order <= 64) and every family
+    member of order <= top."""
+    specs = list(CATALOG_NAMED)
+    for kind, (low, _, _) in CATALOG_FAMILIES.items():
+        order = low
+        while order <= top:
+            specs.append(f"{kind}{order}")
+            order *= 2
+    return specs
+
+
+@pytest.mark.parametrize("spec", _catalog_specs(64) + ENCODE_POOL)
+def test_conjugacy_classes_against_brute(spec):
+    G = build_group(spec)
+    assert G.conjugacy_classes() == oracles.conjugacy_classes_brute(G)
+
+
+def test_conjugacy_classes_of_a_group_without_generators():
+    # the unit group of the C16 fixture's residue ring, C16xC4xC2xC2, is
+    # built from a table alone
+    from fuchs2.gring import (RingElement, ideal_closure, quotient_ring,
+                              unit_group)
+    from fuchs2.parsing import parse_element_literal
+    from fuchs2.search import FIXTURES
+    _, spec, m, literals, _ = next(row for row in FIXTURES
+                                   if row[0] == "C16_char2")
+    ambient = build_group(spec)
+    basis = ideal_closure([RingElement(ambient, m, parse_element_literal(
+        lit, ambient, m)) for lit in literals])
+    U = unit_group(quotient_ring(basis)).group
+    assert U.gen_indices == () and U.n == 256
+    assert U.conjugacy_classes() == oracles.conjugacy_classes_brute(U)
 
 
 def test_n_a_values():

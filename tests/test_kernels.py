@@ -13,11 +13,15 @@ from fuchs2.errors import ConstructionError
 from fuchs2.groups import CayleyGroup, build_group
 from fuchs2.star import (
     chief_chain_sequences,
+    composition_bases,
     pc_sequence,
     star_table,
     star_table_from_elements,
     verify_star_conditions,
 )
+
+import oracles
+from test_star import CLS4_128, _presented
 
 # orders <= 32 keep each cubic reference scan in the milliseconds; C8, D16,
 # Q16, QD16, M16, C8xC2, C8xC4 and SG32_37 have exponent 8
@@ -146,6 +150,58 @@ def test_star_conditions_match_scan_on_random_bases(spec, rnd):
     table = star_table_from_elements(G, seq)
     bad = kernels.first_condition_violation(G.mul, table.table)
     assert verify_star_conditions(G, table) == (bad is None, bad)
+
+
+def _affine_three_ways(G, table):
+    """The generator-set decider, its all-elements oracle and the cubic
+    scan, each as a verdict."""
+    return (kernels.translations_affine(G.mul, table.encode),
+            oracles.translations_affine_brute(G.mul, table.encode),
+            kernels.first_condition_violation(G.mul, table.table) is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SMALL), rnd=st.randoms(use_true_random=False))
+def test_affine_decider_matches_brute_on_random_bases(spec, rnd):
+    G = _group(spec)
+    seq = _random_basis(G, rnd)
+    if seq is None:
+        return
+    verdicts = _affine_three_ways(G, star_table_from_elements(G, seq))
+    assert len(set(verdicts)) == 1, verdicts
+
+
+@pytest.mark.parametrize("spec, passes", [("C8", False), ("C16", False),
+                                          ("C8xC2", False), ("Q8", True)])
+def test_affine_decider_on_power_chain_bases(spec, passes):
+    # a, a^2, a^4, ... then the other generators; the identity passes
+    # every test, so a failure means more than one element was tested
+    G = _group(spec)
+    a, *rest = G.gen_indices
+    chain = [G.power(a, 1 << i)
+             for i in range(G.element_order(a).bit_length() - 1)]
+    table = star_table_from_elements(G, chain + rest)
+    assert _affine_three_ways(G, table) == (passes,) * 3
+
+
+def test_affine_deciders_reject_every_cls4_128_basis():
+    G = _presented(CLS4_128)
+    bases = list(composition_bases(G))
+    assert len(bases) == 33
+    for seq in bases:
+        assert not kernels.translations_affine(G.mul, seq.encode)
+        assert not oracles.translations_affine_brute(G.mul, seq.encode)
+
+
+@pytest.mark.parametrize("spec", SMALL + ("Q8xQ8",))
+def test_greedy_generators_are_least_outside_the_span(spec):
+    G = _group(spec)
+    gens = list(kernels.greedy_generators(G.mul))
+    assert gens[0] == 0
+    for i in range(1, len(gens)):
+        span = set(oracles.closure_brute(G, gens[:i]))
+        assert gens[i] == min(set(range(G.n)) - span)
+    assert oracles.closure_brute(G, gens) == list(range(G.n))
 
 
 def test_star_conditions_match_scan_at_order_64():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fuchs2.errors import Fuchs2Error
-from fuchs2.gring import quotient_ring, unit_group
+from fuchs2.gring import _Gf2Basis, quotient_ring, unit_group
 from fuchs2.groups import build_group, verify_homomorphism
 from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
@@ -126,6 +126,20 @@ def test_conditions_fail_for_c8_naive_sequence():
     assert rhs == G.power(a, 6)
 
 
+def test_star_table_is_built_only_for_the_witness_scan():
+    G = build_group("Q8xQ8")
+    st = star_table(G, pc_sequence(G))
+    assert verify_star_conditions(G, st) == (True, None)
+    assert "table" not in st.__dict__
+    C8 = build_group("C8")
+    a = C8.gen_indices[0]
+    naive = star_table_from_elements(C8, [a, C8.power(a, 2), C8.power(a, 4)])
+    assert not verify_star_conditions(C8, naive)[0]
+    assert "table" in naive.__dict__
+    decode, enc = naive.sequence.decode(), naive.encode
+    assert naive.table == [[decode[ea ^ eb] for eb in enc] for ea in enc]
+
+
 def test_nonunique_sequence_rejected():
     G = build_group("C8")
     a = G.gen_indices[0]
@@ -155,6 +169,32 @@ def test_complement_matches_brute_kernel(spec):
     for mask in brute:
         vec = tuple((mask >> g) & 1 for g in range(G.n))
         assert basis.contains(vec)
+
+
+# the certify ladder and the order-256 encode of the benchmark
+CERTIFY_LADDER = ["Q8", "D8", "C4xC2", "C4xC4", "Q8xC2", "D8xC2",
+                  "C4xC2xC2", "Q8xC4", "D8xC4", "C4xC4xC2", "Q8xC2xC2",
+                  "D8xC2xC2", "Q8xQ8", "D8xD8", "Q8xD8", "C4xC4xC4",
+                  "Q8xC4xC2", "D8xC4xC2", "CLS3_64"]
+ENCODE_POOL = ["C4xC4xC4xC2xC2", "C4xC4xC4xC4", "C4xC4xC2xC2xC2xC2",
+               "Q8xQ8xC4", "D8xD8xC4", "Q8xD8xC4",
+               "Q8xC4xC4xC2", "D8xC4xC4xC2", "Q8xQ8xC2xC2"]
+
+
+@pytest.mark.parametrize("spec", CERTIFY_LADDER + ENCODE_POOL)
+def test_complement_rows_match_an_insert_built_kernel(spec):
+    G = _group(spec)
+    # the basis realize_exponent4 takes: the first passing the conditions
+    tables = (star_table(G, seq) for seq in composition_bases(G))
+    st = next(t for t in tables if verify_star_conditions(G, t)[0])
+    expected = _Gf2Basis(G.n)
+    for v in oracles.star_kernel_planes(st.encode):
+        expected.insert(v)
+    if G.n <= 8:
+        # the planes span the kernel the exhaustive oracle enumerates
+        assert expected.span_size() == \
+            len(oracles.brute_star_kernel(G, st.encode))
+    assert complement_ideal(G, st).key() == tuple(expected.rows)
 
 
 @pytest.mark.parametrize("spec", ["C4", "C2xC2", "D8", "Q8", "C4xC2"])
