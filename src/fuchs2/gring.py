@@ -20,7 +20,14 @@ permutations, so callers never ask which form they hold; ``_make_impl``
 alone chooses the class.
 
 Two-sided closure runs a worklist: translations are linear, so only the
-vectors that grew the span need translating, each of them once.
+vectors that grew the span need translating, each of them once.  Whether
+a given span is already two-sided is also decided by its basis class
+(``translation_closed``).  A GF(2) basis tests its annihilator under the
+standard pairing, read off the reduced rows: the transpose of a translation
+is the translation by the inverse, so a subspace and its annihilator are
+stable under the same translations, and the annihilator is the smaller of
+the two for the ideals of large rank that certificates carry.  A Howell
+basis translates its rows and reduces them, the only test over Z_{2^m}.
 
 Residue rings Z_{2^m}[G]/I are products on the canonical representatives
 of the quotient module.  A residue index is the mixed-radix number of its
@@ -42,6 +49,7 @@ suite checks it against an independent linear-algebra oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -252,6 +260,18 @@ class _Gf2Basis:
             v ^= low
         return out
 
+    @staticmethod
+    def string_translation(n, perm):
+        """``translate`` by perm as a function, for dense vectors: bit g is
+        character n-1-g of a vector's binary string, so a translate is one
+        C-level gather on that string, whatever the number of set bits."""
+        source = [0] * n
+        for g, h in enumerate(perm):
+            source[n - 1 - h] = n - 1 - g
+        gather = operator.itemgetter(*source)
+        width = f"0{n}b"
+        return lambda v: int("".join(gather(format(v, width))), 2)
+
     @property
     def rows(self):
         return [self.pivots[p] for p in sorted(self.pivots)]
@@ -294,6 +314,49 @@ class _Gf2Basis:
         for p in self.pivots:
             radix[p.bit_length() - 1] = 1
         return radix
+
+    def annihilator(self):
+        """A basis of the span's annihilator under the standard pairing,
+        keyed by free bit: for each free column f, e_f plus e_p for every
+        pivot p whose row has bit f.  It pairs to zero with every row (row
+        p meets it at f and at p alone), has f as its only free bit, and
+        there are n - rank of them, the annihilator's dimension."""
+        pivots = self.pivots.items()
+        free = ((1 << self.n) - 1) ^ self.mask
+        ann = {}
+        while free:
+            f = free & -free
+            ann[f] = f | sum(p for p, row in pivots if row & f)
+            free ^= f
+        return ann
+
+    def translation_closed(self, perms):
+        """True if the span is stable under every permutation in perms.
+
+        Decided on the annihilator, which has n - rank vectors instead of
+        rank rows.  A subspace stable under the permutations is stable
+        under the finite group they generate, and the transpose of a
+        permutation is its inverse, which lies in that group; so a
+        subspace is stable exactly when its annihilator is.  A
+        translate lies in the annihilator when clearing its free bits with
+        the annihilator vectors (each has one free bit) leaves zero.
+        Annihilator vectors are dense, so they are translated by
+        ``string_translation``.
+        """
+        ann = self.annihilator()
+        free = ((1 << self.n) - 1) ^ self.mask
+        for perm in perms:
+            translate = self.string_translation(self.n, perm)
+            for a in ann.values():
+                t = translate(a)
+                hit = t & free
+                while hit:
+                    f = hit & -hit
+                    t ^= ann[f]
+                    hit ^= f
+                if t:
+                    return False
+        return True
 
 
 class _HowellBasis:
@@ -446,6 +509,12 @@ class _HowellBasis:
             radix[col] = 1 << k
         return radix
 
+    def translation_closed(self, perms):
+        """True if the span is stable under every permutation in perms:
+        each row's translates are reduced to zero."""
+        return all(self.contains(self.translate(row, perm))
+                   for row in self.rows for perm in perms)
+
 
 def _make_impl(group, m, vectors):
     """The canonical basis of the span of ``vectors``: bit-packed GF(2)
@@ -572,11 +641,12 @@ def ideal_sum(a: IdealBasis, b: IdealBasis) -> IdealBasis:
 
 def verify_two_sided(basis: IdealBasis) -> bool:
     """Check that the span of the basis rows is a two-sided ideal without
-    extending it (generator translations stay inside the span)."""
-    impl = basis._impl
-    perms = _translations(basis.group)
-    return all(impl.contains(impl.translate(row, perm))
-               for row in impl.rows for perm in perms)
+    extending it: the span is stable under left and right translation by a
+    generating set.  The basis class decides that on its own vectors: over
+    GF(2) on the annihilator read off the rows (log2|G| + 1 vectors for a
+    star complement instead of |G| - log2|G| - 1 rows), over Z_{2^m} on
+    the translates of the Howell rows."""
+    return basis._impl.translation_closed(_translations(basis.group))
 
 
 # -- quotient rings -----------------------------------------------------------

@@ -290,24 +290,28 @@ class CayleyGroup:
 
         Each sequence projects to a basis of G modulo the Frattini subgroup,
         so all have the same length.  The first yield is the greedy choice.
+
+        Every span S grown here contains Phi(G), which holds all squares
+        and commutators, so S is normal and x^2 lies in S.  Then Sx = xS
+        and Sx * Sx = Sx^2 = S, so S u Sx is closed under products: it is
+        <S, x>, and growing a span costs 2|S| table lookups.
         """
         frat = self.frattini_subgroup()
         if len(frat) == self.n:  # trivial group
             yield ()
             return
+        mul = self.mul
 
         def extend(prefix, span):
             if len(span) == self.n:
                 yield tuple(prefix)
                 return
-            span_set = set(span)
             for x in range(1, self.n):
-                if x in span_set:
-                    continue
-                yield from extend(prefix + [x],
-                                  self.subgroup(set(span) | {x}))
+                if x not in span:
+                    yield from extend(prefix + [x],
+                                      span | {mul[s][x] for s in span})
 
-        yield from extend([], frat)
+        yield from extend([], frozenset(frat))
 
     def minimal_generators(self):
         if self._min_gens is None:

@@ -75,6 +75,27 @@ def frattini_brute(G):
                          | set(derived_brute(G)))
 
 
+def minimal_generating_sequences_brute(G):
+    """Minimal generating sequences in lexicographic index order: from the
+    Frattini subgroup, add each element outside the span in index order and
+    close the span with ``closure_brute``, until the span is G."""
+    frat = set(frattini_brute(G))
+    if len(frat) == G.n:
+        yield ()
+        return
+
+    def extend(prefix, span):
+        if len(span) == G.n:
+            yield tuple(prefix)
+            return
+        for x in range(1, G.n):
+            if x not in span:
+                yield from extend(prefix + [x],
+                                  set(closure_brute(G, span | {x})))
+
+    yield from extend([], frat)
+
+
 def upper_central_series_brute(G):
     """Every term [{1}, Z_1, Z_2, ..., G] as sorted lists: Z_{i+1} holds
     the x with [x, g] in Z_i for every g."""
@@ -216,6 +237,34 @@ class HowellReference:
         for col, (k, _) in self.pivots.items():
             radix[col] = 1 << k
         return radix
+
+
+def two_sided_brute(G, m, rows):
+    """True if the span of ``rows`` (coefficient tuples) is a two-sided
+    ideal of Z_{2^m}[G]: every row translated by every group element on
+    either side lies in the span.  Over GF(2) membership is a rank test
+    (``gf2_rank`` does not grow); over Z_{2^m} it is ``HowellReference``
+    membership."""
+    n = G.n
+    translates = []
+    for row in rows:
+        for g in range(n):
+            left = [0] * n
+            right = [0] * n
+            for h, c in enumerate(row):
+                left[G.mul[g][h]] = c
+                right[G.mul[h][g]] = c
+            translates += [left, right]
+    if m == 1:
+        def pack(v):
+            return sum(1 << g for g, c in enumerate(v) if c & 1)
+        masks = [pack(r) for r in rows]
+        rank = gf2_rank(masks)
+        return all(gf2_rank(masks + [pack(t)]) == rank for t in translates)
+    ref = HowellReference(n, m)
+    for row in rows:
+        ref.insert(row)
+    return all(ref.contains(t) for t in translates)
 
 
 def is_unit_by_linear_algebra(G, m, coeffs):

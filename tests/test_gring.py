@@ -665,6 +665,76 @@ def test_unit_table_cap_checked_before_scanning(monkeypatch):
         unit_group(ring)
 
 
+def _translation_closure(G, vectors, sides):
+    """The GF(2) span of ``vectors`` closed under translation by every
+    group element on the given sides ("left", "right")."""
+    perms = []
+    if "left" in sides:
+        perms += [G.mul[g] for g in range(G.n)]
+    if "right" in sides:
+        perms += [[G.mul[h][g] for h in range(G.n)] for g in range(G.n)]
+    impl = _Gf2Basis(G.n)
+    work = [v for v in vectors if impl.insert(v)]
+    while work:
+        v = work.pop()
+        for perm in perms:
+            t = _Gf2Basis.translate(v, perm)
+            if impl.insert(t):
+                work.append(t)
+    return IdealBasis(G, 1, impl)
+
+
+@st.composite
+def gf2_subspaces(draw):
+    """A subspace of F_2[G]: the span of 0-4 random vectors, optionally
+    closed on the left, the right or both sides, optionally plus one more
+    random vector.  Vectors are random, or g + h, whose one-sided closures
+    are often not two-sided."""
+    G = build_group(draw(st.sampled_from(SMALL)))
+    element = st.integers(0, G.n - 1)
+    vector = st.one_of(st.integers(0, (1 << G.n) - 1),
+                       st.builds(lambda g, h: 1 << g ^ 1 << h,
+                                 element, element))
+    sides = draw(st.sampled_from(((), ("left",), ("right",),
+                                  ("left", "right"))))
+    basis = _translation_closure(G, draw(st.lists(vector, max_size=4)),
+                                 sides)
+    if draw(st.booleans()):
+        basis._impl.insert(draw(vector))
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis=gf2_subspaces())
+def test_verify_two_sided_matches_brute_over_gf2(basis):
+    assert verify_two_sided(basis) == \
+        oracles.two_sided_brute(basis.group, 1, basis.rows)
+
+
+@pytest.mark.parametrize("spec", ["D8", "D16", "M16", "QD16", "D8xC2"])
+def test_verify_two_sided_on_one_sided_ideals(spec):
+    # s a noncentral involution and t = g s g^-1 != s: F_2[G](1 + s) is the
+    # set of y with ys = y, and (1 + s)g is not in it, since
+    # (1 + s)gs = (1 + s)tg and (1 + s)t != 1 + s; so it is a left ideal
+    # and not a right ideal, and (1 + s)F_2[G] the other way round
+    G = build_group(spec)
+    s = next(x for x in range(G.n)
+             if G.element_order(x) == 2 and x not in G.center())
+    v = 1 | 1 << s
+    both = _translation_closure(G, [v], ("left", "right"))
+    assert verify_two_sided(both)
+    assert oracles.two_sided_brute(G, 1, both.rows)
+    for side in ("left", "right"):
+        one = _translation_closure(G, [v], (side,))
+        assert one.rank() == G.n // 2
+        assert not oracles.two_sided_brute(G, 1, one.rows)
+        assert verify_two_sided(one) is False
+    # the left ideal passes the left translations alone, so only a right
+    # translation can reject it
+    left = _translation_closure(G, [v], ("left",))
+    assert left._impl.translation_closed([G.mul[g] for g in range(G.n)])
+
+
 @st.composite
 def ideal_pairs(draw):
     """Two lists of 1-3 random generators of Z_{2^m}[G] inside the maximal
@@ -693,6 +763,20 @@ def test_ideal_sum_is_closure_of_union(pair):
     assert total.closed
     assert total.rows == ideal_closure(a + b).rows
     assert verify_two_sided(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=ideal_pairs())
+def test_verify_two_sided_matches_brute_over_howell(pair):
+    # a closed ideal, and the bare span of a few generators
+    a, b = pair
+    G, m = a[0].group, a[0].m
+    basis = ideal_closure(list(a))
+    assert verify_two_sided(basis)
+    assert oracles.two_sided_brute(G, m, basis.rows)
+    partial = IdealBasis.from_vectors(G, m, [x.coeffs for x in b])
+    assert verify_two_sided(partial) == \
+        oracles.two_sided_brute(G, m, partial.rows)
 
 
 def test_ideal_sum_unclosed_and_mismatched_inputs():

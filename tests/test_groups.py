@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -373,6 +374,18 @@ def test_minimal_generators():
     gens = G.minimal_generators()
     assert len(gens) == 3
     assert G.subgroup(gens) == tuple(range(G.n))
+
+
+@pytest.mark.parametrize(
+    "spec", _catalog_specs(64) + ["C4xC4xC4", "Q8xQ8", "C2xC2xC2xC2xC2",
+                                  "CLS3_64"])
+def test_minimal_generating_sequences_against_brute(spec):
+    # the spans grow by one Frattini coset; the oracle closes each one
+    # from scratch
+    G = _presented(CLS3_64) if spec == "CLS3_64" else build_group(spec)
+    assert list(itertools.islice(G.minimal_generating_sequences(), 64)) == \
+        list(itertools.islice(oracles.minimal_generating_sequences_brute(G),
+                              64))
 
 
 def test_abelian_invariants():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import fuchs2.search
 from fuchs2.errors import Fuchs2Error
-from fuchs2.gring import M_CAP, ideal_closure
+from fuchs2.gring import M_CAP, IdealBasis, ideal_closure, verify_two_sided
 from fuchs2.groups import build_group
-from fuchs2.parsing import element_literal
+from fuchs2.parsing import element_literal, parse_element_literal
 from fuchs2.search import (
     FIXTURES,
     SearchConfig,
@@ -302,6 +302,31 @@ def test_verify_rejects_row_deletion():
     cert = realize_exponent4(build_group("Q8"))
     doc = cert.to_dict()
     doc["ideal_basis"] = doc["ideal_basis"][:-1]
+    assert not verify_certificate(doc)
+
+
+def test_verify_rejects_a_canonical_basis_that_is_not_two_sided():
+    # flip one free bit above the pivot of one stored row: the rows stay
+    # canonical and keep their count, so the canonicity and quotient_size
+    # checks pass, and the two-sided check is the one that must reject
+    G = build_group("Q8xQ8")
+    doc = realize_exponent4(G).to_dict()
+    rows = [parse_element_literal(lit, G, 1) for lit in doc["ideal_basis"]]
+    pivots = {row.index(1) for row in rows}
+    free = [g for g in range(G.n) if g not in pivots]
+    for i, f in itertools.product(range(len(rows)), free):
+        if f < rows[i].index(1):
+            continue
+        tampered = list(rows)
+        tampered[i] = tuple(c ^ (g == f) for g, c in enumerate(rows[i]))
+        basis = IdealBasis.from_vectors(G, 1, tampered)
+        if not verify_two_sided(basis):
+            break
+    else:
+        pytest.fail("every one-bit change kept the span two-sided")
+    assert basis.rows == tampered
+    assert 1 << (G.n - basis.rank()) == doc["quotient_size"]
+    doc["ideal_basis"] = [element_literal(r, G) for r in tampered]
     assert not verify_certificate(doc)
 
 

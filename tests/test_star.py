@@ -4,7 +4,12 @@ import random
 import pytest
 
 from fuchs2.errors import Fuchs2Error
-from fuchs2.gring import _Gf2Basis, quotient_ring, unit_group
+from fuchs2.gring import (
+    _Gf2Basis,
+    quotient_ring,
+    unit_group,
+    verify_two_sided,
+)
 from fuchs2.groups import build_group, verify_homomorphism
 from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
@@ -195,6 +200,35 @@ def test_complement_rows_match_an_insert_built_kernel(spec):
         assert expected.span_size() == \
             len(oracles.brute_star_kernel(G, st.encode))
     assert complement_ideal(G, st).key() == tuple(expected.rows)
+
+
+def test_two_sided_check_translates_the_annihilator(monkeypatch):
+    # the complement of an order-256 group has rank |G| - 9; deciding it
+    # on the 9 annihilator vectors takes 2d translations each
+    G = build_group("Q8xQ8xC4")
+    basis = complement_ideal(G, star_table(G, pc_sequence(G)))
+    count = [0]
+    translate = _Gf2Basis.translate
+    string_translation = _Gf2Basis.string_translation
+
+    def counted(v, perm):
+        count[0] += 1
+        return translate(v, perm)
+
+    def counted_string_translation(n, perm):
+        move = string_translation(n, perm)
+
+        def counted_move(v):
+            count[0] += 1
+            return move(v)
+        return counted_move
+
+    monkeypatch.setattr(_Gf2Basis, "translate", staticmethod(counted))
+    monkeypatch.setattr(_Gf2Basis, "string_translation",
+                        staticmethod(counted_string_translation))
+    assert verify_two_sided(basis)
+    d = len(G.minimal_generators())
+    assert 0 < count[0] <= 2 * d * (G.n - basis.rank())
 
 
 @pytest.mark.parametrize("spec", ["C4", "C2xC2", "D8", "Q8", "C4xC2"])
