@@ -54,7 +54,6 @@ from .search import (
 from .star import (
     Certificate,
     PcSequence,
-    StarTable,
     complement_ideal,
     pc_sequence,
     realize_exponent4,

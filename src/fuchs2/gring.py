@@ -550,6 +550,16 @@ class IdealBasis:
         return IdealBasis(group, m, _make_impl(group, m, vectors),
                           closed=closed)
 
+    @staticmethod
+    def from_canonical_rows(group, m, rows):
+        """The basis spanned by ``rows`` when they are exactly its canonical
+        rows, in order, else None; each row is packed once."""
+        basis = IdealBasis.from_vectors(group, m, ())
+        packed = [basis._impl.pack(r) for r in rows]
+        for v in packed:
+            basis._impl.insert(v)
+        return basis if basis.key() == tuple(packed) else None
+
     @property
     def rows(self):
         return [self._impl.unpack(r) for r in self._impl.rows]

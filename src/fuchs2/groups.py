@@ -61,6 +61,27 @@ class Presentation:
                         f"relator uses undeclared generator index {g}")
 
 
+def invariants_from_orders(orders):
+    """Invariant factors, in descending divisibility order, of the abelian
+    2-group whose element orders are ``orders``.
+
+    Uses the order-counting characterization, which is complete for
+    abelian 2-groups: the number of solutions of x^(2^k) = 1 determines
+    the partition.
+    """
+    maxk = max(orders).bit_length() - 1
+    counts = [sum(1 for o in orders if o <= (1 << k)).bit_length() - 1
+              for k in range(maxk + 1)]
+    # counts[k] - counts[k-1] = number of invariants with exponent >= k
+    parts = []
+    for k in range(1, maxk + 1):
+        geq_k = counts[k] - counts[k - 1]
+        geq_k1 = counts[k + 1] - counts[k] if k < maxk else 0
+        parts.extend([1 << k] * (geq_k - geq_k1))
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
 class CayleyGroup:
     """A finite 2-group of order <= 512 given by its full Cayley table.
 
@@ -319,28 +340,10 @@ class CayleyGroup:
         return self._min_gens
 
     def abelian_invariants(self):
-        """Invariant factors in descending divisibility order.
-
-        Uses the order-counting characterization, which is complete for
-        abelian 2-groups: the number of solutions of x^(2^k) = 1 determines
-        the partition.
-        """
+        """Invariant factors in descending divisibility order."""
         if not self.is_abelian():
             raise Fuchs2Error("abelian invariants of a nonabelian group")
-        if self.n == 1:
-            return ()
-        orders = self.element_orders()
-        maxk = max(orders).bit_length() - 1
-        counts = [sum(1 for o in orders if o <= (1 << k)).bit_length() - 1
-                  for k in range(maxk + 1)]
-        # counts[k] - counts[k-1] = number of invariants with exponent >= k
-        parts = []
-        for k in range(1, maxk + 1):
-            geq_k = counts[k] - counts[k - 1]
-            geq_k1 = counts[k + 1] - counts[k] if k < maxk else 0
-            parts.extend([1 << k] * (geq_k - geq_k1))
-        parts.sort(reverse=True)
-        return tuple(parts)
+        return invariants_from_orders(self.element_orders())
 
     # -- labels ----------------------------------------------------------
 
@@ -393,22 +396,21 @@ class _CosetTable:
     The discovery order fixes the final numbering, hence element indexing.
     """
 
-    def __init__(self, ngens, relators, cap=ENUM_VERTEX_CAP):
+    def __init__(self, ngens, relators):
         self.nd = 2 * ngens
         self.relators = [rel for rel in relators]
         # tracing g then g^-1 (and vice versa) must return home
         for i in range(ngens):
             self.relators.append((2 * i, 2 * i + 1))
             self.relators.append((2 * i + 1, 2 * i))
-        self.cap = cap
         self.labels = []
         self.neighbors = []
         self._new_vertex()
 
     def _new_vertex(self):
-        if len(self.labels) >= self.cap:
+        if len(self.labels) >= ENUM_VERTEX_CAP:
             raise SizeCapError(
-                f"coset enumeration exceeded {self.cap} vertices; "
+                f"coset enumeration exceeded {ENUM_VERTEX_CAP} vertices; "
                 f"the presented group is too large or infinite")
         c = len(self.labels)
         self.labels.append(c)
@@ -773,8 +775,7 @@ def generator_map(G: CayleyGroup, gens, images, H: CayleyGroup):
     return phi
 
 
-def isomorphism(G: CayleyGroup, H: CayleyGroup,
-                node_budget=ISO_NODE_BUDGET):
+def isomorphism(G: CayleyGroup, H: CayleyGroup):
     """Explicit isomorphism G -> H as an index list, or None.
 
     Strategy: reject on invariant fingerprints, then backtrack over images
@@ -782,8 +783,8 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup,
     the elements of H with the same fingerprint.  A prefix of images is
     kept when ``generator_map`` extends it to a homomorphism on the
     subgroup its generators span and that map is injective; a full tuple
-    whose map covers G is an isomorphism.  Raises UndecidedError when the
-    node budget runs out (never guesses).
+    whose map covers G is an isomorphism.  Raises UndecidedError after
+    ISO_NODE_BUDGET nodes (never guesses).
     """
     if G.n != H.n:
         return None
@@ -805,9 +806,9 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup,
         i = len(images)
         for h in candidates[i]:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > ISO_NODE_BUDGET:
                 raise UndecidedError(
-                    f"isomorphism search exceeded {node_budget} nodes")
+                    f"isomorphism search exceeded {ISO_NODE_BUDGET} nodes")
             phi = generator_map(G, gens[:i + 1], images + [h], H)
             if phi is None:
                 continue
@@ -825,9 +826,8 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup,
     return backtrack([])
 
 
-def is_isomorphic(G: CayleyGroup, H: CayleyGroup,
-                  node_budget=ISO_NODE_BUDGET):
-    return isomorphism(G, H, node_budget) is not None
+def is_isomorphic(G: CayleyGroup, H: CayleyGroup):
+    return isomorphism(G, H) is not None
 
 
 def verify_homomorphism(G: CayleyGroup, H: CayleyGroup, phi):

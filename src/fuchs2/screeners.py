@@ -22,9 +22,10 @@ from .groups import (
     CayleyGroup,
     INDECOMP_CAP,
     direct_factor_pair,
+    invariants_from_orders,
     is_indecomposable,
 )
-from .star import Certificate, group_spec_of, realize_exponent4
+from .star import Certificate, realize_exponent4
 
 M_RANGE = range(1, M_CAP + 1)
 
@@ -87,8 +88,8 @@ def characteristic_candidates(G: CayleyGroup):
     realizing ring of characteristic 2^m.  Embedding into the abelian
     group Z(G) is read off its invariant factors.
     """
-    center, to_sub, _ = G.subgroup_cayley(G.center())
-    inv = center.abelian_invariants()
+    orders = G.element_orders()
+    inv = invariants_from_orders([orders[z] for z in G.center()])
     out = set()
     for m in M_RANGE:
         if m == 1:
@@ -174,7 +175,8 @@ def screen(G: CayleyGroup, realize=True) -> Verdict:
     passing the scalar-embedding and exponent-bound constraints minus any
     m refuted outright.
     """
-    spec = group_spec_of(G)
+    # unlike a certificate, a verdict may name G by its display name
+    spec = G.source_spec if G.source_spec is not None else G.name
     n_log = G.n.bit_length() - 1
     exponent = G.exponent()
     reasons = []

@@ -327,8 +327,8 @@ def verify_certificate(cert) -> bool:
     except Fuchs2Error as exc:
         raise CertificateError(f"bad basis literal: {exc}") from exc
 
-    basis = IdealBasis.from_vectors(ambient, m, vectors)
-    if [tuple(r) for r in basis.rows] != [tuple(v) for v in vectors]:
+    basis = IdealBasis.from_canonical_rows(ambient, m, vectors)
+    if basis is None:
         return False  # stored rows are not canonical for their span
     if not verify_two_sided(basis):
         return False

@@ -13,8 +13,14 @@ are tried in the single order that ``composition_bases`` yields: direct
 bases for class <= 2, then bases read off chief chains through the
 center.
 
-Every step that the underlying theory guarantees is still checked: the
-normal forms are enumerated exhaustively, the conditions are decided
+A basis is its list of ordered products, ``PcSequence.decode``, which
+also carries the star operation.  One doubling step builds every such
+list: after x_i come the products so far times x_i, one table lookup
+each, and a step whose new products meet the old ones is refused.  That
+disjointness at every step is exactly the uniqueness of the normal forms.
+
+Every step that the underlying theory guarantees is still checked: every
+normal form is built and checked unique, the conditions are decided
 exactly, the kernel basis is re-verified to be a two-sided ideal, and
 the witness, the natural map g -> g + I, is checked on all pairs.  The
 certificate records enough to redo all of that from scratch.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import Fuchs2Error, InternalInvariantError
@@ -52,99 +58,97 @@ class PcSequence:
     """Ordered composition basis with all relative orders 2.
 
     ``elements[:split]`` are the noncentral entries, ``elements[split:]``
-    generate the center; every group element is a unique product
-    prod x_i^(d_i) with d_i in {0,1}, witnessed by ``encode``.
+    generate the center.  ``decode[d]`` is the product x_1^d_1 ... x_k^d_k
+    (bit i of d is d_(i+1)); every group element is exactly one of them,
+    and ``encode`` is the inverse map.  The star operation a*b =
+    decode[encode[a] XOR encode[b]] makes G elementary abelian; its |G| x
+    |G| ``table`` is built on first read, since deciding the conditions
+    needs only ``encode``.
     """
 
     group: CayleyGroup
     elements: tuple[int, ...]
     split: int
-    encode: list[int]  # element index -> exponent bitmask (bit i = x_{i+1})
+    decode: list[int]
+    encode: list[int] = field(init=False, repr=False)
 
-    def decode(self):
-        dec = [None] * (1 << len(self.elements))
-        for g, v in enumerate(self.encode):
-            dec[v] = g
-        return dec
+    def __post_init__(self):
+        self.encode = [0] * len(self.decode)
+        for d, g in enumerate(self.decode):
+            self.encode[g] = d
+
+    @functools.cached_property
+    def table(self):
+        decode, enc = self.decode, self.encode
+        return [[decode[ea ^ eb] for eb in enc] for ea in enc]
+
+    def star(self, a, b):
+        return self.table[a][b]
+
+
+def _double(G: CayleyGroup, products, x):
+    """Append each of ``products`` (the ordered products over x_1..x_i)
+    times x = x_(i+1), one lookup each; return False, leaving the list as
+    it was, when some element would then have two normal forms."""
+    shifted = [G.mul[p][x] for p in products]
+    if not set(products).isdisjoint(shifted):
+        return False
+    products.extend(shifted)
+    return True
 
 
 def _normal_forms(G: CayleyGroup, seq):
-    """Exhaustively enumerate the 2^k ordered products; return the encode
-    map when they cover G exactly once, else None."""
-    k = len(seq)
-    if (1 << k) != G.n:
+    """The ordered products of ``seq``, indexed by their exponent bitmask
+    (the ``decode`` list), when they cover G exactly once; else None."""
+    if (1 << len(seq)) != G.n:
         return None
-    encode = [None] * G.n
-    for d in range(1 << k):
-        x = 0
-        for i in range(k):
-            if d >> i & 1:
-                x = G.mul[x][seq[i]]
-        if encode[x] is not None:
+    products = [0]
+    for x in seq:
+        if not _double(G, products, x):
             return None
-        encode[x] = d
-    return encode
+    return products
 
 
 def _base_sequence(G: CayleyGroup, gens):
     """Class <= 2 sequence: noncentral generators, then central generators,
-    then square layers and independent commutators.  Returns
-    (seq, split, encode) or None when the checks reject this ordering.
+    then square layers and independent commutators.  Returns a PcSequence,
+    or None when the checks reject this ordering.
 
-    Tail candidates are kept greedily when right-multiplying the set of
-    {0,1}-products accumulated so far stays disjoint from it (that is
-    exactly when the product count doubles), which handles power chains of
-    any length, so exponent-8 class-2 groups get a basis too.
+    The ordered products are grown with the basis, in its order: a tail
+    candidate is kept when ``_double`` accepts it (that is exactly when
+    the product count doubles), which handles power chains of any length,
+    so exponent-8 class-2 groups get a basis too.
     """
     center = set(G.center())
     noncentral = [g for g in gens if g not in center]
-    central = [g for g in gens if g in center]
-    ordered = noncentral + central
+    tail = [g for g in gens if g in center]
+    ordered = noncentral + tail
 
-    products = {0}
-    tail = []
-
-    def absorb(c, record):
-        nonlocal products
-        if c == 0:
-            return False
-        shifted = {G.mul[p][c] for p in products}
-        if products & shifted:
-            return False
-        products |= shifted
-        if record:
-            tail.append(c)
-        return True
-
+    products = [0]
     for g in ordered:
         # minimal generators are independent mod Frattini, so they double
-        if not absorb(g, record=g in center):
+        if not _double(G, products, g):
             return None
-    layer = list(ordered)
+    # each layer squares the last; the first also takes the commutators
     comms = [G.commutator(b, a)
              for i, a in enumerate(ordered) for b in ordered[i + 1:]]
-    first = True
+    layer = ordered
     while layer and len(products) < G.n:
-        nxt = [G.mul[x][x] for x in layer]
-        nxt = [x for x in nxt if x]
-        for x in nxt:
-            absorb(x, record=True)
-        if first:
-            for c in comms:
-                absorb(c, record=True)
-            nxt.extend(c for c in comms if c)
-            first = False
-        layer = nxt
+        layer = [x for x in (G.mul[y][y] for y in layer) if x] + \
+            [c for c in comms if c]
+        comms = []
+        for x in layer:
+            if _double(G, products, x):
+                tail.append(x)
 
-    seq = tuple(noncentral) + tuple(tail)
+    if len(products) != G.n:
+        return None
     if any(c not in center for c in tail):
         return None
     if set(G.subgroup(tail)) != center:
         return None
-    encode = _normal_forms(G, seq)
-    if encode is None:
-        return None
-    return seq, len(noncentral), encode
+    return PcSequence(G, tuple(noncentral) + tuple(tail), len(noncentral),
+                      products)
 
 
 def pc_sequence(G: CayleyGroup) -> PcSequence:
@@ -178,11 +182,11 @@ def chief_chain_sequences(G: CayleyGroup):
         if len(cur) == G.n:
             seq = tuple(min(chain[lvl] - chain[lvl - 1])
                         for lvl in range(len(chain) - 1, 0, -1))
-            encode = _normal_forms(G, seq)
-            if encode is None:
+            decode = _normal_forms(G, seq)
+            if decode is None:
                 raise InternalInvariantError(
                     "chief-chain basis lost normal-form uniqueness")
-            yield PcSequence(G, seq, split, encode)
+            yield PcSequence(G, seq, split, decode)
             return
         for cand in by_size.get(len(cur) * 2, []):
             # climb to the center first, then through it to the top
@@ -206,9 +210,9 @@ def composition_bases(G: CayleyGroup):
     """
     direct = ()
     if G.nilpotency_class() <= 2:
-        made = (_base_sequence(G, list(gens)) for gens in itertools.islice(
+        made = (_base_sequence(G, gens) for gens in itertools.islice(
             G.minimal_generating_sequences(), PC_ATTEMPTS))
-        direct = (PcSequence(G, *m) for m in made if m is not None)
+        direct = (seq for seq in made if seq is not None)
     chains = itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS)
     seen = set()
     for seq in itertools.chain(direct, chains):
@@ -217,41 +221,22 @@ def composition_bases(G: CayleyGroup):
             yield seq
 
 
-@dataclass
-class StarTable:
-    """The elementary abelian operation a*b = decode(encode(a) XOR
-    encode(b)) induced by a composition basis.  The |G| x |G| table is
-    built on first read: deciding the conditions needs only ``encode``."""
-
-    group: CayleyGroup
-    sequence: PcSequence
-    encode: list[int]
-
-    @functools.cached_property
-    def table(self):
-        decode = self.sequence.decode()
-        enc = self.encode
-        return [[decode[ea ^ eb] for eb in enc] for ea in enc]
-
-    def star(self, a, b):
-        return self.table[a][b]
+def star_table(G: CayleyGroup, seq: PcSequence) -> PcSequence:
+    """The basis itself: a PcSequence carries its star operation.  The
+    name stays because the benchmark in ``perfbench/`` traces and calls it."""
+    return seq
 
 
-def star_table(G: CayleyGroup, seq: PcSequence) -> StarTable:
-    return StarTable(G, seq, seq.encode)
-
-
-def star_table_from_elements(G: CayleyGroup, elements) -> StarTable:
-    """Star table for an explicitly given sequence (must have unique
-    normal forms); used to exhibit failures for exponent >= 8."""
-    encode = _normal_forms(G, tuple(elements))
-    if encode is None:
+def star_table_from_elements(G: CayleyGroup, elements) -> PcSequence:
+    """The basis of an explicitly given sequence (must have unique normal
+    forms); used to exhibit failures for exponent >= 8."""
+    decode = _normal_forms(G, tuple(elements))
+    if decode is None:
         raise Fuchs2Error("sequence does not give unique {0,1} normal forms")
-    seq = PcSequence(G, tuple(elements), 0, encode)
-    return star_table(G, seq)
+    return PcSequence(G, tuple(elements), 0, decode)
 
 
-def verify_star_conditions(G: CayleyGroup, star: StarTable):
+def verify_star_conditions(G: CayleyGroup, seq: PcSequence):
     """Check, for all a, b, c,
         (1) (c(a*b))*c == (ca)*(cb)
         (2) ((a*b)c)*c == (ac)*(bc).
@@ -261,16 +246,16 @@ def verify_star_conditions(G: CayleyGroup, star: StarTable):
     vectors; only when that fails are the star table built and the cubic
     scan run, to name the witness.
     """
-    if kernels.translations_affine(G.mul, star.encode):
+    if kernels.translations_affine(G.mul, seq.encode):
         return (True, None)
-    bad = kernels.first_condition_violation(G.mul, star.table)
+    bad = kernels.first_condition_violation(G.mul, seq.table)
     if bad is None:
         raise InternalInvariantError(
             "affine-translation check and triple scan disagree")
     return (False, bad)
 
 
-def complement_ideal(G: CayleyGroup, star: StarTable) -> IdealBasis:
+def complement_ideal(G: CayleyGroup, seq: PcSequence) -> IdealBasis:
     """Kernel of v -> (parity of support, XOR of encode over support) as a
     canonical GF(2) basis, verified to be a two-sided ideal.
 
@@ -279,7 +264,7 @@ def complement_ideal(G: CayleyGroup, star: StarTable) -> IdealBasis:
     identity; its dimension is |G| - log2|G| - 1.
     """
     n = G.n
-    k = len(star.sequence.elements)
+    k = len(seq.elements)
     top = n - 1
     # constraint rows with column g at bit top - g: the parity of the
     # support, then one row per exponent bit.  Reduced echelon on their
@@ -288,7 +273,7 @@ def complement_ideal(G: CayleyGroup, star: StarTable) -> IdealBasis:
     constraints.insert((1 << n) - 1)
     for bit in range(k):
         constraints.insert(constraints.pack(e >> bit & 1
-                                            for e in reversed(star.encode)))
+                                            for e in reversed(seq.encode)))
     rows_at = {top - (p.bit_length() - 1): r
                for p, r in constraints.pivots.items()}
     # one kernel vector per free column f: x_f = 1, and every pivot column
@@ -350,11 +335,9 @@ class Certificate:
 
 
 def group_spec_of(G: CayleyGroup):
-    spec = getattr(G, "source_spec", None)
-    if spec is not None:
-        return spec
-    if G.name:
-        return G.name
+    """The spec the verifier rebuilds G from; a display name is not one."""
+    if G.source_spec is not None:
+        return G.source_spec
     raise Fuchs2Error("group has no serializable spec; build it from a "
                       "spec string or presentation")
 
@@ -373,7 +356,7 @@ def projection_witness(G: CayleyGroup, units: UnitGroup, ring: QuotientRing):
 def realize_exponent4(G: CayleyGroup) -> Certificate:
     """Full pipeline for exponent <= 4 groups in characteristic 2.
 
-    Composition basis -> star table -> exact condition check ->
+    Composition basis -> exact condition check on its star operation ->
     complement ideal -> residue ring -> unit group -> natural map.
     The first of ``composition_bases`` that passes the condition check is
     used.  By the construction's theorem g -> g + I is an isomorphism onto
@@ -387,8 +370,7 @@ def realize_exponent4(G: CayleyGroup) -> Certificate:
     tried = 0
     for seq in composition_bases(G):
         tried += 1
-        star = star_table(G, seq)
-        if verify_star_conditions(G, star)[0]:
+        if verify_star_conditions(G, seq)[0]:
             break
     else:
         raise InternalInvariantError(
@@ -396,7 +378,7 @@ def realize_exponent4(G: CayleyGroup) -> Certificate:
             f"within the bounded search ({tried} sequences tried); "
             f"the constructive route is exhausted for this group")
 
-    basis = complement_ideal(G, star)
+    basis = complement_ideal(G, seq)
     ring = quotient_ring(basis)
     if ring.size != 2 * G.n:
         raise InternalInvariantError(
@@ -412,13 +394,14 @@ def realize_exponent4(G: CayleyGroup) -> Certificate:
 def certificate_from_parts(G: CayleyGroup, ambient: CayleyGroup, m,
                            basis, ring, units, phi, method) -> Certificate:
     """Assemble a certificate from an already-verified pipeline run."""
+    group_spec, ambient_spec = group_spec_of(G), group_spec_of(ambient)
     witness = {}
     for name, g in zip(G.gen_names, G.gen_indices):
         rep = ring.rep(units.residue_index[phi[g]])
         witness[name] = element_literal(rep, ambient)
     return Certificate(
-        group_spec=group_spec_of(G),
-        ambient_spec=group_spec_of(ambient),
+        group_spec=group_spec,
+        ambient_spec=ambient_spec,
         m=m,
         basis=basis,
         quotient_size=ring.size,

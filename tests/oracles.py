@@ -7,6 +7,8 @@ without touching the code paths under test.
 
 import itertools
 
+from fuchs2.groups import CATALOG_FAMILIES, CATALOG_NAMED
+
 
 def naive_convolve(G, m, a, b):
     """Plain double-loop group-ring product, no sparsity tricks."""
@@ -336,6 +338,36 @@ def brute_star_kernel(G, encode):
     return out
 
 
+def normal_forms_brute(G, seq):
+    """Multiply out each of the 2^k ordered products x_1^d_1 ... x_k^d_k
+    from the identity, k table lookups each; the encode map (element ->
+    exponent bitmask, bit i = d_(i+1)) when they cover G exactly once,
+    else None."""
+    k = len(seq)
+    if (1 << k) != G.n:
+        return None
+    encode = [None] * G.n
+    for d in range(1 << k):
+        x = 0
+        for i in range(k):
+            if d >> i & 1:
+                x = G.mul[x][seq[i]]
+        if encode[x] is not None:
+            return None
+        encode[x] = d
+    return encode
+
+
+def characteristic_candidates_via_center_table(G, m_range):
+    """The m in m_range whose scalar unit group embeds in Z(G), with Z(G)'s
+    invariants read off its own Cayley table."""
+    center, _, _ = G.subgroup_cayley(G.center())
+    inv = center.abelian_invariants()
+    return {m for m in m_range
+            if m == 1 or (m == 2 and len(inv) >= 1)
+            or (m >= 3 and len(inv) >= 2 and inv[0] >= 1 << (m - 2))}
+
+
 def star_kernel_planes(encode):
     """Vectors e_g + e_u + e_gu + e_1 spanning the star kernel, packed:
     one for every g and every unit exponent vector u, where gu has the
@@ -476,3 +508,15 @@ def first_isomorphism(G, H):
                 and is_homomorphism_on(G, H, phi)):
             return [phi[x] for x in range(G.n)]
     return None
+
+
+def catalog_specs(top):
+    """The named catalog groups (all of order <= 64) and every family
+    member of order <= top."""
+    specs = list(CATALOG_NAMED)
+    for kind, (low, _, _) in CATALOG_FAMILIES.items():
+        order = low
+        while order <= top:
+            specs.append(f"{kind}{order}")
+            order *= 2
+    return specs

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchs2.errors import ConstructionError, InternalInvariantError
+import fuchs2.groups
+from fuchs2.errors import (
+    ConstructionError,
+    InternalInvariantError,
+    SizeCapError,
+    UndecidedError,
+)
 from fuchs2.groups import (
     CATALOG_FAMILIES,
     CATALOG_NAMED,
@@ -18,6 +24,7 @@ from fuchs2.groups import (
     _CosetTable,
     _element_fingerprints,
     build_group,
+    catalog_group,
     direct_factor_pair,
     direct_product,
     enumerate_presentation,
@@ -306,19 +313,7 @@ def test_class_structure_against_oracles(spec):
             assert G.n // len(cls) == fps[x][2] == len(G.centralizer(x))
 
 
-def _catalog_specs(top):
-    """The named catalog groups (all of order <= 64) and every family
-    member of order <= top."""
-    specs = list(CATALOG_NAMED)
-    for kind, (low, _, _) in CATALOG_FAMILIES.items():
-        order = low
-        while order <= top:
-            specs.append(f"{kind}{order}")
-            order *= 2
-    return specs
-
-
-@pytest.mark.parametrize("spec", _catalog_specs(64) + ENCODE_POOL)
+@pytest.mark.parametrize("spec", oracles.catalog_specs(64) + ENCODE_POOL)
 def test_conjugacy_classes_against_brute(spec):
     G = build_group(spec)
     assert G.conjugacy_classes() == oracles.conjugacy_classes_brute(G)
@@ -377,8 +372,8 @@ def test_minimal_generators():
 
 
 @pytest.mark.parametrize(
-    "spec", _catalog_specs(64) + ["C4xC4xC4", "Q8xQ8", "C2xC2xC2xC2xC2",
-                                  "CLS3_64"])
+    "spec", oracles.catalog_specs(64) + ["C4xC4xC4", "Q8xQ8",
+                                         "C2xC2xC2xC2xC2", "CLS3_64"])
 def test_minimal_generating_sequences_against_brute(spec):
     # the spans grow by one Frattini coset; the oracle closes each one
     # from scratch
@@ -445,6 +440,20 @@ def test_isomorphism_negative():
     assert not is_isomorphic(build_group("C8"), build_group("C4xC2"))
     assert not is_isomorphic(build_group("D8"), build_group("Q8"))
     assert not is_isomorphic(build_group("M16"), build_group("Q16"))
+
+
+def test_isomorphism_reads_its_node_budget_at_call_time(monkeypatch):
+    # Q8xQ8 has four generators: one node cannot reach a full image tuple
+    monkeypatch.setattr(fuchs2.groups, "ISO_NODE_BUDGET", 1)
+    G = build_group("Q8xQ8")
+    with pytest.raises(UndecidedError, match="1 nodes"):
+        isomorphism(G, G)
+
+
+def test_coset_enumeration_reads_its_vertex_cap_at_call_time(monkeypatch):
+    monkeypatch.setattr(fuchs2.groups, "ENUM_VERTEX_CAP", 100)
+    with pytest.raises(SizeCapError, match="100 vertices"):
+        catalog_group("C", 512)
 
 
 def test_sg32_37_is_m16_x_c2(groups):

@@ -1,5 +1,8 @@
+import pytest
+
 from fuchs2.groups import build_group
 from fuchs2.screeners import (
+    M_RANGE,
     SCOPE_ALL_2M,
     SCOPE_ANY_RING,
     char_constraint,
@@ -10,6 +13,8 @@ from fuchs2.screeners import (
     screen,
     self_centralizing_obstruction,
 )
+
+import oracles
 
 
 # -- individual rules ---------------------------------------------------------
@@ -31,6 +36,26 @@ def test_characteristic_candidates_cyclic_center():
     # rank-2 center of exponent 16 allows every m up to the cap
     assert characteristic_candidates(build_group("C16xC2")) == \
         {1, 2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("spec",
+                         oracles.catalog_specs(64) + ["C4xC4xC4xC4xC2"])
+def test_characteristic_candidates_need_no_center_table(spec):
+    # the center's invariants come from its members' orders; building the
+    # center's own Cayley table gives the same candidates
+    G = build_group(spec)
+    assert characteristic_candidates(G) == \
+        oracles.characteristic_candidates_via_center_table(G, M_RANGE)
+
+
+def test_characteristic_candidates_build_no_subgroup_table(monkeypatch):
+    G = build_group("C4xC4xC4xC4xC2")
+
+    def refuse(*args):
+        raise AssertionError("subgroup_cayley called")
+
+    monkeypatch.setattr(type(G), "subgroup_cayley", refuse)
+    assert characteristic_candidates(G) == {1, 2, 3, 4}
 
 
 def test_exponent_bound_values():

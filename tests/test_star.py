@@ -1,7 +1,11 @@
+import functools
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchs2.errors import Fuchs2Error
 from fuchs2.gring import (
@@ -15,6 +19,7 @@ from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
     CHIEF_CHAINS,
+    _normal_forms,
     chief_chain_sequences,
     complement_ideal,
     composition_bases,
@@ -26,6 +31,7 @@ from fuchs2.star import (
 )
 
 import oracles
+from test_gring import SMALL
 
 
 # -- composition bases --------------------------------------------------------
@@ -141,7 +147,7 @@ def test_star_table_is_built_only_for_the_witness_scan():
     naive = star_table_from_elements(C8, [a, C8.power(a, 2), C8.power(a, 4)])
     assert not verify_star_conditions(C8, naive)[0]
     assert "table" in naive.__dict__
-    decode, enc = naive.sequence.decode(), naive.encode
+    decode, enc = naive.decode, naive.encode
     assert naive.table == [[decode[ea ^ eb] for eb in enc] for ea in enc]
 
 
@@ -466,3 +472,80 @@ def test_chief_chain_without_normal_forms_is_an_error(monkeypatch):
     monkeypatch.setattr(star, "_normal_forms", lambda *args: None)
     with pytest.raises(InternalInvariantError, match="normal-form"):
         list(chief_chain_sequences(G))
+
+
+# -- normal forms -------------------------------------------------------------
+
+@functools.cache
+def _small_bases(spec):
+    G = build_group(spec)
+    return G, [seq.elements for seq in composition_bases(G)]
+
+
+@st.composite
+def element_sequences(draw):
+    """A sequence over a small group: elements drawn with repeats and the
+    identity, of any length up to log2|G| + 1, or a composition basis in a
+    shuffled order."""
+    G, bases = _small_bases(draw(st.sampled_from(SMALL)))
+    if draw(st.booleans()):
+        seq = draw(st.permutations(draw(st.sampled_from(bases))))
+    else:
+        seq = draw(st.lists(st.integers(0, G.n - 1),
+                            max_size=G.n.bit_length()))
+    return G, tuple(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=element_sequences())
+def test_normal_forms_match_the_brute_force(drawn):
+    G, seq = drawn
+    decode = _normal_forms(G, seq)
+    encode = oracles.normal_forms_brute(G, seq)
+    if encode is None:
+        assert decode is None
+    else:
+        assert [decode[e] for e in encode] == list(range(G.n))
+
+
+@pytest.mark.parametrize("spec", ["CLS3_64", "CLS4_128"])
+def test_every_basis_has_the_brute_force_normal_forms(spec):
+    G = _group(spec)
+    for seq in composition_bases(G):
+        assert seq.encode == oracles.normal_forms_brute(G, seq.elements)
+        assert seq.decode == _normal_forms(G, seq.elements)
+
+
+# sha256 over (spec, elements, split, encode) of the first 8 composition
+# bases of every catalog group of order <= 64 and every order-256 encode
+# group: neither the basis order nor the normal forms may drift
+BASES_DIGEST = \
+    "c09ba0ae07baf6c269fa385abd68cbdcd5bd83eb40fdfd1c376690510536512d"
+
+
+def test_composition_bases_are_pinned():
+    digest = hashlib.sha256()
+    for spec in oracles.catalog_specs(64) + ENCODE_POOL:
+        G = build_group(spec)
+        for seq in itertools.islice(composition_bases(G), 8):
+            digest.update(repr((spec, seq.elements, seq.split,
+                                seq.encode)).encode())
+    assert digest.hexdigest() == BASES_DIGEST
+
+
+# -- group specs --------------------------------------------------------------
+
+D8_PRESENTATION = "gens: a b\nrels: a^4, b^2, b*a*b^-1*a"
+
+
+def test_realize_refuses_a_group_without_a_spec():
+    # a product with a presented factor has a display name but no spec that
+    # builds it, so a certificate naming it would fail its own verifier
+    from fuchs2.groups import catalog_group, direct_product
+    from fuchs2.screeners import screen
+    G = direct_product(catalog_group("C", 4), _presented(D8_PRESENTATION))
+    assert G.name == "C4xpresented" and G.source_spec is None
+    with pytest.raises(Fuchs2Error, match="no serializable spec"):
+        realize_exponent4(G)
+    # a verdict without a certificate may still name it
+    assert screen(G, realize=False).group_spec == "C4xpresented"
