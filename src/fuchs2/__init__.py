@@ -54,6 +54,7 @@ from .search import (
 from .star import (
     Certificate,
     PcSequence,
+    __version__,
     complement_ideal,
     pc_sequence,
     realize_exponent4,
@@ -61,5 +62,3 @@ from .star import (
     star_table_from_elements,
     verify_star_conditions,
 )
-
-__version__ = "0.1.0"

@@ -897,15 +897,29 @@ def direct_factor_pair(G: CayleyGroup):
     return None
 
 
+def has_cyclic_direct_factor(G: CayleyGroup):
+    """True iff G = N x <z> for some central z != 1 of order 2^k, that is,
+    iff the involution of <z> lies outside G'G^(2^k) (see ``screeners``)."""
+    orders = G.element_orders()
+    derived = set(G.derived_subgroup())
+    for order in {orders[z] for z in G.center()} - {1}:
+        H = set(G.subgroup(
+            derived | {G.power(g, order) for g in range(G.n)}))
+        if any(G.power(z, order // 2) not in H
+               for z in G.center() if orders[z] == order):
+            return True
+    return False
+
+
 def is_indecomposable(G: CayleyGroup):
     """True iff G is not a direct product of two nontrivial subgroups.
 
-    An abelian group is indecomposable exactly when it is cyclic, so its
-    invariants decide it at every order; a nonabelian group needs the
-    normal-subgroup search of ``direct_factor_pair`` (order <= 128)."""
+    An abelian group is indecomposable iff it is cyclic, and a nonabelian
+    one with a cyclic direct factor is not, at every order; any other needs
+    the normal-subgroup search of ``direct_factor_pair`` (order <= 128)."""
     if G.is_abelian():
         return len(G.abelian_invariants()) <= 1
-    return direct_factor_pair(G) is None
+    return not has_cyclic_direct_factor(G) and direct_factor_pair(G) is None
 
 
 # -- structure report ---------------------------------------------------------

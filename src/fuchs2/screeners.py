@@ -6,6 +6,13 @@ characteristic 2, one refutes every characteristic 2^m, and combining a
 Scopes only ever strengthen; a characteristic-2 refutation is never
 reported as absolute without that support.
 
+The 2-power-characteristic constraint needs G != 1 to be a product of
+nonabelian indecomposables, that is (Krull-Remak-Schmidt) to have no
+cyclic direct factor.  A central <z> of order 2^k is one exactly when it
+meets K = G'G^(2^k) trivially: then z has maximal order in the abelian
+G/K of exponent dividing 2^k, and the preimage of a complement of its
+image is a normal complement to <z>; G = N x <z> puts K in N.
+
 Witness selection is deterministic (lowest element index), so verdicts are
 reproducible byte for byte.
 """
@@ -16,14 +23,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import InternalInvariantError, SizeCapError
+from .errors import InternalInvariantError
 from .gring import M_CAP
 from .groups import (
     CayleyGroup,
-    INDECOMP_CAP,
-    direct_factor_pair,
+    has_cyclic_direct_factor,
     invariants_from_orders,
-    is_indecomposable,
 )
 from .star import Certificate, realize_exponent4
 
@@ -151,20 +156,12 @@ def maximal_exponent_obstruction(G: CayleyGroup) -> bool:
 
 def char_constraint(G: CayleyGroup) -> bool:
     """True when G is a direct product of nonabelian indecomposable
-    groups, forcing char(R) = 2^m for any realizing ring R."""
-    if G.n == 1 or G.is_abelian():
-        return False
-    if G.n > INDECOMP_CAP:
-        raise SizeCapError(
-            f"characteristic constraint needs order <= {INDECOMP_CAP}")
-    pair = direct_factor_pair(G)
-    if pair is None:
-        return True
-    for members in pair:
-        factor, _, _ = G.subgroup_cayley(members)
-        if not char_constraint(factor):
-            return False
-    return True
+    groups, forcing char(R) = 2^m for any realizing ring R, which holds
+    (Krull-Remak-Schmidt) iff G != 1 has no cyclic direct factor.  A central
+    <z> of order 2^k is one iff <z> meets K = G'G^(2^k) trivially: then zK
+    splits off the abelian G/K of exponent dividing 2^k, the preimage of a
+    complement is a normal complement to <z>, and G = N x <z> puts K in N."""
+    return G.n > 1 and not has_cyclic_direct_factor(G)
 
 
 def screen(G: CayleyGroup, realize=True) -> Verdict:
@@ -247,19 +244,8 @@ def screen(G: CayleyGroup, realize=True) -> Verdict:
             scope=SCOPE_ANY_RING,
         ))
         allowed = set()
-        if G.n <= INDECOMP_CAP and not is_indecomposable(G):
-            notes.append(
-                "near_maximal_exponent applied to a decomposable group; "
-                "the rule's support argument routes through the "
-                "2-power-characteristic constraint for products of "
-                "nonabelian indecomposables")
 
-    try:
-        prop_2m = char_constraint(G)
-    except SizeCapError:
-        prop_2m = None
-        notes.append("indecomposability not tested above order "
-                     f"{INDECOMP_CAP}; absolute refutations limited")
+    prop_2m = char_constraint(G)
     if prop_2m:
         reasons.append(Reason(
             rule="two_power_characteristic_only",

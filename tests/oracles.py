@@ -6,8 +6,14 @@ without touching the code paths under test.
 """
 
 import itertools
+import math
 
-from fuchs2.groups import CATALOG_FAMILIES, CATALOG_NAMED
+from fuchs2.groups import (
+    CATALOG_FAMILIES,
+    CATALOG_NAMED,
+    build_group,
+    direct_factor_pair,
+)
 
 
 def naive_convolve(G, m, a, b):
@@ -520,3 +526,32 @@ def catalog_specs(top):
             specs.append(f"{kind}{order}")
             order *= 2
     return specs
+
+
+def catalog_atoms():
+    """The factors of the product specs: every catalog group of order
+    <= 64 except C1 and D4 = C2 x C2."""
+    return [s for s in catalog_specs(64) if s not in ("C1", "D4")]
+
+
+def atom_products(top, counts):
+    """Specs of the products of ``k`` catalog atoms (with repetition, in
+    atom order), for k in ``counts``, of order <= top."""
+    atoms = catalog_atoms()
+    order = {s: build_group(s).n for s in atoms}
+    return ["x".join(p) for k in counts
+            for p in itertools.combinations_with_replacement(atoms, k)
+            if math.prod(order[s] for s in p) <= top]
+
+
+def char_constraint_by_factor_split(G):
+    """True when G is a direct product of nonabelian indecomposable
+    groups, by splitting G at its first pair of complementary normal
+    subgroups and recursing into both factors (order <= 128)."""
+    if G.n == 1 or G.is_abelian():
+        return False
+    pair = direct_factor_pair(G)
+    if pair is None:
+        return True
+    return all(char_constraint_by_factor_split(G.subgroup_cayley(m)[0])
+               for m in pair)

@@ -178,6 +178,11 @@ def test_info_json(capsys):
     assert doc["exponent"] == 4
 
 
+def test_info_decides_a_cyclic_factor_above_order_128(capsys):
+    assert dispatch(["info", "D16xC4xC4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["indecomposable"] is False
+
+
 def test_screen_exit_codes(capsys):
     assert dispatch(["screen", "Q8"]) == 0
     capsys.readouterr()

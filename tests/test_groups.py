@@ -559,6 +559,23 @@ def test_indecomposable():
         assert is_indecomposable(G) == ("x" not in spec), spec
 
 
+@pytest.mark.parametrize("spec", oracles.atom_products(64, (1, 2, 3)))
+def test_indecomposable_agrees_with_normal_subgroup_search(spec):
+    # a cyclic direct factor answers before the normal-subgroup search
+    G = build_group(spec)
+    assert is_indecomposable(G) == (direct_factor_pair(G) is None)
+
+
+def test_indecomposable_above_the_cap_with_a_cyclic_factor():
+    for spec in ("D16xC4xC4", "D16xC4xC4xC2", "Q8xQ8xC4xC2"):
+        G = build_group(spec)
+        assert G.n > 128 and not G.is_abelian()
+        assert is_indecomposable(G) is False
+        assert structure_report(G).indecomposable is False
+    # no cyclic direct factor: left to the capped normal-subgroup search
+    assert structure_report(build_group("D16xD16")).indecomposable is None
+
+
 def test_normal_subgroup_orders_divide():
     G = build_group("Q16")
     for N in normal_subgroups(G):

@@ -1,6 +1,11 @@
-import pytest
+import hashlib
 
-from fuchs2.groups import build_group
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fuchs2.groups
+from fuchs2.groups import build_group, is_indecomposable
 from fuchs2.screeners import (
     M_RANGE,
     SCOPE_ALL_2M,
@@ -15,6 +20,12 @@ from fuchs2.screeners import (
 )
 
 import oracles
+from test_star import CLS3_64, OPEN_64, _presented
+
+# a self-centralizing element of order >= 8 and no cyclic direct factor:
+# not the unit group of any finite ring, at orders 256 and 512
+C32_C8 = "gens: a b\nrels: a^32, b^8, b^-1*a*b*a^-5"
+C64_C8 = "gens: a b\nrels: a^64, b^8, b^-1*a*b*a^-25"
 
 
 # -- individual rules ---------------------------------------------------------
@@ -111,9 +122,103 @@ def test_char_constraint_decides_abelian_groups_above_the_cap():
 
 
 def test_indecomposability_note_only_where_it_is_untested():
-    assert screen(build_group("C8xC4xC4xC2")).notes == []
-    note = "indecomposability not tested above order 128"
-    assert any(note in n for n in screen(build_group("D16xC4xC4")).notes)
+    # the constraint is decided at every order, so indecomposability is
+    # never left untested and no verdict carries a note about it
+    for spec in ("C8xC4xC4xC2", "D16xC4xC4", "D16xD16"):
+        assert screen(build_group(spec)).notes == []
+
+
+PRESENTED = {"CLS3_64": CLS3_64, "OPEN_64a": OPEN_64[0],
+             "OPEN_64b": OPEN_64[1]}
+
+
+@pytest.mark.parametrize(
+    "spec", oracles.catalog_atoms() + oracles.atom_products(64, (2, 3))
+    + list(PRESENTED))
+def test_char_constraint_matches_factor_split(spec):
+    G = _presented(PRESENTED[spec]) if spec in PRESENTED else \
+        build_group(spec)
+    assert char_constraint(G) == oracles.char_constraint_by_factor_split(G)
+
+
+def _word(*runs):
+    return "*".join(g if e == 1 else f"{g}^{e}" for g, e in runs if e)
+
+
+@st.composite
+def three_generator_presentations(draw):
+    """<a> normal in <a, b> normal in G: a^(2^e1), b^(2^e2) = a^v,
+    c^(2^e3) = a^w, a^b = a^r, a^c = a^s, b^c = b a^u, so every element
+    is a^i b^j c^k and the order is at most 2^(e1+e2+e3) <= 64."""
+    e1 = draw(st.integers(1, 4))
+    e2 = draw(st.integers(1, min(3, 5 - e1)))
+    e3 = draw(st.integers(1, min(3, 6 - e1 - e2)))
+    na = 1 << e1
+    r, s = (draw(st.integers(0, na // 2 - 1)) * 2 + 1 for _ in range(2))
+    u, v, w = (draw(st.integers(0, na - 1)) for _ in range(3))
+    return "gens: a b c\nrels: " + ", ".join([
+        f"a^{na}", _word(("b", 1 << e2), ("a", -v)),
+        _word(("c", 1 << e3), ("a", -w)),
+        _word(("b", -1), ("a", 1), ("b", 1), ("a", -r)),
+        _word(("c", -1), ("a", 1), ("c", 1), ("a", -s)),
+        _word(("c", -1), ("b", 1), ("c", 1), ("a", -u), ("b", -1))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=three_generator_presentations())
+def test_char_constraint_matches_factor_split_on_presentations(text):
+    G = _presented(text)
+    assume(not G.is_abelian())
+    assert char_constraint(G) == oracles.char_constraint_by_factor_split(G)
+
+
+def test_char_constraint_builds_no_factor_and_no_normal_subgroup(
+        monkeypatch):
+    G = _presented(C64_C8)
+
+    def refuse(*args):
+        raise AssertionError("brute-force route called")
+
+    monkeypatch.setattr(type(G), "subgroup_cayley", refuse)
+    monkeypatch.setattr(fuchs2.groups, "normal_subgroups", refuse)
+    assert G.n == 512 and char_constraint(G)
+    assert not char_constraint(build_group("D16xC4xC4xC2"))
+
+
+def test_screen_verdicts_pinned_on_atom_products():
+    # sha256 of the screen JSON of every product of 1-3 catalog atoms of
+    # order <= 128, computed with the normal-subgroup split the structural
+    # test replaced
+    digest = hashlib.sha256()
+    for spec in oracles.atom_products(128, (1, 2, 3)):
+        digest.update(screen(build_group(spec)).to_json().encode())
+    assert digest.hexdigest() == ("80fe083ea2b2b6ffc0e6f10bc08db17c"
+                                  "ae4c6dbca39189945c9a915273fbfb5f")
+
+
+@pytest.mark.parametrize("text", [C32_C8, C64_C8], ids=["C32_C8", "C64_C8"])
+def test_screen_refutes_any_ring_above_order_128(text):
+    v = screen(_presented(text))
+    assert v.status == "not_realizable"
+    assert v.scope == SCOPE_ANY_RING
+    assert {"self_centralizing_large_order",
+            "two_power_characteristic_only"} <= v.rules_fired()
+    assert v.notes == []
+
+
+def test_two_power_constraint_above_order_128():
+    assert "two_power_characteristic_only" in \
+        screen(build_group("D16xD16")).rules_fired()
+    assert "two_power_characteristic_only" not in \
+        screen(build_group("D16xC4xC4")).rules_fired()
+
+
+@pytest.mark.parametrize(
+    "spec", oracles.catalog_specs(128) + oracles.atom_products(128, (2, 3)))
+def test_near_maximal_exponent_fires_only_on_indecomposable_groups(spec):
+    G = build_group(spec)
+    if maximal_exponent_obstruction(G):
+        assert is_indecomposable(G)
 
 
 # -- aggregation --------------------------------------------------------------
