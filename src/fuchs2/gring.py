@@ -39,7 +39,8 @@ proj(g_a g_b), read off the group table once.  Over GF(2) a residue index
 is its own coordinate vector, so products are XORs of structure constants;
 over Z_{2^m} the same bilinear sum is Howell-reduced.  No table over the
 whole ring is ever built: the unit group's table is evaluated on the units
-alone.
+alone, and a generator map into the units is checked on the generator
+edges of its group alone (``unit_isomorphism``).
 
 The group ring of a 2-group over Z_{2^m} is local: the elements of even
 coefficient sum form the unique maximal ideal and everything else is a
@@ -861,6 +862,53 @@ def unit_group(ring) -> UnitGroup:
             raise InternalInvariantError("units are not closed") from None
     G = CayleyGroup(table, name="units", check=True)
     return UnitGroup(group=G, residue_index=units, position=pos, ring=ring)
+
+
+def unit_isomorphism(ring: QuotientRing, G: CayleyGroup, gens, images):
+    """The isomorphism G -> R^x sending gens[j] to residue images[j], as
+    a list of residue indices over G, or None when there is none.
+
+    Walks the Cayley graph of G breadth first from the identity, with one
+    ``ring.products`` call per level: each new element x*g gets
+    phi(x)*image(g), and an edge into an element that already has an image
+    must reproduce it, so phi(1) = 1 holds on every edge into 1 as well.
+    phi is returned only when every image has odd augmentation, phi covers
+    G and is injective, and the ring has 2|G| residues.
+
+    Proof.  R = Z_{2^m}[A]/I (A the ambient 2-group) is associative, so
+    agreement on every generator edge, phi(xg) = phi(x)phi(g), gives
+    phi(xy) = phi(x)phi(y) by induction on the length of y as a positive
+    word in the generators.
+    So phi(x)phi(x^-1) = phi(1) = 1 and phi maps into R^x (a non-unit
+    image would fail an edge; the augmentation test rejects it before any
+    product).  R is local with residue field GF(2) (I is proper, so it
+    lies in the even-sum maximal ideal), so its units are exactly the
+    odd-augmentation residues and |R^x| = |R|/2 = |G|: an injective map
+    into R^x is onto.
+    """
+    if ring.size != 2 * G.n:
+        return None
+    if any(ring.augmentation_index(r) % 2 == 0 for r in images):
+        return None
+    phi = [None] * G.n
+    phi[0] = ring.one_index
+    level = [0]
+    while level:
+        grown = []
+        rows = ring.products([phi[x] for x in level], images)
+        for x, row in zip(level, rows):
+            to = G.mul[x]
+            for g, r in zip(gens, row):
+                y = to[g]
+                if phi[y] is None:
+                    phi[y] = r
+                    grown.append(y)
+                elif phi[y] != r:
+                    return None
+        level = grown
+    if None in phi or len(set(phi)) != G.n:
+        return None
+    return phi
 
 
 def full_group_ring(group, m) -> QuotientRing:

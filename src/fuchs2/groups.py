@@ -672,12 +672,10 @@ def direct_product(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
         raise SizeCapError(f"product order {n} exceeds {ORDER_CAP}")
     nh = H.n
     mul = []
-    for xg in range(G.n):
-        row_g = G.mul[xg]
-        for xh in range(nh):
-            row_h = H.mul[xh]
-            mul.append([row_g[yg] * nh + row_h[yh]
-                        for yg in range(G.n) for yh in range(nh)])
+    for row_g in G.mul:
+        scaled = [y * nh for y in row_g]
+        for row_h in H.mul:
+            mul.append([a + b for a in scaled for b in row_h])
 
     # duplicates get the smallest numeric suffix that collides neither with
     # names already assigned nor with raw names still to come

@@ -36,9 +36,9 @@ from .errors import (
     UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, RingElement, _check_m, \
-    ideal_closure, ideal_sum, quotient_ring, unit_group, verify_two_sided
-from .groups import CayleyGroup, build_group, generator_map, isomorphism, \
-    verify_homomorphism
+    ideal_closure, ideal_sum, quotient_ring, unit_group, unit_isomorphism, \
+    verify_two_sided
+from .groups import CayleyGroup, build_group, isomorphism
 from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
 
@@ -210,7 +210,8 @@ def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
         return None
     if phi is None:
         return None
-    cert = certificate_from_parts(G, G, config.m, basis, ring, units, phi,
+    images = [units.residue_index[phi[g]] for g in G.gen_indices]
+    cert = certificate_from_parts(G, G, config.m, basis, ring, images,
                                   method="search")
     if not verify_certificate(cert):
         raise InternalInvariantError("search certificate failed to verify")
@@ -299,7 +300,11 @@ def verify_certificate(cert) -> bool:
     the span is a proper two-sided ideal inside the even-sum maximal
     ideal, the residue count matches, and the stored generator images
     extend to a bijective homomorphism from the claimed group onto the
-    unit group (checked on all pairs)."""
+    unit group, checked on every generator edge by ring products
+    (``gring.unit_isomorphism``): the residue ring is associative, so
+    edges suffice for multiplicativity, and it is local with residue field
+    GF(2), so with 2|G| residues it has |G| units and an injective map
+    into them is onto."""
     if isinstance(cert, Certificate):
         doc = cert.to_dict()
     elif isinstance(cert, dict):
@@ -338,9 +343,6 @@ def verify_certificate(cert) -> bool:
     ring = quotient_ring(basis)
     if ring.size != doc["quotient_size"]:
         return False
-    units = unit_group(ring)
-    if units.group.n != target.n:
-        return False
 
     witness = doc["iso_witness"]
     if set(witness) != set(target.gen_names):
@@ -351,14 +353,9 @@ def verify_certificate(cert) -> bool:
             coeffs = parse_element_literal(witness[name], ambient, m)
         except Fuchs2Error as exc:
             raise CertificateError(f"bad witness literal: {exc}") from exc
-        residue = ring.project(coeffs)
-        if residue not in units.position:
-            return False
-        images.append(units.position[residue])
-    phi = generator_map(target, target.gen_indices, images, units.group)
-    if phi is None or None in phi:
-        return False
-    return verify_homomorphism(target, units.group, phi)
+        images.append(ring.project(coeffs))
+    return unit_isomorphism(ring, target, target.gen_indices,
+                            images) is not None
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -425,8 +422,9 @@ def run_fixture(name, ambient_spec, m, literals, expected_spec):
             name, expected_spec, False, None,
             detail=f"unit group of size {units.group.n} is not isomorphic "
                    f"to {expected_spec}")
-    cert = certificate_from_parts(expected, ambient, m, basis, ring, units,
-                                  phi, method="fixture")
+    images = [units.residue_index[phi[g]] for g in expected.gen_indices]
+    cert = certificate_from_parts(expected, ambient, m, basis, ring, images,
+                                  method="fixture")
     ok = verify_certificate(cert)
     return FixtureResult(name, expected_spec, ok, cert,
                          detail="" if ok else "re-verification failed")

@@ -22,8 +22,11 @@ disjointness at every step is exactly the uniqueness of the normal forms.
 Every step that the underlying theory guarantees is still checked: every
 normal form is built and checked unique, the conditions are decided
 exactly, the kernel basis is re-verified to be a two-sided ideal, and
-the witness, the natural map g -> g + I, is checked on all pairs.  The
-certificate records enough to redo all of that from scratch.
+the witness, the natural map g -> g + I, is checked on every generator
+edge by ring products (``gring.unit_isomorphism``): the residue ring is
+associative, so edges suffice for multiplicativity, and it is local with
+residue field GF(2), so an injective map of G into its units is onto.
+The certificate records enough to redo all of that from scratch.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from .errors import Fuchs2Error, InternalInvariantError
 from .gring import (
     IdealBasis,
     QuotientRing,
-    UnitGroup,
     _Gf2Basis,
     quotient_ring,
-    unit_group,
+    unit_isomorphism,
     verify_two_sided,
 )
-from .groups import CayleyGroup, normal_subgroups, verify_homomorphism
+from .groups import CayleyGroup, normal_subgroups
 from .parsing import element_literal
 
 __version__ = "0.1.0"
@@ -342,26 +344,17 @@ def group_spec_of(G: CayleyGroup):
                       "spec string or presentation")
 
 
-def projection_witness(G: CayleyGroup, units: UnitGroup, ring: QuotientRing):
-    """The natural map g -> g + I, as a unit-index list, when it is a
-    bijection onto the unit group; None otherwise.  It is multiplicative
-    because the quotient map is a ring map; the caller checks that on all
-    pairs."""
-    phi = [units.position.get(r) for r in ring.element_index]
-    if None in phi or len(set(phi)) != units.group.n:
-        return None
-    return phi
-
-
 def realize_exponent4(G: CayleyGroup) -> Certificate:
     """Full pipeline for exponent <= 4 groups in characteristic 2.
 
     Composition basis -> exact condition check on its star operation ->
-    complement ideal -> residue ring -> unit group -> natural map.
+    complement ideal -> residue ring -> natural map.
     The first of ``composition_bases`` that passes the condition check is
     used.  By the construction's theorem g -> g + I is an isomorphism onto
-    the unit group, so that map is the witness; if it is not a bijective
-    homomorphism (checked on all pairs), InternalInvariantError is raised.
+    the unit group, so that map is the witness.  It is checked on every
+    generator edge by ring products (associativity of the ring makes edges
+    suffice, locality makes an injective map onto the units); if the check
+    fails, or yields any other map, InternalInvariantError is raised.
     """
     if G.exponent() > 4:
         raise Fuchs2Error(
@@ -383,22 +376,22 @@ def realize_exponent4(G: CayleyGroup) -> Certificate:
     if ring.size != 2 * G.n:
         raise InternalInvariantError(
             f"residue ring has {ring.size} elements, expected {2 * G.n}")
-    units = unit_group(ring)
-    phi = projection_witness(G, units, ring)
-    if phi is None or not verify_homomorphism(G, units.group, phi):
+    images = [ring.element_index[g] for g in G.gen_indices]
+    phi = unit_isomorphism(ring, G, G.gen_indices, images)
+    if phi != ring.element_index:
         raise InternalInvariantError(
             "the natural map is not an isomorphism onto the unit group")
-    return certificate_from_parts(G, G, 1, basis, ring, units, phi, "star")
+    return certificate_from_parts(G, G, 1, basis, ring, images, "star")
 
 
 def certificate_from_parts(G: CayleyGroup, ambient: CayleyGroup, m,
-                           basis, ring, units, phi, method) -> Certificate:
-    """Assemble a certificate from an already-verified pipeline run."""
+                           basis, ring: QuotientRing, images,
+                           method) -> Certificate:
+    """Assemble a certificate from an already-verified pipeline run;
+    ``images`` are the residue indices of the images of G's generators."""
     group_spec, ambient_spec = group_spec_of(G), group_spec_of(ambient)
-    witness = {}
-    for name, g in zip(G.gen_names, G.gen_indices):
-        rep = ring.rep(units.residue_index[phi[g]])
-        witness[name] = element_literal(rep, ambient)
+    witness = {name: element_literal(ring.rep(r), ambient)
+               for name, r in zip(G.gen_names, images)}
     return Certificate(
         group_spec=group_spec,
         ambient_spec=ambient_spec,

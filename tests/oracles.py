@@ -555,3 +555,44 @@ def char_constraint_by_factor_split(G):
         return True
     return all(char_constraint_by_factor_split(G.subgroup_cayley(m)[0])
                for m in pair)
+
+
+def verify_by_unit_table(doc):
+    """Verify a certificate document by the unit-group table: rebuild and
+    check the ideal and residue ring, tabulate the whole unit group
+    (``unit_group``), extend the witness over it (``generator_map``) and
+    check the extension on all pairs (``verify_homomorphism``)."""
+    from fuchs2.gring import IdealBasis, quotient_ring, unit_group, \
+        verify_two_sided
+    from fuchs2.groups import generator_map, verify_homomorphism
+    from fuchs2.parsing import parse_element_literal
+    from fuchs2.search import _build_from_spec
+
+    m = doc["char"].bit_length() - 1
+    ambient = _build_from_spec(doc["ambient"])
+    target = (_build_from_spec(doc["group"])
+              if doc["group"] != doc["ambient"] else ambient)
+    vectors = [parse_element_literal(lit, ambient, m)
+               for lit in doc["ideal_basis"]]
+    basis = IdealBasis.from_canonical_rows(ambient, m, vectors)
+    if basis is None or not verify_two_sided(basis):
+        return False
+    basis.closed = True
+    if basis.contains_one():
+        return False
+    ring = quotient_ring(basis)
+    if ring.size != doc["quotient_size"]:
+        return False
+    units = unit_group(ring)
+    witness = doc["iso_witness"]
+    if units.group.n != target.n or set(witness) != set(target.gen_names):
+        return False
+    images = []
+    for name in target.gen_names:
+        residue = ring.project(parse_element_literal(witness[name], ambient, m))
+        if residue not in units.position:
+            return False
+        images.append(units.position[residue])
+    phi = generator_map(target, target.gen_indices, images, units.group)
+    return (phi is not None and None not in phi
+            and verify_homomorphism(target, units.group, phi))

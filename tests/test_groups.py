@@ -412,6 +412,20 @@ def test_product_exponent_is_lcm():
         assert P.exponent() == lcm, (a, b)
 
 
+@pytest.mark.parametrize("a,b", [
+    ("C1", "Q8"), ("Q8", "C1"), ("D8", "C2"), ("C2", "D8"),
+    ("C16", "C4xC2xC2"), ("Q8xQ8", "C4xC2"), ("C4xC2", "Q8xQ8"),
+    ("D8xQ8", "C8"), ("C2xC2xC2", "C64"),
+])
+def test_direct_product_table_is_the_componentwise_product(a, b):
+    # (g, h) is index g*|H| + h, so the product is indexed entry by entry
+    G, H = build_group(a), build_group(b)
+    expected = [[G.mul[xg][yg] * H.n + H.mul[xh][yh]
+                 for yg in range(G.n) for yh in range(H.n)]
+                for xg in range(G.n) for xh in range(H.n)]
+    assert direct_product(G, H).mul == expected
+
+
 def test_product_generator_names_unique():
     G = build_group("C16xC4xC2xC2")
     assert len(set(G.gen_names)) == len(G.gen_names)

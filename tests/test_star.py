@@ -14,7 +14,7 @@ from fuchs2.gring import (
     unit_group,
     verify_two_sided,
 )
-from fuchs2.groups import build_group, verify_homomorphism
+from fuchs2.groups import build_group
 from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
@@ -306,23 +306,40 @@ def test_certificate_units_are_local():
 
 
 def test_realize_verifies_the_natural_map_once(monkeypatch):
-    from fuchs2 import star
+    from fuchs2 import gring, star
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return verify_homomorphism(*args)
+        return gring.unit_isomorphism(*args)
 
-    monkeypatch.setattr(star, "verify_homomorphism", counted)
-    realize_exponent4(build_group("Q8"))
+    monkeypatch.setattr(star, "unit_isomorphism", counted)
+    G = build_group("Q8")
+    realize_exponent4(G)
     assert len(calls) == 1
+    ring, group, gens, images = calls[0]
+    assert group is G and gens == G.gen_indices
+    assert images == [ring.element_index[g] for g in G.gen_indices]
 
 
 def test_realize_raises_when_the_natural_map_fails(monkeypatch):
     # the natural map is the isomorphism by theory; no other one is sought
     from fuchs2 import star
     from fuchs2.errors import InternalInvariantError
-    monkeypatch.setattr(star, "projection_witness", lambda *args: None)
+    monkeypatch.setattr(star, "unit_isomorphism", lambda *args: None)
+    with pytest.raises(InternalInvariantError, match="natural map"):
+        realize_exponent4(build_group("Q8"))
+
+
+def test_realize_raises_when_the_check_yields_another_map(monkeypatch):
+    from fuchs2 import gring, star
+    from fuchs2.errors import InternalInvariantError
+
+    def rotated(*args):
+        phi = gring.unit_isomorphism(*args)
+        return phi[1:] + phi[:1]
+
+    monkeypatch.setattr(star, "unit_isomorphism", rotated)
     with pytest.raises(InternalInvariantError, match="natural map"):
         realize_exponent4(build_group("Q8"))
 
