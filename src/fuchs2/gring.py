@@ -739,18 +739,23 @@ class QuotientRing:
         # R[a][k] = proj(g_a * rep(cols[k])) is the XOR of T[a][b] over the
         # set bits b of cols[k]; the products of residue i with every column
         # follow from the subset recurrence row(i) = row(i ^ low) ^ R[low].
+        # Each row walks its chain i, i ^ low, ... down to a memo hit and
+        # fills the chain back up.
         R = [[_xor_bits(Ta, j) for j in cols] for Ta in self._sc]
         memo = {0: [0] * len(cols)}
-
-        def row(i):
-            r = memo.get(i)
-            if r is None:
-                low = i & -i
-                r = memo[i] = [x ^ y for x, y in
-                               zip(row(i ^ low), R[low.bit_length() - 1])]
-            return r
-
-        return [row(i) for i in rows]
+        table = []
+        for i in rows:
+            chain = []
+            while i not in memo:
+                chain.append(i)
+                i &= i - 1
+            r = memo[i]
+            for j in reversed(chain):
+                low = j & -j
+                r = memo[j] = [x ^ y for x, y in
+                               zip(r, R[low.bit_length() - 1])]
+            table.append(r)
+        return table
 
     def _howell_products(self, rows, cols):
         # The same bilinear form on mixed-radix digits; sums of reduced

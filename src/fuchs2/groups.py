@@ -118,6 +118,7 @@ class CayleyGroup:
         self._min_gens = None
         self._fingerprints = None
         self._normal_subgroups = None
+        self._label_index = None
 
     def _verify(self):
         n = self.n
@@ -321,18 +322,19 @@ class CayleyGroup:
         if len(frat) == self.n:  # trivial group
             yield ()
             return
+        yield from self._extend_sequence([], frozenset(frat))
+
+    def _extend_sequence(self, prefix, span):
+        # a method rather than a nested closure: a recursive closure holds
+        # itself through its cell, so its frames wait for a full collection
+        if len(span) == self.n:
+            yield tuple(prefix)
+            return
         mul = self.mul
-
-        def extend(prefix, span):
-            if len(span) == self.n:
-                yield tuple(prefix)
-                return
-            for x in range(1, self.n):
-                if x not in span:
-                    yield from extend(prefix + [x],
-                                      span | {mul[s][x] for s in span})
-
-        yield from extend([], frozenset(frat))
+        for x in range(1, self.n):
+            if x not in span:
+                yield from self._extend_sequence(
+                    prefix + [x], span | {mul[s][x] for s in span})
 
     def minimal_generators(self):
         if self._min_gens is None:
@@ -361,6 +363,16 @@ class CayleyGroup:
 
     def labels(self):
         return [self.label(x) for x in range(self.n)]
+
+    def label_index(self):
+        """label(x) -> x over the identity and the elements with a label
+        word; the g{x} fallback labels name no word and are left out."""
+        if self._label_index is None:
+            words = self.label_words
+            self._label_index = {
+                self.label(x): x for x in range(self.n)
+                if x == 0 or (words is not None and words[x] is not None)}
+        return self._label_index
 
     # -- derived groups --------------------------------------------------
 
@@ -403,19 +415,8 @@ class _CosetTable:
         for i in range(ngens):
             self.relators.append((2 * i, 2 * i + 1))
             self.relators.append((2 * i + 1, 2 * i))
-        self.labels = []
-        self.neighbors = []
-        self._new_vertex()
-
-    def _new_vertex(self):
-        if len(self.labels) >= ENUM_VERTEX_CAP:
-            raise SizeCapError(
-                f"coset enumeration exceeded {ENUM_VERTEX_CAP} vertices; "
-                f"the presented group is too large or infinite")
-        c = len(self.labels)
-        self.labels.append(c)
-        self.neighbors.append([_UNDEF] * self.nd)
-        return c
+        self.labels = [0]
+        self.neighbors = [[_UNDEF] * self.nd]
 
     def find(self, c):
         labels = self.labels
@@ -426,27 +427,22 @@ class _CosetTable:
             labels[c], c = root, labels[c]
         return root
 
-    def follow(self, c, d):
-        c = self.find(c)
-        t = self.neighbors[c][d]
-        if t == _UNDEF:
-            t = self._new_vertex()
-            self.neighbors[c][d] = t
-        return self.find(t)
-
     def unify(self, c1, c2):
+        labels, neighbors, find = self.labels, self.neighbors, self.find
         queue = [(c1, c2)]
         while queue:
             a, b = queue.pop()
-            a, b = self.find(a), self.find(b)
+            if labels[a] != a:
+                a = find(a)
+            if labels[b] != b:
+                b = find(b)
             if a == b:
                 continue
             if a > b:
                 a, b = b, a
-            self.labels[b] = a
-            na, nb = self.neighbors[a], self.neighbors[b]
-            for d in range(self.nd):
-                t = nb[d]
+            labels[b] = a
+            na = neighbors[a]
+            for d, t in enumerate(neighbors[b]):
                 if t == _UNDEF:
                     continue
                 if na[d] == _UNDEF:
@@ -455,14 +451,34 @@ class _CosetTable:
                     queue.append((na[d], t))
 
     def run(self):
+        """The scan, with ``find``'s root case and edge following inlined:
+        a missing edge gets a new vertex, up to ENUM_VERTEX_CAP."""
+        labels, neighbors, find = self.labels, self.neighbors, self.find
+        nd, cap = self.nd, ENUM_VERTEX_CAP
         i = 0
-        while i < len(self.labels):
-            if self.find(i) == i:
+        while i < len(labels):
+            if labels[i] == i:
                 for rel in self.relators:
                     c = i
                     for d in rel:
-                        c = self.follow(c, d)
-                    self.unify(c, i)
+                        if labels[c] != c:
+                            c = find(c)
+                        t = neighbors[c][d]
+                        if t == _UNDEF:
+                            t = len(labels)
+                            if t >= cap:
+                                raise SizeCapError(
+                                    f"coset enumeration exceeded {cap} "
+                                    f"vertices; the presented group is too "
+                                    f"large or infinite")
+                            labels.append(t)
+                            neighbors.append([_UNDEF] * nd)
+                            neighbors[c][d] = t
+                        elif labels[t] != t:
+                            t = find(t)
+                        c = t
+                    if c != i:
+                        self.unify(c, i)
             i += 1
 
     def permutations(self):
@@ -798,11 +814,15 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup):
         [h for h in range(H.n) if fps_h[h] == fps_g[g]] for g in gens
     ]
     nodes = 0
-
-    def backtrack(images):
-        nonlocal nodes
+    # depth first over image tuples, on an explicit stack (a recursive
+    # closure would keep the tables alive until a full collection):
+    # images is the prefix and pending[i] iterates the candidates for
+    # gens[i]
+    images = []
+    pending = [iter(candidates[0])]
+    while pending:
         i = len(images)
-        for h in candidates[i]:
+        for h in pending[-1]:
             nodes += 1
             if nodes > ISO_NODE_BUDGET:
                 raise UndecidedError(
@@ -814,14 +834,16 @@ def isomorphism(G: CayleyGroup, H: CayleyGroup):
             if len(set(mapped)) != len(mapped):
                 continue
             if i + 1 < len(gens):
-                found = backtrack(images + [h])
-                if found is not None:
-                    return found
-            elif len(mapped) == G.n:
+                images.append(h)
+                pending.append(iter(candidates[i + 1]))
+                break
+            if len(mapped) == G.n:
                 return phi
-        return None
-
-    return backtrack([])
+        else:
+            pending.pop()
+            if images:
+                images.pop()
+    return None
 
 
 def is_isomorphic(G: CayleyGroup, H: CayleyGroup):

@@ -256,7 +256,35 @@ def _word_to_element(runs, group: CayleyGroup):
 
 
 def parse_element_literal(text, group: CayleyGroup, m: int):
-    """Parse an element literal into a coefficient tuple mod 2^m."""
+    """Parse an element literal into a coefficient tuple mod 2^m.
+
+    A sum of element labels, which ``element_literal`` writes whenever every
+    coefficient is 1, is read term by term through ``group.label_index()``.
+    Anything else goes through the word parser, and so does every literal
+    over a group whose labels it could read differently."""
+    terms = "".join(text.split()).split("+")
+    index = group.label_index()
+    if m >= 1 and all(t in index for t in terms) and _labels_are_words(group):
+        mod = 1 << m
+        coeffs = [0] * group.n
+        for t in terms:
+            g = index[t]
+            coeffs[g] = (coeffs[g] + 1) % mod
+        return tuple(coeffs)
+    return _parse_literal_words(text, group, m)
+
+
+def _labels_are_words(group: CayleyGroup):
+    """True when every label is one term to the word parser: no generator
+    name is empty, starts with a digit (2b reads as 2*b), or holds
+    whitespace or a character of the element grammar (x+y splits)."""
+    return all(name and not name[0].isdigit()
+               and not any(c in "+-*^[]," or c.isspace() for c in name)
+               for name in group.gen_names)
+
+
+def _parse_literal_words(text, group: CayleyGroup, m: int):
+    """The recursive-descent reading of an element literal."""
     mod = 1 << m
     p = _WordParser(text, group.gen_names)
     coeffs = [0] * group.n

@@ -294,17 +294,19 @@ def _check_fields(doc):
 
 
 def verify_certificate(cert) -> bool:
-    """Recompute everything a certificate claims.
+    """Recompute everything a certificate claims, from its specs alone.
 
-    Checks: the basis rows are exactly the canonical form of their span,
-    the span is a proper two-sided ideal inside the even-sum maximal
-    ideal, the residue count matches, and the stored generator images
-    extend to a bijective homomorphism from the claimed group onto the
-    unit group, checked on every generator edge by ring products
-    (``gring.unit_isomorphism``): the residue ring is associative, so
-    edges suffice for multiplicativity, and it is local with residue field
-    GF(2), so with 2|G| residues it has |G| units and an injective map
-    into them is onto."""
+    Reads the document (str, dict or ``Certificate``), checks its fields
+    and its characteristic, builds the ambient and the claimed group from
+    their specs, and passes them to ``_check_document``.  Checks: the basis
+    rows are exactly the canonical form of their span, the span is a proper
+    two-sided ideal inside the even-sum maximal ideal, the residue count
+    matches, and the stored generator images extend to a bijective
+    homomorphism from the claimed group onto the unit group, checked on
+    every generator edge by ring products (``gring.unit_isomorphism``): the
+    residue ring is associative, so edges suffice for multiplicativity, and
+    it is local with residue field GF(2), so with 2|G| residues it has |G|
+    units and an injective map into them is onto."""
     if isinstance(cert, Certificate):
         doc = cert.to_dict()
     elif isinstance(cert, dict):
@@ -325,7 +327,12 @@ def verify_certificate(cert) -> bool:
     ambient = _build_from_spec(doc["ambient"])
     target = (_build_from_spec(doc["group"])
               if doc["group"] != doc["ambient"] else ambient)
+    return _check_document(doc, ambient, target, m)
 
+
+def _check_document(doc, ambient, target, m) -> bool:
+    """Every claim of a well-formed document of characteristic 2^m, against
+    the groups its ``ambient`` and ``group`` specs name."""
     try:
         vectors = [parse_element_literal(lit, ambient, m)
                    for lit in doc["ideal_basis"]]
@@ -409,13 +416,22 @@ FIXTURES = [
 
 
 def run_fixture(name, ambient_spec, m, literals, expected_spec):
+    """Rebuild one explicit ideal and certify its unit group.
+
+    The ambient group is built once and doubles as the expected group when
+    the two specs are equal.  The certificate is rendered (``to_dict``)
+    and its literals are read back and checked by ``_check_document``
+    against these groups, so nothing is rebuilt from a spec; the spec ->
+    group route of ``verify_certificate`` is exercised by the test suite
+    and by ``fuchs2 verify`` on each fixture certificate."""
     ambient = build_group(ambient_spec)
     gens = [RingElement(ambient, m, parse_element_literal(lit, ambient, m))
             for lit in literals]
     basis = ideal_closure(gens)
     ring = quotient_ring(basis)
     units = unit_group(ring)
-    expected = build_group(expected_spec)
+    expected = (ambient if expected_spec == ambient_spec
+                else build_group(expected_spec))
     phi = isomorphism(expected, units.group)
     if phi is None:
         return FixtureResult(
@@ -425,14 +441,15 @@ def run_fixture(name, ambient_spec, m, literals, expected_spec):
     images = [units.residue_index[phi[g]] for g in expected.gen_indices]
     cert = certificate_from_parts(expected, ambient, m, basis, ring, images,
                                   method="fixture")
-    ok = verify_certificate(cert)
+    ok = _check_document(cert.to_dict(), ambient, expected, m)
     return FixtureResult(name, expected_spec, ok, cert,
                          detail="" if ok else "re-verification failed")
 
 
 def run_fixtures(strict=True):
-    """Rebuild and verify every tracked explicit ideal.  With strict=True
-    any failure raises (the fixtures are ground truth)."""
+    """Rebuild and check every tracked explicit ideal, building each group
+    once (see ``run_fixture``).  With strict=True any failure raises (the
+    fixtures are ground truth)."""
     results = [run_fixture(*row) for row in FIXTURES]
     if strict:
         bad = [r for r in results if not r.verified]

@@ -596,3 +596,55 @@ def verify_by_unit_table(doc):
     phi = generator_map(target, target.gen_indices, images, units.group)
     return (phi is not None and None not in phi
             and verify_homomorphism(target, units.group, phi))
+
+
+def coset_scan_reference(table):
+    """The HLT scan of ``groups._CosetTable`` written plainly on the
+    table's lists: every edge is followed through ``find``, a missing edge
+    gets a new vertex, and every relator trace ends in ``unify``, which
+    keeps the smaller root.  No vertex cap."""
+    labels, neighbors = table.labels, table.neighbors
+
+    def find(c):
+        while labels[c] != c:
+            c = labels[c]
+        return c
+
+    def follow(c, d):
+        c = find(c)
+        t = neighbors[c][d]
+        if t == -1:
+            t = len(labels)
+            labels.append(t)
+            neighbors.append([-1] * table.nd)
+            neighbors[c][d] = t
+        return find(t)
+
+    def unify(c1, c2):
+        queue = [(c1, c2)]
+        while queue:
+            a, b = queue.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            labels[b] = a
+            for d in range(table.nd):
+                t = neighbors[b][d]
+                if t == -1:
+                    continue
+                if neighbors[a][d] == -1:
+                    neighbors[a][d] = t
+                else:
+                    queue.append((neighbors[a][d], t))
+
+    i = 0
+    while i < len(labels):
+        if find(i) == i:
+            for rel in table.relators:
+                c = i
+                for d in rel:
+                    c = follow(c, d)
+                unify(c, i)
+        i += 1

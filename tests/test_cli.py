@@ -1,17 +1,22 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchs2.cli import dispatch
 from fuchs2.errors import ParseError
-from fuchs2.groups import build_group
+from fuchs2.groups import build_group, enumerate_presentation
 from fuchs2.parsing import (
     PRESENTATION_FILE_CAP,
+    _parse_literal_words,
     element_literal,
     parse_element_literal,
     parse_group_spec,
     parse_presentation_text,
 )
+
+from test_star import CLS3_64
 
 
 # -- group spec grammar -------------------------------------------------------
@@ -85,6 +90,92 @@ def test_literal_errors():
         parse_element_literal("2*a", G, 1)  # coefficient out of range
     with pytest.raises(ParseError):
         parse_element_literal("1+*a", G, 1)
+
+
+def _presented(text):
+    return enumerate_presentation(parse_presentation_text(text))
+
+
+# generator names x1..x3, i/j, a/ab (one a prefix of the other), and two
+# the word parser reads differently from a sum of labels: x+y next to x
+# and y, and 2b, which also reads as 2*b
+NAMED_GROUPS = {
+    "SG32_37": lambda: build_group("SG32_37"),
+    "Q8": lambda: build_group("Q8"),
+    "a/ab": lambda: _presented("gens: a ab\nrels: a^4, ab^2, [a,ab]"),
+    "x+y": lambda: _presented("gens: x y x+y\nrels: x^2, y^2, x+y^4, "
+                              "[x,y], [x,x+y], [y,x+y]"),
+    "2b": lambda: _presented("gens: b 2b\nrels: b^2, 2b^2, [b,2b]"),
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_group("Q8xQ8xC4xC2"), lambda: build_group("SG64_88"),
+    lambda: build_group("D16xC2"),
+    lambda: _presented(CLS3_64),
+    *(make for name, make in NAMED_GROUPS.items() if name != "2b")])
+def test_every_label_reads_back_to_its_element(make):
+    # every named group but 2b, whose label 2b reads as 2*b
+    G = make()
+    for x in range(G.n):
+        unit = tuple(int(g == x) for g in range(G.n))
+        assert parse_element_literal(G.label(x), G, 1) == unit
+        assert _parse_literal_words(G.label(x), G, 1) == unit
+    assert all(G.label(x) == label for label, x in G.label_index().items())
+
+
+@st.composite
+def group_and_literal(draw):
+    G = NAMED_GROUPS[draw(st.sampled_from(sorted(NAMED_GROUPS)))]()
+    names = st.sampled_from(G.gen_names)
+    exponents = st.sampled_from(["", "^2", "^-1", "^3", "^-2"])
+
+    def word(depth):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            if depth < 2 and draw(st.integers(0, 5)) == 0:
+                factors.append(f"[{word(depth + 1)},{word(depth + 1)}]"
+                               + draw(exponents))
+            else:
+                factors.append(draw(names) + draw(exponents))
+        return draw(st.sampled_from(["*", ""])).join(factors)
+
+    def term():
+        kind = draw(st.integers(0, 5))
+        if kind <= 2:  # what element_literal writes
+            return G.label(draw(st.integers(0, G.n - 1)))
+        if kind == 3:
+            return word(0)
+        if kind == 4:
+            c = draw(st.integers(0, 9))
+            return draw(st.sampled_from([f"{c}", f"{c}*{word(0)}",
+                                         f"{c}{word(0)}"]))
+        return draw(st.text(alphabet="1a+-*^[],xyij ", max_size=5))
+
+    text = term()
+    for _ in range(draw(st.integers(0, 4))):
+        text += draw(st.sampled_from(["+", "-", " + ", "- "])) + term()
+    if draw(st.booleans()):
+        text = "-" + text
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + " " + text[cut:]
+    return G, text, draw(st.integers(1, 3))
+
+
+def _outcome(parse, text, G, m):
+    try:
+        return parse(text, G, m)
+    except Exception as exc:  # the two readings must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=group_and_literal())
+def test_label_index_read_agrees_with_the_word_parser(case):
+    G, text, m = case
+    assert _outcome(parse_element_literal, text, G, m) == \
+        _outcome(_parse_literal_words, text, G, m)
 
 
 # -- presentation files -------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -637,6 +638,20 @@ def test_residue_index_is_mixed_radix_number(ring):
     for g in range(n):
         e_g = tuple(int(h == g) for h in range(n))
         assert ring.element_index[g] == ring.project(e_g)
+
+
+def test_products_leave_no_reference_cycles():
+    # a memo kept alive by a cycle would outlive the call until the next
+    # full collection
+    ring = full_group_ring(build_group("C8"), 1)
+    gc.collect()
+    gc.disable()
+    try:
+        table = ring.products(range(ring.size), [1, 2, 5, ring.size - 1])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert table[3] == [ring.mul_index(3, j) for j in (1, 2, 5, ring.size - 1)]
 
 
 def test_products_on_demand_above_unit_table_cap():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -23,8 +24,10 @@ from fuchs2.groups import (
     Presentation,
     _CosetTable,
     _element_fingerprints,
+    _relator_directions,
     build_group,
     catalog_group,
+    catalog_presentation,
     direct_factor_pair,
     direct_product,
     enumerate_presentation,
@@ -37,6 +40,7 @@ from fuchs2.groups import (
     structure_report,
     verify_homomorphism,
 )
+from fuchs2.parsing import parse_group_spec, parse_presentation_text
 
 import oracles
 from test_star import CLS3_64, CLS4_128, ENCODE_POOL, _presented
@@ -468,6 +472,41 @@ def test_coset_enumeration_reads_its_vertex_cap_at_call_time(monkeypatch):
     monkeypatch.setattr(fuchs2.groups, "ENUM_VERTEX_CAP", 100)
     with pytest.raises(SizeCapError, match="100 vertices"):
         catalog_group("C", 512)
+
+
+@pytest.mark.parametrize(
+    "spec", oracles.catalog_specs(16) + ["CLS3_64", "CLS4_128", "QD128",
+                                         "D512"])
+def test_coset_scan_matches_the_reference_scan(spec):
+    # same vertices created and merged in the same order: the same vertex
+    # count and the same permutations, hence the same element numbering
+    texts = {"CLS3_64": CLS3_64, "CLS4_128": CLS4_128}
+    pres = (parse_presentation_text(texts[spec]) if spec in texts
+            else catalog_presentation(*parse_group_spec(spec).atoms[0]))
+    relators = [_relator_directions(w) for w in pres.relators]
+    fast, slow = (_CosetTable(len(pres.gens), relators) for _ in range(2))
+    fast.run()
+    oracles.coset_scan_reference(slow)
+    assert len(fast.labels) == len(slow.labels)
+    assert fast.permutations() == slow.permutations()
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, H: isomorphism(G, H),
+    lambda G, H: list(G.minimal_generating_sequences()),
+    lambda G, H: next(G.minimal_generating_sequences()),
+])
+def test_searches_leave_no_reference_cycles(call):
+    # a recursive closure refers to itself through its cell, which keeps
+    # its locals (and the tables they hold) alive until a full collection
+    G, H = build_group("SG64_88"), build_group("SG64_88")
+    gc.collect()
+    gc.disable()
+    try:
+        assert call(G, H) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sg32_37_is_m16_x_c2(groups):

@@ -448,6 +448,22 @@ def test_single_fixture_c8():
     assert result.certificate.method == "fixture"
 
 
+def test_fixture_suite_builds_each_group_once(monkeypatch):
+    # six ambient groups, two of which differ from their expected group;
+    # certificates are checked against the groups already built
+    built = []
+    real_build = fuchs2.search.build_group
+    monkeypatch.setattr(fuchs2.search, "build_group",
+                        lambda spec: built.append(spec) or real_build(spec))
+
+    def no_verify(cert):
+        raise AssertionError("run_fixtures rebuilt a certificate's groups")
+
+    monkeypatch.setattr(fuchs2.search, "verify_certificate", no_verify)
+    assert all(r.verified for r in run_fixtures())
+    assert len(built) == 8
+
+
 def test_all_fixtures_verify():
     results = run_fixtures(strict=True)
     assert all(r.verified for r in results)
