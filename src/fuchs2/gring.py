@@ -588,14 +588,22 @@ class IdealBasis:
         return tuple(self._impl.rows)
 
 
+def _sides(group, t):
+    """The left translation by t, then the right one only where it differs:
+    R_t = L_t exactly when t is central."""
+    left = group.mul[t]
+    right = [row[t] for row in group.mul]
+    return (left,) if right == left else (left, right)
+
+
 def _translations(group):
-    """Left/right index permutations by a fixed minimal generating set.
-    A span closed under these is closed under translation by every group
-    element on both sides, because the generators generate."""
-    gens = group.minimal_generators()
-    left = [group.mul[g] for g in gens]
-    right = [[group.mul[h][g] for h in range(group.n)] for g in gens]
-    return list(left) + list(right)
+    """Index permutations by a fixed minimal generating set: for each
+    generator, its left translation and, when the generator is not central,
+    its right one (``_sides``).  A span closed under these is closed under
+    translation by every group element on both sides, because the
+    generators generate.  On an abelian group that is d permutations
+    instead of 2d, and no permutation appears twice."""
+    return [p for g in group.minimal_generators() for p in _sides(group, g)]
 
 
 def ideal_closure(gens) -> IdealBasis:
@@ -653,10 +661,11 @@ def ideal_sum(a: IdealBasis, b: IdealBasis) -> IdealBasis:
 def verify_two_sided(basis: IdealBasis) -> bool:
     """Check that the span of the basis rows is a two-sided ideal without
     extending it: the span is stable under left and right translation by a
-    generating set.  The basis class decides that on its own vectors: over
-    GF(2) on the annihilator read off the rows (log2|G| + 1 vectors for a
-    star complement instead of |G| - log2|G| - 1 rows), over Z_{2^m} on
-    the translates of the Howell rows."""
+    generating set, each distinct permutation once (R_g = L_g exactly for
+    central g, see ``_translations``).  The basis class decides that on its
+    own vectors: over GF(2) on the annihilator read off the rows
+    (log2|G| + 1 vectors for a star complement instead of |G| - log2|G| - 1
+    rows), over Z_{2^m} on the translates of the Howell rows."""
     return basis._impl.translation_closed(_translations(basis.group))
 
 

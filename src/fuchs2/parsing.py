@@ -264,7 +264,8 @@ def parse_element_literal(text, group: CayleyGroup, m: int):
     over a group whose labels it could read differently."""
     terms = "".join(text.split()).split("+")
     index = group.label_index()
-    if m >= 1 and all(t in index for t in terms) and _labels_are_words(group):
+    if (m >= 1 and all(t in index for t in terms)
+            and unreadable_generator_name(group.gen_names) is None):
         mod = 1 << m
         coeffs = [0] * group.n
         for t in terms:
@@ -274,13 +275,21 @@ def parse_element_literal(text, group: CayleyGroup, m: int):
     return _parse_literal_words(text, group, m)
 
 
-def _labels_are_words(group: CayleyGroup):
-    """True when every label is one term to the word parser: no generator
-    name is empty, starts with a digit (2b reads as 2*b), or holds
-    whitespace or a character of the element grammar (x+y splits)."""
-    return all(name and not name[0].isdigit()
-               and not any(c in "+-*^[]," or c.isspace() for c in name)
-               for name in group.gen_names)
+def unreadable_generator_name(names):
+    """The first name the word grammar cannot read back as that one
+    generator, or None when every name reads back: a name must be
+    nonempty, differ from the names before it, not start with a digit (2b
+    reads as 2*b), and hold no whitespace and no character of the element
+    grammar (x+y splits).  Presentation files are held to this rule, and
+    label sums are read through the label index only when it holds, since
+    a ``CayleyGroup`` built through the API may carry any names."""
+    seen = set()
+    for name in names:
+        if (not name or name in seen or name[0].isdigit()
+                or any(c in "+-*^[]," or c.isspace() for c in name)):
+            return name
+        seen.add(name)
+    return None
 
 
 def _parse_literal_words(text, group: CayleyGroup, m: int):
@@ -355,6 +364,11 @@ def parse_presentation_text(text) -> Presentation:
         raise ParseError("presentation file has no 'gens:' line")
     if not gens:
         raise ParseError("presentation declares no generators")
+    bad = unreadable_generator_name(gens)
+    if bad is not None:
+        raise ParseError(f"generator name {bad!r} cannot be read back: names "
+                         "must be distinct, must not start with a digit and "
+                         "must hold none of + - * ^ [ ] ,")
     pos = {name: i for i, name in enumerate(gens)}
     relators = []
     for rel in rel_text:

@@ -35,7 +35,7 @@ from .errors import (
     SizeCapError,
     UndecidedError,
 )
-from .gring import M_CAP, IdealBasis, RingElement, _check_m, \
+from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
     ideal_closure, ideal_sum, quotient_ring, unit_group, unit_isomorphism, \
     verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism
@@ -92,10 +92,13 @@ def _principal_closures(G: CayleyGroup, pool):
     generate the same two-sided ideal as x; they are pool elements too
     (same scalar, same support size, identity in the support).  The whole
     orbit under these moves shares one closure, computed once, and equal
-    closures are one interned basis."""
+    closures are one interned basis.  The moves by each s^-1 are built once
+    per call: the left translation, and the right one only where it
+    differs (``gring._sides``: R_t = L_t exactly when t is central)."""
     where = {x.coeffs: i for i, x in enumerate(pool)}
     closures = {}
     interned = {}
+    moves = [_sides(G, G.inv[s]) for s in range(G.n)]
 
     def closure(i):
         if i in closures:
@@ -111,8 +114,7 @@ def _principal_closures(G: CayleyGroup, pool):
             coeffs = pool[orbit.pop()].coeffs
             support = [g for g, c in enumerate(coeffs) if c]
             for s in support:
-                t = G.inv[s]
-                for perm in (G.mul[t], [row[t] for row in G.mul]):
+                for perm in moves[s]:
                     moved = [0] * G.n
                     for g in support:
                         moved[perm[g]] = coeffs[g]

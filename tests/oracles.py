@@ -247,6 +247,15 @@ class HowellReference:
         return radix
 
 
+def translations_both_sides(G):
+    """The left and then the right translation by each minimal generator,
+    2d permutations, repeats kept (a central generator's two are equal)."""
+    gens = G.minimal_generators()
+    left = [G.mul[g] for g in gens]
+    right = [[G.mul[h][g] for h in range(G.n)] for g in gens]
+    return left + right
+
+
 def two_sided_brute(G, m, rows):
     """True if the span of ``rows`` (coefficient tuples) is a two-sided
     ideal of Z_{2^m}[G]: every row translated by every group element on

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fuchs2.cli import dispatch
 from fuchs2.errors import ParseError
-from fuchs2.groups import build_group, enumerate_presentation
+from fuchs2.groups import CayleyGroup, build_group, enumerate_presentation
 from fuchs2.parsing import (
     PRESENTATION_FILE_CAP,
     _parse_literal_words,
@@ -14,6 +14,7 @@ from fuchs2.parsing import (
     parse_element_literal,
     parse_group_spec,
     parse_presentation_text,
+    unreadable_generator_name,
 )
 
 from test_star import CLS3_64
@@ -96,6 +97,13 @@ def _presented(text):
     return enumerate_presentation(parse_presentation_text(text))
 
 
+def _renamed(G, names):
+    """G with its generators renamed through the API, which, unlike a
+    presentation file, accepts names the word grammar cannot read back."""
+    return CayleyGroup(G.mul, gen_names=names, gen_indices=G.gen_indices,
+                       label_words=G.label_words, check=False)
+
+
 # generator names x1..x3, i/j, a/ab (one a prefix of the other), and two
 # the word parser reads differently from a sum of labels: x+y next to x
 # and y, and 2b, which also reads as 2*b
@@ -103,9 +111,11 @@ NAMED_GROUPS = {
     "SG32_37": lambda: build_group("SG32_37"),
     "Q8": lambda: build_group("Q8"),
     "a/ab": lambda: _presented("gens: a ab\nrels: a^4, ab^2, [a,ab]"),
-    "x+y": lambda: _presented("gens: x y x+y\nrels: x^2, y^2, x+y^4, "
-                              "[x,y], [x,x+y], [y,x+y]"),
-    "2b": lambda: _presented("gens: b 2b\nrels: b^2, 2b^2, [b,2b]"),
+    "x+y": lambda: _renamed(
+        _presented("gens: x y z\nrels: x^2, y^2, z^4, [x,y], [x,z], [y,z]"),
+        ("x", "y", "x+y")),
+    "2b": lambda: _renamed(_presented("gens: b c\nrels: b^2, c^2, [b,c]"),
+                           ("b", "2b")),
 }
 
 
@@ -209,6 +219,32 @@ def test_presentation_file_path_containing_x(tmp_path):
     assert parse_group_spec(f"file:{path}").atoms == (("file", str(path)),)
     assert build_group(f"file:{path}").n == 16
     assert dispatch(["info", f"file:{path}"]) == 0
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("gens: a 2b\nrels: a^4, 2b^4, [a,2b]\n", "2b"),
+    ("gens: a a\nrels: a^4\n", "a"),
+    ("gens: x y x+y\nrels: x^2, y^2\n", "x+y"),
+    *((f"gens: a b{c}\nrels: a^2\n", f"b{c}") for c in "-*^[],"),
+])
+def test_unreadable_generator_names_rejected(capsys, tmp_path, text, bad):
+    # a name the word grammar cannot read back would give certificates
+    # that `verify` cannot parse, and a repeated name shadows the first
+    with pytest.raises(ParseError, match="cannot be read back"):
+        parse_presentation_text(text)
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    for command in ("info", "realize"):
+        capsys.readouterr()
+        assert dispatch([command, f"file:{path}"]) == 3
+        assert repr(bad) in capsys.readouterr().err
+
+
+def test_unreadable_generator_name_predicate():
+    assert unreadable_generator_name(("a", "ab", "x1", "b2")) is None
+    for names, bad in [(("a", ""), ""), (("a", "b", "a"), "a"),
+                       (("1",), "1"), (("a b",), "a b"), (("x+y",), "x+y")]:
+        assert unreadable_generator_name(names) == bad
 
 
 def test_presentation_file_with_txt_suffix(tmp_path):

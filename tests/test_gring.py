@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,7 @@ from fuchs2.gring import (
     unit_group,
     verify_two_sided,
 )
+from fuchs2 import gring
 from fuchs2.gring import _Gf2Basis, _HowellBasis
 from fuchs2.groups import build_group, isomorphism
 from fuchs2.parsing import parse_element_literal
@@ -792,6 +794,67 @@ def test_verify_two_sided_matches_brute_over_howell(pair):
     partial = IdealBasis.from_vectors(G, m, [x.coeffs for x in b])
     assert verify_two_sided(partial) == \
         oracles.two_sided_brute(G, m, partial.rows)
+
+
+@pytest.mark.parametrize("spec", SMALL + ("D8xC4", "Q8xQ8", "C4xC4xC2"))
+def test_translations_are_distinct_and_cover_both_sides(spec):
+    # R_g = L_g exactly for central g, so the right translation is kept
+    # only for the non-central minimal generators
+    G = build_group(spec)
+    perms = gring._translations(G)
+    gens = G.minimal_generators()
+    central = set(oracles.center_brute(G))
+    assert len({tuple(p) for p in perms}) == len(perms)
+    assert len(perms) == len(gens) + sum(g not in central for g in gens)
+    if G.is_abelian():
+        assert len(perms) == len(gens)
+    assert {tuple(p) for p in perms} == \
+        {tuple(p) for p in oracles.translations_both_sides(G)}
+
+
+@st.composite
+def mixed_closures(draw):
+    """1-3 random generators inside the maximal ideal of Z_{2^m}[G] over the
+    SMALL groups and D8xC4 (whose minimal generators mix central and
+    non-central ones, as Q8xC2's do), and one random vector that may
+    perturb the closure into a span that is not an ideal."""
+    G = build_group(draw(st.sampled_from(SMALL + ("D8xC4",))))
+    m = draw(st.sampled_from((1, 2, 3)))
+    mod = 1 << m
+
+    def vector(even):
+        coeffs = draw(st.lists(st.integers(0, mod - 1),
+                               min_size=G.n, max_size=G.n))
+        if even and sum(coeffs) % 2:
+            coeffs[draw(st.integers(0, G.n - 1))] ^= 1
+        return tuple(coeffs)
+
+    gens = [RingElement(G, m, vector(True))
+            for _ in range(draw(st.integers(1, 3)))]
+    return G, m, gens, vector(draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=mixed_closures())
+def test_deduplicated_translations_match_both_sided_route(case):
+    # closures, keys and two-sided verdicts are those of translating by
+    # the left and the right translation of every minimal generator
+    G, m, gens, extra = case
+
+    def route():
+        try:
+            basis = ideal_closure(gens)
+        except ImproperIdealError:
+            return None, None, None
+        perturbed = IdealBasis.from_vectors(G, m, basis.rows + [extra])
+        return (basis.key(), verify_two_sided(basis),
+                verify_two_sided(perturbed))
+
+    ours = route()
+    with mock.patch.object(gring, "_translations",
+                           oracles.translations_both_sides):
+        assert route() == ours
+    assert ours[1] in (None, True)
 
 
 def test_ideal_sum_unclosed_and_mismatched_inputs():

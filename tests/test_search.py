@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -188,6 +189,43 @@ def test_search_closes_each_pool_element_at_most_once(monkeypatch):
     assert set(calls) == {1}
 
 
+@pytest.mark.parametrize("spec, m", [("D8", 1), ("Q8", 2), ("C4xC2", 1)])
+def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
+    # one closure per orbit of the pool under x -> s^-1 x and x -> x s^-1
+    # for s in the support of x, the orbits found here by brute force
+    G = build_group(spec)
+    pool = _single_elements(G, SearchConfig(m=m))
+    coeffs = [x.coeffs for x in pool]
+
+    def moved(x, t, side):
+        y = [0] * G.n
+        for g, c in enumerate(x):
+            y[G.mul[t][g] if side == "left" else G.mul[g][t]] = c
+        return tuple(y)
+
+    orbit_of = {}
+    for x in coeffs:
+        if x in orbit_of:
+            continue
+        orbit_of[x] = x
+        work = [x]
+        while work:
+            y = work.pop()
+            for s in (g for g, c in enumerate(y) if c):
+                for side in ("left", "right"):
+                    z = moved(y, G.inv[s], side)
+                    if z not in orbit_of:
+                        orbit_of[z] = x
+                        work.append(z)
+    calls = _count_closures(monkeypatch)
+    closure = fuchs2.search._principal_closures(G, pool)
+    bases = [closure(i) for i in range(len(pool))]
+    assert len(calls) == len(set(orbit_of.values())) < len(pool)
+    for i, x in enumerate(coeffs):
+        j = coeffs.index(orbit_of[x])
+        assert bases[i] is bases[j]
+
+
 def test_search_c8_full_stream(monkeypatch):
     # the whole default-budget stream (124,313 raw candidates) is walked:
     # most of it in skipped subtrees
@@ -200,6 +238,36 @@ def test_search_c8_full_stream(monkeypatch):
     assert search_realizing_ideal(G, config) is None
     assert time.perf_counter() - t0 < 1.0
     assert len(calls) <= len(_single_elements(G, config)) == 42
+
+
+# sha256 over (index, generator coefficients, key()) of each candidate,
+# pinned before the principal-closure orbits shared their moves: (spec, m,
+# budget or None, candidates read or None, candidates, digest).  The
+# C8xC2 stream at m = 1 ends at its 72nd candidate, inside the first 300.
+STREAM_PINS = [
+    ("C8xC2", 1, None, 300, 72,
+     "881ce4d1d7b481ef8a7f4ad6101304728c8fec2b5b2e9523867f20dbab668731"),
+    ("C8xC2", 2, 1500, None, 113,
+     "060c41684d2d00149fa59350cdc9472f3da9e14ff25efd0697bb7c24a84ec448"),
+    ("C8", 1, None, None, 6,
+     "bb075998a7db99a35bffbf4945a23062c018a50ad8676572e3cd88e651753b62"),
+]
+
+
+@pytest.mark.parametrize("spec, m, budget, limit, count, pin", STREAM_PINS)
+def test_candidate_stream_pinned(spec, m, budget, limit, count, pin):
+    G = build_group(spec)
+    config = SearchConfig(m=m) if budget is None else \
+        SearchConfig(m=m, budget=budget)
+    digest = hashlib.sha256()
+    seen = 0
+    for index, gens, basis in itertools.islice(
+            enumerate_candidates(G, config), limit):
+        digest.update(repr((index, tuple(x.coeffs for x in gens),
+                            basis.key())).encode() + b"\n")
+        seen += 1
+    assert seen == count
+    assert digest.hexdigest() == pin
 
 
 # -- search -------------------------------------------------------------------
