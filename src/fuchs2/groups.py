@@ -31,6 +31,9 @@ from .errors import (
 
 ORDER_CAP = 512
 ENUM_VERTEX_CAP = 200_000
+# vertex cap of each leave-one-out enumeration that names a collapsing
+# generator's relator; most such runs present an infinite group
+CULPRIT_VERTEX_CAP = 16 * ORDER_CAP
 ISO_NODE_BUDGET = 10_000_000
 INDECOMP_CAP = 128
 NORMAL_SUBGROUP_CAP = 50_000
@@ -408,8 +411,9 @@ class _CosetTable:
     The discovery order fixes the final numbering, hence element indexing.
     """
 
-    def __init__(self, ngens, relators):
+    def __init__(self, ngens, relators, cap=None):
         self.nd = 2 * ngens
+        self.cap = ENUM_VERTEX_CAP if cap is None else cap
         self.relators = [rel for rel in relators]
         # tracing g then g^-1 (and vice versa) must return home
         for i in range(ngens):
@@ -452,9 +456,9 @@ class _CosetTable:
 
     def run(self):
         """The scan, with ``find``'s root case and edge following inlined:
-        a missing edge gets a new vertex, up to ENUM_VERTEX_CAP."""
+        a missing edge gets a new vertex, up to ``cap`` vertices."""
         labels, neighbors, find = self.labels, self.neighbors, self.find
-        nd, cap = self.nd, ENUM_VERTEX_CAP
+        nd, cap = self.nd, self.cap
         i = 0
         while i < len(labels):
             if labels[i] == i:
@@ -583,14 +587,19 @@ def _compress_word(dirs):
 
 
 def _find_culprit(pres, gen_idx):
-    """Leave-one-out search for a relator that trivializes a generator."""
+    """Leave-one-out search for a relator that trivializes a generator.
+
+    Leaving out a power relator usually leaves an infinite group, so each
+    run stops at CULPRIT_VERTEX_CAP vertices and is skipped, as any run
+    that fails is."""
     for drop in range(len(pres.relators)):
         reduced = Presentation(
             pres.gens,
             tuple(w for j, w in enumerate(pres.relators) if j != drop))
         try:
             relators = [_relator_directions(w) for w in reduced.relators]
-            table = _CosetTable(len(pres.gens), relators)
+            table = _CosetTable(len(pres.gens), relators,
+                                CULPRIT_VERTEX_CAP)
             table.run()
             perms = table.permutations()
             if perms[2 * gen_idx][0] != 0:

@@ -15,7 +15,10 @@ is certified.  Identical (group, config) inputs give byte-identical
 certificates.
 
 The fixture suite rebuilds every explicit ideal from the literature this
-package tracks and hard-checks the resulting unit groups.
+package tracks and checks a recorded witness for each: the images of the
+expected group's generators, checked on every generator edge by ring
+products, as ``verify_certificate`` checks any certificate.  No unit group
+is tabulated and no isomorphism is searched for.
 """
 
 from __future__ import annotations
@@ -389,7 +392,12 @@ class FixtureResult:
         }
 
 
-# (name, ambient spec, m, generator literals, expected unit group spec)
+# (name, ambient spec, m, generator literals, expected unit group spec,
+# witness literals).  The witness literals are the ambient elements whose
+# residues are the images of the expected group's generators, in the order
+# of its generator names; they were read from the certificates that the
+# unit-group route (``unit_group`` and ``isomorphism``) produced, and the
+# test suite rederives them by that route.
 # The characteristic-4 quaternion ideal carries the symmetrizer i*j+j*i in
 # addition to the four published generators: without it the closure has
 # index 32 and unit group Q8 x C2 (checked in the test suite); with it the
@@ -397,55 +405,62 @@ class FixtureResult:
 FIXTURES = [
     ("SG32_37_char2", "SG32_37", 1,
      ("1+x1+x2+x1^5*x2", "1+x1+x1^2+x1^7*x3", "1+x1+x1^4+x1^5"),
-     "SG32_37"),
+     "SG32_37",
+     ("x1^-3*x3", "x1*x2*x1^-1*x3", "x1*x2*x1^-1*x3+x1^-3*x3+x2*x1*x3")),
     ("SG64_88_char2", "SG64_88", 1,
      ("1+x1+x1^2+x1^3*[x2,x1]", "1+x1+x1*x2+x2*x3", "1+x1+x1*x3+x1^4*x3"),
-     "SG64_88"),
+     "SG64_88",
+     ("x2*x1^-1*x2*x3", "x1*x2*x3*x1^-1",
+      "x1*x2*x3*x1^-1+x1*x2*x1*x3+x1*x2*x1*x2*x3")),
     ("SG64_104_char2", "SG64_104", 1,
      ("1+x1+x1^2+x1^3*x2^2", "1+x1+x1*x2+x2*x3", "1+x1+x1*x3+x1^4*x3"),
-     "SG64_104"),
+     "SG64_104",
+     ("x2^-1*x3*x1^-1", "x1^2*x2*x3", "x1*x2^2*x3*x1^-1")),
     ("Q8_char4", "Q8", 2,
      ("2*i+2", "2*j+2", "1+i+i^2+i^3", "1+i+j+i*j", "i*j+j*i"),
-     "Q8"),
+     "Q8",
+     ("i^-1", "j^-1")),
     ("C8_char2", "C8", 1,
      ("1+a+a^4+a^5",),
-     "C8xC2"),
+     "C8xC2",
+     ("a^3", "a^3+a^-3+a^-2")),
     ("C16_char2", "C16", 1,
      ("1+a+a^2+a^3+a^4+a^5+a^6+a^7+a^8+a^9+a^10+a^11+a^12+a^13+a^14+a^15",
       "1+a+a^8+a^9", "1+a^2+a^8+a^10"),
-     "C16xC4xC2xC2"),
+     "C16xC4xC2xC2",
+     ("a^7", "a^7+a^-7+a^-6", "a^7+a^8+a^-7+a^-5+a^-3", "a^7+a^-5+a^-4")),
 ]
 
 
-def run_fixture(name, ambient_spec, m, literals, expected_spec):
-    """Rebuild one explicit ideal and certify its unit group.
+def run_fixture(name, ambient_spec, m, literals, expected_spec, witness):
+    """Rebuild one explicit ideal and check its recorded witness.
 
     The ambient group is built once and doubles as the expected group when
-    the two specs are equal.  The certificate is rendered (``to_dict``)
-    and its literals are read back and checked by ``_check_document``
-    against these groups, so nothing is rebuilt from a spec; the spec ->
-    group route of ``verify_certificate`` is exercised by the test suite
-    and by ``fuchs2 verify`` on each fixture certificate."""
+    the two specs are equal.  The witness literals are projected into the
+    residue ring and assembled into a certificate, which is rendered
+    (``to_dict``) and checked by ``_check_document`` against these groups,
+    the route ``verify_certificate`` takes after building them from their
+    specs: the generator-edge check of ``gring.unit_isomorphism`` proves
+    the unit group isomorphic to the expected group without tabulating
+    it.  The spec -> group route of ``verify_certificate`` is exercised by
+    the test suite and by ``fuchs2 verify`` on each fixture certificate."""
     ambient = build_group(ambient_spec)
     gens = [RingElement(ambient, m, parse_element_literal(lit, ambient, m))
             for lit in literals]
     basis = ideal_closure(gens)
     ring = quotient_ring(basis)
-    units = unit_group(ring)
     expected = (ambient if expected_spec == ambient_spec
                 else build_group(expected_spec))
-    phi = isomorphism(expected, units.group)
-    if phi is None:
-        return FixtureResult(
-            name, expected_spec, False, None,
-            detail=f"unit group of size {units.group.n} is not isomorphic "
-                   f"to {expected_spec}")
-    images = [units.residue_index[phi[g]] for g in expected.gen_indices]
+    images = [ring.project(parse_element_literal(w, ambient, m))
+              for w in witness]
     cert = certificate_from_parts(expected, ambient, m, basis, ring, images,
                                   method="fixture")
     ok = _check_document(cert.to_dict(), ambient, expected, m)
-    return FixtureResult(name, expected_spec, ok, cert,
-                         detail="" if ok else "re-verification failed")
+    return FixtureResult(
+        name, expected_spec, ok, cert,
+        detail="" if ok else
+        f"recorded witness ({', '.join(witness)}) is not an isomorphism "
+        f"from {expected_spec} onto the unit group")
 
 
 def run_fixtures(strict=True):

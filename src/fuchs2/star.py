@@ -391,7 +391,7 @@ def certificate_from_parts(G: CayleyGroup, ambient: CayleyGroup, m,
     ``images`` are the residue indices of the images of G's generators."""
     group_spec, ambient_spec = group_spec_of(G), group_spec_of(ambient)
     witness = {name: element_literal(ring.rep(r), ambient)
-               for name, r in zip(G.gen_names, images)}
+               for name, r in zip(G.gen_names, images, strict=True)}
     return Certificate(
         group_spec=group_spec,
         ambient_spec=ambient_spec,

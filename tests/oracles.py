@@ -607,6 +607,31 @@ def verify_by_unit_table(doc):
             and verify_homomorphism(target, units.group, phi))
 
 
+def fixture_witness_by_unit_table(ambient_spec, m, literals, expected_spec):
+    """A fixture's witness literals by discovery: tabulate the unit group
+    of the residue ring (``unit_group``), search an isomorphism from the
+    expected group onto it (``groups.isomorphism``) and render the residue
+    image of each expected generator in the ambient group; None when there
+    is no isomorphism."""
+    from fuchs2.gring import RingElement, ideal_closure, quotient_ring, \
+        unit_group
+    from fuchs2.groups import isomorphism
+    from fuchs2.parsing import element_literal, parse_element_literal
+
+    ambient = build_group(ambient_spec)
+    basis = ideal_closure([RingElement(ambient, m, parse_element_literal(
+        lit, ambient, m)) for lit in literals])
+    ring = quotient_ring(basis)
+    units = unit_group(ring)
+    expected = build_group(expected_spec)
+    phi = isomorphism(expected, units.group)
+    if phi is None:
+        return None
+    return tuple(element_literal(ring.rep(units.residue_index[phi[g]]),
+                                 ambient)
+                 for g in expected.gen_indices)
+
+
 def coset_scan_reference(table):
     """The HLT scan of ``groups._CosetTable`` written plainly on the
     table's lists: every edge is followed through ``find``, a missing edge

@@ -116,6 +116,37 @@ def test_collapsing_generator_names_a_relator_it_needs():
     assert G.gen_indices[1] != 0
 
 
+# a collapses and the last relator is named; leaving out a power relator
+# leaves an infinite group
+COLLAPSING = ("gens: a b c\nrels: a^2, b^2, c^2*b^-1, b^-1*a*b*a^-1, "
+              "c^-1*a*c*a^-1, c^-1*b*c*a^-1*b^-1")
+
+
+def test_collapse_culprit_runs_stop_at_their_vertex_cap(monkeypatch):
+    from fuchs2.parsing import parse_presentation_text
+    runs = []
+    real_run = _CosetTable.run
+
+    def counted(table):
+        try:
+            real_run(table)
+        finally:
+            runs.append((table.cap, len(table.labels)))
+
+    monkeypatch.setattr(_CosetTable, "run", counted)
+    with pytest.raises(ConstructionError) as err:
+        enumerate_presentation(parse_presentation_text(COLLAPSING))
+    assert str(err.value) == ("generator 'a' collapses to the identity; "
+                              "offending relator: c^-1*b*c*a^-1*b^-1")
+    (full_cap, _), *leave_one_out = runs
+    assert full_cap == fuchs2.groups.ENUM_VERTEX_CAP
+    # one run per relator up to the culprit, the last of six
+    assert len(leave_one_out) == 6
+    assert all(cap == 16 * ORDER_CAP and n <= cap
+               for cap, n in leave_one_out)
+    assert any(n == 16 * ORDER_CAP for _, n in leave_one_out)
+
+
 def test_order_cap():
     from fuchs2.errors import Fuchs2Error
     with pytest.raises(Fuchs2Error):
@@ -330,8 +361,8 @@ def test_conjugacy_classes_of_a_group_without_generators():
                               unit_group)
     from fuchs2.parsing import parse_element_literal
     from fuchs2.search import FIXTURES
-    _, spec, m, literals, _ = next(row for row in FIXTURES
-                                   if row[0] == "C16_char2")
+    _, spec, m, literals, _, _ = next(row for row in FIXTURES
+                                      if row[0] == "C16_char2")
     ambient = build_group(spec)
     basis = ideal_closure([RingElement(ambient, m, parse_element_literal(
         lit, ambient, m)) for lit in literals])

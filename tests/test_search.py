@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.search
-from fuchs2.errors import Fuchs2Error
+from fuchs2.errors import Fuchs2Error, InternalInvariantError
 from fuchs2.gring import M_CAP, IdealBasis, ideal_closure, verify_two_sided
 from fuchs2.groups import build_group
 from fuchs2.parsing import element_literal, parse_element_literal
@@ -530,6 +530,44 @@ def test_fixture_suite_builds_each_group_once(monkeypatch):
     monkeypatch.setattr(fuchs2.search, "verify_certificate", no_verify)
     assert all(r.verified for r in run_fixtures())
     assert len(built) == 8
+
+
+def test_fixture_suite_tabulates_no_unit_group(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_fixtures left the witness-check route")
+
+    monkeypatch.setattr(fuchs2.search, "unit_group", forbidden)
+    monkeypatch.setattr(fuchs2.search, "isomorphism", forbidden)
+    assert all(r.verified for r in run_fixtures())
+
+
+@pytest.mark.parametrize("row", FIXTURES, ids=[row[0] for row in FIXTURES])
+def test_recorded_witness_is_the_unit_table_discovery(row):
+    _, ambient_spec, m, literals, expected_spec, witness = row
+    assert oracles.fixture_witness_by_unit_table(
+        ambient_spec, m, literals, expected_spec) == witness
+
+
+# a fixture and a change to its witness: two images swapped on a
+# nonabelian group, an image replaced by 1, an image of even augmentation
+BAD_WITNESSES = {
+    "swap": ("SG32_37_char2", lambda w: (w[1], w[0]) + w[2:]),
+    "one": ("C16_char2", lambda w: ("1",) + w[1:]),
+    "even": ("C8_char2", lambda w: (w[0] + "+a",) + w[1:]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_WITNESSES))
+def test_wrong_witness_fails_the_fixture_suite(monkeypatch, kind):
+    name, change = BAD_WITNESSES[kind]
+    row = next(r for r in FIXTURES if r[0] == name)
+    bad = row[:5] + (change(row[5]),)
+    result = run_fixture(*bad)
+    assert not result.verified
+    assert ", ".join(bad[5]) in result.detail
+    monkeypatch.setattr(fuchs2.search, "FIXTURES", [bad])
+    with pytest.raises(InternalInvariantError, match=name):
+        run_fixtures(strict=True)
 
 
 def test_all_fixtures_verify():
