@@ -393,8 +393,11 @@ class _HowellBasis:
         self.m = m
         self.mod = 1 << m
         self.width = w = 2 * m
-        self.low = sum((self.mod - 1) << (g * w) for g in range(n))
-        self.add = sum(self.mod << (g * w) for g in range(n))
+        # 1 at the bottom of every field: the sum of 2^(g*w) over g < n,
+        # a geometric series
+        ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)
+        self.low = (self.mod - 1) * ones
+        self.add = self.mod * ones
         self.pivots = {}  # col -> (k, row) with entry 2^k at col
         self.hit = 0
         self.substituted = True
@@ -447,6 +450,14 @@ class _HowellBasis:
                 self.hit ^= bits
             self.substituted = True
         return [pivots[c][1] for c in sorted(pivots)]
+
+    def scaled(self, e):
+        """The Howell basis of 2^e times the span (0 < e < m): each row
+        shifted e bits within its fields, inserted into a fresh basis."""
+        out = _HowellBasis(self.n, self.m)
+        for _, row in self.pivots.values():
+            out.insert((row << e) & self.low)
+        return out
 
     def insert(self, v):
         """Add v to the span; True if the span grew.
@@ -578,6 +589,13 @@ class IdealBasis:
         """Canonical representative of coeffs modulo the span."""
         impl = self._impl
         return impl.unpack(impl.reduce(impl.pack(coeffs)))
+
+    def scaled(self, e):
+        """The basis of 2^e times the span, for m >= 2 and 0 < e < m.
+        Scalars are central, so 2^e times a two-sided ideal is one, and
+        ``closed`` carries over."""
+        return IdealBasis(self.group, self.m, self._impl.scaled(e),
+                          closed=self.closed)
 
     def contains_one(self):
         one = (1,) + (0,) * (self.group.n - 1)

@@ -3,9 +3,13 @@
 The search walks small even-support generator tuples in Z_{2^m}[G] in a
 fixed deterministic order (by generator count, then lexicographically over
 a pool of single generators), depth first over the ideal lattice.  Each
-pool element is closed to its principal two-sided ideal once; a tuple's
-ideal is the sum of its entries' principal ideals, obtained by merging one
-canonical basis into its prefix's.  A prefix whose span already leaves
+pool element's principal two-sided ideal is computed once: elements of
+scalar 1 are closed, and the ideal of 2^e*y is that of y scaled by 2^e,
+since scalars are central.  A tuple's ideal is the sum of its entries'
+principal ideals, obtained by merging one canonical basis into its
+prefix's; each distinct principal ideal is merged into a given prefix
+once, and the merged span and its key are reused whenever that ideal
+comes up again under the same prefix.  A prefix whose span already leaves
 fewer than 2|G| residues (the only size a realizing residue ring can have)
 is not extended, and its subtree is counted into the raw index, so the
 budget ends the stream at the same raw index as closing every tuple in
@@ -71,8 +75,9 @@ class SearchConfig:
 
 def _single_elements(G: CayleyGroup, config: SearchConfig):
     """Deterministic pool of candidate generators: 2-power scalars times
-    even supports containing the identity, drawn in index order and
-    filtered to even coefficient sum."""
+    even supports containing the identity, drawn in index order.  Every
+    entry has even coefficient sum (``SearchConfig`` allows only even
+    support sizes), so it lies in the even-sum maximal ideal."""
     scalars = [1 << e for e in range(config.m)]
     out = []
     for size in sorted(config.support_sizes):
@@ -82,9 +87,7 @@ def _single_elements(G: CayleyGroup, config: SearchConfig):
                 coeffs[0] = c
                 for g in combo:
                     coeffs[g] = c
-                x = RingElement(G, config.m, tuple(coeffs))
-                if x.augmentation() % 2 == 0:
-                    out.append(x)
+                out.append(RingElement(G, config.m, tuple(coeffs)))
     return out
 
 
@@ -97,7 +100,13 @@ def _principal_closures(G: CayleyGroup, pool):
     orbit under these moves shares one closure, computed once, and equal
     closures are one interned basis.  The moves by each s^-1 are built once
     per call: the left translation, and the right one only where it
-    differs (``gring._sides``: R_t = L_t exactly when t is central)."""
+    differs (``gring._sides``: R_t = L_t exactly when t is central).
+
+    Only elements of scalar 1 are closed by ``ideal_closure``.  Scalars are
+    central, so the ideal generated by 2^e*y is 2^e times the one generated
+    by y, and y, the pool element of scalar 1 on the same support, lies in
+    the even-sum maximal ideal, so its closure is proper: the closure of
+    2^e*y is that closure scaled (``IdealBasis.scaled``)."""
     where = {x.coeffs: i for i, x in enumerate(pool)}
     closures = {}
     interned = {}
@@ -106,8 +115,13 @@ def _principal_closures(G: CayleyGroup, pool):
     def closure(i):
         if i in closures:
             return closures[i]
+        coeffs = pool[i].coeffs
+        e = coeffs[0].bit_length() - 1  # the scalar is 2^e
         try:
-            basis = ideal_closure([pool[i]])
+            if e:
+                basis = closure(where[tuple(c >> e for c in coeffs)]).scaled(e)
+            else:
+                basis = ideal_closure([pool[i]])
             basis = interned.setdefault(basis.key(), basis)
         except ImproperIdealError:
             basis = None
@@ -149,7 +163,14 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     walked depth first.  The closure of a tuple is the sum of the principal
     closures of its entries, because a sum of two-sided ideals is a
     two-sided ideal: each pool element is closed once, and a tuple's basis
-    is its prefix's basis with one principal closure merged in.
+    is its prefix's basis with one principal closure merged in.  Equal
+    principal closures are one interned basis, so the merge depends only
+    on the prefix and that basis: each frame of the walk keeps the merged
+    span, and at a leaf its key, per basis, and merges a basis into its
+    prefix the first time it comes up.  A leaf still tests its stored key
+    against the remembered ones, so a reused span is skipped or yielded
+    exactly as a freshly merged one would be, also past ``DEDUP_CACHE``
+    remembered keys.
 
     Spans only grow along a branch.  A proper prefix whose span leaves
     fewer than 2|G| residues, or contains 1, is not extended: its subtree
@@ -174,16 +195,19 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
 
     def walk(start, left, prefix):
         nonlocal index
+        merged = {}  # principal closure -> (prefix + it, its key at a leaf)
         for i in range(start, len(pool) - left):
             if index >= config.budget:
                 return
-            span = closure(i) if prefix is None else _merge(prefix, closure(i))
+            basis = closure(i)
+            if basis not in merged:
+                span = basis if prefix is None else _merge(prefix, basis)
+                key = span.key() if left == 0 and span is not None else None
+                merged[basis] = span, key
+            span, key = merged[basis]
             if left == 0:
                 index += 1
-                if span is None:
-                    continue
-                key = span.key()
-                if key in seen:
+                if span is None or key in seen:
                     continue
                 if len(seen) < DEDUP_CACHE:
                     seen.add(key)

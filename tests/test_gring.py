@@ -270,6 +270,31 @@ def test_howell_membership_matches_brute_span():
             assert h.contains(h.pack(v)) == (v in span), v
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 512])
+def test_howell_masks_are_the_fieldwise_sums(n):
+    for m in range(1, M_CAP + 1):
+        h = _HowellBasis(n, m)
+        w = 2 * m
+        assert h.low == sum(((1 << m) - 1) << (g * w) for g in range(n))
+        assert h.add == sum((1 << m) << (g * w) for g in range(n))
+
+
+def test_scaled_basis_is_the_span_of_the_scaled_rows():
+    random.seed(31)
+    n, m = 5, 3
+    mod = 1 << m
+    for _ in range(15):
+        h = _HowellBasis(n, m)
+        vecs = [[random.randrange(mod) for _ in range(n)] for _ in range(3)]
+        for v in vecs:
+            h.insert(h.pack(v))
+        for e in range(1, m):
+            direct = _HowellBasis(n, m)
+            for v in vecs:
+                direct.insert(direct.pack([(c << e) % mod for c in v]))
+            assert h.scaled(e).rows == direct.rows
+
+
 def test_howell_form_is_canonical():
     random.seed(29)
     n, m = 5, 3

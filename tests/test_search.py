@@ -220,10 +220,30 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
     calls = _count_closures(monkeypatch)
     closure = fuchs2.search._principal_closures(G, pool)
     bases = [closure(i) for i in range(len(pool))]
-    assert len(calls) == len(set(orbit_of.values())) < len(pool)
+    # the moves keep the scalar; only orbits of scalar 1 are closed, the
+    # closure of 2^e*y is that of y scaled by 2^e
+    orbits = set(orbit_of.values())
+    assert len(calls) == sum(1 for x in orbits if x[0] == 1) < len(pool)
     for i, x in enumerate(coeffs):
         j = coeffs.index(orbit_of[x])
         assert bases[i] is bases[j]
+        e = x[0].bit_length() - 1
+        if e:
+            unit = bases[coeffs.index(tuple(c >> e for c in x))]
+            assert bases[i].key() == IdealBasis.from_vectors(
+                G, m, [[c << e for c in r] for r in unit.rows]).key()
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(SMALL), m=st.sampled_from((2, 3)))
+@example(spec="D8", m=3)
+def test_scaled_closure_is_the_direct_closure(spec, m):
+    G = build_group(spec)
+    pool = _single_elements(G, SearchConfig(
+        m=m, support_sizes=tuple(s for s in (2, 4) if s <= G.n)))
+    closure = fuchs2.search._principal_closures(G, pool)
+    for i, x in enumerate(pool):
+        assert closure(i).key() == ideal_closure([x]).key()
 
 
 def test_search_c8_full_stream(monkeypatch):
@@ -240,10 +260,34 @@ def test_search_c8_full_stream(monkeypatch):
     assert len(calls) <= len(_single_elements(G, config)) == 42
 
 
-# sha256 over (index, generator coefficients, key()) of each candidate,
-# pinned before the principal-closure orbits shared their moves: (spec, m,
-# budget or None, candidates read or None, candidates, digest).  The
-# C8xC2 stream at m = 1 ends at its 72nd candidate, inside the first 300.
+@pytest.mark.parametrize("spec, m, budget, merges", [
+    ("C8", 1, None, 108), ("C8xC2", 2, 1500, 78)])
+def test_each_prefix_merges_each_closure_once(monkeypatch, spec, m, budget,
+                                              merges):
+    # of the raw stream's 417 and 560 merges, one per distinct principal
+    # closure under each prefix
+    calls = []
+    real = fuchs2.search.ideal_sum
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(fuchs2.search, "ideal_sum", counted)
+    config = SearchConfig(m=m) if budget is None else \
+        SearchConfig(m=m, budget=budget)
+    for _ in enumerate_candidates(build_group(spec), config):
+        pass
+    assert len(calls) == merges
+
+
+# sha256 over (index, generator coefficients, key()) of each candidate:
+# (spec, m, budget or None, candidates read or None, candidates, digest).
+# The first three were pinned before the principal-closure orbits shared
+# their moves, the last three before merges were shared under a prefix and
+# closures of 2^e*y scaled from y's; they cover right translations and
+# e = 2.  The C8xC2 stream at m = 1 ends at its 72nd candidate, inside the
+# first 300.
 STREAM_PINS = [
     ("C8xC2", 1, None, 300, 72,
      "881ce4d1d7b481ef8a7f4ad6101304728c8fec2b5b2e9523867f20dbab668731"),
@@ -251,6 +295,12 @@ STREAM_PINS = [
      "060c41684d2d00149fa59350cdc9472f3da9e14ff25efd0697bb7c24a84ec448"),
     ("C8", 1, None, None, 6,
      "bb075998a7db99a35bffbf4945a23062c018a50ad8676572e3cd88e651753b62"),
+    ("D8", 2, 3000, None, 73,
+     "53a88ab2cab6b7aa6a13583411d26734cedbeee0deb1fcdc4ffdb3ed62ef8f69"),
+    ("Q8", 3, 2000, None, 144,
+     "895f28403945ec7ac297b8e6d2ad4361160fa752fe3d21c390ddf29cf0d0f081"),
+    ("C4xC2", 3, 3000, None, 291,
+     "59716cd446fdb9c7c19cec7cb596db8c9c466548f977c9e0fe09f198b5545365"),
 ]
 
 
