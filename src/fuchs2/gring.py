@@ -858,7 +858,6 @@ class UnitGroup:
     group: CayleyGroup
     residue_index: list[int]
     position: dict[int, int]
-    ring: QuotientRing
 
 
 def unit_group(ring) -> UnitGroup:
@@ -893,7 +892,7 @@ def unit_group(ring) -> UnitGroup:
         except KeyError:
             raise InternalInvariantError("units are not closed") from None
     G = CayleyGroup(table, name="units", check=True)
-    return UnitGroup(group=G, residue_index=units, position=pos, ring=ring)
+    return UnitGroup(group=G, residue_index=units, position=pos)
 
 
 def unit_isomorphism(ring: QuotientRing, G: CayleyGroup, gens, images):

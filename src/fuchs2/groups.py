@@ -133,8 +133,8 @@ class CayleyGroup:
             row = self.mul[x]
             if len(row) != n or sorted(row) != list(range(n)):
                 raise ConstructionError(f"row {x} is not a permutation")
-        if not kernels.is_associative(self.mul):
-            bad = kernels.first_assoc_violation(self.mul)
+        bad = kernels.assoc_violation(self.mul)
+        if bad is not None:
             raise ConstructionError(f"table is not associative at {bad}")
 
     # -- basic queries ---------------------------------------------------

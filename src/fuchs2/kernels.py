@@ -1,13 +1,13 @@
-"""Table checks: exact structural deciders plus the cubic witness scans.
+"""Table checks: exact structural deciders, and cubic reference scans.
 
 The deciders use the structure the mathematics gives, and both test only
 a greedily found generating set (``greedy_generators``).
-`is_associative` runs Light's test, O(n^2 d) for d generators;
-`translations_affine` checks that the left and right translations by each
+`assoc_violation` runs Light's test, O(n^2 d) for d generators;
+`affine_violation` checks that the left and right translations by each
 generator are affine on the exponent vectors, O(n d).  Both decide
-exactly the property the cubic scans check.  The scans walk all |G|^3
-triples and return the lexicographically least violation, so callers run
-them only after a decider has failed, to name the witness.
+exactly the property the cubic scans check, and name a violation read
+off the row or translation that failed.  The scans walk all |G|^3 triples
+for the lex-least violation; only the tests run them, as the reference.
 
 Tables are lists of rows: ``mul[x][y]`` is the index of x*y.
 """
@@ -47,23 +47,24 @@ def greedy_generators(mul):
             work.extend(row_x[g] for g in gens)
 
 
-def is_associative(mul):
+def assoc_violation(mul):
     """Light's test on a greedily found generating set.
 
     A table is associative iff (xa)y == x(ay) for all x, y and every a in
     a generating set (Clifford & Preston, *Algebraic Theory of Semigroups*
-    I, section 1.2).
+    I, section 1.2).  Returns None, or the first (x, a, y) that fails.
     """
     for a in greedy_generators(mul):
         row_a = mul[a]
-        for row_x in mul:
-            if mul[row_x[a]] != [row_x[v] for v in row_a]:
-                return False
-    return True
+        for x, row_x in enumerate(mul):
+            lhs, rhs = mul[row_x[a]], [row_x[v] for v in row_a]
+            if lhs != rhs:
+                return x, a, next(y for y, p in enumerate(lhs) if p != rhs[y])
+    return None
 
 
-def translations_affine(mul, encode):
-    """Whether the two translation-compatibility conditions hold.
+def affine_violation(mul, encode):
+    """A violation (a, b, c, condition) of the two conditions, or None.
 
     With enc the exponent-vector map and a*b = dec(enc(a) XOR enc(b)),
     condition (1) for all a, b at fixed c says that u -> enc(c dec(u)) XOR
@@ -74,6 +75,9 @@ def translations_affine(mul, encode):
     Affine maps compose, and L_cd = L_c L_d and R_cd = R_d R_c, so the c
     whose translations are affine form a subgroup: testing a generating
     set decides all of G.
+
+    The span is built by doubling, so where it first differs from f, at u
+    with top bit h, f[u] != f[u ^ h] ^ f[h]: (dec(u ^ h), dec(h), c) fails.
     """
     n = len(mul)
     decode = [0] * n
@@ -85,14 +89,16 @@ def translations_affine(mul, encode):
         row_c = mul[c]
         left = [encode[row_c[g]] ^ ec for g in decode]
         right = [encode[mul[g][c]] ^ ec for g in decode]
-        for f in (left, right):
+        for condition, f in ((1, left), (2, right)):
             span = [0]
             for u in units:
                 image = f[u]
                 span += [v ^ image for v in span]
             if span != f:
-                return False
-    return True
+                u = next(u for u, v in enumerate(span) if v != f[u])
+                h = 1 << (u.bit_length() - 1)
+                return (decode[u ^ h], decode[h], c, condition)
+    return None
 
 
 def first_assoc_violation(mul):
@@ -115,14 +121,8 @@ def first_assoc_violation(mul):
 
 
 def first_condition_violation(mul, star):
-    """Lex-least failure of the two translation-compatibility conditions.
-
-    For each triple (a, b, c) checks
-      (1)  (c(a*b))*c == (ca)*(cb)
-      (2)  ((a*b)c)*c == (ac)*(bc)
-    and returns (a, b, c, which) for the lexicographically least violating
-    triple (condition 1 tested before 2), or None.
-    """
+    """The lex-least (a, b, c, condition) with (1) (c(a*b))*c != (ca)*(cb)
+    or (2) ((a*b)c)*c != (ac)*(bc), condition 1 tested first; or None."""
     n = len(mul)
     for a in range(n):
         star_a = star[a]

@@ -264,21 +264,27 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
 
 
 def _build_from_spec(spec):
+    """The group a spec builds, if the spec is that group's own spec."""
     try:
         if isinstance(spec, str):
-            return build_group(spec)
-        if (isinstance(spec, dict) and _is_str_list(spec.get("gens"))
+            group = build_group(spec)
+        elif (isinstance(spec, dict) and _is_str_list(spec.get("gens"))
                 and _is_str_list(spec.get("relators"))):
             from .groups import enumerate_presentation
             from .parsing import parse_presentation_text
             text = "gens: " + " ".join(spec["gens"]) + "\n" \
                    + "rels: " + ", ".join(spec["relators"])
-            return enumerate_presentation(parse_presentation_text(text))
+            group = enumerate_presentation(parse_presentation_text(text))
+        else:
+            raise CertificateError(f"unbuildable group spec {spec!r}")
     except (ParseError, ConstructionError, SizeCapError, OSError,
             UnicodeDecodeError) as exc:
         raise CertificateError(
             f"group spec {spec!r} does not build: {exc}") from exc
-    raise CertificateError(f"unbuildable group spec {spec!r}")
+    if group.source_spec != spec:
+        raise CertificateError(f"group spec {spec!r} is not canonical: it "
+                               f"builds the group of {group.source_spec!r}")
+    return group
 
 
 _REQUIRED_FIELDS = {"group", "ambient", "char", "ideal_basis",

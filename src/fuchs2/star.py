@@ -5,13 +5,12 @@ unique {0,1}-product of the basis) whose induced elementary-abelian XOR
 operation on exponent vectors satisfies the two translation-compatibility
 conditions (exactly: every left and right translation is affine on the
 exponent vectors, which holds for all of G once it holds for a generating
-set; a cubic scan over all |G|^3 triples names the lex-least witness when
-they fail), take the complement ideal (even-sum vectors whose XOR-sum of
-supports vanishes), and certify that the unit group of the
-resulting residue ring is the group we started from.  The candidate bases
-are tried in the single order that ``composition_bases`` yields: direct
-bases for class <= 2, then bases read off chief chains through the
-center.
+set; a translation that is not affine names a violating triple), take the
+complement ideal (even-sum vectors whose XOR-sum of supports vanishes),
+and certify that the unit group of the resulting residue ring is the
+group we started from.  The candidate bases are tried in the single order
+that ``composition_bases`` yields: direct bases for class <= 2, then
+bases read off chief chains through the center.
 
 A basis is its list of ordered products, ``PcSequence.decode``, which
 also carries the star operation.  One doubling step builds every such
@@ -63,9 +62,9 @@ class PcSequence:
     generate the center.  ``decode[d]`` is the product x_1^d_1 ... x_k^d_k
     (bit i of d is d_(i+1)); every group element is exactly one of them,
     and ``encode`` is the inverse map.  The star operation a*b =
-    decode[encode[a] XOR encode[b]] makes G elementary abelian; its |G| x
-    |G| ``table`` is built on first read, since deciding the conditions
-    needs only ``encode``.
+    decode[encode[a] XOR encode[b]] makes G elementary abelian.  Its |G| x
+    |G| ``table`` is built on first read, for the tests' reference scan:
+    the conditions and their witness need only ``encode`` and ``decode``.
     """
 
     group: CayleyGroup
@@ -242,18 +241,23 @@ def verify_star_conditions(G: CayleyGroup, seq: PcSequence):
     """Check, for all a, b, c,
         (1) (c(a*b))*c == (ca)*(cb)
         (2) ((a*b)c)*c == (ac)*(bc).
-    Returns (ok, witness): witness is the lexicographically least violating
-    (a, b, c, condition) or None.  The conditions are decided by checking
-    that the translations by a generating set are affine on the exponent
-    vectors; only when that fails are the star table built and the cubic
-    scan run, to name the witness.
+    Returns (ok, witness), witness None or a violating (a, b, c, condition).
+    The conditions are decided by checking that the translations by a
+    generating set are affine on the exponent vectors, which names the
+    witness (``kernels.affine_violation``).  InternalInvariantError is
+    raised unless its condition, evaluated from G.mul, fails there.
     """
-    if kernels.translations_affine(G.mul, seq.encode):
-        return (True, None)
-    bad = kernels.first_condition_violation(G.mul, seq.table)
+    bad = kernels.affine_violation(G.mul, seq.encode)
     if bad is None:
+        return (True, None)
+    a, b, c, condition = bad
+    mul, enc = G.mul, seq.encode
+    # translate a*b, a and b by c: on the left for (1), on the right for (2)
+    tab, ta, tb = (mul[c][x] if condition == 1 else mul[x][c]
+                   for x in (seq.decode[enc[a] ^ enc[b]], a, b))
+    if enc[tab] ^ enc[c] == enc[ta] ^ enc[tb]:
         raise InternalInvariantError(
-            "affine-translation check and triple scan disagree")
+            f"affine-translation check named {bad}, where the condition holds")
     return (False, bad)
 
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,19 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuchs2 import kernels
-from fuchs2.errors import ConstructionError
+from fuchs2.errors import ConstructionError, InternalInvariantError
 from fuchs2.groups import CayleyGroup, build_group
+from fuchs2.search import (
+    SearchConfig,
+    run_fixtures,
+    search_realizing_ideal,
+    verify_certificate,
+)
 from fuchs2.star import (
+    PcSequence,
     chief_chain_sequences,
     composition_bases,
     pc_sequence,
+    realize_exponent4,
     star_table,
     star_table_from_elements,
     verify_star_conditions,
 )
 
 import oracles
-from test_star import CLS4_128, _presented
+from test_star import CLS3_64, CLS4_128, _presented
 
 # orders <= 32 keep each cubic reference scan in the milliseconds; C8, D16,
 # Q16, QD16, M16, C8xC2, C8xC4 and SG32_37 have exponent 8
@@ -34,6 +43,32 @@ def _group(spec):
     return build_group(spec)
 
 
+def _non_associative(mul, bad):
+    x, y, z = bad
+    return mul[mul[x][y]][z] != mul[x][mul[y][z]]
+
+
+def _violates(mul, star, bad):
+    """Whether (a, b, c, condition) violates its condition, evaluated
+    through the multiplication and star tables."""
+    a, b, c, condition = bad
+    if condition == 1:
+        return star[mul[c][star[a][b]]][c] != star[mul[c][a]][mul[c][b]]
+    return star[mul[star[a][b]][c]][c] != star[mul[a][c]][mul[b][c]]
+
+
+def _assert_decider_matches_scan(G, table):
+    """verify_star_conditions gives the scan's verdict, and a witness it
+    returns violates its condition."""
+    ok, bad = verify_star_conditions(G, table)
+    assert ok == (kernels.first_condition_violation(G.mul, table.table)
+                  is None)
+    assert (bad is None) == ok
+    if bad is not None:
+        assert _violates(G.mul, table.table, bad)
+    return ok
+
+
 # the tests named per implementation keep its name as their case id
 IMPLS = [kernels.BACKEND]
 
@@ -44,7 +79,7 @@ def test_assoc_accepts_groups(impl):
     for spec in ("C8", "Q16", "SG32_37"):
         G = build_group(spec)
         assert kernels.first_assoc_violation(G.mul) is None
-        assert kernels.is_associative(G.mul)
+        assert kernels.assoc_violation(G.mul) is None
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -54,7 +89,7 @@ def test_assoc_finds_violation(impl):
     mul = [list(row) for row in G.mul]
     mul[3][5], mul[3][6] = mul[3][6], mul[3][5]
     assert kernels.first_assoc_violation(mul) is not None
-    assert not kernels.is_associative(mul)
+    assert _non_associative(mul, kernels.assoc_violation(mul))
 
 
 def test_light_test_on_tables_that_are_not_groups():
@@ -63,10 +98,12 @@ def test_light_test_on_tables_that_are_not_groups():
     constant = [[3] * n for _ in range(n)]
     xor_plus_one = [[(x ^ y) + 1 & 7 for y in range(n)] for x in range(n)]
     for mul in (left_zero, constant, xor_plus_one):
-        assert kernels.is_associative(mul) == \
-            (kernels.first_assoc_violation(mul) is None)
-    assert kernels.is_associative(left_zero)
-    assert not kernels.is_associative(xor_plus_one)
+        bad = kernels.assoc_violation(mul)
+        assert (bad is None) == (kernels.first_assoc_violation(mul) is None)
+        assert bad is None or _non_associative(mul, bad)
+    assert kernels.assoc_violation(left_zero) is None
+    assert _non_associative(xor_plus_one,
+                            kernels.assoc_violation(xor_plus_one))
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -75,13 +112,14 @@ def test_conditions_backends(impl):
     G = build_group("Q8")
     st_q8 = star_table(G, pc_sequence(G))
     assert kernels.first_condition_violation(G.mul, st_q8.table) is None
-    assert kernels.translations_affine(G.mul, st_q8.encode)
+    assert kernels.affine_violation(G.mul, st_q8.encode) is None
     C8 = build_group("C8")
     a = C8.gen_indices[0]
     naive = star_table_from_elements(C8, [a, C8.power(a, 2), C8.power(a, 4)])
     assert kernels.first_condition_violation(C8.mul, naive.table) == \
         (1, 2, 1, 1)
-    assert not kernels.translations_affine(C8.mul, naive.encode)
+    assert _violates(C8.mul, naive.table,
+                     kernels.affine_violation(C8.mul, naive.encode))
 
 
 def test_pure_fallback_import_path():
@@ -94,7 +132,7 @@ def test_pure_fallback_import_path():
         assert kernels.__file__.endswith(".py"), kernels.__file__
         for fn in (kernels.first_assoc_violation,
                    kernels.first_condition_violation,
-                   kernels.is_associative, kernels.translations_affine):
+                   kernels.assoc_violation, kernels.affine_violation):
             assert fn.__module__ == "fuchs2.kernels", fn
         from fuchs2.groups import build_group
         from fuchs2.star import realize_exponent4
@@ -114,11 +152,9 @@ def test_star_conditions_match_scan_on_chief_chain_bases():
     for spec in SMALL:
         G = _group(spec)
         for seq in itertools.islice(chief_chain_sequences(G), 12):
-            table = star_table(G, seq)
-            bad = kernels.first_condition_violation(G.mul, table.table)
-            assert verify_star_conditions(G, table) == (bad is None, bad)
             checked += 1
-            failing += bad is not None
+            failing += not _assert_decider_matches_scan(
+                G, star_table(G, seq))
     assert failing and failing < checked
 
 
@@ -147,15 +183,13 @@ def test_star_conditions_match_scan_on_random_bases(spec, rnd):
     seq = _random_basis(G, rnd)
     if seq is None:
         return
-    table = star_table_from_elements(G, seq)
-    bad = kernels.first_condition_violation(G.mul, table.table)
-    assert verify_star_conditions(G, table) == (bad is None, bad)
+    _assert_decider_matches_scan(G, star_table_from_elements(G, seq))
 
 
 def _affine_three_ways(G, table):
     """The generator-set decider, its all-elements oracle and the cubic
     scan, each as a verdict."""
-    return (kernels.translations_affine(G.mul, table.encode),
+    return (kernels.affine_violation(G.mul, table.encode) is None,
             oracles.translations_affine_brute(G.mul, table.encode),
             kernels.first_condition_violation(G.mul, table.table) is None)
 
@@ -169,6 +203,21 @@ def test_affine_decider_matches_brute_on_random_bases(spec, rnd):
         return
     verdicts = _affine_three_ways(G, star_table_from_elements(G, seq))
     assert len(set(verdicts)) == 1, verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_affine_decider_on_arbitrary_exponent_labels(rnd):
+    # under an arbitrary labelling of D8 by exponent vectors either
+    # condition can fail alone, which no composition basis tried here shows
+    mul = _group("D8").mul
+    encode = [0] + rnd.sample(range(1, 8), 7)
+    bad = kernels.affine_violation(mul, encode)
+    assert (bad is None) == oracles.translations_affine_brute(mul, encode)
+    if bad is not None:
+        decode = sorted(range(8), key=encode.__getitem__)
+        star = [[decode[ea ^ eb] for eb in encode] for ea in encode]
+        assert _violates(mul, star, bad)
 
 
 @pytest.mark.parametrize("spec, passes", [("C8", False), ("C16", False),
@@ -189,8 +238,16 @@ def test_affine_deciders_reject_every_cls4_128_basis():
     bases = list(composition_bases(G))
     assert len(bases) == 33
     for seq in bases:
-        assert not kernels.translations_affine(G.mul, seq.encode)
-        assert not oracles.translations_affine_brute(G.mul, seq.encode)
+        assert _affine_three_ways(G, seq) == (False,) * 3
+        assert _violates(G.mul, seq.table,
+                         kernels.affine_violation(G.mul, seq.encode))
+
+
+def test_affine_deciders_agree_on_every_cls3_64_basis():
+    G = _presented(CLS3_64)
+    verdicts = [_affine_three_ways(G, seq) for seq in composition_bases(G)]
+    assert all(len(set(v)) == 1 for v in verdicts), verdicts
+    assert {v[0] for v in verdicts} == {True, False}
 
 
 @pytest.mark.parametrize("spec", SMALL + ("Q8xQ8",))
@@ -212,9 +269,7 @@ def test_star_conditions_match_scan_at_order_64():
     for spec in ("Q8xQ8", "SG64_88"):
         G = _group(spec)
         for seq in itertools.islice(chief_chain_sequences(G), 3):
-            table = star_table(G, seq)
-            bad = kernels.first_condition_violation(G.mul, table.table)
-            assert verify_star_conditions(G, table) == (bad is None, bad)
+            _assert_decider_matches_scan(G, star_table(G, seq))
 
 
 @settings(max_examples=80, deadline=None)
@@ -227,14 +282,56 @@ def test_assoc_decider_matches_scan_on_swapped_rows(spec, data):
     b = data.draw(st.integers(0, n - 1))
     mul = [list(row) for row in G.mul]
     mul[x][a], mul[x][b] = mul[x][b], mul[x][a]
-    bad = kernels.first_assoc_violation(mul)
-    assert kernels.is_associative(mul) == (bad is None)
+    bad = kernels.assoc_violation(mul)
+    assert (bad is None) == (kernels.first_assoc_violation(mul) is None)
+    assert bad is None or _non_associative(mul, bad)
     if x == 0 or a == 0 or b == 0:
         return  # the identity check rejects these before associativity
     if bad is None:
         CayleyGroup(mul)
     else:
-        with pytest.raises(ConstructionError,
-                           match=rf"not associative at \({bad[0]}, "
-                                 rf"{bad[1]}, {bad[2]}\)"):
+        with pytest.raises(ConstructionError) as info:
             CayleyGroup(mul)
+        named = re.search(r"not associative at \((\d+), (\d+), (\d+)\)",
+                          str(info.value))
+        assert _non_associative(mul, tuple(map(int, named.groups())))
+
+
+# the certify benchmark's exponent-4 ladder, up to order 64
+CERTIFY_LADDER = ("Q8", "D8", "C4xC2", "C4xC4", "Q8xC2", "D8xC2", "C4xC2xC2",
+                  "Q8xC4", "D8xC4", "C4xC4xC2", "Q8xC2xC2", "D8xC2xC2",
+                  "Q8xQ8", "D8xD8", "Q8xD8", "C4xC4xC4", "Q8xC4xC2",
+                  "D8xC4xC2")
+
+
+def test_no_program_path_runs_a_scan_or_reads_a_star_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a program path used a brute-force reference")
+
+    monkeypatch.setattr(kernels, "first_assoc_violation", forbidden)
+    monkeypatch.setattr(kernels, "first_condition_violation", forbidden)
+    monkeypatch.setattr(PcSequence, "table", property(forbidden))
+    groups = [build_group(spec) for spec in CERTIFY_LADDER]
+    for G in groups + [_presented(CLS3_64)]:
+        assert verify_certificate(realize_exponent4(G).to_json())
+    with pytest.raises(InternalInvariantError, match="route is exhausted"):
+        realize_exponent4(_presented(CLS4_128))
+    assert all(r.verified for r in run_fixtures())
+    cert = search_realizing_ideal(build_group("C8xC2"), SearchConfig(m=1))
+    assert verify_certificate(cert)
+    mul = [list(row) for row in build_group("D8").mul]
+    mul[3][5], mul[3][6] = mul[3][6], mul[3][5]
+    with pytest.raises(ConstructionError, match="not associative at"):
+        CayleyGroup(mul)
+
+
+@pytest.mark.parametrize("condition", [1, 2])
+def test_witness_where_the_condition_holds_is_refused(monkeypatch, condition):
+    # translating by the identity c = 0 satisfies both conditions
+    G = _group("C8")
+    a = G.gen_indices[0]
+    naive = star_table_from_elements(G, [a, G.power(a, 2), G.power(a, 4)])
+    monkeypatch.setattr(kernels, "affine_violation",
+                        lambda mul, encode: (a, a, 0, condition))
+    with pytest.raises(InternalInvariantError, match="condition holds"):
+        verify_star_conditions(G, naive)

@@ -522,12 +522,29 @@ def test_verify_rejects_ill_typed_fields(field, value):
     ("group", {"gens": ["a"], "relators": ["a^3"]}),
     ("group", {"gens": ["a"], "relators": ["a^1024"]}),
     ("ambient", "file:/nonexistent/group.pres"),
+    # specs that parse to a group other than the one they display
+    ("group", {"gens": ["a"], "relators": ["a^8\nrels: a^2"]}),
+    ("group", {"gens": ["a b"], "relators": ["a^2", "b^2", "[a,b]"]}),
+    ("group", {"gens": ["a", "b"], "relators": ["a^4, b^2", "[b,a]"]}),
+    ("group", {"gens": ["a"], "relators": ["a^8\n# note"]}),
+    ("group", " Q8 x C2"),
 ])
 def test_verify_rejects_unbuildable_fields(field, value):
     from fuchs2.errors import CertificateError
     doc = realize_exponent4(build_group("Q8")).to_dict()
     doc[field] = value
     with pytest.raises(CertificateError):
+        verify_certificate(doc)
+
+
+def test_verify_refuses_a_spec_that_builds_another_presentation():
+    # the newline splits one relator into a second "rels:" line, so the
+    # spec displays C8 but would build C2, which C2's certificate realizes
+    from fuchs2.errors import CertificateError
+    doc = realize_exponent4(build_group("C2")).to_dict()
+    doc["group"] = {"gens": ["a"], "relators": ["a^8\nrels: a^2"]}
+    with pytest.raises(CertificateError, match=r"'relators': \['a\^8', "
+                                               r"'a\^2'\]"):
         verify_certificate(doc)
 
 
