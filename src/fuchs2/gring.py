@@ -19,8 +19,11 @@ into its own vectors, unpacks them, and translates them by group
 permutations, so callers never ask which form they hold; ``_make_impl``
 alone chooses the class.
 
-Two-sided closure runs a worklist: translations are linear, so only the
-vectors that grew the span need translating, each of them once.  Whether
+Two-sided closure spans the left translates of the generators, read off
+the group table on their supports, and closes that left ideal under right
+translation by the non-central generators with a worklist: translations
+are linear, so only the vectors that grew the span need translating, each
+of them once, and over an abelian group no worklist runs.  Whether
 a given span is already two-sided is also decided by its basis class
 (``translation_closed``).  A GF(2) basis tests its annihilator under the
 standard pairing, read off the reduced rows: the transpose of a translation
@@ -248,6 +251,16 @@ class _Gf2Basis:
                 v |= 1 << g
         return v
 
+    @staticmethod
+    def pack_moved(items, perm):
+        """The packed vector with entry c at perm[g] for each (g, c) in
+        items, read mod 2: a translate read off a support."""
+        v = 0
+        for g, c in items:
+            if c & 1:
+                v |= 1 << perm[g]
+        return v
+
     def unpack(self, v):
         return tuple((v >> g) & 1 for g in range(self.n))
 
@@ -416,6 +429,15 @@ class _HowellBasis:
             v |= (c & mask) << (g * w)
         return v
 
+    def pack_moved(self, items, perm):
+        """The packed vector with entry c at perm[g] for each (g, c) in
+        items, read mod 2^m: a translate read off a support."""
+        w, mask = self.width, self.mod - 1
+        v = 0
+        for g, c in items:
+            v |= (c & mask) << (perm[g] * w)
+        return v
+
     def unpack(self, v):
         w, mask = self.width, self.mod - 1
         return tuple((v >> (g * w)) & mask for g in range(self.n))
@@ -473,10 +495,9 @@ class _HowellBasis:
             if not v:
                 continue
             col, k = divmod((v & -v).bit_length() - 1, w)
-            unit = pow((v >> (col * w + k)) & ((self.mod - 1) >> k), -1,
-                       self.mod)
-            if unit != 1:
-                v = (v * unit) & low
+            lead = (v >> (col * w + k)) & ((self.mod - 1) >> k)
+            if lead != 1:
+                v = (v * pow(lead, -1, self.mod)) & low
             if col in pivots:
                 work.append(pivots[col][1])
             pivots[col] = (k, v)
@@ -627,11 +648,15 @@ def _translations(group):
 def ideal_closure(gens) -> IdealBasis:
     """Smallest two-sided ideal containing ``gens``, in canonical form.
 
-    Translations are linear, so a span is closed once the vectors spanning
-    it are.  A worklist starts with the generators; each popped vector is
-    translated by the generator permutations, and a translate is queued
-    only when inserting it grew the span.  Every queued vector is thus
-    translated once, and the span of the queued vectors is the ideal.
+    The left ideal generated by x is spanned by its n left translates g*x,
+    each read off the row mul[g] on the support of x.  Right translations
+    commute with left ones, so they map a left ideal to a left ideal, and
+    the two-sided ideal is the left ideal of ``gens`` closed under right
+    translation by a generating set.  R_g = L_g for central g, so only
+    the non-central minimal generators are needed (``_sides``): over an
+    abelian group the left ideal is the ideal and no worklist runs.  The
+    right closure runs a worklist: translations are linear, so only the
+    vectors that grew the span need translating, each of them once.
     Raises ImproperIdealError if the closure reaches the whole ring.
     """
     if not gens:
@@ -639,16 +664,40 @@ def ideal_closure(gens) -> IdealBasis:
     group, m = gens[0].group, gens[0].m
     for x in gens:
         gens[0]._match(x)
-    perms = _translations(group)
+    rights = [p for g in group.minimal_generators()
+              for p in _sides(group, g)[1:]]
     impl = _make_impl(group, m, [])
-    work = [v for v in (impl.pack(x.coeffs) for x in gens) if impl.insert(v)]
+    work = []
+    for x in gens:
+        items = [(h, c) for h, c in enumerate(x.coeffs) if c]
+        for row in group.mul:
+            v = impl.pack_moved(items, row)
+            if impl.insert(v) and rights:
+                work.append(v)
     while work:
         v = work.pop()
-        for perm in perms:
+        for perm in rights:
             t = impl.translate(v, perm)
             if impl.insert(t):
                 work.append(t)
-    basis = IdealBasis(group, m, impl, closed=True)
+    return _proper(IdealBasis(group, m, impl, closed=True))
+
+
+def ideal_involution(basis: IdealBasis) -> IdealBasis:
+    """The image I* of an ideal under the involution x* = sum c_g g^-1 of
+    x = sum c_g g, in canonical form: the rows moved by ``group.inv`` and
+    inserted into a fresh basis.  x -> x* reverses products, so I* is a
+    two-sided ideal when I is one (``closed`` carries over) and the ideal
+    generated by x* is I(x)*.  Raises ImproperIdealError if I* contains 1,
+    as ``ideal_closure`` does."""
+    impl, inv = basis._impl, basis.group.inv
+    out = _make_impl(basis.group, basis.m, [])
+    for row in impl.rows:
+        out.insert(impl.translate(row, inv))
+    return _proper(IdealBasis(basis.group, basis.m, out, closed=basis.closed))
+
+
+def _proper(basis: IdealBasis) -> IdealBasis:
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
     return basis

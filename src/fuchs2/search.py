@@ -2,14 +2,19 @@
 
 The search walks small even-support generator tuples in Z_{2^m}[G] in a
 fixed deterministic order (by generator count, then lexicographically over
-a pool of single generators), depth first over the ideal lattice.  Each
-pool element's principal two-sided ideal is computed once: elements of
-scalar 1 are closed, and the ideal of 2^e*y is that of y scaled by 2^e,
-since scalars are central.  A tuple's ideal is the sum of its entries'
-principal ideals, obtained by merging one canonical basis into its
-prefix's; each distinct principal ideal is merged into a given prefix
-once, and the merged span and its key are reused whenever that ideal
-comes up again under the same prefix.  A prefix whose span already leaves
+a pool of single generators), depth first over the ideal lattice.  The
+pool is a list of (scalar exponent, support) pairs, and ring elements are
+built only for the tuples yielded and the supports closed.  Principal
+two-sided ideals are computed once per orbit of supports under the
+translations by the inverses of support elements: an orbit's scalar-1
+representative is closed, unless the orbit of its involute x* was closed
+first, whose ideal I(x)* is then moved back by the involution; the ideal
+of 2^e*y is that of y scaled by 2^e, since scalars are central.  A
+tuple's ideal is the sum of its entries' principal ideals, obtained by
+merging one canonical basis into its prefix's; each distinct principal
+ideal is merged into a given prefix span once, whatever the generator
+count, and the merged span and its key are reused whenever that ideal
+comes up again under the same span.  A prefix whose span already leaves
 fewer than 2|G| residues (the only size a realizing residue ring can have)
 is not extended, and its subtree is counted into the raw index, so the
 budget ends the stream at the same raw index as closing every tuple in
@@ -27,9 +32,11 @@ is tabulated and no isomorphism is searched for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -43,8 +50,8 @@ from .errors import (
     UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
-    ideal_closure, ideal_sum, quotient_ring, unit_group, unit_isomorphism, \
-    verify_two_sided
+    ideal_closure, ideal_involution, ideal_sum, quotient_ring, unit_group, \
+    unit_isomorphism, verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism
 from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
@@ -73,73 +80,96 @@ class SearchConfig:
                               "(generators must lie in the maximal ideal)")
 
 
+def _pool(G: CayleyGroup, config: SearchConfig):
+    """Deterministic pool of candidate generators, as (e, support) pairs
+    for the elements 2^e * sum of the support: even supports containing the
+    identity, by size and then in index order, each with the scalar
+    exponents 0..m-1.  Every entry has even coefficient sum
+    (``SearchConfig`` allows only even support sizes), so it lies in the
+    even-sum maximal ideal."""
+    return [(e, (0,) + combo)
+            for size in sorted(config.support_sizes)
+            for combo in itertools.combinations(range(1, G.n), size - 1)
+            for e in range(config.m)]
+
+
+def _element(G: CayleyGroup, m, entry):
+    e, support = entry
+    return RingElement.from_support(G, m, support, 1 << e)
+
+
 def _single_elements(G: CayleyGroup, config: SearchConfig):
-    """Deterministic pool of candidate generators: 2-power scalars times
-    even supports containing the identity, drawn in index order.  Every
-    entry has even coefficient sum (``SearchConfig`` allows only even
-    support sizes), so it lies in the even-sum maximal ideal."""
-    scalars = [1 << e for e in range(config.m)]
-    out = []
-    for size in sorted(config.support_sizes):
-        for combo in itertools.combinations(range(1, G.n), size - 1):
-            for c in scalars:
-                coeffs = [0] * G.n
-                coeffs[0] = c
-                for g in combo:
-                    coeffs[g] = c
-                out.append(RingElement(G, config.m, tuple(coeffs)))
-    return out
+    """The pool as ring elements, in pool order."""
+    return [_element(G, config.m, entry) for entry in _pool(G, config)]
 
 
-def _principal_closures(G: CayleyGroup, pool):
-    """Lazy principal closure of each pool element, None when improper.
+def _principal_closures(G: CayleyGroup, m, pool):
+    """Lazy principal closure of each pool entry, None when improper.
 
     A group element s in the support of x is a unit, so s^-1 x and x s^-1
-    generate the same two-sided ideal as x; they are pool elements too
-    (same scalar, same support size, identity in the support).  The whole
-    orbit under these moves shares one closure, computed once, and equal
-    closures are one interned basis.  The moves by each s^-1 are built once
-    per call: the left translation, and the right one only where it
-    differs (``gring._sides``: R_t = L_t exactly when t is central).
+    generate the same two-sided ideal as x.  Both keep the scalar and move
+    the support to s^-1 S or S s^-1, which is again a pool support (same
+    size, identity included), so the orbits are orbits of supports: each
+    is walked once, by the moves of each s^-1 built once per call (the
+    left translation, and the right one only where it differs:
+    ``gring._sides``, R_t = L_t exactly when t is central).  Closures are
+    kept per (orbit, scalar exponent), and equal closures are one interned
+    basis.
 
-    Only elements of scalar 1 are closed by ``ideal_closure``.  Scalars are
-    central, so the ideal generated by 2^e*y is 2^e times the one generated
-    by y, and y, the pool element of scalar 1 on the same support, lies in
-    the even-sum maximal ideal, so its closure is proper: the closure of
-    2^e*y is that closure scaled (``IdealBasis.scaled``)."""
-    where = {x.coeffs: i for i, x in enumerate(pool)}
-    closures = {}
+    Only an orbit's representative of scalar 1 is closed by
+    ``ideal_closure``, and only when its twin is not closed yet: the
+    involution x* = sum c_g g^-1 maps the moves of x to those of x*, so it
+    maps orbits to orbits, and the orbit holding x* gets I(x*) = I(x)*
+    (``gring.ideal_involution``).  Scalars are central, so the ideal
+    generated by 2^e*y is 2^e times the one generated by y, the entry of
+    scalar 1 on the same support; y lies in the even-sum maximal ideal, so
+    its closure is proper, and the closure of 2^e*y is that closure scaled
+    (``IdealBasis.scaled``)."""
+    orbit_of = {}  # support -> orbit number
+    reps = []  # orbit number -> the support it was first reached from
+    closures = {}  # (orbit number, e) -> interned basis or None
     interned = {}
     moves = [_sides(G, G.inv[s]) for s in range(G.n)]
 
-    def closure(i):
-        if i in closures:
-            return closures[i]
-        coeffs = pool[i].coeffs
-        e = coeffs[0].bit_length() - 1  # the scalar is 2^e
+    def orbit(support):
+        if support in orbit_of:
+            return orbit_of[support]
+        k = orbit_of[support] = len(reps)
+        reps.append(support)
+        work = [support]
+        while work:
+            support = work.pop()
+            at = operator.itemgetter(*support)
+            for s in support:
+                for perm in moves[s]:
+                    moved = tuple(sorted(at(perm)))
+                    if moved not in orbit_of:
+                        orbit_of[moved] = k
+                        work.append(moved)
+        return k
+
+    def closed(k, e):
+        if (k, e) in closures:
+            return closures[k, e]
         try:
             if e:
-                basis = closure(where[tuple(c >> e for c in coeffs)]).scaled(e)
+                basis = closed(k, 0).scaled(e)
             else:
-                basis = ideal_closure([pool[i]])
+                twin = orbit_of.get(tuple(sorted([G.inv[g] for g in reps[k]])))
+                if closures.get((twin, 0)) is not None:
+                    basis = ideal_involution(closures[twin, 0])
+                else:
+                    basis = ideal_closure(
+                        [RingElement.from_support(G, m, reps[k])])
             basis = interned.setdefault(basis.key(), basis)
         except ImproperIdealError:
             basis = None
-        closures[i] = basis
-        orbit = [i]
-        while orbit:
-            coeffs = pool[orbit.pop()].coeffs
-            support = [g for g, c in enumerate(coeffs) if c]
-            for s in support:
-                for perm in moves[s]:
-                    moved = [0] * G.n
-                    for g in support:
-                        moved[perm[g]] = coeffs[g]
-                    j = where[tuple(moved)]
-                    if j not in closures:
-                        closures[j] = basis
-                        orbit.append(j)
+        closures[k, e] = basis
         return basis
+
+    def closure(i):
+        e, support = pool[i]
+        return closed(orbit(support), e)
 
     return closure
 
@@ -162,15 +192,20 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     position in it, and the stream ends at raw index `budget`.  It is
     walked depth first.  The closure of a tuple is the sum of the principal
     closures of its entries, because a sum of two-sided ideals is a
-    two-sided ideal: each pool element is closed once, and a tuple's basis
-    is its prefix's basis with one principal closure merged in.  Equal
-    principal closures are one interned basis, so the merge depends only
-    on the prefix and that basis: each frame of the walk keeps the merged
-    span, and at a leaf its key, per basis, and merges a basis into its
-    prefix the first time it comes up.  A leaf still tests its stored key
-    against the remembered ones, so a reused span is skipped or yielded
-    exactly as a freshly merged one would be, also past ``DEDUP_CACHE``
-    remembered keys.
+    two-sided ideal: each principal closure is computed once
+    (``_principal_closures``), and a tuple's basis is its prefix's basis
+    with one principal closure merged in.  Equal principal closures are one
+    interned basis, so the merge depends only on the prefix span and that
+    basis.  One memo per prefix span object keeps, per basis, the merged
+    span and, once a leaf needs it, the span's key; every frame with that
+    prefix span shares it, across generator counts too, since each count's
+    walk reaches the span objects that the counts before it made.  A sum
+    that is improper, or leaves too few residues once its key is
+    remembered, is never extended nor yielded again and is kept as None,
+    which drops its span.
+    A leaf still tests its stored key against the remembered ones, so a
+    reused span is skipped or yielded exactly as a freshly merged one
+    would be, also past ``DEDUP_CACHE`` remembered keys.
 
     Spans only grow along a branch.  A proper prefix whose span leaves
     fewer than 2|G| residues, or contains 1, is not extended: its subtree
@@ -186,37 +221,48 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     for size in config.support_sizes:
         if size > G.n:
             raise Fuchs2Error(f"support size {size} exceeds |G| = {G.n}")
-    pool = _single_elements(G, config)
-    closure = _principal_closures(G, pool)
+    pool = _pool(G, config)
+    closure = _principal_closures(G, config.m, pool)
+    element = functools.cache(lambda j: _element(G, config.m, pool[j]))
     limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
+    # prefix span -> {principal closure -> [prefix + it, its key or None],
+    # or None when that sum is improper, or leaves too few residues and its
+    # key is remembered: it is never extended nor yielded again}
+    merges = {}
     seen = set()
     chosen = []
     index = 0
 
     def walk(start, left, prefix):
         nonlocal index
-        merged = {}  # principal closure -> (prefix + it, its key at a leaf)
+        merged = merges.setdefault(prefix, {})
         for i in range(start, len(pool) - left):
             if index >= config.budget:
                 return
             basis = closure(i)
             if basis not in merged:
                 span = basis if prefix is None else _merge(prefix, basis)
-                key = span.key() if left == 0 and span is not None else None
-                merged[basis] = span, key
-            span, key = merged[basis]
+                merged[basis] = None if span is None else [span, None]
+            entry = merged[basis]
             if left == 0:
                 index += 1
-                if span is None or key in seen:
+                if entry is None:
                     continue
-                if len(seen) < DEDUP_CACHE:
+                span, key = entry
+                if key is None:
+                    key = entry[1] = span.key()
+                fresh = key not in seen
+                if fresh and len(seen) < DEDUP_CACHE:
                     seen.add(key)
-                yield index - 1, tuple(pool[j] for j in chosen + [i]), span
-            elif span is None or span.span_size() > limit:
+                if key in seen and span.span_size() > limit:
+                    merged[basis] = None  # never extended, never new again
+                if fresh:
+                    yield index - 1, tuple(map(element, chosen + [i])), span
+            elif entry is None or entry[0].span_size() > limit:
                 index += math.comb(len(pool) - i - 1, left)
             else:
                 chosen.append(i)
-                yield from walk(i + 1, left - 1, span)
+                yield from walk(i + 1, left - 1, entry[0])
                 chosen.pop()
 
     for ng in range(1, config.max_gens + 1):
@@ -251,7 +297,10 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     """First certificate in enumeration order, or None at budget
     exhaustion (which is not a refutation).  The zero ideal is tried
     first: Z_2[C1] and Z_2[C2] realize their own groups, and for every
-    other group and m its size test rejects it before any ring is built."""
+    other group and m its size test rejects it before any ring is built.
+    The candidates are those of ``enumerate_candidates``: each principal
+    closure is computed once per orbit of supports and scalar, or moved
+    from its involute's, and each merge once per prefix span."""
     candidates = (basis for _, _, basis in enumerate_candidates(G, config))
     for basis in itertools.chain([IdealBasis.zero(G, config.m)], candidates):
         cert = _evaluate(G, config, basis)

@@ -45,7 +45,7 @@ from .gring import (
     unit_isomorphism,
     verify_two_sided,
 )
-from .groups import CayleyGroup, normal_subgroups
+from .groups import CayleyGroup
 from .parsing import element_literal
 
 __version__ = "0.1.0"
@@ -169,34 +169,57 @@ def chief_chain_sequences(G: CayleyGroup):
     step, in a deterministic order.  Every such chain gives unique {0,1}
     normal forms with the suffix generating the center; that is checked,
     and a chain that fails it raises InternalInvariantError.
+
+    The children of a normal subgroup N are read off directly, without
+    the normal-subgroup lattice.  A normal subgroup M over N with
+    |M/N| = 2 makes M/N a normal subgroup of order 2 of the 2-group G/N,
+    hence a central one, so the children are the sets N u xN for x
+    outside N with x^2 in N and [x, g] in N for every generator g; x is
+    taken from Z(G) until the chain reaches the center.  Each node's
+    children are computed once and taken in the order of their sorted
+    member tuples, the order of ``groups.normal_subgroups``.
     """
     if G.n == 1:
         return
-    center = set(G.center())
+    center = G.center()
     split = G.n.bit_length() - len(center).bit_length()
-    by_size = {}
-    for s in normal_subgroups(G):
-        by_size.setdefault(len(s), []).append(set(s))
+    mul, gens = G.mul, G.gen_indices
+    children_of = {}
 
-    def walk(chain):
-        cur = chain[-1]
+    def children(cur):
+        """(members, least new element) of each child of ``cur``, a sorted
+        member tuple, sorted by members."""
+        if cur not in children_of:
+            inside = set(cur)
+            seen = set(cur)
+            found = []
+            for x in center if len(cur) < len(center) else range(G.n):
+                if x in seen:
+                    continue
+                coset = [mul[x][c] for c in cur]
+                seen.update(coset)  # the test depends on the coset xN only
+                if mul[x][x] in inside and all(
+                        G.commutator(x, g) in inside for g in gens):
+                    found.append((tuple(sorted(cur + tuple(coset))),
+                                  min(coset)))
+            children_of[cur] = sorted(found)
+        return children_of[cur]
+
+    def walk(cur, chain):
         if len(cur) == G.n:
-            seq = tuple(min(chain[lvl] - chain[lvl - 1])
-                        for lvl in range(len(chain) - 1, 0, -1))
+            seq = tuple(reversed(chain))
             decode = _normal_forms(G, seq)
             if decode is None:
                 raise InternalInvariantError(
                     "chief-chain basis lost normal-form uniqueness")
             yield PcSequence(G, seq, split, decode)
             return
-        for cand in by_size.get(len(cur) * 2, []):
-            # climb to the center first, then through it to the top
-            if cur < cand and (cand <= center
-                               or (center <= cur and center <= cand)
-                               or center == cand):
-                yield from walk(chain + [cand])
+        for child, x in children(cur):
+            chain.append(x)
+            yield from walk(child, chain)
+            chain.pop()
 
-    yield from walk([{0}])
+    yield from walk((0,), [])
 
 
 def composition_bases(G: CayleyGroup):

@@ -284,6 +284,31 @@ def two_sided_brute(G, m, rows):
     return all(ref.contains(t) for t in translates)
 
 
+def ideal_closure_worklist(gens):
+    """Two-sided closure by a worklist over both sides: every vector that
+    grows the span is translated on the left and, for a non-central
+    generator, on the right by each minimal generator.  The closure route
+    ``gring.ideal_closure`` took before it spanned left translates; raises
+    ImproperIdealError when the closure contains 1."""
+    from fuchs2.errors import ImproperIdealError
+    from fuchs2.gring import IdealBasis, _make_impl, _translations
+
+    group, m = gens[0].group, gens[0].m
+    perms = _translations(group)
+    impl = _make_impl(group, m, [])
+    work = [v for v in (impl.pack(x.coeffs) for x in gens) if impl.insert(v)]
+    while work:
+        v = work.pop()
+        for perm in perms:
+            t = impl.translate(v, perm)
+            if impl.insert(t):
+                work.append(t)
+    basis = IdealBasis(group, m, impl, closed=True)
+    if basis.contains_one():
+        raise ImproperIdealError("closure reached the whole ring")
+    return basis
+
+
 def is_unit_by_linear_algebra(G, m, coeffs):
     """Unit test via invertibility of the left-multiplication matrix.
 
@@ -371,6 +396,40 @@ def normal_forms_brute(G, seq):
             return None
         encode[x] = d
     return encode
+
+
+def chief_chain_sequences_by_lattice(G):
+    """``star.chief_chain_sequences`` read off the normal-subgroup lattice
+    (``groups.normal_subgroups``), as it was before the children of each
+    node were read off directly: the chains of normal subgroups, each of
+    index 2 in the next, that climb to the center and then through it to
+    G, in the lattice's sorted order, each taking the least new element
+    at every step."""
+    from fuchs2.groups import normal_subgroups
+    from fuchs2.star import PcSequence, _normal_forms
+
+    if G.n == 1:
+        return
+    center = set(G.center())
+    split = G.n.bit_length() - len(center).bit_length()
+    by_size = {}
+    for s in normal_subgroups(G):
+        by_size.setdefault(len(s), []).append(set(s))
+
+    def walk(chain):
+        cur = chain[-1]
+        if len(cur) == G.n:
+            seq = tuple(min(chain[lvl] - chain[lvl - 1])
+                        for lvl in range(len(chain) - 1, 0, -1))
+            yield PcSequence(G, seq, split, _normal_forms(G, seq))
+            return
+        for cand in by_size.get(len(cur) * 2, []):
+            if cur < cand and (cand <= center
+                               or (center <= cur and center <= cand)
+                               or center == cand):
+                yield from walk(chain + [cand])
+
+    yield from walk([{0}])
 
 
 def characteristic_candidates_via_center_table(G, m_range):

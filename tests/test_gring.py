@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuchs2.errors import (
@@ -610,6 +610,81 @@ def test_quotient_ring_axioms_on_representatives():
 SMALL = ("C2", "C4", "C2xC2", "C8", "C4xC2", "Q8", "D8", "C2xC2xC2", "C16",
          "C8xC2", "C4xC4", "D16", "Q16", "QD16", "M16", "Q8xC2", "D8xC2",
          "C4xC2xC2")
+
+
+@st.composite
+def closure_inputs(draw):
+    """1-3 generators of Z_{2^m}[G], G in SMALL, m <= 3: sparse ones on
+    2-4 group elements or dense ones, each of even coefficient sum unless
+    the case asks for an improper closure."""
+    G = build_group(draw(st.sampled_from(SMALL)))
+    m = draw(st.sampled_from((1, 2, 3)))
+    proper = draw(st.integers(0, 9)) > 0
+    coeff = st.integers(0, (1 << m) - 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(coeff, min_size=G.n, max_size=G.n))
+        else:
+            coeffs = [0] * G.n
+            for g in draw(st.sets(st.integers(0, G.n - 1), min_size=1,
+                                  max_size=min(4, G.n))):
+                coeffs[g] = draw(coeff)
+        if proper and sum(coeffs) % 2:
+            coeffs[draw(st.integers(0, G.n - 1))] ^= 1
+        gens.append(RingElement(G, m, tuple(coeffs)))
+    return gens
+
+
+def _elements(spec, m, *literals):
+    G = build_group(spec)
+    return [RingElement(G, m, parse_element_literal(t, G, m))
+            for t in literals]
+
+
+def _closure_key(close, gens):
+    try:
+        return close(gens).key()
+    except ImproperIdealError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(gens=closure_inputs())
+@example(gens=[elem("D8", "1+a+b+a*b")])
+@example(gens=_elements("D8xC2", 2, "1+a+b+a*b+a^2+a2",
+                        "2*a+2*b*a2+2*a^3*b+2*a^2*a2+2*b+1+a"))
+def test_closure_matches_the_worklist_closure(gens):
+    # spanning the left translates and closing them on the right by the
+    # non-central generators gives the ideal the two-sided worklist gives
+    assert _closure_key(ideal_closure, gens) == \
+        _closure_key(oracles.ideal_closure_worklist, gens)
+
+
+@pytest.mark.parametrize("spec", ["D8", "Q8", "D8xC2"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_involution_of_a_closure_is_the_closure_of_x_star(spec, m):
+    G = build_group(spec)
+    rng = random.Random(f"{spec}/{m}")
+    moved = 0
+    for _ in range(80):
+        support = rng.sample(range(G.n), 4)
+        coeffs = [0] * G.n
+        for g in support:
+            coeffs[g] = rng.randrange(1, 1 << m, 2)
+        x = RingElement(G, m, tuple(coeffs))
+        x_star = RingElement(G, m, tuple(coeffs[G.inv[g]]
+                                         for g in range(G.n)))
+        ideal = ideal_closure([x])
+        star = gring.ideal_involution(ideal)
+        assert star.closed
+        assert star.key() == ideal_closure([x_star]).key()
+        assert gring.ideal_involution(star).key() == ideal.key()
+        moved += star.key() != ideal.key()
+    assert moved  # I* differs from I for some x: the rows were moved
+    with pytest.raises(ImproperIdealError):
+        gring.ideal_involution(IdealBasis.from_vectors(
+            G, m, [RingElement.one(G, m).coeffs], closed=True))
 
 
 @st.composite

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.search
-from fuchs2.errors import Fuchs2Error, InternalInvariantError
+from fuchs2.errors import Fuchs2Error, ImproperIdealError, InternalInvariantError
 from fuchs2.gring import M_CAP, IdealBasis, ideal_closure, verify_two_sided
 from fuchs2.groups import build_group
 from fuchs2.parsing import element_literal, parse_element_literal
 from fuchs2.search import (
     FIXTURES,
     SearchConfig,
+    _pool,
     _single_elements,
     enumerate_candidates,
     run_fixture,
@@ -194,8 +195,9 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
     # one closure per orbit of the pool under x -> s^-1 x and x -> x s^-1
     # for s in the support of x, the orbits found here by brute force
     G = build_group(spec)
-    pool = _single_elements(G, SearchConfig(m=m))
-    coeffs = [x.coeffs for x in pool]
+    pool = _pool(G, SearchConfig(m=m))
+    elements = _single_elements(G, SearchConfig(m=m))
+    coeffs = [x.coeffs for x in elements]
 
     def moved(x, t, side):
         y = [0] * G.n
@@ -218,15 +220,22 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
                         orbit_of[z] = x
                         work.append(z)
     calls = _count_closures(monkeypatch)
-    closure = fuchs2.search._principal_closures(G, pool)
+    closure = fuchs2.search._principal_closures(G, m, pool)
     bases = [closure(i) for i in range(len(pool))]
     # the moves keep the scalar; only orbits of scalar 1 are closed, the
-    # closure of 2^e*y is that of y scaled by 2^e
+    # closure of 2^e*y is that of y scaled by 2^e, and of an orbit and the
+    # orbit of its elements' x* only one is closed
     orbits = set(orbit_of.values())
-    assert len(calls) == sum(1 for x in orbits if x[0] == 1) < len(pool)
+    twins = {frozenset((x, orbit_of[tuple(x[G.inv[g]] for g in range(G.n))]))
+             for x in orbits if x[0] == 1}
+    assert len(calls) == len(twins) < sum(1 for x in orbits if x[0] == 1) \
+        < len(pool)
     for i, x in enumerate(coeffs):
         j = coeffs.index(orbit_of[x])
         assert bases[i] is bases[j]
+        # closed, scaled or moved by the involution, it is x's own ideal
+        assert bases[i].key() == \
+            oracles.ideal_closure_worklist([elements[i]]).key()
         e = x[0].bit_length() - 1
         if e:
             unit = bases[coeffs.index(tuple(c >> e for c in x))]
@@ -239,10 +248,11 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
 @example(spec="D8", m=3)
 def test_scaled_closure_is_the_direct_closure(spec, m):
     G = build_group(spec)
-    pool = _single_elements(G, SearchConfig(
-        m=m, support_sizes=tuple(s for s in (2, 4) if s <= G.n)))
-    closure = fuchs2.search._principal_closures(G, pool)
-    for i, x in enumerate(pool):
+    config = SearchConfig(
+        m=m, support_sizes=tuple(s for s in (2, 4) if s <= G.n))
+    pool = _pool(G, config)
+    closure = fuchs2.search._principal_closures(G, m, pool)
+    for i, x in enumerate(_single_elements(G, config)):
         assert closure(i).key() == ideal_closure([x]).key()
 
 
@@ -261,11 +271,12 @@ def test_search_c8_full_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, m, budget, merges", [
-    ("C8", 1, None, 108), ("C8xC2", 2, 1500, 78)])
+    ("C8", 1, None, 46), ("C8xC2", 2, 1500, 78), ("C8xC2", 1, None, 1830)])
 def test_each_prefix_merges_each_closure_once(monkeypatch, spec, m, budget,
                                               merges):
-    # of the raw stream's 417 and 560 merges, one per distinct principal
-    # closure under each prefix
+    # of the raw stream's 417 and 560 merges of C8 and of C8xC2 at m = 2,
+    # one per distinct principal closure under each prefix span, the same
+    # span object whatever the generator count
     calls = []
     real = fuchs2.search.ideal_sum
 
@@ -279,6 +290,47 @@ def test_each_prefix_merges_each_closure_once(monkeypatch, spec, m, budget,
     for _ in enumerate_candidates(build_group(spec), config):
         pass
     assert len(calls) == merges
+
+
+@pytest.mark.parametrize("spec, m, cap", [("C8", 1, 3), ("Q8", 2, 5)])
+def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
+    # past DEDUP_CACHE remembered keys an ideal that comes up again is
+    # yielded again, also where its span is reused under the same prefix;
+    # the walk yields every raw tuple outside a skipped subtree that the
+    # capped dedup lets through, in raw order
+    monkeypatch.setattr(fuchs2.search, "DEDUP_CACHE", cap)
+    G = build_group(spec)
+    config = SearchConfig(m=m, max_gens=3, budget=3000)
+    limit = _span_limit(G, config)
+    pool = _single_elements(G, config)
+    closed = {}
+
+    def close(combo):
+        if combo not in closed:
+            try:
+                closed[combo] = ideal_closure([pool[i] for i in combo])
+            except ImproperIdealError:
+                closed[combo] = None
+        return closed[combo]
+
+    expected, seen = [], set()
+    raw = (combo for ng in range(1, config.max_gens + 1)
+           for combo in itertools.combinations(range(len(pool)), ng))
+    for index, combo in enumerate(itertools.islice(raw, config.budget)):
+        if any(close(combo[:k]) is None or close(combo[:k]).span_size() > limit
+               for k in range(1, len(combo))):
+            continue  # inside a skipped subtree
+        basis = close(combo)
+        if basis is None or basis.key() in seen:
+            continue
+        if len(seen) < cap:
+            seen.add(basis.key())
+        expected.append((index, tuple(pool[i].coeffs for i in combo),
+                         basis.key()))
+    walk = [(index, tuple(x.coeffs for x in gens), basis.key())
+            for index, gens, basis in enumerate_candidates(G, config)]
+    assert walk == expected
+    assert len({key for _, _, key in walk}) < len(walk)  # repeats yielded
 
 
 # sha256 over (index, generator coefficients, key()) of each candidate:

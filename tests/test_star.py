@@ -491,6 +491,51 @@ def test_chief_chain_without_normal_forms_is_an_error(monkeypatch):
         list(chief_chain_sequences(G))
 
 
+# sha256 over (elements, split) of the first CHIEF_CHAINS chief-chain bases
+# of each of these 19 groups, pinned on the normal-subgroup lattice route
+# (``oracles.chief_chain_sequences_by_lattice``)
+CHAIN_PIN_GROUPS = PC_SPECS[1:] + ["Q8xC4", "D8xD8", "CLS3_64", "CLS4_128"]
+CHAIN_PIN_TEXTS = [CLS3_64B] + OPEN_64
+CHAIN_PIN = "6f9d0b9551c02ecf0947981045bab0beefe048762832aa94d14fd497a37c46d5"
+
+
+def test_chief_chain_bases_pinned():
+    groups = [_group(spec) for spec in CHAIN_PIN_GROUPS] + \
+        [_presented(text) for text in CHAIN_PIN_TEXTS]
+    assert len(groups) == 19
+    digest = hashlib.sha256()
+    for G in groups:
+        for seq in itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS):
+            digest.update(repr((seq.elements, seq.split)).encode() + b"\n")
+    assert digest.hexdigest() == CHAIN_PIN
+
+
+@pytest.mark.parametrize("spec", ["Q16", "D8xC2", "SG32_37", "SG64_88",
+                                  "CLS3_64"])
+def test_chief_chains_are_the_lattice_chains(spec):
+    G = _group(spec)
+
+    def bases(chains):
+        return [(seq.elements, seq.split, seq.decode)
+                for seq in itertools.islice(chains, CHIEF_CHAINS)]
+
+    assert bases(chief_chain_sequences(G)) == \
+        bases(oracles.chief_chain_sequences_by_lattice(G))
+
+
+def test_chief_chains_do_not_build_the_normal_subgroup_lattice(monkeypatch):
+    from fuchs2 import groups, star
+
+    def refuse(G):
+        raise AssertionError("normal_subgroups called")
+
+    monkeypatch.setattr(groups, "normal_subgroups", refuse)
+    monkeypatch.setattr(star, "normal_subgroups", refuse, raising=False)
+    G = _presented(CLS3_64)
+    assert len(list(chief_chain_sequences(G))) == 33
+    assert G._normal_subgroups is None
+
+
 # -- normal forms -------------------------------------------------------------
 
 @functools.cache
