@@ -680,24 +680,7 @@ def ideal_closure(gens) -> IdealBasis:
             t = impl.translate(v, perm)
             if impl.insert(t):
                 work.append(t)
-    return _proper(IdealBasis(group, m, impl, closed=True))
-
-
-def ideal_involution(basis: IdealBasis) -> IdealBasis:
-    """The image I* of an ideal under the involution x* = sum c_g g^-1 of
-    x = sum c_g g, in canonical form: the rows moved by ``group.inv`` and
-    inserted into a fresh basis.  x -> x* reverses products, so I* is a
-    two-sided ideal when I is one (``closed`` carries over) and the ideal
-    generated by x* is I(x)*.  Raises ImproperIdealError if I* contains 1,
-    as ``ideal_closure`` does."""
-    impl, inv = basis._impl, basis.group.inv
-    out = _make_impl(basis.group, basis.m, [])
-    for row in impl.rows:
-        out.insert(impl.translate(row, inv))
-    return _proper(IdealBasis(basis.group, basis.m, out, closed=basis.closed))
-
-
-def _proper(basis: IdealBasis) -> IdealBasis:
+    basis = IdealBasis(group, m, impl, closed=True)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
     return basis

@@ -7,18 +7,16 @@ pool is a list of (scalar exponent, support) pairs, and ring elements are
 built only for the tuples yielded and the supports closed.  Principal
 two-sided ideals are computed once per orbit of supports under the
 translations by the inverses of support elements: an orbit's scalar-1
-representative is closed, unless the orbit of its involute x* was closed
-first, whose ideal I(x)* is then moved back by the involution; the ideal
-of 2^e*y is that of y scaled by 2^e, since scalars are central.  A
-tuple's ideal is the sum of its entries' principal ideals, obtained by
-merging one canonical basis into its prefix's; each distinct principal
-ideal is merged into a given prefix span once, whatever the generator
-count, and the merged span and its key are reused whenever that ideal
-comes up again under the same span.  A prefix whose span already leaves
-fewer than 2|G| residues (the only size a realizing residue ring can have)
-is not extended, and its subtree is counted into the raw index, so the
-budget ends the stream at the same raw index as closing every tuple in
-turn would.  The zero ideal is tried before the walk.  The first
+representative is closed, and the ideal of 2^e*y is that of y scaled by
+2^e, since scalars are central.  A tuple's ideal is the sum of its
+entries' principal ideals, obtained by merging one canonical basis into
+its prefix's; each distinct principal ideal is merged into a given prefix
+span once, whatever the generator count, and the merged span and its key
+are reused whenever that ideal comes up again under the same span.  A
+prefix whose span already leaves fewer than 2|G| residues (the only size
+a realizing residue ring can have) is not extended, and its subtree is
+counted into the raw index, so the budget ends the stream at the same raw
+index as closing every tuple in turn would.  The zero ideal is tried before the walk.  The first
 candidate with exactly 2|G| residues whose unit group is isomorphic to G
 is certified.  Identical (group, config) inputs give byte-identical
 certificates.
@@ -32,6 +30,7 @@ is tabulated and no isomorphism is searched for.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -50,8 +49,8 @@ from .errors import (
     UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
-    ideal_closure, ideal_involution, ideal_sum, quotient_ring, unit_group, \
-    unit_isomorphism, verify_two_sided
+    ideal_closure, ideal_sum, quotient_ring, unit_group, unit_isomorphism, \
+    verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism
 from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
@@ -98,11 +97,6 @@ def _element(G: CayleyGroup, m, entry):
     return RingElement.from_support(G, m, support, 1 << e)
 
 
-def _single_elements(G: CayleyGroup, config: SearchConfig):
-    """The pool as ring elements, in pool order."""
-    return [_element(G, config.m, entry) for entry in _pool(G, config)]
-
-
 def _principal_closures(G: CayleyGroup, m, pool):
     """Lazy principal closure of each pool entry, None when improper.
 
@@ -117,13 +111,10 @@ def _principal_closures(G: CayleyGroup, m, pool):
     basis.
 
     Only an orbit's representative of scalar 1 is closed by
-    ``ideal_closure``, and only when its twin is not closed yet: the
-    involution x* = sum c_g g^-1 maps the moves of x to those of x*, so it
-    maps orbits to orbits, and the orbit holding x* gets I(x*) = I(x)*
-    (``gring.ideal_involution``).  Scalars are central, so the ideal
-    generated by 2^e*y is 2^e times the one generated by y, the entry of
-    scalar 1 on the same support; y lies in the even-sum maximal ideal, so
-    its closure is proper, and the closure of 2^e*y is that closure scaled
+    ``ideal_closure``.  Scalars are central, so the ideal generated by
+    2^e*y is 2^e times the one generated by y, the entry of scalar 1 on
+    the same support; y lies in the even-sum maximal ideal, so its closure
+    is proper, and the closure of 2^e*y is that closure scaled
     (``IdealBasis.scaled``)."""
     orbit_of = {}  # support -> orbit number
     reps = []  # orbit number -> the support it was first reached from
@@ -155,12 +146,8 @@ def _principal_closures(G: CayleyGroup, m, pool):
             if e:
                 basis = closed(k, 0).scaled(e)
             else:
-                twin = orbit_of.get(tuple(sorted([G.inv[g] for g in reps[k]])))
-                if closures.get((twin, 0)) is not None:
-                    basis = ideal_involution(closures[twin, 0])
-                else:
-                    basis = ideal_closure(
-                        [RingElement.from_support(G, m, reps[k])])
+                basis = ideal_closure(
+                    [RingElement.from_support(G, m, reps[k])])
             basis = interned.setdefault(basis.key(), basis)
         except ImproperIdealError:
             basis = None
@@ -200,9 +187,13 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     span and, once a leaf needs it, the span's key; every frame with that
     prefix span shares it, across generator counts too, since each count's
     walk reaches the span objects that the counts before it made.  A sum
-    that is improper, or leaves too few residues once its key is
-    remembered, is never extended nor yielded again and is kept as None,
-    which drops its span.
+    that is improper, or whose key is remembered and which no later count
+    extends, is never extended nor yielded again and is kept as None, which
+    drops its span.  No later count extends a sum that leaves too few
+    residues, nor one whose lex-least tuple starts at a pool entry that the
+    next count's walk does not reach before the budget ends the stream: so
+    the memo keeps no span of the last count that runs, and of the count
+    before it only those that the budget lets the last one extend.
     A leaf still tests its stored key against the remembered ones, so a
     reused span is skipped or yielded exactly as a freshly merged one
     would be, also past ``DEDUP_CACHE`` remembered keys.
@@ -226,9 +217,10 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     element = functools.cache(lambda j: _element(G, config.m, pool[j]))
     limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
     # prefix span -> {principal closure -> [prefix + it, its key or None],
-    # or None when that sum is improper, or leaves too few residues and its
-    # key is remembered: it is never extended nor yielded again}
+    # or None when that sum is improper, or its key is remembered and no
+    # later count extends it: it is never extended nor yielded again}
     merges = {}
+    reach = 0
     seen = set()
     chosen = []
     index = 0
@@ -249,12 +241,14 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
                 if entry is None:
                     continue
                 span, key = entry
-                if key is None:
+                later = span.span_size() <= limit  # a later count extends it
+                if key is None:  # first reached: by its lex-least tuple
                     key = entry[1] = span.key()
+                    later = later and (chosen[0] if chosen else i) < reach
                 fresh = key not in seen
                 if fresh and len(seen) < DEDUP_CACHE:
                     seen.add(key)
-                if key in seen and span.span_size() > limit:
+                if key in seen and not later:
                     merged[basis] = None  # never extended, never new again
                 if fresh:
                     yield index - 1, tuple(map(element, chosen + [i])), span
@@ -265,7 +259,15 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
                 yield from walk(i + 1, left - 1, entry[0])
                 chosen.pop()
 
+    raw = 0  # raw tuples of up to ng generators
     for ng in range(1, config.max_gens + 1):
+        raw += math.comb(len(pool), ng)
+        # the first pool entry at which the budget ends the stream before
+        # any tuple of ng + 1 generators starting there, or 0 when no
+        # later count runs
+        reach = 0 if ng == config.max_gens else bisect.bisect_left(
+            range(len(pool)), config.budget, key=lambda a: raw + math.comb(
+                len(pool), ng + 1) - math.comb(len(pool) - a, ng + 1))
         yield from walk(0, ng - 1, None)
 
 
@@ -299,8 +301,8 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     first: Z_2[C1] and Z_2[C2] realize their own groups, and for every
     other group and m its size test rejects it before any ring is built.
     The candidates are those of ``enumerate_candidates``: each principal
-    closure is computed once per orbit of supports and scalar, or moved
-    from its involute's, and each merge once per prefix span."""
+    closure is computed once per orbit of supports and scalar, and each
+    merge once per prefix span."""
     candidates = (basis for _, _, basis in enumerate_candidates(G, config))
     for basis in itertools.chain([IdealBasis.zero(G, config.m)], candidates):
         cert = _evaluate(G, config, basis)

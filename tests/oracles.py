@@ -309,6 +309,18 @@ def ideal_closure_worklist(gens):
     return basis
 
 
+def ideal_involution(basis):
+    """The image I* = {x* : x in I} of a span under the involution
+    x* = sum c_g g^-1 of x = sum c_g g, in canonical form: the entry of
+    x* at g is that of x at g^-1."""
+    from fuchs2.gring import IdealBasis
+
+    G = basis.group
+    return IdealBasis.from_vectors(
+        G, basis.m, [[row[G.inv[g]] for g in range(G.n)]
+                     for row in basis.rows], closed=basis.closed)
+
+
 def is_unit_by_linear_algebra(G, m, coeffs):
     """Unit test via invertibility of the left-multiplication matrix.
 
@@ -491,12 +503,20 @@ def brute_find_inverse(G, m, coeffs):
     return None
 
 
+def single_elements(G, config):
+    """The search's pool as ring elements, in pool order: the entry
+    (e, support) is 2^e times the sum of the support."""
+    from fuchs2.gring import RingElement
+    from fuchs2.search import _pool
+
+    return [RingElement.from_support(G, config.m, support, 1 << e)
+            for e, support in _pool(G, config)]
+
+
 def raw_candidates(G, config):
     """Every generator tuple of the search, unbudgeted: by count, then
     lexicographically over its single-element pool."""
-    from fuchs2.search import _single_elements
-
-    pool = _single_elements(G, config)
+    pool = single_elements(G, config)
     for ng in range(1, config.max_gens + 1):
         yield from itertools.combinations(pool, ng)
 

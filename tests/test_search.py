@@ -17,7 +17,6 @@ from fuchs2.search import (
     FIXTURES,
     SearchConfig,
     _pool,
-    _single_elements,
     enumerate_candidates,
     run_fixture,
     run_fixtures,
@@ -123,7 +122,7 @@ def _first_skipped_subtree(G, config):
     """Raw index and size of the first subtree below a kept prefix that the
     walk skips: a triple's leading pair spans too much, its first entry
     alone does not."""
-    pool = _single_elements(G, config)
+    pool = oracles.single_elements(G, config)
     limit = _span_limit(G, config)
     span = {}
 
@@ -185,7 +184,7 @@ def test_search_closes_each_pool_element_at_most_once(monkeypatch):
     G = build_group("C8xC2")
     cert = search_realizing_ideal(G, SearchConfig(m=1))
     assert cert is not None
-    assert len(_single_elements(G, SearchConfig())) == 470
+    assert len(oracles.single_elements(G, SearchConfig())) == 470
     assert 0 < len(calls) <= 470
     assert set(calls) == {1}
 
@@ -196,7 +195,7 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
     # for s in the support of x, the orbits found here by brute force
     G = build_group(spec)
     pool = _pool(G, SearchConfig(m=m))
-    elements = _single_elements(G, SearchConfig(m=m))
+    elements = oracles.single_elements(G, SearchConfig(m=m))
     coeffs = [x.coeffs for x in elements]
 
     def moved(x, t, side):
@@ -222,18 +221,14 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
     calls = _count_closures(monkeypatch)
     closure = fuchs2.search._principal_closures(G, m, pool)
     bases = [closure(i) for i in range(len(pool))]
-    # the moves keep the scalar; only orbits of scalar 1 are closed, the
-    # closure of 2^e*y is that of y scaled by 2^e, and of an orbit and the
-    # orbit of its elements' x* only one is closed
+    # the moves keep the scalar; only orbits of scalar 1 are closed, and
+    # the closure of 2^e*y is that of y scaled by 2^e
     orbits = set(orbit_of.values())
-    twins = {frozenset((x, orbit_of[tuple(x[G.inv[g]] for g in range(G.n))]))
-             for x in orbits if x[0] == 1}
-    assert len(calls) == len(twins) < sum(1 for x in orbits if x[0] == 1) \
-        < len(pool)
+    assert len(calls) == sum(1 for x in orbits if x[0] == 1) < len(pool)
     for i, x in enumerate(coeffs):
         j = coeffs.index(orbit_of[x])
         assert bases[i] is bases[j]
-        # closed, scaled or moved by the involution, it is x's own ideal
+        # closed or scaled, it is x's own ideal
         assert bases[i].key() == \
             oracles.ideal_closure_worklist([elements[i]]).key()
         e = x[0].bit_length() - 1
@@ -252,7 +247,7 @@ def test_scaled_closure_is_the_direct_closure(spec, m):
         m=m, support_sizes=tuple(s for s in (2, 4) if s <= G.n))
     pool = _pool(G, config)
     closure = fuchs2.search._principal_closures(G, m, pool)
-    for i, x in enumerate(_single_elements(G, config)):
+    for i, x in enumerate(oracles.single_elements(G, config)):
         assert closure(i).key() == ideal_closure([x]).key()
 
 
@@ -267,7 +262,7 @@ def test_search_c8_full_stream(monkeypatch):
     t0 = time.perf_counter()
     assert search_realizing_ideal(G, config) is None
     assert time.perf_counter() - t0 < 1.0
-    assert len(calls) <= len(_single_elements(G, config)) == 42
+    assert len(calls) <= len(oracles.single_elements(G, config)) == 42
 
 
 @pytest.mark.parametrize("spec, m, budget, merges", [
@@ -292,6 +287,53 @@ def test_each_prefix_merges_each_closure_once(monkeypatch, spec, m, budget,
     assert len(calls) == merges
 
 
+def _memo_spans(stream, firsts=None):
+    """The spans the walk's merge memo holds, by generator count: [d - 1]
+    lists the sums of d principal closures, each reached from the sums of
+    d - 1 it extends, starting from the closures of the pool entries
+    `firsts` (all of them by default)."""
+    frame = stream.gi_frame.f_locals
+    merges = frame["merges"]
+    level = [entry[0] for entry in merges.get(None, {}).values()
+             if entry is not None] if firsts is None \
+        else [frame["closure"](j) for j in firsts]
+    levels = []
+    while level:
+        levels.append(level)
+        level = [entry[0] for prefix in level
+                 for entry in merges.get(prefix, {}).values()
+                 if entry is not None]
+    return levels
+
+
+@pytest.mark.parametrize("spec, m, max_gens, budget, runs, reach", [
+    ("C8xC2", 1, 2, None, 2, None),
+    ("C8xC2", 1, 4, 470 + math.comb(470, 2) + 1, 3, 1),
+    ("C8xC2", 2, 4, 1500, 2, 1)])
+def test_merge_memo_keeps_only_what_a_later_count_extends(
+        spec, m, max_gens, budget, runs, reach):
+    # `runs` counts run, the last of them to the end (max_gens = 2) or cut
+    # by the budget after the tuples starting at the first `reach` pool
+    # entries.  The memo never holds a span of the last count, nor one that
+    # leaves too few residues, and of the count before it only the sums
+    # that the last count's tuples extend; it does hold some of those.
+    G = build_group(spec)
+    config = SearchConfig(m=m, max_gens=max_gens) if budget is None else \
+        SearchConfig(m=m, max_gens=max_gens, budget=budget)
+    limit = _span_limit(G, config)
+    stream = enumerate_candidates(G, config)
+    for _ in stream:
+        held = _memo_spans(stream)
+        assert len(held) < runs
+        assert all(span.span_size() <= limit
+                   for level in held for span in level)
+        if reach is not None and len(held) == runs - 1:
+            extended = _memo_spans(stream, range(reach))[runs - 2]
+            assert {id(span) for span in held[-1]} <= \
+                {id(span) for span in extended}
+    assert len(held) == runs - 1
+
+
 @pytest.mark.parametrize("spec, m, cap", [("C8", 1, 3), ("Q8", 2, 5)])
 def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
     # past DEDUP_CACHE remembered keys an ideal that comes up again is
@@ -302,7 +344,7 @@ def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
     G = build_group(spec)
     config = SearchConfig(m=m, max_gens=3, budget=3000)
     limit = _span_limit(G, config)
-    pool = _single_elements(G, config)
+    pool = oracles.single_elements(G, config)
     closed = {}
 
     def close(combo):
