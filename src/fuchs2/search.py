@@ -16,10 +16,10 @@ are reused whenever that ideal comes up again under the same span.  A
 prefix whose span already leaves fewer than 2|G| residues (the only size
 a realizing residue ring can have) is not extended, and its subtree is
 counted into the raw index, so the budget ends the stream at the same raw
-index as closing every tuple in turn would.  The zero ideal is tried before the walk.  The first
-candidate with exactly 2|G| residues whose unit group is isomorphic to G
-is certified.  Identical (group, config) inputs give byte-identical
-certificates.
+index as closing every tuple in turn would.  The zero ideal is tried
+before the walk.  The first candidate with exactly 2|G| residues whose
+unit group is isomorphic to G is certified.  Identical (group, config)
+inputs give byte-identical certificates.
 
 The fixture suite rebuilds every explicit ideal from the literature this
 package tracks and checks a recorded witness for each: the images of the
@@ -241,8 +241,10 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
                 if entry is None:
                     continue
                 span, key = entry
-                later = span.span_size() <= limit  # a later count extends it
-                if key is None:  # first reached: by its lex-least tuple
+                later = span.span_size() <= limit  # a later count may extend
+                # first reached, by its lex-least tuple: no tuple that
+                # reaches it later starts at an earlier pool entry
+                if key is None:
                     key = entry[1] = span.key()
                     later = later and (chosen[0] if chosen else i) < reach
                 fresh = key not in seen
