@@ -1,8 +1,8 @@
 """Finite 2-groups as explicit multiplication tables.
 
 Groups are constructed from presentations by coset enumeration over the
-trivial subgroup (one HLT scan with a union-find over cosets), from the
-built-in catalog, whose presentations are written once in the
+trivial subgroup (one HLT scan-and-fill with a union-find over cosets),
+from the built-in catalog, whose presentations are written once in the
 presentation-file grammar, or as direct products.  Element 0 is always the
 identity and element indexing is the coset-discovery order, which is
 fixed, so identical inputs always produce identical tables.
@@ -18,6 +18,7 @@ All of it is exact and exhaustive; there are no probabilistic shortcuts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import kernels
@@ -37,9 +38,6 @@ CULPRIT_VERTEX_CAP = 16 * ORDER_CAP
 ISO_NODE_BUDGET = 10_000_000
 INDECOMP_CAP = 128
 NORMAL_SUBGROUP_CAP = 50_000
-# coset enumeration of the QD presentation outgrows ENUM_VERTEX_CAP above
-# order 128 (QD256 needs 324,405 vertices)
-QD_ORDER_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -399,16 +397,29 @@ _UNDEF = -1
 
 
 class _CosetTable:
-    """HLT coset enumeration over the trivial subgroup.
+    """HLT coset enumeration over the trivial subgroup, by scan-and-fill.
 
-    Directions 2i / 2i+1 are generator i and its inverse; the relators
-    g g^-1 and g^-1 g define every edge.  Vertices are merged through a
-    union-find that keeps the smaller index as root.  One scan, in
-    discovery order, traces every relator from every live vertex, and that
-    completes the table (Holt, Eick & O'Brien, Handbook of Computational
-    Group Theory, 2005, 5.1): a vertex live at the end was live when the
-    scan reached it, and a merge maps closed relator loops to closed loops.
-    The discovery order fixes the final numbering, hence element indexing.
+    Directions 2i / 2i+1 are generator i and its inverse, d ^ 1 is the
+    inverse of d, and every edge is made together with its inverse; the
+    relators g g^-1 and g^-1 g are scanned too.  Vertices are merged
+    through a union-find that keeps the smaller index as root.  One scan,
+    in discovery order, scans and fills every relator from every live
+    vertex (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    2005, 5.1, SCANANDFILL): trace forward until an edge is missing and
+    backward until one is; traces that meet are unified at their ends, a
+    one-edge gap is filled both ways (a deduction), and otherwise one new
+    vertex is made at the forward front and the scan goes on.  That
+    completes the table: a vertex live at the end was live when the scan
+    reached it, and a merge maps closed relator loops to closed loops.
+
+    The numbering is that of the forward-only scan, which makes a vertex at
+    every missing edge of every forward trace.  A vertex only merges into a
+    smaller one, so each element keeps its first vertex, and the final
+    order is the order in which elements first get one.  Both scans trace
+    every relator in full from the live vertices in index order and make
+    vertices only at the forward front, in forward order; a backward trace
+    reaches only vertices that exist.  So both first reach the elements in
+    the same order, the first-touch order of the relator traces.
     """
 
     def __init__(self, ngens, relators, cap=None):
@@ -455,34 +466,68 @@ class _CosetTable:
                     queue.append((na[d], t))
 
     def run(self):
-        """The scan, with ``find``'s root case and edge following inlined:
-        a missing edge gets a new vertex, up to ``cap`` vertices."""
+        """The scan, with ``find``'s root case inlined: each relator is
+        scanned and filled from the live vertex, up to ``cap`` vertices."""
         labels, neighbors, find = self.labels, self.neighbors, self.find
         nd, cap = self.nd, self.cap
         i = 0
         while i < len(labels):
             if labels[i] == i:
                 for rel in self.relators:
-                    c = i
-                    for d in rel:
-                        if labels[c] != c:
-                            c = find(c)
-                        t = neighbors[c][d]
+                    f = b = i if labels[i] == i else find(i)
+                    steps = iter(rel)
+                    for d in steps:  # forward until a gap
+                        t = neighbors[f][d]
                         if t == _UNDEF:
-                            t = len(labels)
-                            if t >= cap:
-                                raise SizeCapError(
-                                    f"coset enumeration exceeded {cap} "
-                                    f"vertices; the presented group is too "
-                                    f"large or infinite")
-                            labels.append(t)
-                            neighbors.append([_UNDEF] * nd)
-                            neighbors[c][d] = t
-                        elif labels[t] != t:
-                            t = find(t)
-                        c = t
-                    if c != i:
-                        self.unify(c, i)
+                            break
+                        f = t if labels[t] == t else find(t)
+                    else:
+                        if f != b:
+                            self.unify(f, b)
+                        continue
+                    # the gap is at rel[p]: steps has the rest after it
+                    q = len(rel)
+                    p = q - 1 - operator.length_hint(steps)
+                    while True:
+                        # backward from the back front b, down to p
+                        while q > p:
+                            t = neighbors[b][rel[q - 1] ^ 1]
+                            if t == _UNDEF:
+                                break
+                            b = t if labels[t] == t else find(t)
+                            q -= 1
+                        else:
+                            self.unify(f, b)
+                            break
+                        d = rel[p]
+                        if q == p + 1:  # a one-edge gap: a deduction
+                            neighbors[f][d] = b
+                            neighbors[b][d ^ 1] = f
+                            break
+                        t = len(labels)
+                        if t >= cap:
+                            raise SizeCapError(
+                                f"coset enumeration exceeded {cap} "
+                                f"vertices; the presented group is too "
+                                f"large or infinite")
+                        labels.append(t)
+                        row = [_UNDEF] * nd
+                        row[d ^ 1] = f
+                        neighbors.append(row)
+                        neighbors[f][d] = t
+                        f = t
+                        p += 1
+                        # forward from the new front, up to the back front
+                        while p < q:
+                            t = neighbors[f][rel[p]]
+                            if t == _UNDEF:
+                                break
+                            f = t if labels[t] == t else find(t)
+                            p += 1
+                        else:
+                            if f != b:
+                                self.unify(f, b)
+                            break
             i += 1
 
     def permutations(self):
@@ -620,8 +665,7 @@ CATALOG_FAMILIES = {
     "C": (1, ORDER_CAP, "gens: a\nrels: a^{n}"),
     "D": (4, ORDER_CAP, "gens: a b\nrels: a^{h}, b^2, b*a*b^-1*a"),
     "Q": (8, ORDER_CAP, "gens: a b\nrels: a^{h}, a^{q}*b^-2, b*a*b^-1*a"),
-    "QD": (16, QD_ORDER_CAP,
-           "gens: a b\nrels: a^{h}, b^2, b*a*b^-1*a^-{r}"),
+    "QD": (16, ORDER_CAP, "gens: a b\nrels: a^{h}, b^2, b*a*b^-1*a^-{r}"),
 }
 # the modular group of order 16 and three fixture groups of order 32 and 64
 CATALOG_NAMED = {

@@ -106,27 +106,36 @@ def _principal_closures(G: CayleyGroup, m, pool):
     size, identity included), so the orbits are orbits of supports: each
     is walked once, by the moves of each s^-1 built once per call (the
     left translation, and the right one only where it differs:
-    ``gring._sides``, R_t = L_t exactly when t is central).  Closures are
-    kept per (orbit, scalar exponent), and equal closures are one interned
-    basis.
+    ``gring._sides``, R_t = L_t exactly when t is central).  The left moves
+    alone take S only to {s^-1 S : s in S}, since t^-1 s^-1 S = (st)^-1 S
+    with st in S; so on an abelian group that set is the orbit, walked in
+    |S| moves.
 
     Only an orbit's representative of scalar 1 is closed by
     ``ideal_closure``.  Scalars are central, so the ideal generated by
     2^e*y is 2^e times the one generated by y, the entry of scalar 1 on
     the same support; y lies in the even-sum maximal ideal, so its closure
     is proper, and the closure of 2^e*y is that closure scaled
-    (``IdealBasis.scaled``)."""
+    (``IdealBasis.scaled``).  Equal closures are one interned basis, and
+    each interned basis of scalar 1 is scaled once per exponent."""
     orbit_of = {}  # support -> orbit number
     reps = []  # orbit number -> the support it was first reached from
-    closures = {}  # (orbit number, e) -> interned basis or None
+    closures = {}  # orbit number -> interned basis of scalar 1, or None
+    scaled = {}  # (interned basis of scalar 1, e) -> interned basis
     interned = {}
     moves = [_sides(G, G.inv[s]) for s in range(G.n)]
+    abelian = G.is_abelian()
 
     def orbit(support):
         if support in orbit_of:
             return orbit_of[support]
         k = orbit_of[support] = len(reps)
         reps.append(support)
+        if abelian:
+            at = operator.itemgetter(*support)
+            for s in support:
+                orbit_of[tuple(sorted(at(moves[s][0])))] = k
+            return k
         work = [support]
         while work:
             support = work.pop()
@@ -139,24 +148,25 @@ def _principal_closures(G: CayleyGroup, m, pool):
                         work.append(moved)
         return k
 
-    def closed(k, e):
-        if (k, e) in closures:
-            return closures[k, e]
-        try:
-            if e:
-                basis = closed(k, 0).scaled(e)
-            else:
+    def closed(k):
+        if k not in closures:
+            try:
                 basis = ideal_closure(
                     [RingElement.from_support(G, m, reps[k])])
-            basis = interned.setdefault(basis.key(), basis)
-        except ImproperIdealError:
-            basis = None
-        closures[k, e] = basis
-        return basis
+                closures[k] = interned.setdefault(basis.key(), basis)
+            except ImproperIdealError:
+                closures[k] = None
+        return closures[k]
 
     def closure(i):
         e, support = pool[i]
-        return closed(orbit(support), e)
+        basis = closed(orbit(support))
+        if not e or basis is None:
+            return basis
+        if (basis, e) not in scaled:
+            basis_e = basis.scaled(e)
+            scaled[basis, e] = interned.setdefault(basis_e.key(), basis_e)
+        return scaled[basis, e]
 
     return closure
 

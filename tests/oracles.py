@@ -711,11 +711,13 @@ def fixture_witness_by_unit_table(ambient_spec, m, literals, expected_spec):
                  for g in expected.gen_indices)
 
 
-def coset_scan_reference(table):
-    """The HLT scan of ``groups._CosetTable`` written plainly on the
-    table's lists: every edge is followed through ``find``, a missing edge
-    gets a new vertex, and every relator trace ends in ``unify``, which
-    keeps the smaller root.  No vertex cap."""
+def coset_scan_reference(table, cap=None):
+    """The forward-only HLT scan, written plainly on the lists of a fresh
+    ``groups._CosetTable``: every edge is followed through ``find``, a
+    missing edge gets a new vertex, and every relator trace ends in
+    ``unify``, which keeps the smaller root.  Raises SizeCapError on
+    reaching ``cap`` vertices; no cap when None."""
+    from fuchs2.errors import SizeCapError
     labels, neighbors = table.labels, table.neighbors
 
     def find(c):
@@ -728,6 +730,8 @@ def coset_scan_reference(table):
         t = neighbors[c][d]
         if t == -1:
             t = len(labels)
+            if t == cap:
+                raise SizeCapError(f"reference scan reached {cap} vertices")
             labels.append(t)
             neighbors.append([-1] * table.nd)
             neighbors[c][d] = t
@@ -761,3 +765,23 @@ def coset_scan_reference(table):
                     c = follow(c, d)
                 unify(c, i)
         i += 1
+
+
+def first_touch_order(perms, relators):
+    """The elements of a permutation group in the order in which tracing
+    every relator, in turn, from each element, taken in this same order
+    starting at the identity 0, first reaches them.  ``perms[d]`` is the
+    action of direction d, as ``groups._CosetTable.permutations`` gives
+    it.  A coset scan that traces every relator from each live vertex in
+    index order, and makes vertices only along those traces, numbers the
+    elements in this order."""
+    order, seen = [0], {0}
+    for x in order:
+        for rel in relators:
+            c = x
+            for d in rel:
+                c = perms[d][c]
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+    return order

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.groups
@@ -19,7 +19,6 @@ from fuchs2.groups import (
     CATALOG_FAMILIES,
     CATALOG_NAMED,
     ORDER_CAP,
-    QD_ORDER_CAP,
     CayleyGroup,
     Presentation,
     _CosetTable,
@@ -153,18 +152,24 @@ def test_order_cap():
         build_group("C1024")
     with pytest.raises(Fuchs2Error):
         build_group("Q8xQ8xQ8xQ8")
-    for spec in ("QD256", "QD512"):
-        with pytest.raises(ConstructionError, match=r"\[16, 128\]"):
-            build_group(spec)
+    # the quasidihedral family runs to ORDER_CAP
+    for k in (8, 9):
+        G = build_group(f"QD{1 << k}")
+        derived = set(G.derived_subgroup())
+        assert G.n == 1 << k
+        assert G.exponent() == 1 << (k - 1)
+        assert len(G.center()) == 2
+        # G/G' is C2 x C2: index 4, and every square lies in G'
+        assert G.n == 4 * len(derived)
+        assert all(G.mul[x][x] in derived for x in range(G.n))
 
 
 def test_catalog_builds_every_stated_order():
     # each kind's stated range of orders, from catalog_presentation
     ranges = {"C": 1, "D": 4, "Q": 8, "QD": 16}
     for kind, low in ranges.items():
-        top = QD_ORDER_CAP if kind == "QD" else ORDER_CAP
         order = low
-        while order <= top:
+        while order <= ORDER_CAP:
             assert build_group(f"{kind}{order}").n == order, (kind, order)
             order *= 2
     for spec, order in (("M16", 16), ("SG32_37", 32), ("SG64_88", 64),
@@ -244,6 +249,10 @@ GOLDEN_TABLES = {
         "e35be2e18bfc6ecdda78a79ce4fd8f9b5d250513056b7ccbfad9a4a7e1abed1d",
     "QD128":
         "5048073bc94ed6bf580045f4e032fa7109edf37c2b365aac90a276d3e79d1a42",
+    "QD256":
+        "74389f8db0822a7733c668b9e6e60cb14e57c6f1718fb4a262e24cbbde79bd84",
+    "QD512":
+        "0f0dd84269bda0bd1133516db979ab8c49eb3022a9825a50b07d883b099d60a5",
     "M16":
         "1c7b11e81299bd0e159281be513c4473ceb962b282e5403050cb111e827eb35c",
     "SG32_37":
@@ -509,8 +518,8 @@ def test_coset_enumeration_reads_its_vertex_cap_at_call_time(monkeypatch):
     "spec", oracles.catalog_specs(16) + ["CLS3_64", "CLS4_128", "QD128",
                                          "D512"])
 def test_coset_scan_matches_the_reference_scan(spec):
-    # same vertices created and merged in the same order: the same vertex
-    # count and the same permutations, hence the same element numbering
+    # elements first reached in the same order: the same permutations,
+    # hence the same element numbering, from no more vertices
     texts = {"CLS3_64": CLS3_64, "CLS4_128": CLS4_128}
     pres = (parse_presentation_text(texts[spec]) if spec in texts
             else catalog_presentation(*parse_group_spec(spec).atoms[0]))
@@ -518,8 +527,51 @@ def test_coset_scan_matches_the_reference_scan(spec):
     fast, slow = (_CosetTable(len(pres.gens), relators) for _ in range(2))
     fast.run()
     oracles.coset_scan_reference(slow)
-    assert len(fast.labels) == len(slow.labels)
     assert fast.permutations() == slow.permutations()
+    assert len(fast.labels) <= len(slow.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6),
+                min_size=1, max_size=2))
+def test_coset_scan_matches_the_reference_on_random_presentations(
+        i, j, words):
+    # a^(2^i), b^(2^j) and one or two random words in a, a^-1, b, b^-1
+    relators = [(0,) * (1 << i), (2,) * (1 << j)] + [tuple(w) for w in words]
+    fast, slow = (_CosetTable(2, relators) for _ in range(2))
+    try:
+        oracles.coset_scan_reference(slow, cap=2000)
+    except SizeCapError:
+        assume(False)
+    fast.run()
+    assert fast.permutations() == slow.permutations()
+
+
+@pytest.mark.parametrize("spec", oracles.catalog_specs(ORDER_CAP))
+def test_coset_numbering_is_the_first_touch_order(spec):
+    # tracing every relator from each element in index order reaches the
+    # elements in index order: the numbering any such scan gives
+    pres = catalog_presentation(*parse_group_spec(spec).atoms[0])
+    table = _CosetTable(len(pres.gens),
+                        [_relator_directions(w) for w in pres.relators])
+    table.run()
+    perms = table.permutations()
+    n = len(perms[0])
+    assert oracles.first_touch_order(perms, table.relators) == list(range(n))
+
+
+@pytest.mark.parametrize("spec, vertices", [
+    ("SG64_88", 104), ("CLS4_128", 181), ("D512", 512), ("C64:C8", 14_798)])
+def test_coset_scan_vertex_counts(spec, vertices):
+    texts = {"CLS4_128": CLS4_128,
+             "C64:C8": "gens: a b\nrels: a^64, b^8, b^-1*a*b*a^-25"}
+    pres = (parse_presentation_text(texts[spec]) if spec in texts
+            else catalog_presentation(*parse_group_spec(spec).atoms[0]))
+    table = _CosetTable(len(pres.gens),
+                        [_relator_directions(w) for w in pres.relators])
+    table.run()
+    assert len(table.labels) == vertices
 
 
 @pytest.mark.parametrize("call", [
