@@ -9,7 +9,7 @@ fixed, so identical inputs always produce identical tables.
 
 Everything downstream (group rings, screeners, the realization pipeline)
 consumes the structural data computed here: element orders, centralizers,
-conjugacy classes, minimal generating sequences, abelian invariants,
+conjugacy classes, a minimal generating sequence, abelian invariants,
 isomorphism testing and indecomposability.  The conjugacy classes are the
 one source of the commutator structure: the center, the derived subgroup,
 the upper central series and the centralizer orders are read off them.
@@ -308,38 +308,27 @@ class CayleyGroup:
 
     # -- generating sequences and abelian structure ----------------------
 
-    def minimal_generating_sequences(self):
-        """Yield minimal generating sequences in lexicographic index order.
-
-        Each sequence projects to a basis of G modulo the Frattini subgroup,
-        so all have the same length.  The first yield is the greedy choice.
-
-        Every span S grown here contains Phi(G), which holds all squares
-        and commutators, so S is normal and x^2 lies in S.  Then Sx = xS
-        and Sx * Sx = Sx^2 = S, so S u Sx is closed under products: it is
-        <S, x>, and growing a span costs 2|S| table lookups.
-        """
-        frat = self.frattini_subgroup()
-        if len(frat) == self.n:  # trivial group
-            yield ()
-            return
-        yield from self._extend_sequence([], frozenset(frat))
-
-    def _extend_sequence(self, prefix, span):
-        # a method rather than a nested closure: a recursive closure holds
-        # itself through its cell, so its frames wait for a full collection
-        if len(span) == self.n:
-            yield tuple(prefix)
-            return
-        mul = self.mul
-        for x in range(1, self.n):
-            if x not in span:
-                yield from self._extend_sequence(
-                    prefix + [x], span | {mul[s][x] for s in span})
-
     def minimal_generators(self):
+        """The greedy minimal generating sequence, memoized: from the
+        Frattini subgroup, add the least element outside the span until the
+        span is G.
+
+        It projects to a basis of G modulo the Frattini subgroup, so every
+        minimal generating sequence has its length.  Every span S grown
+        here contains Phi(G), which holds all squares and commutators, so S
+        is normal and x^2 lies in S.  Then Sx = xS and Sx * Sx = Sx^2 = S,
+        so S u Sx is closed under products: it is <S, x>, and growing a
+        span costs |S| table lookups.
+        """
         if self._min_gens is None:
-            self._min_gens = next(self.minimal_generating_sequences())
+            mul = self.mul
+            span = set(self.frattini_subgroup())
+            gens = []
+            for x in range(self.n):
+                if x not in span:
+                    gens.append(x)
+                    span.update([mul[s][x] for s in span])
+            self._min_gens = tuple(gens)
         return self._min_gens
 
     def abelian_invariants(self):

@@ -20,7 +20,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
@@ -110,11 +109,12 @@ def characteristic_candidates(G: CayleyGroup):
 
 def exponent_bound(n: int, m: int) -> int:
     """Upper bound 2^(L+m-1), L = ceil(log2(n+1)), for the exponent of a
-    group of order 2^n realizable in characteristic 2^m."""
+    group of order 2^n realizable in characteristic 2^m.  L is the least
+    integer with 2^L > n, which is ``n.bit_length()``: exact at every n,
+    where the float log2 rounds for large n."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    L = math.ceil(math.log2(n + 1))
-    return 1 << (L + m - 1)
+    return 1 << (n.bit_length() + m - 1)
 
 
 def self_centralizing_obstruction(G: CayleyGroup):

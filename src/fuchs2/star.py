@@ -9,8 +9,8 @@ set; a translation that is not affine names a violating triple), take the
 complement ideal (even-sum vectors whose XOR-sum of supports vanishes),
 and certify that the unit group of the resulting residue ring is the
 group we started from.  The candidate bases are tried in the single order
-that ``composition_bases`` yields: direct bases for class <= 2, then
-bases read off chief chains through the center.
+that ``composition_bases`` yields: bases read off chief chains through
+the center, for every group.
 
 A basis is its list of ordered products, ``PcSequence.decode``, which
 also carries the star operation.  One doubling step builds every such
@@ -50,7 +50,6 @@ from .parsing import element_literal
 
 __version__ = "0.1.0"
 
-PC_ATTEMPTS = 64
 CHIEF_CHAINS = 256
 
 
@@ -87,73 +86,27 @@ class PcSequence:
         return self.table[a][b]
 
 
-def _double(G: CayleyGroup, products, x):
-    """Append each of ``products`` (the ordered products over x_1..x_i)
-    times x = x_(i+1), one lookup each; return False, leaving the list as
-    it was, when some element would then have two normal forms."""
-    shifted = [G.mul[p][x] for p in products]
-    if not set(products).isdisjoint(shifted):
-        return False
-    products.extend(shifted)
-    return True
-
-
 def _normal_forms(G: CayleyGroup, seq):
     """The ordered products of ``seq``, indexed by their exponent bitmask
-    (the ``decode`` list), when they cover G exactly once; else None."""
+    (the ``decode`` list), when they cover G exactly once; else None.
+
+    One doubling step per x_i: after the products over x_1..x_(i-1) come
+    each of them times x_i, one lookup each, and a step whose new products
+    meet the old ones refuses the sequence."""
     if (1 << len(seq)) != G.n:
         return None
     products = [0]
     for x in seq:
-        if not _double(G, products, x):
+        shifted = [G.mul[p][x] for p in products]
+        if not set(products).isdisjoint(shifted):
             return None
+        products.extend(shifted)
     return products
 
 
-def _base_sequence(G: CayleyGroup, gens):
-    """Class <= 2 sequence: noncentral generators, then central generators,
-    then square layers and independent commutators.  Returns a PcSequence,
-    or None when the checks reject this ordering.
-
-    The ordered products are grown with the basis, in its order: a tail
-    candidate is kept when ``_double`` accepts it (that is exactly when
-    the product count doubles), which handles power chains of any length,
-    so exponent-8 class-2 groups get a basis too.
-    """
-    center = set(G.center())
-    noncentral = [g for g in gens if g not in center]
-    tail = [g for g in gens if g in center]
-    ordered = noncentral + tail
-
-    products = [0]
-    for g in ordered:
-        # minimal generators are independent mod Frattini, so they double
-        if not _double(G, products, g):
-            return None
-    # each layer squares the last; the first also takes the commutators
-    comms = [G.commutator(b, a)
-             for i, a in enumerate(ordered) for b in ordered[i + 1:]]
-    layer = ordered
-    while layer and len(products) < G.n:
-        layer = [x for x in (G.mul[y][y] for y in layer) if x] + \
-            [c for c in comms if c]
-        comms = []
-        for x in layer:
-            if _double(G, products, x):
-                tail.append(x)
-
-    if len(products) != G.n:
-        return None
-    if any(c not in center for c in tail):
-        return None
-    if set(G.subgroup(tail)) != center:
-        return None
-    return PcSequence(G, tuple(noncentral) + tuple(tail), len(noncentral),
-                      products)
-
-
 def pc_sequence(G: CayleyGroup) -> PcSequence:
-    """The first center-last composition basis of ``composition_bases``."""
+    """The first center-last composition basis of ``composition_bases``,
+    the basis of the first chief chain through the center."""
     seq = next(composition_bases(G), None)
     if seq is None:
         raise InternalInvariantError(
@@ -168,19 +121,20 @@ def chief_chain_sequences(G: CayleyGroup):
     and then through it to G, taking the minimal-index new element at each
     step, in a deterministic order.  Every such chain gives unique {0,1}
     normal forms with the suffix generating the center; that is checked,
-    and a chain that fails it raises InternalInvariantError.
+    and a chain that fails it raises InternalInvariantError.  The walk
+    starts at the trivial subgroup, so C1 gets its one chain, the empty
+    basis.
 
     The children of a normal subgroup N are read off directly, without
     the normal-subgroup lattice.  A normal subgroup M over N with
     |M/N| = 2 makes M/N a normal subgroup of order 2 of the 2-group G/N,
     hence a central one, so the children are the sets N u xN for x
     outside N with x^2 in N and [x, g] in N for every generator g; x is
-    taken from Z(G) until the chain reaches the center.  Each node's
-    children are computed once and taken in the order of their sorted
-    member tuples, the order of ``groups.normal_subgroups``.
+    taken from Z(G) until the chain reaches the center, and such an x
+    commutes with every g, so only its square is tested there.  Each
+    node's children are computed once and taken in the order of their
+    sorted member tuples, the order of ``groups.normal_subgroups``.
     """
-    if G.n == 1:
-        return
     center = G.center()
     split = G.n.bit_length() - len(center).bit_length()
     mul, gens = G.mul, G.gen_indices
@@ -192,14 +146,15 @@ def chief_chain_sequences(G: CayleyGroup):
         if cur not in children_of:
             inside = set(cur)
             seen = set(cur)
+            central = len(cur) < len(center)
             found = []
-            for x in center if len(cur) < len(center) else range(G.n):
+            for x in center if central else range(G.n):
                 if x in seen:
                     continue
                 coset = [mul[x][c] for c in cur]
                 seen.update(coset)  # the test depends on the coset xN only
-                if mul[x][x] in inside and all(
-                        G.commutator(x, g) in inside for g in gens):
+                if mul[x][x] in inside and (central or all(
+                        G.commutator(x, g) in inside for g in gens)):
                     found.append((tuple(sorted(cur + tuple(coset))),
                                   min(coset)))
             children_of[cur] = sorted(found)
@@ -224,25 +179,10 @@ def chief_chain_sequences(G: CayleyGroup):
 
 def composition_bases(G: CayleyGroup):
     """Every candidate center-last composition basis, in the order the
-    construction tries them.
-
-    Class <= 2 groups (C1 included) first yield their direct bases: the
-    ``_base_sequence`` results that pass its checks, over the first
-    PC_ATTEMPTS minimal generating sequences.  The first CHIEF_CHAINS
-    chief-chain bases follow; from class 3 up they are the only ones.  A
-    basis is yielded once: the conditions depend on its elements only.
-    """
-    direct = ()
-    if G.nilpotency_class() <= 2:
-        made = (_base_sequence(G, gens) for gens in itertools.islice(
-            G.minimal_generating_sequences(), PC_ATTEMPTS))
-        direct = (seq for seq in made if seq is not None)
-    chains = itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS)
-    seen = set()
-    for seq in itertools.chain(direct, chains):
-        if seq.elements not in seen:
-            seen.add(seq.elements)
-            yield seq
+    construction tries them: the first CHIEF_CHAINS chief-chain bases, for
+    every group.  Distinct chains give distinct element tuples, so each
+    basis comes once."""
+    return itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS)
 
 
 def star_table(G: CayleyGroup, seq: PcSequence) -> PcSequence:

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import itertools
 import json
 import random
 
@@ -419,12 +418,11 @@ def test_minimal_generators():
     "spec", oracles.catalog_specs(64) + ["C4xC4xC4", "Q8xQ8",
                                          "C2xC2xC2xC2xC2", "CLS3_64"])
 def test_minimal_generating_sequences_against_brute(spec):
-    # the spans grow by one Frattini coset; the oracle closes each one
-    # from scratch
+    # the greedy sequence is the oracle's first: its spans grow by one
+    # Frattini coset, the oracle closes each one from scratch
     G = _presented(CLS3_64) if spec == "CLS3_64" else build_group(spec)
-    assert list(itertools.islice(G.minimal_generating_sequences(), 64)) == \
-        list(itertools.islice(oracles.minimal_generating_sequences_brute(G),
-                              64))
+    assert G.minimal_generators() == \
+        next(oracles.minimal_generating_sequences_brute(G))
 
 
 def test_abelian_invariants():
@@ -576,8 +574,7 @@ def test_coset_scan_vertex_counts(spec, vertices):
 
 @pytest.mark.parametrize("call", [
     lambda G, H: isomorphism(G, H),
-    lambda G, H: list(G.minimal_generating_sequences()),
-    lambda G, H: next(G.minimal_generating_sequences()),
+    lambda G, H: G.minimal_generators(),
 ])
 def test_searches_leave_no_reference_cycles(call):
     # a recursive closure refers to itself through its cell, which keeps

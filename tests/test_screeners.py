@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +27,12 @@ from test_star import CLS3_64, OPEN_64, _presented
 # not the unit group of any finite ring, at orders 256 and 512
 C32_C8 = "gens: a b\nrels: a^32, b^8, b^-1*a*b*a^-5"
 C64_C8 = "gens: a b\nrels: a^64, b^8, b^-1*a*b*a^-25"
+
+# sha256 of the screen verdicts of every product of 1-3 catalog atoms of
+# order <= 128, each without its certificate; pinned before the
+# composition bases of class <= 2 groups came from chief chains
+VERDICTS_DIGEST = ("807c4df5e1eea8191d9f5e1604fb2b69"
+                   "578f76a4fe03fa2afbd44d4f357dafdc")
 
 
 # -- individual rules ---------------------------------------------------------
@@ -73,6 +80,19 @@ def test_exponent_bound_values():
     assert exponent_bound(3, 1) == 4
     assert exponent_bound(5, 1) == 8
     assert exponent_bound(5, 6) == 256
+
+
+def test_exponent_bound_is_exact_for_large_n():
+    # a float log2 rounds 2^60 + 1 down to 2^60 and gives L = 60
+    assert exponent_bound(2**60, 1) == 2**61
+
+
+def test_exponent_bound_against_the_least_power_above_n():
+    for n in range(1, 1 << 16):
+        L = 0
+        while 1 << L <= n:
+            L += 1
+        assert exponent_bound(n, 1) == 1 << L
 
 
 def test_self_centralizing():
@@ -187,13 +207,26 @@ def test_char_constraint_builds_no_factor_and_no_normal_subgroup(
 
 def test_screen_verdicts_pinned_on_atom_products():
     # sha256 of the screen JSON of every product of 1-3 catalog atoms of
-    # order <= 128, computed with the normal-subgroup split the structural
-    # test replaced
+    # order <= 128.  Re-pinned when the composition bases of class <= 2
+    # groups came from chief chains: the certificates of the nonabelian
+    # class <= 2 products changed, their verdicts did not (the test below)
     digest = hashlib.sha256()
     for spec in oracles.atom_products(128, (1, 2, 3)):
         digest.update(screen(build_group(spec)).to_json().encode())
-    assert digest.hexdigest() == ("80fe083ea2b2b6ffc0e6f10bc08db17c"
-                                  "ae4c6dbca39189945c9a915273fbfb5f")
+    assert digest.hexdigest() == ("cc21b4c9fd7c1e5b38d8f86066967ffa"
+                                  "b2e33b2e4835436593891631a90cff20")
+
+
+def test_screen_verdicts_without_certificates_pinned_on_atom_products():
+    # the same products, with each verdict's certificate left out: status,
+    # scope, reasons and allowed characteristics may not move when only
+    # the bytes of a certificate do
+    digest = hashlib.sha256()
+    for spec in oracles.atom_products(128, (1, 2, 3)):
+        verdict = screen(build_group(spec)).to_dict()
+        del verdict["certificate"]
+        digest.update(json.dumps(verdict, indent=2).encode())
+    assert digest.hexdigest() == VERDICTS_DIGEST
 
 
 @pytest.mark.parametrize("text", [C32_C8, C64_C8], ids=["C32_C8", "C64_C8"])

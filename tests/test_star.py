@@ -14,7 +14,7 @@ from fuchs2.gring import (
     unit_group,
     verify_two_sided,
 )
-from fuchs2.groups import build_group
+from fuchs2.groups import build_group, direct_product, isomorphism
 from fuchs2.parsing import parse_element_literal
 from fuchs2.search import verify_certificate
 from fuchs2.star import (
@@ -36,6 +36,14 @@ from test_gring import SMALL
 
 # -- composition bases --------------------------------------------------------
 
+def test_pc_sequence_c1():
+    # the chief-chain walk starts at the trivial subgroup, which is C1
+    seq = pc_sequence(build_group("C1"))
+    assert seq.elements == ()
+    assert seq.split == 0
+    assert seq.decode == [0]
+
+
 def test_pc_sequence_c2():
     G = build_group("C2")
     seq = pc_sequence(G)
@@ -55,7 +63,8 @@ def test_pc_sequence_q8():
     G = build_group("Q8")
     seq = pc_sequence(G)
     i, j = G.gen_indices
-    assert seq.elements == (i, j, G.mul[i][i])
+    # the first chief chain climbs through the center <i^2> to <i>, then G
+    assert seq.elements == (j, i, G.mul[i][i])
     assert seq.split == 2
 
 
@@ -352,6 +361,61 @@ def test_realize_deterministic():
     assert_natural_witness(G1, cert)
 
 
+# -- class <= 2 ---------------------------------------------------------------
+
+# every product of C2, C4, D8 and Q8 of order <= 512: exponent <= 4 and
+# class <= 2
+CLASS_2_PRODUCTS = [
+    spec for spec in oracles.atom_products(512, range(1, 10))
+    if set(spec.split("x")) <= {"C2", "C4", "D8", "Q8"}]
+
+
+def test_first_basis_passes_the_conditions_on_class_2_products():
+    assert len(CLASS_2_PRODUCTS) == 83
+    for spec in CLASS_2_PRODUCTS:
+        G = build_group(spec)
+        assert G.exponent() <= 4 and G.nilpotency_class() <= 2
+        assert verify_star_conditions(G, pc_sequence(G))[0], spec
+
+
+# the three groups of order 16, exponent 4 and class 2 that the catalog
+# lacks, each with the element orders of its center
+ORDER_16 = {
+    "C4:C4": ("gens: a b\nrels: a^4, b^4, b^-1*a*b*a", [1, 2, 2, 2]),
+    "(C4xC2):C2": ("gens: a b c\nrels: a^4, b^2, c^2, [a,b], "
+                   "c^-1*a*c*a^-1*b^-1, [b,c]", [1, 2, 2, 2]),
+    "Q8oC4": ("gens: i j z\nrels: i^4, i^2*j^-2, j^-1*i*j*i, z^2*i^-2, "
+              "[z,i], [z,j]", [1, 2, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_16))
+def test_realize_order_16_class_2_groups_outside_the_catalog(name):
+    text, center_orders = ORDER_16[name]
+    G = _presented(text)
+    assert G.n == 16
+    assert G.exponent() == 4
+    assert G.nilpotency_class() == 2
+    orders = G.element_orders()
+    assert sorted(orders[z] for z in G.center()) == center_orders
+    cert = realize_exponent4(G)
+    assert cert.quotient_size == 2 * G.n
+    assert verify_certificate(cert.to_json())
+    assert_natural_witness(G, cert)
+    square = direct_product(G, G)
+    assert verify_star_conditions(square, pc_sequence(square))[0]
+
+
+def test_order_16_class_2_groups_are_new():
+    ours = [_presented(text) for text, _ in ORDER_16.values()]
+    catalog = [G for G in map(build_group, oracles.atom_products(
+        16, (1, 2, 3, 4))) if G.n == 16]
+    assert len(catalog) == 11
+    for k, G in enumerate(ours):
+        for H in ours[k + 1:] + catalog:
+            assert isomorphism(G, H) is None
+
+
 # -- class >= 3 ---------------------------------------------------------------
 
 CLS3_64 = ("gens: a b\n"
@@ -465,10 +529,12 @@ def _elements(bases):
     return [seq.elements for seq in bases]
 
 
-@pytest.mark.parametrize("spec", ["CLS3_64", "CLS4_128", "Q16"])
+@pytest.mark.parametrize("spec", ["CLS3_64", "CLS4_128", "Q16", "C1", "C2",
+                                  "Q8", "D8xC2", "C4xC4xC2", "Q8xQ8"])
 def test_class_3_up_bases_are_the_chief_chain_bases(spec):
+    # the chief chains are the one source of bases for every class, C1
+    # included
     G = _group(spec)
-    assert G.nilpotency_class() >= 3
     chains = itertools.islice(chief_chain_sequences(G), CHIEF_CHAINS)
     assert _elements(composition_bases(G)) == _elements(chains)
 
@@ -580,9 +646,10 @@ def test_every_basis_has_the_brute_force_normal_forms(spec):
 
 # sha256 over (spec, elements, split, encode) of the first 8 composition
 # bases of every catalog group of order <= 64 and every order-256 encode
-# group: neither the basis order nor the normal forms may drift
+# group: neither the basis order nor the normal forms may drift.  Re-pinned
+# when the bases of class <= 2 groups came from chief chains only
 BASES_DIGEST = \
-    "c09ba0ae07baf6c269fa385abd68cbdcd5bd83eb40fdfd1c376690510536512d"
+    "dfab8dc0abd807aa291eb5cf45c0ae113e939e9facb74b7422f5139e040f4091"
 
 
 def test_composition_bases_are_pinned():
