@@ -160,21 +160,31 @@ def chief_chain_sequences(G: CayleyGroup):
             children_of[cur] = sorted(found)
         return children_of[cur]
 
-    def walk(cur, chain):
-        if len(cur) == G.n:
+    # depth first over the chains, on an explicit stack (a recursive
+    # closure would keep the tables alive until a full collection):
+    # chain holds the least new element of each step taken and
+    # pending[i] iterates the children of the i-th subgroup on the chain
+    chain = []
+    pending = [iter([((0,), None)])]
+    while pending:
+        for cur, x in pending[-1]:
+            if len(pending) > 1:
+                chain.append(x)
+            if len(cur) < G.n:
+                pending.append(iter(children(cur)))
+                break
             seq = tuple(reversed(chain))
             decode = _normal_forms(G, seq)
             if decode is None:
                 raise InternalInvariantError(
                     "chief-chain basis lost normal-form uniqueness")
             yield PcSequence(G, seq, split, decode)
-            return
-        for child, x in children(cur):
-            chain.append(x)
-            yield from walk(child, chain)
-            chain.pop()
-
-    yield from walk((0,), [])
+            if chain:
+                chain.pop()
+        else:
+            pending.pop()
+            if chain:
+                chain.pop()
 
 
 def composition_bases(G: CayleyGroup):

@@ -39,6 +39,7 @@ from fuchs2.groups import (
     verify_homomorphism,
 )
 from fuchs2.parsing import parse_group_spec, parse_presentation_text
+from fuchs2.star import chief_chain_sequences
 
 import oracles
 from test_star import CLS3_64, CLS4_128, ENCODE_POOL, _presented
@@ -575,6 +576,7 @@ def test_coset_scan_vertex_counts(spec, vertices):
 @pytest.mark.parametrize("call", [
     lambda G, H: isomorphism(G, H),
     lambda G, H: G.minimal_generators(),
+    lambda G, H: next(chief_chain_sequences(G)),
 ])
 def test_searches_leave_no_reference_cycles(call):
     # a recursive closure refers to itself through its cell, which keeps
