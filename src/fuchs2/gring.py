@@ -25,12 +25,16 @@ translation by the non-central generators with a worklist: translations
 are linear, so only the vectors that grew the span need translating, each
 of them once, and over an abelian group no worklist runs.  Whether
 a given span is already two-sided is also decided by its basis class
-(``translation_closed``).  A GF(2) basis tests its annihilator under the
-standard pairing, read off the reduced rows: the transpose of a translation
-is the translation by the inverse, so a subspace and its annihilator are
-stable under the same translations, and the annihilator is the smaller of
-the two for the ideals of large rank that certificates carry.  A Howell
-basis translates its rows and reduces them, the only test over Z_{2^m}.
+(``translation_closed``).  A GF(2) basis reads the columns of its
+annihilator under the standard pairing off the reduced rows: a unit vector
+at each free element, the row's free bits at each pivot element.  The span
+is stable under a permutation P exactly when g -> col[P g] is the linear
+map that the free columns fix, so each permutation costs one table of 2^a
+images, a = n - rank the annihilator's dimension, and one comparison of n
+entries.  Certificates carry ideals of large rank, so a is small; a span
+whose annihilator exceeds ``TABLE_BITS`` is tested on its rows instead.  A
+Howell basis translates its rows and reduces them, the only test over
+Z_{2^m}.
 
 Residue rings Z_{2^m}[G]/I are products on the canonical representatives
 of the quotient module.  A residue index is the mixed-radix number of its
@@ -70,6 +74,9 @@ from .groups import CayleyGroup, catalog_group
 M_CAP = 6
 UNIT_TABLE_CAP = 4096
 RESIDUE_CAP = 65536
+# a GF(2) two-sided check builds tables of 2^a entries for an annihilator
+# of dimension a up to this, as many as a residue ring of RESIDUE_CAP has
+TABLE_BITS = RESIDUE_CAP.bit_length() - 1
 
 
 def _check_m(m):
@@ -274,18 +281,6 @@ class _Gf2Basis:
             v ^= low
         return out
 
-    @staticmethod
-    def string_translation(n, perm):
-        """``translate`` by perm as a function, for dense vectors: bit g is
-        character n-1-g of a vector's binary string, so a translate is one
-        C-level gather on that string, whatever the number of set bits."""
-        source = [0] * n
-        for g, h in enumerate(perm):
-            source[n - 1 - h] = n - 1 - g
-        gather = operator.itemgetter(*source)
-        width = f"0{n}b"
-        return lambda v: int("".join(gather(format(v, width))), 2)
-
     @property
     def rows(self):
         return [self.pivots[p] for p in sorted(self.pivots)]
@@ -329,48 +324,60 @@ class _Gf2Basis:
             radix[p.bit_length() - 1] = 1
         return radix
 
-    def annihilator(self):
-        """A basis of the span's annihilator under the standard pairing,
-        keyed by free bit: for each free column f, e_f plus e_p for every
-        pivot p whose row has bit f.  It pairs to zero with every row (row
-        p meets it at f and at p alone), has f as its only free bit, and
-        there are n - rank of them, the annihilator's dimension."""
-        pivots = self.pivots.items()
-        free = ((1 << self.n) - 1) ^ self.mask
-        ann = {}
-        while free:
-            f = free & -free
-            ann[f] = f | sum(p for p, row in pivots if row & f)
-            free ^= f
-        return ann
-
     def translation_closed(self, perms):
         """True if the span is stable under every permutation in perms.
 
-        Decided on the annihilator, which has n - rank vectors instead of
-        rank rows.  A subspace stable under the permutations is stable
-        under the finite group they generate, and the transpose of a
-        permutation is its inverse, which lies in that group; so a
-        subspace is stable exactly when its annihilator is.  A
-        translate lies in the annihilator when clearing its free bits with
-        the annihilator vectors (each has one free bit) leaves zero.
-        Annihilator vectors are dense, so they are translated by
-        ``string_translation``.
+        Decided on the annihilator A, the vectors that pair to zero with
+        every row, when its dimension a = n - rank is at most
+        ``TABLE_BITS``, else on the rows (``_rows_translation_closed``).
+        A has one basis vector per free column f, e_f plus e_p for every
+        pivot p whose row has bit f, so its column at a free element is a
+        unit vector and at a pivot element p it is the free bits of row p;
+        ``col[g]`` holds that column as an a-bit index.  The span is the
+        set of v whose columns col[g], over the bits g of v, sum to zero,
+        and the translate Pv lies in it when the col[P g] sum to zero.  So
+        the span is stable under P exactly when every linear relation
+        among the col[g] holds among the col[P g], that is when
+        col[P g] = L(col[g]) for a linear map L.  L is fixed by its values
+        at the free elements, where col[g] is a unit vector: one table of
+        its 2^a values, built by doubling, and one comparison of n entries
+        decide each permutation.  At the free elements the comparison
+        holds by the table's construction, so the pivot elements decide.
         """
-        ann = self.annihilator()
-        free = ((1 << self.n) - 1) ^ self.mask
+        n = self.n
+        free = ((1 << n) - 1) ^ self.mask
+        if n - len(self.pivots) > TABLE_BITS:
+            return _rows_translation_closed(self, perms)
+        # spots[j] is the j-th free element; index maps a vector on the
+        # free bits to its a-bit index, bit j for spots[j]
+        spots, keys = [], [0]
+        while free:
+            f = free & -free
+            spots.append(f.bit_length() - 1)
+            keys += [key | f for key in keys]
+            free ^= f
+        index = dict(zip(keys, range(len(keys))))
+        col = [0] * n
+        for j, f in enumerate(spots):
+            col[f] = 1 << j
+        for p, row in self.pivots.items():
+            col[p.bit_length() - 1] = index[row ^ p]
+        at_col = operator.itemgetter(*col)
         for perm in perms:
-            translate = self.string_translation(self.n, perm)
-            for a in ann.values():
-                t = translate(a)
-                hit = t & free
-                while hit:
-                    f = hit & -hit
-                    t ^= ann[f]
-                    hit ^= f
-                if t:
-                    return False
+            table = [0]
+            for f in spots:
+                image = col[perm[f]]
+                table += [t ^ image for t in table]
+            if at_col(table) != operator.itemgetter(*perm)(col):
+                return False
         return True
+
+
+def _rows_translation_closed(impl, perms):
+    """True if every translate of every row of ``impl`` by every
+    permutation in perms lies in the span."""
+    return all(impl.contains(impl.translate(row, perm))
+               for row in impl.rows for perm in perms)
 
 
 class _HowellBasis:
@@ -544,9 +551,9 @@ class _HowellBasis:
 
     def translation_closed(self, perms):
         """True if the span is stable under every permutation in perms:
-        each row's translates are reduced to zero."""
-        return all(self.contains(self.translate(row, perm))
-                   for row in self.rows for perm in perms)
+        each row's translates are reduced to zero, the only test over
+        Z_{2^m} (``_rows_translation_closed``)."""
+        return _rows_translation_closed(self, perms)
 
 
 def _make_impl(group, m, vectors):
@@ -713,9 +720,10 @@ def verify_two_sided(basis: IdealBasis) -> bool:
     extending it: the span is stable under left and right translation by a
     generating set, each distinct permutation once (R_g = L_g exactly for
     central g, see ``_translations``).  The basis class decides that on its
-    own vectors: over GF(2) on the annihilator read off the rows
-    (log2|G| + 1 vectors for a star complement instead of |G| - log2|G| - 1
-    rows), over Z_{2^m} on the translates of the Howell rows."""
+    own vectors: over GF(2) as linearity on the annihilator's columns, one
+    table of 2^a entries per permutation (a = log2|G| + 1 for a star
+    complement, and a = log2 of the residue count for any ideal), over
+    Z_{2^m} on the translates of the Howell rows."""
     return basis._impl.translation_closed(_translations(basis.group))
 
 
@@ -753,11 +761,7 @@ class QuotientRing:
         self.mod = 1 << ideal.m
         self.ideal = ideal
         n = self.group.n
-        total = (1 << (self.m * n)) // ideal.span_size()
-        if total > RESIDUE_CAP:
-            raise SizeCapError(
-                f"quotient has {total} residues (> {RESIDUE_CAP})")
-        self.size = total
+        self.size = total = residue_count(ideal)
         impl = ideal._impl
         radix = impl.pivot_radices()
         self._place = []  # place value of each column in a residue index
@@ -875,6 +879,15 @@ def _combine(vectors, coeffs):
         if c:
             out = [x + c * y for x, y in zip(out, v)]
     return out
+
+
+def residue_count(ideal: IdealBasis) -> int:
+    """|Z_{2^m}[G]/I|, read off the span's size; SizeCapError above
+    RESIDUE_CAP."""
+    total = (1 << (ideal.m * ideal.group.n)) // ideal.span_size()
+    if total > RESIDUE_CAP:
+        raise SizeCapError(f"quotient has {total} residues (> {RESIDUE_CAP})")
+    return total
 
 
 def quotient_ring(ideal: IdealBasis) -> QuotientRing:

@@ -10,14 +10,18 @@ fixed, so identical inputs always produce identical tables.
 Everything downstream (group rings, screeners, the realization pipeline)
 consumes the structural data computed here: element orders, centralizers,
 conjugacy classes, a minimal generating sequence, abelian invariants,
-isomorphism testing and indecomposability.  The conjugacy classes are the
-one source of the commutator structure: the center, the derived subgroup,
-the upper central series and the centralizer orders are read off them.
+isomorphism testing and indecomposability.  The minimal generating
+sequence is read off the squares, which generate the Frattini subgroup of
+a 2-group, and it is the one generating set of the structural queries:
+the center is the set of elements that commute with it, and the conjugacy
+classes are closed under conjugation by it.  The derived subgroup, the
+upper central series and the centralizer orders are read off the classes.
 All of it is exact and exhaustive; there are no probabilistic shortcuts.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -180,10 +184,19 @@ class CayleyGroup:
         return tuple(g for g in range(self.n) if row[g] == m[g][x])
 
     def center(self):
-        """The elements whose conjugacy class is a singleton."""
+        """The elements that commute with every generator of
+        ``minimal_generators``, in increasing order: x is central when its
+        products with the generators on the left and on the right agree,
+        one tuple comparison per element."""
         if self._center is None:
-            self._center = tuple(
-                cls[0] for cls in self.conjugacy_classes() if len(cls) == 1)
+            mul, gens = self.mul, self.minimal_generators()
+            if not gens:
+                self._center = tuple(range(self.n))
+            else:
+                left = zip(*[mul[g] for g in gens])
+                right = zip(*[[row[g] for row in mul] for g in gens])
+                self._center = tuple(itertools.compress(
+                    range(self.n), map(operator.eq, left, right)))
         return self._center
 
     def is_abelian(self):
@@ -219,13 +232,13 @@ class CayleyGroup:
         """Classes ordered by least member, each a sorted tuple.
 
         A class is the closure of one member under conjugation y -> g^-1 y g
-        by the generators g of ``kernels.greedy_generators``: conjugation by
-        a product is the composite of the conjugations, so O(n d) in all.
+        by the generators g of ``minimal_generators``: conjugation by a
+        product is the composite of the conjugations, so O(n d) in all.
         """
         if self._classes is None:
             m, n = self.mul, self.n
             conj = [[m[r][g] for r in m[self.inv[g]]]
-                    for g in kernels.greedy_generators(m) if g]
+                    for g in self.minimal_generators()]
             seen = [False] * n
             classes = []
             for x in range(n):
@@ -254,11 +267,12 @@ class CayleyGroup:
         return self._derived
 
     def frattini_subgroup(self):
-        """Generated by all squares and commutators (p = 2)."""
+        """Generated by the squares: for p = 2 the Frattini subgroup is
+        generated by the squares and the commutators, and every commutator
+        is a product of squares, [x, y] = x^-2 (x y^-1)^2 y^2."""
         if self._frattini is None:
-            gens = {self.mul[x][x] for x in range(self.n)}
-            gens.update(self.derived_subgroup())
-            self._frattini = self.subgroup(sorted(gens))
+            squares = set(map(list.__getitem__, self.mul, range(self.n)))
+            self._frattini = self.subgroup(sorted(squares))
         return self._frattini
 
     def upper_central_series(self):
@@ -318,7 +332,10 @@ class CayleyGroup:
         here contains Phi(G), which holds all squares and commutators, so S
         is normal and x^2 lies in S.  Then Sx = xS and Sx * Sx = Sx^2 = S,
         so S u Sx is closed under products: it is <S, x>, and growing a
-        span costs |S| table lookups.
+        span costs |S| table lookups.  Phi(G) is read off the squares
+        (``frattini_subgroup``), so no conjugacy class is computed here;
+        ``conjugacy_classes`` and the star-condition decider take this set
+        as their generators.
         """
         if self._min_gens is None:
             mul = self.mul

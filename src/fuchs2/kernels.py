@@ -1,16 +1,19 @@
 """Table checks: exact structural deciders, and cubic reference scans.
 
 The deciders use the structure the mathematics gives, and both test only
-a greedily found generating set (``greedy_generators``).
-`assoc_violation` runs Light's test, O(n^2 d) for d generators;
-`affine_violation` checks that the left and right translations by each
-generator are affine on the exponent vectors, O(n d).  Both decide
+a generating set.  `assoc_violation` runs Light's test, O(n^2 d) for d
+generators, on a greedily found generating set (``greedy_generators``):
+its table is not yet known to be a group.  `affine_violation` checks that
+the left and right translations by each generator of a group, given by
+the caller, are affine on the exponent vectors, O(n d).  Both decide
 exactly the property the cubic scans check, and name a violation read
 off the row or translation that failed.  The scans walk all |G|^3 triples
 for the lex-least violation; only the tests run them, as the reference.
 
 Tables are lists of rows: ``mul[x][y]`` is the index of x*y.
 """
+
+import operator
 
 BACKEND = "pure-python"
 
@@ -63,8 +66,10 @@ def assoc_violation(mul):
     return None
 
 
-def affine_violation(mul, encode):
+def affine_violation(mul, encode, gens):
     """A violation (a, b, c, condition) of the two conditions, or None.
+    ``mul`` is a group table and ``gens`` generates the group; the
+    violation names a generator as its c.
 
     With enc the exponent-vector map and a*b = dec(enc(a) XOR enc(b)),
     condition (1) for all a, b at fixed c says that u -> enc(c dec(u)) XOR
@@ -73,8 +78,8 @@ def affine_violation(mul, encode):
     equals the XOR-span of its values on the unit vectors.
 
     Affine maps compose, and L_cd = L_c L_d and R_cd = R_d R_c, so the c
-    whose translations are affine form a subgroup: testing a generating
-    set decides all of G.
+    whose translations are affine form a subgroup: testing ``gens``
+    decides all of G.
 
     The span is built by doubling, so where it first differs from f, at u
     with top bit h, f[u] != f[u ^ h] ^ f[h]: (dec(u ^ h), dec(h), c) fails.
@@ -84,15 +89,19 @@ def affine_violation(mul, encode):
     for g, u in enumerate(encode):
         decode[u] = g
     units = [1 << i for i in range(n.bit_length() - 1)]
-    for c in greedy_generators(mul):
+    rows = list(map(mul.__getitem__, decode))
+    for c in gens:
         ec = encode[c]
-        row_c = mul[c]
-        left = [encode[row_c[g]] ^ ec for g in decode]
-        right = [encode[mul[g][c]] ^ ec for g in decode]
+        # enc(c dec(u)) and enc(dec(u) c) for every u: the maps above with
+        # enc(c) left in, so the span starts from enc(c)
+        left = list(map(encode.__getitem__,
+                        map(mul[c].__getitem__, decode)))
+        right = list(map(encode.__getitem__,
+                         map(operator.itemgetter(c), rows)))
         for condition, f in ((1, left), (2, right)):
-            span = [0]
+            span = [ec]
             for u in units:
-                image = f[u]
+                image = f[u] ^ ec
                 span += [v ^ image for v in span]
             if span != f:
                 u = next(u for u, v in enumerate(span) if v != f[u])

@@ -49,8 +49,8 @@ from .errors import (
     UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
-    ideal_closure, ideal_sum, quotient_ring, unit_group, unit_isomorphism, \
-    verify_two_sided
+    ideal_closure, ideal_sum, quotient_ring, residue_count, unit_group, \
+    unit_isomorphism, verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism
 from .parsing import parse_element_literal
 from .star import Certificate, certificate_from_parts
@@ -397,14 +397,15 @@ def verify_certificate(cert) -> bool:
     Reads the document (str, dict or ``Certificate``), checks its fields
     and its characteristic, builds the ambient and the claimed group from
     their specs, and passes them to ``_check_document``.  Checks: the basis
-    rows are exactly the canonical form of their span, the span is a proper
-    two-sided ideal inside the even-sum maximal ideal, the residue count
-    matches, and the stored generator images extend to a bijective
-    homomorphism from the claimed group onto the unit group, checked on
-    every generator edge by ring products (``gring.unit_isomorphism``): the
-    residue ring is associative, so edges suffice for multiplicativity, and
-    it is local with residue field GF(2), so with 2|G| residues it has |G|
-    units and an injective map into them is onto."""
+    rows are exactly the canonical form of their span, the residue count
+    matches (above RESIDUE_CAP it raises SizeCapError), the span is a
+    proper two-sided ideal inside the even-sum maximal ideal, and the
+    stored generator images extend to a bijective homomorphism from the
+    claimed group onto the unit group, checked on every generator edge by
+    ring products (``gring.unit_isomorphism``): the residue ring is
+    associative, so edges suffice for multiplicativity, and it is local
+    with residue field GF(2), so with 2|G| residues it has |G| units and
+    an injective map into them is onto."""
     if isinstance(cert, Certificate):
         doc = cert.to_dict()
     elif isinstance(cert, dict):
@@ -440,14 +441,16 @@ def _check_document(doc, ambient, target, m) -> bool:
     basis = IdealBasis.from_canonical_rows(ambient, m, vectors)
     if basis is None:
         return False  # stored rows are not canonical for their span
+    # the residue count, capped, comes before the two-sided check, whose
+    # GF(2) tables have as many entries as the quotient has residues
+    if residue_count(basis) != doc["quotient_size"]:
+        return False
     if not verify_two_sided(basis):
         return False
     basis.closed = True
     if basis.contains_one():
         return False
     ring = quotient_ring(basis)
-    if ring.size != doc["quotient_size"]:
-        return False
 
     witness = doc["iso_witness"]
     if set(witness) != set(target.gen_names):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -131,34 +132,47 @@ def chief_chain_sequences(G: CayleyGroup):
     hence a central one, so the children are the sets N u xN for x
     outside N with x^2 in N and [x, g] in N for every generator g; x is
     taken from Z(G) until the chain reaches the center, and such an x
-    commutes with every g, so only its square is tested there.  Each
-    node's children are computed once and taken in the order of their
-    sorted member tuples, the order of ``groups.normal_subgroups``.
+    commutes with every g, so only its square is tested there.  A node's
+    candidates x are scanned in increasing order, so x is the least member
+    of xN when it is reached, and the children come in the order of their
+    sorted member tuples, the order of ``groups.normal_subgroups``: two
+    children share N, and the one whose new coset holds the lesser least
+    member sorts first.  The scan of a node runs only as far as the walk
+    has asked for its children, once for all the chains through it, so
+    the first basis reads one child per node.
     """
     center = G.center()
     split = G.n.bit_length() - len(center).bit_length()
     mul, gens = G.mul, G.gen_indices
-    children_of = {}
+    children_of = {}  # member tuple -> (children found so far, their scan)
+
+    def scan(cur):
+        """(members, least new element) of each child of ``cur``, a sorted
+        member tuple, in order."""
+        inside = set(cur)
+        seen = set(cur)
+        central = len(cur) < len(center)
+        for x in center if central else range(G.n):
+            if x in seen:
+                continue
+            coset = [mul[x][c] for c in cur]
+            seen.update(coset)  # the test depends on the coset xN only
+            if mul[x][x] in inside and (central or all(
+                    G.commutator(x, g) in inside for g in gens)):
+                yield tuple(sorted(cur + tuple(coset))), x
 
     def children(cur):
-        """(members, least new element) of each child of ``cur``, a sorted
-        member tuple, sorted by members."""
+        """The children of ``cur`` in order, each scanned for once."""
         if cur not in children_of:
-            inside = set(cur)
-            seen = set(cur)
-            central = len(cur) < len(center)
-            found = []
-            for x in center if central else range(G.n):
-                if x in seen:
-                    continue
-                coset = [mul[x][c] for c in cur]
-                seen.update(coset)  # the test depends on the coset xN only
-                if mul[x][x] in inside and (central or all(
-                        G.commutator(x, g) in inside for g in gens)):
-                    found.append((tuple(sorted(cur + tuple(coset))),
-                                  min(coset)))
-            children_of[cur] = sorted(found)
-        return children_of[cur]
+            children_of[cur] = ([], scan(cur))
+        found, rest = children_of[cur]
+        for i in itertools.count():
+            if i == len(found):
+                child = next(rest, None)
+                if child is None:
+                    return
+                found.append(child)
+            yield found[i]
 
     # depth first over the chains, on an explicit stack (a recursive
     # closure would keep the tables alive until a full collection):
@@ -171,7 +185,7 @@ def chief_chain_sequences(G: CayleyGroup):
             if len(pending) > 1:
                 chain.append(x)
             if len(cur) < G.n:
-                pending.append(iter(children(cur)))
+                pending.append(children(cur))
                 break
             seq = tuple(reversed(chain))
             decode = _normal_forms(G, seq)
@@ -215,12 +229,13 @@ def verify_star_conditions(G: CayleyGroup, seq: PcSequence):
         (1) (c(a*b))*c == (ca)*(cb)
         (2) ((a*b)c)*c == (ac)*(bc).
     Returns (ok, witness), witness None or a violating (a, b, c, condition).
-    The conditions are decided by checking that the translations by a
-    generating set are affine on the exponent vectors, which names the
-    witness (``kernels.affine_violation``).  InternalInvariantError is
-    raised unless its condition, evaluated from G.mul, fails there.
+    The conditions are decided by checking that the translations by the
+    memoized generating set ``G.minimal_generators()`` are affine on the
+    exponent vectors, which names the witness (``kernels.affine_violation``).
+    InternalInvariantError is raised unless its condition, evaluated from
+    G.mul, fails there.
     """
-    bad = kernels.affine_violation(G.mul, seq.encode)
+    bad = kernels.affine_violation(G.mul, seq.encode, G.minimal_generators())
     if bad is None:
         return (True, None)
     a, b, c, condition = bad
@@ -241,28 +256,46 @@ def complement_ideal(G: CayleyGroup, seq: PcSequence) -> IdealBasis:
     XOR-sums compose over symmetric differences (g*g = 1), so this kernel
     is exactly the set of even-support vectors whose star-sum is the
     identity; its dimension is |G| - log2|G| - 1.
+
+    The k + 1 constraint rows are reduced once.  Each reduced row is a
+    combination of the parity row and the exponent-bit rows, so its entry
+    at g is affine in enc g, and so is the column of entries at g: one
+    table of 2^k columns, built by doubling from the columns at the
+    identity and at the basis elements, gives each kernel row.
     """
     n = G.n
     k = len(seq.elements)
     top = n - 1
-    # constraint rows with column g at bit top - g: the parity of the
-    # support, then one row per exponent bit.  Reduced echelon on their
-    # lowest bits, they are reduced echelon on their highest columns.
+    enc, decode = seq.encode, seq.decode
+    # constraint rows with column g at bit top - g, which is character g of
+    # the row's n-digit binary string: the parity of the support, then one
+    # row per exponent bit, a gather of that bit's pattern in exponent
+    # order.  Reduced echelon on their lowest bits, they are reduced
+    # echelon on their highest columns.
+    gather = operator.itemgetter(*enc)
     constraints = _Gf2Basis(n)
     constraints.insert((1 << n) - 1)
     for bit in range(k):
-        constraints.insert(constraints.pack(e >> bit & 1
-                                            for e in reversed(seq.encode)))
+        half = 1 << bit
+        pattern = ("0" * half + "1" * half) * (n >> (bit + 1))
+        constraints.insert(int("".join(gather(pattern)), 2))
     rows_at = {top - (p.bit_length() - 1): r
                for p, r in constraints.pivots.items()}
+
+    def column(g):
+        """The pivot columns whose reduced row has an entry at g."""
+        return sum(1 << p for p, r in rows_at.items() if r >> (top - g) & 1)
+
+    table = [column(decode[0])]
+    for bit in range(k):
+        step = column(decode[1 << bit]) ^ table[0]
+        table += [t ^ step for t in table]
     # one kernel vector per free column f: x_f = 1, and every pivot column
     # takes the entry its row has at f.  Each pivot column lies above the
     # free columns of its row, so f is the lowest bit and the only free
     # one: the vectors are already the reduced echelon basis.
     kernel = _Gf2Basis.from_reduced(n, [
-        (1 << f) | sum(1 << p for p, r in rows_at.items()
-                       if r >> (top - f) & 1)
-        for f in range(n) if f not in rows_at])
+        (1 << f) | table[enc[f]] for f in range(n) if f not in rows_at])
     expected = n - k - 1
     if kernel.rank() != expected:
         raise InternalInvariantError(

@@ -392,6 +392,18 @@ def test_verify_ill_typed_certificate_exit_code(capsys, tmp_path):
     assert "char must be an integer" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_empty_basis_at_order_512(capsys, tmp_path):
+    # 2^512 residues exceed the cap: exit 3 before any two-sided check
+    out = tmp_path / "cert.json"
+    assert dispatch(["realize", "Q8xQ8xC4xC2", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["ideal_basis"] = []
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["verify", str(out)]) == 3
+    assert "residues (> 65536)" in capsys.readouterr().err
+
+
 def test_cli_json_outputs_are_json(capsys):
     for argv in (["info", "C4", "--json"],
                  ["screen", "C8", "--json"],

@@ -786,6 +786,11 @@ def _translation_closure(G, vectors, sides):
         perms += [G.mul[g] for g in range(G.n)]
     if "right" in sides:
         perms += [[G.mul[h][g] for h in range(G.n)] for g in range(G.n)]
+    return _closure_under(G, vectors, perms)
+
+
+def _closure_under(G, vectors, perms):
+    """The GF(2) span of ``vectors`` closed under the permutations."""
     impl = _Gf2Basis(G.n)
     work = [v for v in vectors if impl.insert(v)]
     while work:
@@ -822,6 +827,48 @@ def gf2_subspaces(draw):
 def test_verify_two_sided_matches_brute_over_gf2(basis):
     assert verify_two_sided(basis) == \
         oracles.two_sided_brute(basis.group, 1, basis.rows)
+
+
+RANKED = ("D8xC2", "Q8xC2", "C4xC4", "C8xC2")
+
+
+@st.composite
+def gf2_spans_of_every_rank(draw):
+    """A subspace of F_2[G] of rank at least a drawn r in [0, n]: the span
+    of one random vector, or of 1 + g, closed under all but up to two of
+    the translations ``verify_two_sided`` tests (so it is often stable
+    under all of them but one), then random vectors added until the rank
+    reaches r.  Rank 0 is the case of the test below."""
+    G = build_group(draw(st.sampled_from(RANKED)))
+    rank = draw(st.integers(0, G.n))
+    rnd = draw(st.randoms(use_true_random=False))
+    perms = gring._translations(G)
+    dropped = draw(st.lists(st.integers(0, len(perms) - 1), max_size=2))
+    perms = [p for i, p in enumerate(perms) if i not in dropped]
+    seed = draw(st.sampled_from((rnd.getrandbits(G.n),
+                                 1 << rnd.randrange(G.n) | 1)))
+    basis = _closure_under(G, [seed], perms)
+    while basis.rank() < rank:
+        basis._impl.insert(rnd.getrandbits(G.n))
+    return basis
+
+
+@settings(max_examples=120, deadline=None)
+@given(basis=gf2_spans_of_every_rank())
+def test_verify_two_sided_matches_brute_at_every_rank(basis):
+    assert verify_two_sided(basis) == \
+        oracles.two_sided_brute(basis.group, 1, basis.rows)
+
+
+@pytest.mark.parametrize("spec", RANKED)
+def test_verify_two_sided_on_the_zero_span_and_the_whole_ring(spec):
+    G = build_group(spec)
+    whole = IdealBasis.from_vectors(
+        G, 1, [tuple(int(g == h) for h in range(G.n)) for g in range(G.n)])
+    for basis in (IdealBasis.zero(G, 1), whole):
+        assert verify_two_sided(basis)
+        assert oracles.two_sided_brute(G, 1, basis.rows)
+    assert whole.rank() == G.n
 
 
 @pytest.mark.parametrize("spec", ["D8", "D16", "M16", "QD16", "D8xC2"])

@@ -112,14 +112,16 @@ def test_conditions_backends(impl):
     G = build_group("Q8")
     st_q8 = star_table(G, pc_sequence(G))
     assert kernels.first_condition_violation(G.mul, st_q8.table) is None
-    assert kernels.affine_violation(G.mul, st_q8.encode) is None
+    assert kernels.affine_violation(G.mul, st_q8.encode,
+                                    G.minimal_generators()) is None
     C8 = build_group("C8")
     a = C8.gen_indices[0]
     naive = star_table_from_elements(C8, [a, C8.power(a, 2), C8.power(a, 4)])
     assert kernels.first_condition_violation(C8.mul, naive.table) == \
         (1, 2, 1, 1)
     assert _violates(C8.mul, naive.table,
-                     kernels.affine_violation(C8.mul, naive.encode))
+                     kernels.affine_violation(C8.mul, naive.encode,
+                                              C8.minimal_generators()))
 
 
 def test_pure_fallback_import_path():
@@ -189,7 +191,8 @@ def test_star_conditions_match_scan_on_random_bases(spec, rnd):
 def _affine_three_ways(G, table):
     """The generator-set decider, its all-elements oracle and the cubic
     scan, each as a verdict."""
-    return (kernels.affine_violation(G.mul, table.encode) is None,
+    return (kernels.affine_violation(G.mul, table.encode,
+                                     G.minimal_generators()) is None,
             oracles.translations_affine_brute(G.mul, table.encode),
             kernels.first_condition_violation(G.mul, table.table) is None)
 
@@ -210,9 +213,10 @@ def test_affine_decider_matches_brute_on_random_bases(spec, rnd):
 def test_affine_decider_on_arbitrary_exponent_labels(rnd):
     # under an arbitrary labelling of D8 by exponent vectors either
     # condition can fail alone, which no composition basis tried here shows
-    mul = _group("D8").mul
+    G = _group("D8")
+    mul = G.mul
     encode = [0] + rnd.sample(range(1, 8), 7)
-    bad = kernels.affine_violation(mul, encode)
+    bad = kernels.affine_violation(mul, encode, G.minimal_generators())
     assert (bad is None) == oracles.translations_affine_brute(mul, encode)
     if bad is not None:
         decode = sorted(range(8), key=encode.__getitem__)
@@ -240,7 +244,8 @@ def test_affine_deciders_reject_every_cls4_128_basis():
     for seq in bases:
         assert _affine_three_ways(G, seq) == (False,) * 3
         assert _violates(G.mul, seq.table,
-                         kernels.affine_violation(G.mul, seq.encode))
+                         kernels.affine_violation(G.mul, seq.encode,
+                                                  G.minimal_generators()))
 
 
 def test_affine_deciders_agree_on_every_cls3_64_basis():
@@ -332,6 +337,6 @@ def test_witness_where_the_condition_holds_is_refused(monkeypatch, condition):
     a = G.gen_indices[0]
     naive = star_table_from_elements(G, [a, G.power(a, 2), G.power(a, 4)])
     monkeypatch.setattr(kernels, "affine_violation",
-                        lambda mul, encode: (a, a, 0, condition))
+                        lambda mul, encode, gens: (a, a, 0, condition))
     with pytest.raises(InternalInvariantError, match="condition holds"):
         verify_star_conditions(G, naive)

@@ -9,8 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.search
-from fuchs2.errors import Fuchs2Error, ImproperIdealError, InternalInvariantError
-from fuchs2.gring import M_CAP, IdealBasis, ideal_closure, verify_two_sided
+from fuchs2 import gring
+from fuchs2.errors import (
+    Fuchs2Error,
+    ImproperIdealError,
+    InternalInvariantError,
+    SizeCapError,
+)
+from fuchs2.gring import (
+    M_CAP,
+    RESIDUE_CAP,
+    IdealBasis,
+    ideal_closure,
+    verify_two_sided,
+)
 from fuchs2.groups import build_group
 from fuchs2.parsing import element_literal, parse_element_literal
 from fuchs2.search import (
@@ -514,6 +526,38 @@ def test_verify_rejects_row_deletion():
     cert = realize_exponent4(build_group("Q8"))
     doc = cert.to_dict()
     doc["ideal_basis"] = doc["ideal_basis"][:-1]
+    assert not verify_certificate(doc)
+
+
+def test_verify_caps_the_residue_count_before_the_two_sided_check(
+        monkeypatch):
+    # an empty basis at order 512 leaves 2^512 residues: refused by the
+    # cap as before, and no two-sided table is built for it
+    doc = realize_exponent4(build_group("Q8xQ8xC4xC2")).to_dict()
+    doc["ideal_basis"] = []
+
+    def refuse(basis):
+        raise AssertionError("two-sided check ran before the residue cap")
+
+    monkeypatch.setattr(fuchs2.search, "verify_two_sided", refuse)
+    with pytest.raises(SizeCapError, match=rf"quotient has {2 ** 512} "
+                       rf"residues \(> {RESIDUE_CAP}\)"):
+        verify_certificate(doc)
+
+
+def test_verify_rejects_the_order_512_certificate_less_its_last_row():
+    # the rows left are canonical, but their span is not two-sided and
+    # has twice the stored residue count
+    G = build_group("Q8xQ8xC4xC2")
+    doc = realize_exponent4(G).to_dict()
+    doc["ideal_basis"] = doc["ideal_basis"][:-1]
+    rows = [parse_element_literal(lit, G, 1) for lit in doc["ideal_basis"]]
+    basis = IdealBasis.from_canonical_rows(G, 1, rows)
+    assert basis is not None
+    assert not verify_two_sided(basis)
+    # the same verdict from translating the rows themselves
+    assert not gring._rows_translation_closed(basis._impl,
+                                              gring._translations(G))
     assert not verify_certificate(doc)
 
 

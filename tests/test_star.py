@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuchs2 import gring
 from fuchs2.errors import Fuchs2Error
 from fuchs2.gring import (
     _Gf2Basis,
@@ -217,33 +218,75 @@ def test_complement_rows_match_an_insert_built_kernel(spec):
     assert complement_ideal(G, st).key() == tuple(expected.rows)
 
 
+# sha256 of repr(complement_ideal(G, pc_sequence(G)).key()) for the
+# encode pool and two order-512 groups, pinned where every constraint row
+# was packed element by element and every kernel row summed row by row
+COMPLEMENT_PINS = {
+    "C4xC4xC4xC2xC2": "3a3668cc40c9b3afbbbd77cac044e0cf"
+                      "9ba95fedd135559718a955f835ff504e",
+    "C4xC4xC4xC4": "3a3668cc40c9b3afbbbd77cac044e0cf"
+                   "9ba95fedd135559718a955f835ff504e",
+    "C4xC4xC2xC2xC2xC2": "3a3668cc40c9b3afbbbd77cac044e0cf"
+                         "9ba95fedd135559718a955f835ff504e",
+    "Q8xQ8xC4": "3a3668cc40c9b3afbbbd77cac044e0cf"
+                "9ba95fedd135559718a955f835ff504e",
+    "D8xD8xC4": "fae7f224c285e60701de2af6d2291b80"
+                "c8bde587f648e158052e04b4e1c5403f",
+    "Q8xD8xC4": "c6463cd849b52601055f9a9e326f6f78"
+                "430252606ee720f0a53a9b1df09096ed",
+    "Q8xC4xC4xC2": "3a3668cc40c9b3afbbbd77cac044e0cf"
+                   "9ba95fedd135559718a955f835ff504e",
+    "D8xC4xC4xC2": "41cf81ce398a4b6834d383ba0ea7b4bb"
+                   "fddf3adf4c8d105f3da6eead20229a47",
+    "Q8xQ8xC2xC2": "3a3668cc40c9b3afbbbd77cac044e0cf"
+                   "9ba95fedd135559718a955f835ff504e",
+    "Q8xQ8xC4xC2": "bd9611c462842f34df220ef89a2ed3f1"
+                   "eff8182b99e05a479aad49b54f0a25b2",
+    "C4xC4xC4xC4xC2": "bd9611c462842f34df220ef89a2ed3f1"
+                      "eff8182b99e05a479aad49b54f0a25b2",
+}
+
+
+@pytest.mark.parametrize("spec", list(COMPLEMENT_PINS))
+def test_complement_ideal_rows_pinned(spec):
+    G = build_group(spec)
+    key = complement_ideal(G, pc_sequence(G)).key()
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == \
+        COMPLEMENT_PINS[spec]
+
+
 def test_two_sided_check_translates_the_annihilator(monkeypatch):
-    # the complement of an order-256 group has rank |G| - 9; deciding it
-    # on the 9 annihilator vectors takes 2d translations each
+    # the complement of an order-256 group has rank |G| - 9, so its
+    # annihilator has a = 9 columns free: each distinct permutation is read
+    # at the 9 free elements for its one table of 2^9 images and walked
+    # once for the comparison; no vector is translated
     G = build_group("Q8xQ8xC4")
     basis = complement_ideal(G, star_table(G, pc_sequence(G)))
-    count = [0]
-    translate = _Gf2Basis.translate
-    string_translation = _Gf2Basis.string_translation
+    a = G.n - basis.rank()
+    reads, passes, translated = [0], [0], []
 
-    def counted(v, perm):
-        count[0] += 1
-        return translate(v, perm)
+    class CountedPerm(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return super().__getitem__(i)
 
-    def counted_string_translation(n, perm):
-        move = string_translation(n, perm)
+        def __iter__(self):
+            passes[0] += 1
+            return super().__iter__()
 
-        def counted_move(v):
-            count[0] += 1
-            return move(v)
-        return counted_move
-
-    monkeypatch.setattr(_Gf2Basis, "translate", staticmethod(counted))
-    monkeypatch.setattr(_Gf2Basis, "string_translation",
-                        staticmethod(counted_string_translation))
+    perms = [CountedPerm(p) for p in gring._translations(G)]
+    monkeypatch.setattr(gring, "_translations", lambda group: perms)
+    monkeypatch.setattr(_Gf2Basis, "translate", staticmethod(
+        lambda v, perm: translated.append(v)))
+    monkeypatch.setattr(gring, "_rows_translation_closed",
+                        lambda impl, perms: translated.append(impl))
     assert verify_two_sided(basis)
-    d = len(G.minimal_generators())
-    assert 0 < count[0] <= 2 * d * (G.n - basis.rank())
+    assert a == 9
+    assert reads[0] == a * len(perms)
+    assert passes[0] == len(perms)
+    assert len({tuple(p) for p in perms}) == len(perms) > 1
+    assert translated == []
+    assert not hasattr(_Gf2Basis, "string_translation")
 
 
 @pytest.mark.parametrize("spec", ["C4", "C2xC2", "D8", "Q8", "C4xC2"])
