@@ -17,7 +17,9 @@ residue radices need only the Howell property, which every insert keeps.
 Each basis class owns its vector format: it packs coefficient sequences
 into its own vectors, unpacks them, and translates them by group
 permutations, so callers never ask which form they hold; ``_make_impl``
-alone chooses the class.
+alone chooses the class.  Certificate rows are written and read as sparse
+terms of the packed row (``terms``, ``pack_terms``): its set bits over
+GF(2), its nonzero fields over Z_{2^m}, with no dense vector between.
 
 Two-sided closure spans the left translates of the generators, read off
 the group table on their supports, and closes that left ideal under right
@@ -57,6 +59,8 @@ suite checks it against an independent linear-algebra oracle.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -77,6 +81,10 @@ RESIDUE_CAP = 65536
 # a GF(2) two-sided check builds tables of 2^a entries for an annihilator
 # of dimension a up to this, as many as a residue ring of RESIDUE_CAP has
 TABLE_BITS = RESIDUE_CAP.bit_length() - 1
+
+
+# bytes of binary digits -> bytes of bit values
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _check_m(m):
@@ -238,16 +246,26 @@ class _Gf2Basis:
     @staticmethod
     def from_reduced(n, rows):
         """The basis whose rows are ``rows``, already in reduced echelon
-        form: each row's lowest bit is its pivot and no row has a bit at
-        another row's pivot.  Raises InternalInvariantError otherwise."""
+        form and sorted by pivot: each row's lowest bit is its pivot and no
+        row has a bit at another row's pivot.  Raises
+        InternalInvariantError otherwise."""
         basis = _Gf2Basis(n)
-        for row in rows:
-            basis.pivots[row & -row] = row
-        basis.mask = sum(basis.pivots)
-        if len(basis.pivots) != len(rows) or any(
-                row == 0 or row & basis.mask != row & -row for row in rows):
+        if not basis.load_canonical(rows):
             raise InternalInvariantError("rows are not in reduced echelon form")
         return basis
+
+    def load_canonical(self, rows):
+        """Make this empty basis the span of ``rows`` when they are exactly
+        its canonical rows, in order, and say whether they are: reduced
+        echelon rows sorted by pivot are the unique ones of their span, so
+        no row is inserted."""
+        pivots = self.pivots
+        for row in rows:
+            pivots[row & -row] = row
+        self.mask = sum(pivots)
+        return (len(pivots) == len(rows) and self.rows == rows
+                and all(row and row & self.mask == row & -row
+                        for row in rows))
 
     @staticmethod
     def pack(coeffs):
@@ -257,6 +275,13 @@ class _Gf2Basis:
             if c & 1:
                 v |= 1 << g
         return v
+
+    @staticmethod
+    def pack_terms(support, coeffs):
+        """The packed vector of the sparse terms c*g, for g in ``support``
+        and c in ``coeffs``, read mod 2; a repeated g adds."""
+        return functools.reduce(operator.xor, map(
+            operator.lshift, map((1).__and__, coeffs), support), 0)
 
     @staticmethod
     def pack_moved(items, perm):
@@ -269,7 +294,16 @@ class _Gf2Basis:
         return v
 
     def unpack(self, v):
-        return tuple((v >> g) & 1 for g in range(self.n))
+        return tuple(format(v, f"0{self.n}b")[::-1].encode()
+                     .translate(_BIT_VALUES))
+
+    @staticmethod
+    def terms(v):
+        """The sparse terms of v, (support, coefficients): its set bits in
+        increasing order, each with coefficient 1."""
+        support = list(itertools.compress(
+            itertools.count(), bin(v)[:1:-1].encode().translate(_BIT_VALUES)))
+        return support, [1] * len(support)
 
     @staticmethod
     def translate(v, perm):
@@ -445,9 +479,31 @@ class _HowellBasis:
             v |= (c & mask) << (perm[g] * w)
         return v
 
+    def pack_terms(self, support, coeffs):
+        """The packed vector of the sparse terms c*g, for g in ``support``
+        and c in ``coeffs``, read mod 2^m; a repeated g adds."""
+        entries = dict.fromkeys(support, 0)
+        for g, c in zip(support, coeffs):
+            entries[g] += c
+        w, mask = self.width, self.mod - 1
+        return sum((c & mask) << (g * w) for g, c in entries.items())
+
     def unpack(self, v):
         w, mask = self.width, self.mod - 1
         return tuple((v >> (g * w)) & mask for g in range(self.n))
+
+    def terms(self, v):
+        """The sparse terms of v, (support, coefficients): its nonzero
+        fields in increasing order, each with its entry."""
+        w, mask = self.width, self.mod - 1
+        support, coeffs = [], []
+        while v:
+            g = ((v & -v).bit_length() - 1) // w
+            c = (v >> (g * w)) & mask
+            support.append(g)
+            coeffs.append(c)
+            v ^= c << (g * w)
+        return support, coeffs
 
     def translate(self, v, perm):
         """The vector with entry v_g in field perm[g] for every g."""
@@ -459,6 +515,13 @@ class _HowellBasis:
             out |= c << (perm[g] * w)
             v ^= c << (g * w)
         return out
+
+    def load_canonical(self, rows):
+        """Make this empty basis the span of ``rows`` and say whether they
+        are exactly its canonical rows, in order."""
+        for v in rows:
+            self.insert(v)
+        return self.rows == rows
 
     def _hit_bits(self, col, k):
         """Bits k..m-1 of field col."""
@@ -592,17 +655,24 @@ class IdealBasis:
 
     @staticmethod
     def from_canonical_rows(group, m, rows):
-        """The basis spanned by ``rows`` when they are exactly its canonical
-        rows, in order, else None; each row is packed once."""
-        basis = IdealBasis.from_vectors(group, m, ())
-        packed = [basis._impl.pack(r) for r in rows]
-        for v in packed:
-            basis._impl.insert(v)
-        return basis if basis.key() == tuple(packed) else None
+        """The basis spanned by ``rows``, each a pair (support,
+        coefficients) of sparse terms, when they are exactly its canonical
+        rows, in order, else None.  Each row is packed straight from its
+        terms, once, and the basis class decides canonicity."""
+        _check_m(m)
+        impl = _make_impl(group, m, ())
+        packed = [impl.pack_terms(*row) for row in rows]
+        return IdealBasis(group, m, impl) if impl.load_canonical(packed) \
+            else None
 
     @property
     def rows(self):
         return [self._impl.unpack(r) for r in self._impl.rows]
+
+    def row_terms(self):
+        """The canonical rows as sparse terms, (support, coefficients)
+        pairs, read off the packed rows without a dense vector."""
+        return [self._impl.terms(r) for r in self._impl.rows]
 
     def rank(self):
         return self._impl.rank()
@@ -648,8 +718,12 @@ def _translations(group):
     its right one (``_sides``).  A span closed under these is closed under
     translation by every group element on both sides, because the
     generators generate.  On an abelian group that is d permutations
-    instead of 2d, and no permutation appears twice."""
-    return [p for g in group.minimal_generators() for p in _sides(group, g)]
+    instead of 2d, and no permutation appears twice.  Memoized on the
+    group, as its minimal generators are."""
+    if group._translations is None:
+        group._translations = [p for g in group.minimal_generators()
+                               for p in _sides(group, g)]
+    return group._translations
 
 
 def ideal_closure(gens) -> IdealBasis:
@@ -803,8 +877,9 @@ class QuotientRing:
         # set bits b of cols[k]; the products of residue i with every column
         # follow from the subset recurrence row(i) = row(i ^ low) ^ R[low].
         # Each row walks its chain i, i ^ low, ... down to a memo hit and
-        # fills the chain back up.
-        R = [[_xor_bits(Ta, j) for j in cols] for Ta in self._sc]
+        # fills the chain back up.  R is keyed by the bit 2^a.
+        R = {1 << a: [_xor_bits(Ta, j) for j in cols]
+             for a, Ta in enumerate(self._sc)}
         memo = {0: [0] * len(cols)}
         table = []
         for i in rows:
@@ -814,9 +889,7 @@ class QuotientRing:
                 i &= i - 1
             r = memo[i]
             for j in reversed(chain):
-                low = j & -j
-                r = memo[j] = [x ^ y for x, y in
-                               zip(r, R[low.bit_length() - 1])]
+                r = memo[j] = list(map(operator.xor, r, R[j & -j]))
             table.append(r)
         return table
 
@@ -944,8 +1017,9 @@ def unit_isomorphism(ring: QuotientRing, G: CayleyGroup, gens, images):
     """The isomorphism G -> R^x sending gens[j] to residue images[j], as
     a list of residue indices over G, or None when there is none.
 
-    Walks the Cayley graph of G breadth first from the identity, with one
-    ``ring.products`` call per level: each new element x*g gets
+    One ``ring.products`` call gives r*image(g) for every residue r and
+    generator g; then the Cayley graph of G is walked breadth first from
+    the identity by lookups in that table: each new element x*g gets
     phi(x)*image(g), and an edge into an element that already has an image
     must reproduce it, so phi(1) = 1 holds on every edge into 1 as well.
     phi is returned only when every image has odd augmentation, phi covers
@@ -966,22 +1040,17 @@ def unit_isomorphism(ring: QuotientRing, G: CayleyGroup, gens, images):
         return None
     if any(ring.augmentation_index(r) % 2 == 0 for r in images):
         return None
+    times = ring.products(range(ring.size), images)
     phi = [None] * G.n
     phi[0] = ring.one_index
-    level = [0]
-    while level:
-        grown = []
-        rows = ring.products([phi[x] for x in level], images)
-        for x, row in zip(level, rows):
-            to = G.mul[x]
-            for g, r in zip(gens, row):
-                y = to[g]
-                if phi[y] is None:
-                    phi[y] = r
-                    grown.append(y)
-                elif phi[y] != r:
-                    return None
-        level = grown
+    walked = [0]
+    for x in walked:  # grows while it is walked
+        for y, r in zip(map(G.mul[x].__getitem__, gens), times[phi[x]]):
+            if phi[y] is None:
+                phi[y] = r
+                walked.append(y)
+            elif phi[y] != r:
+                return None
     if None in phi or len(set(phi)) != G.n:
         return None
     return phi

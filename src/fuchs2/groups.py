@@ -21,7 +21,9 @@ All of it is exact and exhaustive; there are no probabilistic shortcuts.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -87,6 +89,24 @@ def invariants_from_orders(orders):
     return tuple(parts)
 
 
+def unreadable_generator_name(names):
+    """The first name the word grammar cannot read back as that one
+    generator, or None when every name reads back: a name must be
+    nonempty, differ from the names before it, not start with a digit (2b
+    reads as 2*b), and hold no whitespace and no character of the element
+    grammar (x+y splits).  Presentation files are held to this rule, and
+    label sums are read through the label index only when it holds
+    (``CayleyGroup.labels_readable``), since a ``CayleyGroup`` built
+    through the API may carry any names."""
+    seen = set()
+    for name in names:
+        if (not name or name in seen or name[0].isdigit()
+                or any(c in "+-*^[]," or c.isspace() for c in name)):
+            return name
+        seen.add(name)
+    return None
+
+
 class CayleyGroup:
     """A finite 2-group of order <= 512 given by its full Cayley table.
 
@@ -123,19 +143,26 @@ class CayleyGroup:
         self._min_gens = None
         self._fingerprints = None
         self._normal_subgroups = None
+        self._labels = None
         self._label_index = None
+        self._labels_readable = None
+        self._translations = None  # memo of ``gring._translations``
 
     def _verify(self):
-        n = self.n
+        """Index 0 is a two-sided identity, every row is a permutation (one
+        set comparison per row) and the table passes Light's test
+        (``kernels.assoc_violation``, row gathers)."""
+        n, mul = self.n, self.mul
         if n == 0 or n & (n - 1):
             raise ConstructionError(f"order {n} is not a power of 2")
-        for x in range(n):
-            if self.mul[0][x] != x or self.mul[x][0] != x:
+        elements = set(range(n))
+        first = mul[0]
+        for x, row in enumerate(mul):
+            if first[x] != x or row[0] != x:
                 raise ConstructionError("index 0 is not a two-sided identity")
-            row = self.mul[x]
-            if len(row) != n or sorted(row) != list(range(n)):
+            if len(row) != n or set(row) != elements:
                 raise ConstructionError(f"row {x} is not a permutation")
-        bad = kernels.assoc_violation(self.mul)
+        bad = kernels.assoc_violation(mul)
         if bad is not None:
             raise ConstructionError(f"table is not associative at {bad}")
 
@@ -369,17 +396,28 @@ class CayleyGroup:
         return "*".join(parts)
 
     def labels(self):
-        return [self.label(x) for x in range(self.n)]
+        """``label(x)`` for every x, memoized."""
+        if self._labels is None:
+            self._labels = [self.label(x) for x in range(self.n)]
+        return self._labels
 
     def label_index(self):
         """label(x) -> x over the identity and the elements with a label
         word; the g{x} fallback labels name no word and are left out."""
         if self._label_index is None:
-            words = self.label_words
+            words, labels = self.label_words, self.labels()
             self._label_index = {
-                self.label(x): x for x in range(self.n)
+                labels[x]: x for x in range(self.n)
                 if x == 0 or (words is not None and words[x] is not None)}
         return self._label_index
+
+    def labels_readable(self):
+        """Whether the word grammar reads every generator name back as
+        that one generator (``unreadable_generator_name``), memoized."""
+        if self._labels_readable is None:
+            self._labels_readable = unreadable_generator_name(
+                self.gen_names) is None
+        return self._labels_readable
 
     # -- derived groups --------------------------------------------------
 
@@ -591,8 +629,9 @@ def enumerate_presentation(pres: Presentation, name="") -> CayleyGroup:
                 f"generator {pres.gens[i]!r} collapses to the identity; "
                 f"offending relator: {_find_culprit(pres, i)}")
 
-    # BFS words from the identity; building mul columns incrementally makes
-    # the table O(n^2) even for long cyclic groups.
+    # BFS words from the identity.  Column u of the table (x -> x*u) is
+    # the column of its BFS parent gathered through one generator's
+    # permutation, and the rows are the columns transposed.
     words = [None] * n
     cols = [None] * n
     words[0] = ()
@@ -605,12 +644,10 @@ def enumerate_presentation(pres: Presentation, name="") -> CayleyGroup:
                 u = perms[d][v]
                 if words[u] is None:
                     words[u] = words[v] + (d,)
-                    col = cols[v]
-                    perm = perms[d]
-                    cols[u] = [perm[c] for c in col]
+                    cols[u] = list(map(perms[d].__getitem__, cols[v]))
                     nxt.append(u)
         frontier = nxt
-    mul = [[cols[y][x] for y in range(n)] for x in range(n)]
+    mul = list(zip(*cols))
     label_words = [_compress_word(words[x]) for x in range(n)]
     G = CayleyGroup(mul, gen_names=pres.gens, gen_indices=gen_indices,
                     label_words=label_words, name=name or "presented")
@@ -740,21 +777,72 @@ def build_group(spec) -> CayleyGroup:
     raise TypeError(f"cannot build a group from {type(spec).__name__}")
 
 
-def direct_product(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
-    """Componentwise product; factor generators are renamed on collision."""
-    n = G.n * H.n
+def direct_product(*factors: CayleyGroup) -> CayleyGroup:
+    """Componentwise product of one or more groups: (x_1, ..., x_k) has
+    index x_1 n_2...n_k + ... + x_k, the left factor most significant, and
+    factor generators are renamed on collision.  Everything but the table
+    is the left fold of the product of two groups: generator names, label
+    words, ``name`` and ``source_spec``.
+
+    The table is built in one pass, right to left.  ``blocks[a][x]`` is
+    row x of the product R of the factors taken so far, every entry plus
+    a|R|: for the last factor alone, its rows shifted by one C-level map
+    each.  A factor F to the left of R makes the row of (u, x) at offset a
+    the concatenation, over v, of blocks[a|F| + F.mul[u][v]][x].  So no
+    table of an intermediate product is built, and no entry is added to
+    after the first shift.
+    """
+    n = math.prod(G.n for G in factors)
     if n > ORDER_CAP:
         raise SizeCapError(f"product order {n} exceeds {ORDER_CAP}")
-    nh = H.n
-    mul = []
-    for row_g in G.mul:
-        scaled = [y * nh for y in row_g]
-        for row_h in H.mul:
-            mul.append([a + b for a in scaled for b in row_h])
+    f = factors[-1].n
+    blocks = [[list(map((a * f).__add__, row)) for row in factors[-1].mul]
+              for a in range(n // f)]
+    for F in reversed(factors[:-1]):
+        f, grown = F.n, []
+        for a in range(0, len(blocks), f):
+            shifted = blocks[a:a + f]
+            grown.append([functools.reduce(operator.iadd, pieces, [])
+                          for row in F.mul
+                          for pieces in zip(*map(shifted.__getitem__, row))])
+        blocks = grown
+    mul = blocks[0]
 
-    # duplicates get the smallest numeric suffix that collides neither with
-    # names already assigned nor with raw names still to come
-    combined = list(G.gen_names) + list(H.gen_names)
+    gen_names = factors[0].gen_names
+    for G in factors[1:]:
+        gen_names = _renamed(gen_names + G.gen_names)
+    gen_indices, scale = [], n
+    for G in factors:
+        scale //= G.n
+        gen_indices.extend(g * scale for g in G.gen_indices)
+
+    label_words = None
+    if all(G.label_words is not None for G in factors):
+        # each factor's words, with generator positions moved past the
+        # generators of the factors to its left
+        label_words, off = [()], 0
+        for G in factors:
+            moved = [None if w is None else tuple((p + off, e) for p, e in w)
+                     for w in G.label_words]
+            label_words = [None if u is None or w is None else u + w
+                           for u in label_words for w in moved]
+            off += len(G.gen_names)
+
+    name, spec = factors[0].name, factors[0].source_spec
+    for G in factors[1:]:
+        name = f"{name}x{G.name}" if name and G.name else ""
+        spec = (f"{spec}x{G.source_spec}" if isinstance(spec, str)
+                and isinstance(G.source_spec, str) else None)
+    P = CayleyGroup(mul, gen_names=gen_names, gen_indices=gen_indices,
+                    label_words=label_words, name=name, check=False)
+    P.source_spec = spec
+    return P
+
+
+def _renamed(combined):
+    """Generator names with each duplicate given the smallest numeric
+    suffix that collides neither with names already assigned nor with raw
+    names still to come."""
     gen_names = []
     for pos, s in enumerate(combined):
         if s not in gen_names:
@@ -764,28 +852,7 @@ def direct_product(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
         while f"{s}{k}" in gen_names or f"{s}{k}" in combined[pos + 1:]:
             k += 1
         gen_names.append(f"{s}{k}")
-    gen_names = tuple(gen_names)
-    gen_indices = tuple(g * nh for g in G.gen_indices) + tuple(H.gen_indices)
-
-    label_words = None
-    if G.label_words is not None and H.label_words is not None:
-        off = len(G.gen_names)
-        label_words = []
-        for xg in range(G.n):
-            wg = G.label_words[xg]
-            for xh in range(H.n):
-                wh = H.label_words[xh]
-                if wg is None or wh is None:
-                    label_words.append(None)
-                else:
-                    label_words.append(
-                        wg + tuple((p + off, e) for p, e in wh))
-    name = f"{G.name}x{H.name}" if G.name and H.name else ""
-    P = CayleyGroup(mul, gen_names=gen_names, gen_indices=gen_indices,
-                    label_words=label_words, name=name, check=False)
-    if isinstance(G.source_spec, str) and isinstance(H.source_spec, str):
-        P.source_spec = f"{G.source_spec}x{H.source_spec}"
-    return P
+    return tuple(gen_names)
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -60,7 +60,8 @@ def assoc_violation(mul):
     for a in greedy_generators(mul):
         row_a = mul[a]
         for x, row_x in enumerate(mul):
-            lhs, rhs = mul[row_x[a]], [row_x[v] for v in row_a]
+            # row (xa) against row x gathered at row a: x(ay) for every y
+            lhs, rhs = mul[row_x[a]], list(map(row_x.__getitem__, row_a))
             if lhs != rhs:
                 return x, a, next(y for y, p in enumerate(lhs) if p != rhs[y])
     return None

@@ -35,6 +35,7 @@ from .groups import (
     catalog_group,
     direct_product,
     enumerate_presentation,
+    unreadable_generator_name,
 )
 
 PRESENTATION_FILE_CAP = 1 << 20  # bytes
@@ -64,16 +65,19 @@ class GroupSpec:
         return atom[0]
 
     def build(self) -> CayleyGroup:
-        group = None
+        """The product of the atoms, each distinct atom built once."""
+        built = {}
         for atom in self.atoms:
+            if atom in built:
+                continue
             if atom[0] == "file":
                 pres = parse_presentation_file(atom[1])
-                g = enumerate_presentation(pres, name=f"file:{atom[1]}")
-            elif len(atom) == 2:
-                g = catalog_group(atom[0], atom[1])
+                built[atom] = enumerate_presentation(
+                    pres, name=f"file:{atom[1]}")
             else:
-                g = catalog_group(atom[0])
-            group = g if group is None else direct_product(group, g)
+                built[atom] = catalog_group(*atom)
+        factors = [built[atom] for atom in self.atoms]
+        group = factors[0] if len(factors) == 1 else direct_product(*factors)
         group.name = str(self)
         group.source_spec = str(self)
         return group
@@ -262,34 +266,43 @@ def parse_element_literal(text, group: CayleyGroup, m: int):
     coefficient is 1, is read term by term through ``group.label_index()``.
     Anything else goes through the word parser, and so does every literal
     over a group whose labels it could read differently."""
-    terms = "".join(text.split()).split("+")
-    index = group.label_index()
-    if (m >= 1 and all(t in index for t in terms)
-            and unreadable_generator_name(group.gen_names) is None):
-        mod = 1 << m
-        coeffs = [0] * group.n
-        for t in terms:
-            g = index[t]
-            coeffs[g] = (coeffs[g] + 1) % mod
-        return tuple(coeffs)
-    return _parse_literal_words(text, group, m)
+    support = _label_sum(text, group, m)
+    if support is None:
+        return _parse_literal_words(text, group, m)
+    mod = 1 << m
+    coeffs = [0] * group.n
+    for g in support:
+        coeffs[g] = (coeffs[g] + 1) % mod
+    return tuple(coeffs)
 
 
-def unreadable_generator_name(names):
-    """The first name the word grammar cannot read back as that one
-    generator, or None when every name reads back: a name must be
-    nonempty, differ from the names before it, not start with a digit (2b
-    reads as 2*b), and hold no whitespace and no character of the element
-    grammar (x+y splits).  Presentation files are held to this rule, and
-    label sums are read through the label index only when it holds, since
-    a ``CayleyGroup`` built through the API may carry any names."""
-    seen = set()
-    for name in names:
-        if (not name or name in seen or name[0].isdigit()
-                or any(c in "+-*^[]," or c.isspace() for c in name)):
-            return name
-        seen.add(name)
-    return None
+def parse_element_terms(text, group: CayleyGroup, m: int):
+    """Parse an element literal into sparse terms (support, coefficients),
+    the coefficients mod 2^m; a basis class packs them
+    (``pack_terms``), adding the terms at a repeated element.
+
+    A sum of labels is read straight off ``group.label_index()``, one term
+    of coefficient 1 per label, with no dense vector; anything else is
+    read as ``parse_element_literal`` reads it."""
+    support = _label_sum(text, group, m)
+    if support is not None:
+        return support, [1] * len(support)
+    coeffs = _parse_literal_words(text, group, m)
+    support = [g for g, c in enumerate(coeffs) if c]
+    return support, [coeffs[g] for g in support]
+
+
+def _label_sum(text, group: CayleyGroup, m: int):
+    """The elements whose labels ``text`` sums, in its order, or None when
+    it is not such a sum or the group's labels could read differently
+    (``CayleyGroup.labels_readable``)."""
+    if m < 1 or not group.labels_readable():
+        return None
+    try:
+        return list(map(group.label_index().__getitem__,
+                        "".join(text.split()).split("+")))
+    except KeyError:
+        return None
 
 
 def _parse_literal_words(text, group: CayleyGroup, m: int):
@@ -325,18 +338,18 @@ def _parse_literal_words(text, group: CayleyGroup, m: int):
 def element_literal(coeffs, group: CayleyGroup) -> str:
     """Canonical literal: terms in element-index order, unit coefficients
     omitted.  parse_element_literal round-trips this exactly."""
-    parts = []
-    for g, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        word = group.label(g)
-        if c == 1:
-            parts.append(word)
-        elif word == "1":
-            parts.append(str(c))
-        else:
-            parts.append(f"{c}*{word}")
-    return "+".join(parts) if parts else "0"
+    support = [g for g, c in enumerate(coeffs) if c]
+    return terms_literal(support, [coeffs[g] for g in support], group)
+
+
+def terms_literal(support, coeffs, group: CayleyGroup) -> str:
+    """The canonical literal of sparse terms, ``support`` increasing and
+    ``coeffs`` nonzero, with the memoized ``labels()``: terms in
+    element-index order, unit coefficients omitted."""
+    labels = group.labels()
+    return "+".join([labels[g] if c == 1 else str(c) if labels[g] == "1"
+                     else f"{c}*{labels[g]}"
+                     for g, c in zip(support, coeffs)]) or "0"
 
 
 # -- presentation files -------------------------------------------------------

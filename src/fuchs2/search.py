@@ -52,7 +52,7 @@ from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
     ideal_closure, ideal_sum, quotient_ring, residue_count, unit_group, \
     unit_isomorphism, verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism
-from .parsing import parse_element_literal
+from .parsing import parse_element_literal, parse_element_terms
 from .star import Certificate, certificate_from_parts
 
 DEFAULT_BUDGET = 1_000_000
@@ -433,12 +433,12 @@ def _check_document(doc, ambient, target, m) -> bool:
     """Every claim of a well-formed document of characteristic 2^m, against
     the groups its ``ambient`` and ``group`` specs name."""
     try:
-        vectors = [parse_element_literal(lit, ambient, m)
-                   for lit in doc["ideal_basis"]]
+        rows = [parse_element_terms(lit, ambient, m)
+                for lit in doc["ideal_basis"]]
     except Fuchs2Error as exc:
         raise CertificateError(f"bad basis literal: {exc}") from exc
 
-    basis = IdealBasis.from_canonical_rows(ambient, m, vectors)
+    basis = IdealBasis.from_canonical_rows(ambient, m, rows)
     if basis is None:
         return False  # stored rows are not canonical for their span
     # the residue count, capped, comes before the two-sided check, whose

@@ -47,7 +47,7 @@ from .gring import (
     verify_two_sided,
 )
 from .groups import CayleyGroup
-from .parsing import element_literal
+from .parsing import element_literal, terms_literal
 
 __version__ = "0.1.0"
 
@@ -334,8 +334,8 @@ class Certificate:
             "group": self.group_spec,
             "ambient": self.ambient_spec,
             "char": 1 << self.m,
-            "ideal_basis": [element_literal(r, ambient)
-                            for r in self.basis.rows],
+            "ideal_basis": [terms_literal(*terms, ambient)
+                            for terms in self.basis.row_terms()],
             "quotient_size": self.quotient_size,
             "iso_witness": dict(self.witness),
             "method": self.method,

@@ -8,12 +8,18 @@ without touching the code paths under test.
 import itertools
 import math
 
+from fuchs2.errors import SizeCapError
+from fuchs2.gring import IdealBasis
 from fuchs2.groups import (
     CATALOG_FAMILIES,
     CATALOG_NAMED,
+    ORDER_CAP,
+    CayleyGroup,
     build_group,
     direct_factor_pair,
+    unreadable_generator_name,
 )
+from fuchs2.parsing import _parse_literal_words
 
 
 def naive_convolve(G, m, a, b):
@@ -660,10 +666,12 @@ def verify_by_unit_table(doc):
     ambient = _build_from_spec(doc["ambient"])
     target = (_build_from_spec(doc["group"])
               if doc["group"] != doc["ambient"] else ambient)
-    vectors = [parse_element_literal(lit, ambient, m)
-               for lit in doc["ideal_basis"]]
-    basis = IdealBasis.from_canonical_rows(ambient, m, vectors)
-    if basis is None or not verify_two_sided(basis):
+    if canonical_rows_dense(ambient, m, doc["ideal_basis"]) is None:
+        return False
+    basis = IdealBasis.from_vectors(
+        ambient, m, [parse_literal_dense(lit, ambient, m)
+                     for lit in doc["ideal_basis"]])
+    if not verify_two_sided(basis):
         return False
     basis.closed = True
     if basis.contains_one():
@@ -785,3 +793,131 @@ def first_touch_order(perms, relators):
                     seen.add(c)
                     order.append(c)
     return order
+
+
+# -- the dense and pairwise routes, kept as references ------------------------
+
+
+def direct_product_pair(G, H):
+    """The product of two groups entry by entry: (g, h) is index
+    g*|H| + h, and each row is built from a pre-scaled left row."""
+    n = G.n * H.n
+    if n > ORDER_CAP:
+        raise SizeCapError(f"product order {n} exceeds {ORDER_CAP}")
+    nh = H.n
+    mul = []
+    for row_g in G.mul:
+        scaled = [y * nh for y in row_g]
+        for row_h in H.mul:
+            mul.append([a + b for a in scaled for b in row_h])
+
+    # duplicates get the smallest numeric suffix that collides neither with
+    # names already assigned nor with raw names still to come
+    combined = list(G.gen_names) + list(H.gen_names)
+    gen_names = []
+    for pos, s in enumerate(combined):
+        if s not in gen_names:
+            gen_names.append(s)
+            continue
+        k = 2
+        while f"{s}{k}" in gen_names or f"{s}{k}" in combined[pos + 1:]:
+            k += 1
+        gen_names.append(f"{s}{k}")
+    gen_names = tuple(gen_names)
+    gen_indices = tuple(g * nh for g in G.gen_indices) + tuple(H.gen_indices)
+
+    label_words = None
+    if G.label_words is not None and H.label_words is not None:
+        off = len(G.gen_names)
+        label_words = []
+        for xg in range(G.n):
+            wg = G.label_words[xg]
+            for xh in range(H.n):
+                wh = H.label_words[xh]
+                if wg is None or wh is None:
+                    label_words.append(None)
+                else:
+                    label_words.append(
+                        wg + tuple((p + off, e) for p, e in wh))
+    name = f"{G.name}x{H.name}" if G.name and H.name else ""
+    P = CayleyGroup(mul, gen_names=gen_names, gen_indices=gen_indices,
+                    label_words=label_words, name=name, check=False)
+    if isinstance(G.source_spec, str) and isinstance(H.source_spec, str):
+        P.source_spec = f"{G.source_spec}x{H.source_spec}"
+    return P
+
+
+def element_literal_dense(coeffs, group):
+    """The canonical literal of a dense coefficient vector, term by term:
+    index order, unit coefficients omitted."""
+    parts = []
+    for g, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        word = group.label(g)
+        if c == 1:
+            parts.append(word)
+        elif word == "1":
+            parts.append(str(c))
+        else:
+            parts.append(f"{c}*{word}")
+    return "+".join(parts) if parts else "0"
+
+
+def parse_literal_dense(text, group, m):
+    """An element literal as a dense coefficient tuple mod 2^m: a sum of
+    labels by the label index, anything else by the word parser."""
+    terms = "".join(text.split()).split("+")
+    index = group.label_index()
+    if (m >= 1 and all(t in index for t in terms)
+            and unreadable_generator_name(group.gen_names) is None):
+        mod = 1 << m
+        coeffs = [0] * group.n
+        for t in terms:
+            g = index[t]
+            coeffs[g] = (coeffs[g] + 1) % mod
+        return tuple(coeffs)
+    return _parse_literal_words(text, group, m)
+
+
+def canonical_rows_dense(group, m, literals):
+    """The packed rows of ``literals`` when they are exactly the canonical
+    rows of their span, else None: each literal read into a dense vector,
+    packed entry by entry (a 2m-bit field per element when m > 1) and
+    inserted, and the rows compared with the basis's own."""
+    width = 1 if m == 1 else 2 * m
+    packed = [sum((c % (1 << m)) << (g * width)
+                  for g, c in enumerate(parse_literal_dense(lit, group, m)))
+              for lit in literals]
+    basis = IdealBasis.from_vectors(group, m, ())
+    for v in packed:
+        basis._impl.insert(v)
+    return packed if basis.key() == tuple(packed) else None
+
+
+def unit_isomorphism_by_levels(ring, G, gens, images):
+    """The generator-edge walk of G into the units of ``ring``, breadth
+    first with one ``ring.products`` call per level of the walk."""
+    if ring.size != 2 * G.n:
+        return None
+    if any(ring.augmentation_index(r) % 2 == 0 for r in images):
+        return None
+    phi = [None] * G.n
+    phi[0] = ring.one_index
+    level = [0]
+    while level:
+        grown = []
+        rows = ring.products([phi[x] for x in level], images)
+        for x, row in zip(level, rows):
+            to = G.mul[x]
+            for g, r in zip(gens, row):
+                y = to[g]
+                if phi[y] is None:
+                    phi[y] = r
+                    grown.append(y)
+                elif phi[y] != r:
+                    return None
+        level = grown
+    if None in phi or len(set(phi)) != G.n:
+        return None
+    return phi

@@ -37,6 +37,9 @@ REALIZE = {
     # exponent 4, class 3: its basis comes from a chief chain
     "CLS3_64": "937a8b74a7b9d46068e58cb35c6715c1"
                "7bb987d9c875f73d5d382bf92b0d80a0",
+    # order 512, a product of four catalog atoms
+    "D8xD8xC2xC4": "c2c111842c0f792227fba45ed4570866"
+                   "15bb28ba45c3fc0be4e0b74a42e04260",
 }
 
 PRESENTED = {
@@ -44,6 +47,12 @@ PRESENTED = {
                "rels: a^4, b^4, a*b*a*b*a*b*a*b, "
                "a*b^-1*a*b^-1*a*b^-1*a*b^-1, [b,a]^2, [a^2,b]",
 }
+
+# realize file:c4c4.presxfile:c4c4.pres, the path relative to the working
+# directory: a product of two file atoms whose generators a, b collide
+C4C4 = "gens: a b\nrels: a^4, b^4, b^-1*a*b*a\n"
+REALIZE_FILE_PRODUCT = ("110e1086255ee8b284f1003cd409bfad"
+                        "73e34686882d3e9b32be68ae365939a5")
 
 FIXTURES = {
     "SG32_37_char2": "6de95d867cd5f3d09f293b0a855a0259"
@@ -76,6 +85,15 @@ def test_realize_certificate_bytes(spec):
     G = build_group(parse_presentation_text(PRESENTED[spec])
                     if spec in PRESENTED else spec)
     assert sha(realize_exponent4(G).to_json()) == REALIZE[spec]
+
+
+def test_realize_certificate_bytes_of_a_file_product(tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c4c4.pres").write_text(C4C4)
+    G = build_group("file:c4c4.presxfile:c4c4.pres")
+    assert G.gen_names == ("a", "b", "a2", "b2")
+    assert sha(realize_exponent4(G).to_json()) == REALIZE_FILE_PRODUCT
 
 
 def test_fixture_certificate_bytes():

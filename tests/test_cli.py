@@ -12,6 +12,7 @@ from fuchs2.parsing import (
     _parse_literal_words,
     element_literal,
     parse_element_literal,
+    parse_element_terms,
     parse_group_spec,
     parse_presentation_text,
     unreadable_generator_name,
@@ -186,6 +187,22 @@ def test_label_index_read_agrees_with_the_word_parser(case):
     G, text, m = case
     assert _outcome(parse_element_literal, text, G, m) == \
         _outcome(_parse_literal_words, text, G, m)
+
+
+def _terms_as_dense(text, G, m):
+    support, coeffs = parse_element_terms(text, G, m)
+    dense = [0] * G.n
+    for g, c in zip(support, coeffs):
+        dense[g] = (dense[g] + c) % (1 << m)
+    return tuple(dense)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=group_and_literal())
+def test_sparse_terms_read_as_the_dense_literal(case):
+    G, text, m = case
+    assert _outcome(_terms_as_dense, text, G, m) == \
+        _outcome(parse_element_literal, text, G, m)
 
 
 # -- presentation files -------------------------------------------------------

@@ -32,7 +32,8 @@ from fuchs2.gring import (
 from fuchs2 import gring
 from fuchs2.gring import _Gf2Basis, _HowellBasis
 from fuchs2.groups import build_group, isomorphism
-from fuchs2.parsing import parse_element_literal
+from fuchs2.parsing import parse_element_literal, parse_element_terms, \
+    terms_literal
 
 import oracles
 
@@ -1061,3 +1062,101 @@ def test_cyclic_quotient_orders():
                 assert 2 % order == 0, (N, k)
             else:
                 assert 4 % order == 0, (N, k)
+
+
+# -- certificate rows: sparse terms against the dense route -------------------
+
+ROW_GROUPS = ("D8xC2", "Q8", "C8xC2")
+
+
+def _read_rows(G, m, literals):
+    """The packed canonical rows read back through the sparse terms, or
+    None when the literals are not canonical rows."""
+    basis = IdealBasis.from_canonical_rows(
+        G, m, [parse_element_terms(lit, G, m) for lit in literals])
+    return None if basis is None else list(basis.key())
+
+
+def _outcome(read, G, m, literals):
+    try:
+        return read(G, m, literals)
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc)
+
+
+@st.composite
+def written_rows(draw):
+    """(group, m, basis, its rows as written) for a random span."""
+    G = build_group(draw(st.sampled_from(ROW_GROUPS)))
+    m = draw(st.integers(1, 3))
+    vectors = draw(st.lists(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=G.n,
+                 max_size=G.n), min_size=1, max_size=4))
+    basis = IdealBasis.from_vectors(G, m, vectors)
+    return G, m, basis, [terms_literal(*t, G) for t in basis.row_terms()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=written_rows())
+def test_rows_are_written_and_read_as_the_dense_route_does(case):
+    G, m, basis, written = case
+    assert written == [oracles.element_literal_dense(r, G)
+                       for r in basis.rows]
+    assert _read_rows(G, m, written) == list(basis.key()) == \
+        oracles.canonical_rows_dense(G, m, written)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=written_rows(), data=st.data())
+def test_tampered_rows_get_the_dense_route_verdict(case, data):
+    G, m, basis, written = case
+    rows = list(written) or ["0"]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    label = G.label(data.draw(st.integers(0, G.n - 1)))
+    kind = data.draw(st.sampled_from(
+        ["unknown", "coefficient", "repeat", "swap", "drop", "duplicate",
+         "add", "sum"]))
+    if kind == "unknown":
+        rows[i] += "+zz"
+    elif kind == "coefficient":
+        rows[i] = f"{(1 << m) + data.draw(st.integers(0, 2))}*{label}+" \
+            + rows[i]
+    elif kind == "repeat":  # at m = 1 a repeated label cancels
+        rows[i] += f"+{label}+{label}" if data.draw(st.booleans()) \
+            else f"+{label}"
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(i, rows[i])
+    elif kind == "add":
+        rows.append(label)
+    else:  # a row plus another: the span is kept, the form is not
+        j = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = oracles.element_literal_dense(
+            [(a + b) % (1 << m) for a, b in zip(
+                parse_element_literal(rows[i], G, m),
+                parse_element_literal(rows[j], G, m))], G)
+    assert _outcome(_read_rows, G, m, rows) == \
+        _outcome(oracles.canonical_rows_dense, G, m, rows)
+
+
+def test_a_label_repeated_at_m_1_cancels():
+    G = build_group("Q8")
+    one_plus_i = IdealBasis.from_vectors(G, 1, [[1, 1] + [0] * 6])
+    assert [terms_literal(*t, G) for t in one_plus_i.row_terms()] == ["1+i"]
+    # 1+i+i+i is 1+i and 1+i+i is 1 over GF(2); over Z_4, 1+i+i is 1+2i
+    for m, text, key in [(1, "1+i+i+i", one_plus_i.key()), (1, "1+i+i", (1,)),
+                         (2, "1+i+i", (1 | 2 << 4,))]:
+        assert _read_rows(G, m, [text]) == list(key) == \
+            oracles.canonical_rows_dense(G, m, [text])
+
+
+def test_translations_are_memoized_on_the_group():
+    G = build_group("Q8xQ8xC4")
+    perms = gring._translations(G)
+    assert gring._translations(G) is perms
+    assert perms == [p for g in G.minimal_generators()
+                     for p in gring._sides(G, g)]

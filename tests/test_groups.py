@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.groups
+import fuchs2.parsing
 from fuchs2.errors import (
     ConstructionError,
     InternalInvariantError,
@@ -467,6 +469,71 @@ def test_direct_product_table_is_the_componentwise_product(a, b):
                  for yg in range(G.n) for yh in range(H.n)]
                 for xg in range(G.n) for xh in range(H.n)]
     assert direct_product(G, H).mul == expected
+
+
+# presentation files beside the catalog atoms: one names a generator a2,
+# which the C2 atoms' a takes as its renamed form, and one a and a2
+PRODUCT_FILES = {
+    "a2b.pres": "gens: a2 b\nrels: a2^2, b^2, [a2,b]",
+    "aa2.pres": "gens: a a2\nrels: a^4, a2^2, [a,a2]",
+    "c4c4.pres": "gens: a b\nrels: a^4, b^4, b^-1*a*b*a",
+}
+
+
+@pytest.fixture(scope="module")
+def product_atoms(tmp_path_factory):
+    """name -> group, for the catalog atoms and the presentation files."""
+    atoms = {spec: build_group(spec) for spec in oracles.catalog_atoms()}
+    folder = tmp_path_factory.mktemp("atoms")
+    for name, text in PRODUCT_FILES.items():
+        (folder / name).write_text(text)
+        atoms[name] = build_group(f"file:{folder / name}")
+    return atoms
+
+
+def _product_fields(G):
+    return (G.mul, G.gen_names, G.gen_indices, G.label_words, G.name,
+            G.source_spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_product_of_several_factors_is_the_pairwise_fold(product_atoms,
+                                                          data):
+    factors, order = [], 1
+    for _ in range(data.draw(st.integers(1, 5))):
+        fits = sorted(s for s, G in product_atoms.items()
+                      if order * G.n <= ORDER_CAP)
+        if not fits:
+            break
+        G = product_atoms[data.draw(st.sampled_from(fits))]
+        factors.append(G)
+        order *= G.n
+    folded = functools.reduce(oracles.direct_product_pair, factors)
+    assert _product_fields(direct_product(*factors)) == \
+        _product_fields(folded)
+
+
+def test_product_renames_file_generators_as_the_fold_does(product_atoms):
+    C2, a2b, aa2 = (product_atoms[s] for s in ("C2", "a2b.pres", "aa2.pres"))
+    for factors in ([C2, a2b, C2, C2], [a2b, C2, aa2], [aa2, C2, C2, a2b]):
+        P = direct_product(*factors)
+        assert len(set(P.gen_names)) == len(P.gen_names)
+        assert _product_fields(P) == _product_fields(
+            functools.reduce(oracles.direct_product_pair, factors))
+    assert direct_product(C2, a2b, C2, C2).gen_names == \
+        ("a", "a2", "b", "a3", "a4")
+
+
+def test_spec_builds_each_distinct_atom_once(monkeypatch):
+    built = []
+    real = fuchs2.parsing.catalog_group
+    monkeypatch.setattr(fuchs2.parsing, "catalog_group",
+                        lambda *atom: built.append(atom) or real(*atom))
+    G = build_group("C4xC2xC4xC2xC2")
+    assert sorted(built) == [("C", 2), ("C", 4)]
+    assert G.source_spec == G.name == "C4xC2xC4xC2xC2"
+    assert G.abelian_invariants() == (4, 4, 2, 2, 2)
 
 
 def test_product_generator_names_unique():

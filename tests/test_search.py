@@ -24,7 +24,8 @@ from fuchs2.gring import (
     verify_two_sided,
 )
 from fuchs2.groups import build_group
-from fuchs2.parsing import element_literal, parse_element_literal
+from fuchs2.parsing import element_literal, parse_element_literal, \
+    parse_element_terms
 from fuchs2.search import (
     FIXTURES,
     SearchConfig,
@@ -551,7 +552,7 @@ def test_verify_rejects_the_order_512_certificate_less_its_last_row():
     G = build_group("Q8xQ8xC4xC2")
     doc = realize_exponent4(G).to_dict()
     doc["ideal_basis"] = doc["ideal_basis"][:-1]
-    rows = [parse_element_literal(lit, G, 1) for lit in doc["ideal_basis"]]
+    rows = [parse_element_terms(lit, G, 1) for lit in doc["ideal_basis"]]
     basis = IdealBasis.from_canonical_rows(G, 1, rows)
     assert basis is not None
     assert not verify_two_sided(basis)

@@ -3,6 +3,7 @@
 against the unit-group table route of ``oracles.verify_by_unit_table``."""
 
 import functools
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,19 @@ def test_verify_rejects_an_injective_map_into_a_larger_ring():
 
 # -- unit_isomorphism against word maps on the unit table ---------------------
 
+def _ring_and_witness(doc):
+    """(group, residue ring, witness residues) of a certificate."""
+    ambient = fuchs2.search._build_from_spec(doc["ambient"])
+    G = fuchs2.search._build_from_spec(doc["group"])
+    m = doc["char"].bit_length() - 1
+    rows = [parse_element_literal(r, ambient, m) for r in doc["ideal_basis"]]
+    ring = quotient_ring(IdealBasis.from_vectors(ambient, m, rows,
+                                                 closed=True))
+    images = [ring.project(parse_element_literal(
+        doc["iso_witness"][g], ambient, m)) for g in G.gen_names]
+    return G, ring, images
+
+
 @functools.cache
 def _rings():
     """(group, ring, witness residues, unit group) per realizing ring,
@@ -131,16 +145,7 @@ def _rings():
     out = []
     for name in ("Q8", "D8", "C4xC2", "C8_char2", "search C8xC2",
                  "search Q8 char 4"):
-        doc = certificate_docs()[name]
-        ambient = fuchs2.search._build_from_spec(doc["ambient"])
-        G = fuchs2.search._build_from_spec(doc["group"])
-        m = doc["char"].bit_length() - 1
-        rows = [parse_element_literal(r, ambient, m)
-                for r in doc["ideal_basis"]]
-        ring = quotient_ring(IdealBasis.from_vectors(ambient, m, rows,
-                                                     closed=True))
-        images = [ring.project(parse_element_literal(
-            doc["iso_witness"][g], ambient, m)) for g in G.gen_names]
+        G, ring, images = _ring_and_witness(certificate_docs()[name])
         out.append((G, ring, images, unit_group(ring)))
     D8 = build_group("D8")
     ring = quotient_ring(IdealBasis.zero(D8, 1))
@@ -203,3 +208,38 @@ def test_realize_and_verify_build_no_unit_table(monkeypatch):
     monkeypatch.setattr(fuchs2.search, "unit_group", refuse)
     cert = realize_exponent4(build_group("Q8xD8"))
     assert verify_certificate(cert.to_json())
+
+
+# -- the one-table walk against the level-by-level walk -----------------------
+
+def test_unit_isomorphism_is_the_level_by_level_walk():
+    """Every fixture, every group of the certify ladder, CLS3_64 and Q8 at
+    m = 2, with the witness as stored and tampered: two images swapped,
+    one image replaced by an even-augmentation residue or by 1."""
+    rejected = 0
+    for name, doc in certificate_docs().items():
+        G, ring, images = _ring_and_witness(doc)
+        gens = G.gen_indices
+        phi = unit_isomorphism(ring, G, gens, images)
+        assert phi is not None, name
+        assert phi == oracles.unit_isomorphism_by_levels(
+            ring, G, gens, images), name
+        even = next(r for r in range(ring.size)
+                    if ring.augmentation_index(r) % 2 == 0)
+        tampered = [[even] + images[1:], [ring.one_index] + images[1:]]
+        orders = [G.element_order(g) for g in gens]
+        for i, j in itertools.combinations(range(len(gens)), 2):
+            swapped = list(images)
+            swapped[i], swapped[j] = images[j], images[i]
+            if orders[i] != orders[j]:
+                tampered.append(swapped)
+            else:  # it may be an automorphism: agree with the reference
+                assert unit_isomorphism(ring, G, gens, swapped) == \
+                    oracles.unit_isomorphism_by_levels(
+                        ring, G, gens, swapped), name
+        for bad in tampered:
+            assert unit_isomorphism(ring, G, gens, bad) is None, name
+            assert oracles.unit_isomorphism_by_levels(
+                ring, G, gens, bad) is None, name
+            rejected += 1
+    assert rejected > 2 * len(certificate_docs())
