@@ -25,7 +25,10 @@ Two-sided closure spans the left translates of the generators, read off
 the group table on their supports, and closes that left ideal under right
 translation by the non-central generators with a worklist: translations
 are linear, so only the vectors that grew the span need translating, each
-of them once, and over an abelian group no worklist runs.  Whether
+of them once, and over an abelian group no worklist runs.  The closure of
+one generator also carries the functional that tells its generators
+(Nakayama's lemma), and generators of one ideal share their leading form
+in the filtration by the powers of the augmentation ideal.  Whether
 a given span is already two-sided is also decided by its basis class
 (``translation_closed``).  A GF(2) basis reads the columns of its
 annihilator under the standard pairing off the reduced rows: a unit vector
@@ -636,6 +639,10 @@ class IdealBasis:
     closed basis never contains 1 (such closures are rejected as improper).
     """
 
+    # (GF(2) basis of the ideal mod 2, mask of its generator functional)
+    # for a principal closure (see ``ideal_closure``), else None
+    principal = None
+
     def __init__(self, group, m, impl, closed=False):
         self.group = group
         self.m = m
@@ -699,6 +706,20 @@ class IdealBasis:
         one = (1,) + (0,) * (self.group.n - 1)
         return self.contains(one)
 
+    def generates(self, coeffs):
+        """True when the element ``coeffs`` generates this ideal, a closure
+        of one generator outside 2R: exactly when it lies in the ideal and
+        the generator functional (``ideal_closure``) is 1 there.  The cheap
+        GF(2) tests come first."""
+        if self.principal is None:
+            raise Fuchs2Error("no generator functional: not the closure of "
+                              "one generator outside 2R")
+        mod2, functional = self.principal
+        bar = _Gf2Basis.pack(coeffs)
+        if not (functional & bar).bit_count() & 1 or not mod2.contains(bar):
+            return False
+        return self.m == 1 or self._impl.contains(self._impl.pack(coeffs))
+
     def key(self):
         """Hashable canonical form of the rows: equal keys, equal spans."""
         return tuple(self._impl.rows)
@@ -726,6 +747,43 @@ def _translations(group):
     return group._translations
 
 
+def _close(group, impl, gens, extra=0):
+    """Close the span in ``impl`` of the left translates of ``gens``, each
+    a list of (g, c) terms, under right translation by the non-central
+    minimal generators: the one closure worklist (see ``ideal_closure``).
+    A nonzero ``extra`` is the bit 1 << n, a coordinate that every left
+    translate has equal to 1 and every right translation fixes."""
+    n = group.n
+    rights = [p + [n] if extra else p for g in group.minimal_generators()
+              for p in _sides(group, g)[1:]]
+    work = []
+    for items in gens:
+        for row in group.mul:
+            v = impl.pack_moved(items, row) | extra
+            if impl.insert(v) and rights:
+                work.append(v)
+    while work:
+        v = work.pop()
+        for perm in rights:
+            t = impl.translate(v, perm)
+            if impl.insert(t):
+                work.append(t)
+
+
+def _take_functional(impl, n):
+    """Strip the extra coordinate n from the rows of a GF(2) closure made
+    with it, and return the OR of the pivots of the rows that had it."""
+    if impl.mask >> n:
+        raise InternalInvariantError("the generator coordinate is a pivot")
+    low = (1 << n) - 1
+    functional = 0
+    for p, row in impl.pivots.items():
+        if row >> n:
+            functional |= p
+            impl.pivots[p] = row & low
+    return functional
+
+
 def ideal_closure(gens) -> IdealBasis:
     """Smallest two-sided ideal containing ``gens``, in canonical form.
 
@@ -739,29 +797,40 @@ def ideal_closure(gens) -> IdealBasis:
     right closure runs a worklist: translations are linear, so only the
     vectors that grew the span need translating, each of them once.
     Raises ImproperIdealError if the closure reaches the whole ring.
+
+    The closure of one generator x with x mod 2 nonzero carries its
+    generator functional (``IdealBasis.generates``).  R = Z_{2^m}[G] is
+    local: M = 2R + D, D the augmentation ideal, is nilpotent and
+    R/M = F_2.  For I = RxR and J = MI + IM every gxh is x mod J, so
+    I/J = F_2 and, by Nakayama's lemma, y in I generates I exactly when y
+    is not in J, that is when l(y) = 1 for the functional with kernel J,
+    l(sum c_i g_i x h_i) = sum c_i mod 2.  l is read mod 2: over GF(2)
+    every translate of x gets an extra coordinate 1, which translations
+    fix, so the reduced rows are the graph of l, and l(y) is the parity of
+    a & (y mod 2), a the OR of the pivots of the rows whose extra
+    coordinate is 1.  At m = 1 the coordinate rides the closure itself; at
+    m >= 2 a GF(2) closure of x mod 2 runs beside the Howell one.  It is
+    never a pivot: x mod 2 would then lie in the J of its own ideal, which
+    Nakayama's lemma allows only for 0.
     """
     if not gens:
         raise Fuchs2Error("ideal_closure needs at least one generator")
     group, m = gens[0].group, gens[0].m
     for x in gens:
         gens[0]._match(x)
-    rights = [p for g in group.minimal_generators()
-              for p in _sides(group, g)[1:]]
+    n = group.n
+    items = [[(h, c) for h, c in enumerate(x.coeffs) if c] for x in gens]
+    extra = 1 << n if len(gens) == 1 and any(c & 1 for _, c in items[0]) \
+        else 0
     impl = _make_impl(group, m, [])
-    work = []
-    for x in gens:
-        items = [(h, c) for h, c in enumerate(x.coeffs) if c]
-        for row in group.mul:
-            v = impl.pack_moved(items, row)
-            if impl.insert(v) and rights:
-                work.append(v)
-    while work:
-        v = work.pop()
-        for perm in rights:
-            t = impl.translate(v, perm)
-            if impl.insert(t):
-                work.append(t)
+    _close(group, impl, items, extra if m == 1 else 0)
     basis = IdealBasis(group, m, impl, closed=True)
+    if extra:
+        mod2 = impl
+        if m > 1:
+            mod2 = _Gf2Basis(n)
+            _close(group, mod2, items, extra)
+        basis.principal = mod2, _take_functional(mod2, n)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
     return basis
@@ -799,6 +868,44 @@ def verify_two_sided(basis: IdealBasis) -> bool:
     complement, and a = log2 of the residue count for any ideal), over
     Z_{2^m} on the translates of the Howell rows."""
     return basis._impl.translation_closed(_translations(basis.group))
+
+
+def augmentation_powers(group):
+    """GF(2) bases of the powers D^0 > D^1 > ... > D^L = 0 of the
+    augmentation ideal D of F_2[G], L its Loewy length (Jennings, Trans.
+    AMS 50, 1941): D^1 is spanned by the 1 + g, and D^(k+1) by the
+    (g - 1) r, for g a minimal generator and r a row of D^k.  That
+    suffices because hg - 1 = (h - 1) g + (g - 1), so D is the right ideal
+    of the g - 1, and D^(k+1) = D D^k is the sum of the (g - 1) D^k."""
+    n = group.n
+    powers = [_Gf2Basis.from_reduced(n, [1 << g for g in range(n)]),
+              _Gf2Basis(n)]
+    for g in range(1, n):
+        powers[1].insert(1 | 1 << g)
+    lefts = [group.mul[g] for g in group.minimal_generators()]
+    while powers[-1].pivots:
+        power = _Gf2Basis(n)
+        for row in powers[-1].pivots.values():
+            for perm in lefts:
+                power.insert(_Gf2Basis.translate(row, perm) ^ row)
+        powers.append(power)
+    return powers
+
+
+def leading_form(powers, coeffs):
+    """The D-adic leading form (v, x' mod D^(v+1)) of the image x' != 0 of
+    ``coeffs`` in F_2[G], for the ``augmentation_powers`` of G: v is the
+    largest k with x' in D^k and the class is the reduced representative.
+    Two generators of one two-sided ideal have one leading form: if x' is
+    in D^v, every g x' h is x' mod D^(v+1), so a generator of the ideal of
+    x' is x' mod D^(v+1) or lies in D^(v+1), and the latter would put x'
+    there too."""
+    v = _Gf2Basis.pack(coeffs)
+    for k in range(1, len(powers)):
+        rest = powers[k].reduce(v)
+        if rest:
+            return k - 1, rest
+    raise Fuchs2Error("an element of 2R has no leading form")
 
 
 # -- quotient rings -----------------------------------------------------------

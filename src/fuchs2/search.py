@@ -4,15 +4,19 @@ The search walks small even-support generator tuples in Z_{2^m}[G] in a
 fixed deterministic order (by generator count, then lexicographically over
 a pool of single generators), depth first over the ideal lattice.  The
 pool is a list of (scalar exponent, support) pairs, and ring elements are
-built only for the tuples yielded and the supports closed.  Principal
-two-sided ideals are computed once per orbit of supports under the
-translations by the inverses of support elements: an orbit's scalar-1
-representative is closed, and the ideal of 2^e*y is that of y scaled by
-2^e, since scalars are central.  A tuple's ideal is the sum of its
-entries' principal ideals, obtained by merging one canonical basis into
-its prefix's; each distinct principal ideal is merged into a given prefix
-span once, whatever the generator count, and the merged span and its key
-are reused whenever that ideal comes up again under the same span.  A
+built only for the tuples yielded and the supports tested.  Pool supports
+fall into orbits under the translations by the inverses of their
+elements, and each distinct principal ideal of scalar 1 is closed once:
+an orbit's representative is first tested against the ideals closed
+from generators of its leading form in the filtration of F_2[G] by the
+powers of the augmentation ideal, and takes the one it generates
+(Nakayama's lemma makes the test exact).  The ideal of 2^e*y is that of
+y scaled by 2^e, since scalars are central.  A tuple's ideal is the sum
+of its entries' principal ideals, obtained by merging one canonical basis
+into its prefix's; each distinct principal ideal is merged into a given
+prefix span once, whatever the generator count, and the merged span and
+its key are reused whenever that ideal comes up again under the same
+span.  A
 prefix whose span already leaves fewer than 2|G| residues (the only size
 a realizing residue ring can have) is not extended, and its subtree is
 counted into the raw index, so the budget ends the stream at the same raw
@@ -42,15 +46,15 @@ from .errors import (
     CertificateError,
     ConstructionError,
     Fuchs2Error,
-    ImproperIdealError,
     InternalInvariantError,
     ParseError,
     SizeCapError,
     UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
-    ideal_closure, ideal_sum, quotient_ring, residue_count, unit_group, \
-    unit_isomorphism, verify_two_sided
+    augmentation_powers, ideal_closure, ideal_sum, leading_form, \
+    quotient_ring, residue_count, unit_group, unit_isomorphism, \
+    verify_two_sided
 from .groups import CayleyGroup, build_group, isomorphism
 from .parsing import parse_element_literal, parse_element_terms
 from .star import Certificate, certificate_from_parts
@@ -77,6 +81,8 @@ class SearchConfig:
         if any(s % 2 for s in self.support_sizes):
             raise Fuchs2Error("candidate supports must be even "
                               "(generators must lie in the maximal ideal)")
+        if len(set(self.support_sizes)) < len(self.support_sizes):
+            raise Fuchs2Error("candidate support sizes must be distinct")
 
 
 def _pool(G: CayleyGroup, config: SearchConfig):
@@ -98,7 +104,7 @@ def _element(G: CayleyGroup, m, entry):
 
 
 def _principal_closures(G: CayleyGroup, m, pool):
-    """Lazy principal closure of each pool entry, None when improper.
+    """Lazy principal closure of each pool entry, memoized per entry.
 
     A group element s in the support of x is a unit, so s^-1 x and x s^-1
     generate the same two-sided ideal as x.  Both keep the scalar and move
@@ -111,20 +117,27 @@ def _principal_closures(G: CayleyGroup, m, pool):
     with st in S; so on an abelian group that set is the orbit, walked in
     |S| moves.
 
-    Only an orbit's representative of scalar 1 is closed by
-    ``ideal_closure``.  Scalars are central, so the ideal generated by
+    Each distinct ideal of an orbit's representative x of scalar 1 is
+    closed once, by ``ideal_closure``.  Generators of one ideal have one
+    D-adic leading form (``gring.leading_form``, the filtration computed
+    once per call), and each closed ideal goes in the bucket of its
+    generator's form; x is first tested against the ideals in its bucket,
+    and takes the one it generates (``IdealBasis.generates``, exact by
+    Nakayama's lemma).  x lies in the even-sum maximal ideal, so its
+    closure is proper.  Scalars are central, so the ideal generated by
     2^e*y is 2^e times the one generated by y, the entry of scalar 1 on
-    the same support; y lies in the even-sum maximal ideal, so its closure
-    is proper, and the closure of 2^e*y is that closure scaled
-    (``IdealBasis.scaled``).  Equal closures are one interned basis, and
-    each interned basis of scalar 1 is scaled once per exponent."""
+    the same support (``IdealBasis.scaled``); each ideal of scalar 1 is
+    scaled once per exponent, and equal scaled ideals are one interned
+    basis."""
     orbit_of = {}  # support -> orbit number
     reps = []  # orbit number -> the support it was first reached from
-    closures = {}  # orbit number -> interned basis of scalar 1, or None
-    scaled = {}  # (interned basis of scalar 1, e) -> interned basis
-    interned = {}
+    closures = {}  # orbit number -> its ideal of scalar 1
+    buckets = {}  # leading form -> the ideals of scalar 1 closed with it
+    scaled = {}  # (ideal of scalar 1, e) -> interned basis
+    interned = {}  # key -> scaled basis
     moves = [_sides(G, G.inv[s]) for s in range(G.n)]
     abelian = G.is_abelian()
+    powers = augmentation_powers(G)
 
     def orbit(support):
         if support in orbit_of:
@@ -150,35 +163,27 @@ def _principal_closures(G: CayleyGroup, m, pool):
 
     def closed(k):
         if k not in closures:
-            try:
-                basis = ideal_closure(
-                    [RingElement.from_support(G, m, reps[k])])
-                closures[k] = interned.setdefault(basis.key(), basis)
-            except ImproperIdealError:
-                closures[k] = None
+            x = [0] * G.n
+            for g in reps[k]:
+                x[g] = 1
+            bucket = buckets.setdefault(leading_form(powers, x), [])
+            closures[k] = next((b for b in bucket if b.generates(x)), None)
+            if closures[k] is None:
+                closures[k] = ideal_closure([RingElement(G, m, tuple(x))])
+                bucket.append(closures[k])
         return closures[k]
 
     def closure(i):
         e, support = pool[i]
         basis = closed(orbit(support))
-        if not e or basis is None:
+        if not e:
             return basis
         if (basis, e) not in scaled:
             basis_e = basis.scaled(e)
             scaled[basis, e] = interned.setdefault(basis_e.key(), basis_e)
         return scaled[basis, e]
 
-    return closure
-
-
-def _merge(prefix, basis):
-    """Span of a prefix plus one principal closure, None when improper."""
-    if basis is None:
-        return None
-    try:
-        return ideal_sum(prefix, basis)
-    except ImproperIdealError:
-        return None
+    return functools.cache(closure)
 
 
 def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
@@ -192,27 +197,28 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     two-sided ideal: each principal closure is computed once
     (``_principal_closures``), and a tuple's basis is its prefix's basis
     with one principal closure merged in.  Equal principal closures are one
-    interned basis, so the merge depends only on the prefix span and that
+    basis object, so the merge depends only on the prefix span and that
     basis.  One memo per prefix span object keeps, per basis, the merged
     span and, once a leaf needs it, the span's key; every frame with that
     prefix span shares it, across generator counts too, since each count's
     walk reaches the span objects that the counts before it made.  A sum
-    that is improper, or whose key is remembered and which no later count
-    extends, is never extended nor yielded again and is kept as None, which
-    drops its span.  No later count extends a sum that leaves too few
-    residues, nor one whose lex-least tuple starts at a pool entry that the
-    next count's walk does not reach before the budget ends the stream: so
+    whose key is remembered and which no later count extends is never
+    extended nor yielded again and is kept as None, which drops its span.
+    No later count extends a sum that leaves too few residues, nor one
+    whose lex-least tuple starts at a pool entry that the next count's
+    walk does not reach before the budget ends the stream: so
     the memo keeps no span of the last count that runs, and of the count
     before it only those that the budget lets the last one extend.
     A leaf still tests its stored key against the remembered ones, so a
     reused span is skipped or yielded exactly as a freshly merged one
     would be, also past ``DEDUP_CACHE`` remembered keys.
 
-    Spans only grow along a branch.  A proper prefix whose span leaves
-    fewer than 2|G| residues, or contains 1, is not extended: its subtree
-    is skipped and counted into the raw index, so the budget still ends the
-    stream at raw index `budget`, inside a skipped subtree or not.  Leaves
-    that close improperly, or to an already-yielded basis, are skipped.
+    Spans only grow along a branch, and all lie in the even-sum maximal
+    ideal, so none is improper.  A prefix whose span leaves fewer than
+    2|G| residues is not extended: its subtree is skipped and counted into
+    the raw index, so the budget still ends the stream at raw index
+    `budget`, inside a skipped subtree or not.  Leaves that close to an
+    already-yielded basis are skipped.
 
     So every ideal with at least 2|G| residues is yielded at the same index,
     with the same generators and rows, as by closing every raw tuple in
@@ -227,8 +233,8 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     element = functools.cache(lambda j: _element(G, config.m, pool[j]))
     limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
     # prefix span -> {principal closure -> [prefix + it, its key or None],
-    # or None when that sum is improper, or its key is remembered and no
-    # later count extends it: it is never extended nor yielded again}
+    # or None when its key is remembered and no later count extends it:
+    # it is never extended nor yielded again}
     merges = {}
     reach = 0
     seen = set()
@@ -243,8 +249,8 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
                 return
             basis = closure(i)
             if basis not in merged:
-                span = basis if prefix is None else _merge(prefix, basis)
-                merged[basis] = None if span is None else [span, None]
+                merged[basis] = [basis if prefix is None
+                                 else ideal_sum(prefix, basis), None]
             entry = merged[basis]
             if left == 0:
                 index += 1
@@ -288,7 +294,10 @@ def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
 
     The candidate is proper without a check: every pool element has even
     coefficient sum, so its ideal lies in the even-sum maximal ideal of
-    the local ring Z_{2^m}[G]."""
+    the local ring Z_{2^m}[G].  The rendered certificate is checked by
+    ``_check_document`` against G, the route ``run_fixture`` takes; the
+    spec -> group route of ``verify_certificate`` is left to the caller
+    and the test suite."""
     if basis.span_size() * 2 * G.n != (1 << (config.m * G.n)):
         return None
     ring = quotient_ring(basis)
@@ -302,7 +311,7 @@ def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
     images = [units.residue_index[phi[g]] for g in G.gen_indices]
     cert = certificate_from_parts(G, G, config.m, basis, ring, images,
                                   method="search")
-    if not verify_certificate(cert):
+    if not _check_document(cert.to_dict(), G, G, config.m):
         raise InternalInvariantError("search certificate failed to verify")
     return cert
 
@@ -312,9 +321,9 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     exhaustion (which is not a refutation).  The zero ideal is tried
     first: Z_2[C1] and Z_2[C2] realize their own groups, and for every
     other group and m its size test rejects it before any ring is built.
-    The candidates are those of ``enumerate_candidates``: each principal
-    closure is computed once per orbit of supports and scalar, and each
-    merge once per prefix span."""
+    The candidates are those of ``enumerate_candidates``: each distinct
+    principal ideal is closed once, and each merge made once per prefix
+    span."""
     candidates = (basis for _, _, basis in enumerate_candidates(G, config))
     for basis in itertools.chain([IdealBasis.zero(G, config.m)], candidates):
         cert = _evaluate(G, config, basis)

@@ -315,6 +315,39 @@ def ideal_closure_worklist(gens):
     return basis
 
 
+def gf2_independent(masks):
+    """A maximal independent subset of GF(2) masks, in their order."""
+    out = []
+    for v in masks:
+        if gf2_rank(out + [v]) > len(out):
+            out.append(v)
+    return out
+
+
+def gf2_in_span(masks, v):
+    return gf2_rank(masks + [v]) == gf2_rank(masks)
+
+
+def augmentation_powers_brute(G):
+    """Bases of D^0, D^1, ... of the augmentation ideal D of F_2[G], as
+    GF(2) masks, ending with the first zero power.  D^k is spanned by the
+    products of k augmentation elements 1 + g, g in G: each basis vector of
+    D^(k-1) is multiplied on the right by every 1 + g (``naive_convolve``),
+    with no use of generators or of the routine under test."""
+    def mask(v):
+        return sum(1 << g for g, c in enumerate(v) if c & 1)
+
+    aug = [tuple(int(h in (0, g)) for h in range(G.n)) for g in range(1, G.n)]
+    level = [tuple(int(h == g) for h in range(G.n)) for g in range(G.n)]
+    powers = [[mask(v) for v in level]]
+    while level:
+        products = [naive_convolve(G, 1, b, a) for b in level for a in aug]
+        by_mask = {mask(v): v for v in products}
+        level = [by_mask[v] for v in gf2_independent(list(by_mask))]
+        powers.append([mask(v) for v in level])
+    return powers
+
+
 def ideal_involution(basis):
     """The image I* = {x* : x in I} of a span under the involution
     x* = sum c_g g^-1 of x = sum c_g g, in canonical form: the entry of

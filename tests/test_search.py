@@ -193,62 +193,144 @@ def _count_closures(monkeypatch):
 
 
 def test_search_closes_each_pool_element_at_most_once(monkeypatch):
+    # the walk reaches every pool entry before its hit and closes each
+    # distinct ideal of an entry of scalar 1 once: 35 for 129 orbits
     calls = _count_closures(monkeypatch)
     G = build_group("C8xC2")
     cert = search_realizing_ideal(G, SearchConfig(m=1))
     assert cert is not None
-    assert len(oracles.single_elements(G, SearchConfig())) == 470
-    assert 0 < len(calls) <= 470
+    pool = oracles.single_elements(G, SearchConfig())
+    assert len(pool) == 470
+    distinct = {oracles.ideal_closure_worklist([x]).key() for x in pool}
+    assert len(calls) == len(distinct) == 35
     assert set(calls) == {1}
 
 
 @pytest.mark.parametrize("spec, m", [("D8", 1), ("Q8", 2), ("C4xC2", 1)])
 def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
-    # one closure per orbit of the pool under x -> s^-1 x and x -> x s^-1
-    # for s in the support of x, the orbits found here by brute force
+    # one closure per distinct ideal of a pool entry of scalar 1, the
+    # ideals told apart by the oracle's closure (9, 12 and 13 for 14, 12
+    # and 17 orbits); equal ideals are one object, scaled (2^e*y from y)
+    # or closed, and each is x's own ideal
+    distinct = {"D8": 9, "Q8": 12, "C4xC2": 13}[spec]
     G = build_group(spec)
     pool = _pool(G, SearchConfig(m=m))
-    elements = oracles.single_elements(G, SearchConfig(m=m))
-    coeffs = [x.coeffs for x in elements]
-
-    def moved(x, t, side):
-        y = [0] * G.n
-        for g, c in enumerate(x):
-            y[G.mul[t][g] if side == "left" else G.mul[g][t]] = c
-        return tuple(y)
-
-    orbit_of = {}
-    for x in coeffs:
-        if x in orbit_of:
-            continue
-        orbit_of[x] = x
-        work = [x]
-        while work:
-            y = work.pop()
-            for s in (g for g, c in enumerate(y) if c):
-                for side in ("left", "right"):
-                    z = moved(y, G.inv[s], side)
-                    if z not in orbit_of:
-                        orbit_of[z] = x
-                        work.append(z)
+    keys = [oracles.ideal_closure_worklist([x]).key()
+            for x in oracles.single_elements(G, SearchConfig(m=m))]
     calls = _count_closures(monkeypatch)
     closure = fuchs2.search._principal_closures(G, m, pool)
     bases = [closure(i) for i in range(len(pool))]
-    # the moves keep the scalar; only orbits of scalar 1 are closed, and
-    # the closure of 2^e*y is that of y scaled by 2^e
-    orbits = set(orbit_of.values())
-    assert len(calls) == sum(1 for x in orbits if x[0] == 1) < len(pool)
-    for i, x in enumerate(coeffs):
-        j = coeffs.index(orbit_of[x])
-        assert bases[i] is bases[j]
-        # closed or scaled, it is x's own ideal
-        assert bases[i].key() == \
-            oracles.ideal_closure_worklist([elements[i]]).key()
-        e = x[0].bit_length() - 1
-        if e:
-            unit = bases[coeffs.index(tuple(c >> e for c in x))]
-            assert bases[i].key() == IdealBasis.from_vectors(
-                G, m, [[c << e for c in r] for r in unit.rows]).key()
+    assert len(calls) == distinct == len(
+        {key for key, (e, _) in zip(keys, pool) if e == 0})
+    for i, j in itertools.product(range(len(pool)), repeat=2):
+        assert (bases[i] is bases[j]) == (keys[i] == keys[j])
+    assert [basis.key() for basis in bases] == keys
+
+
+def _bar(x):
+    return sum(1 << g for g, c in enumerate(x.coeffs) if c & 1)
+
+
+@pytest.mark.parametrize("spec", SMALL)
+def test_augmentation_powers_are_products_of_augmentation_elements(spec):
+    G = build_group(spec)
+    brute = oracles.augmentation_powers_brute(G)
+    powers = gring.augmentation_powers(G)
+    assert [p.rank() for p in powers] == [len(b) for b in brute]
+    for power, spanning in zip(powers, brute):
+        assert all(power.contains(v) for v in spanning)
+
+
+@pytest.mark.parametrize("spec, loewy", [
+    ("C2", 2), ("C4", 4), ("C8", 8), ("C16", 16), ("C32", 32),
+    ("C2xC2", 3), ("C2xC2xC2", 4), ("C2xC2xC2xC2", 5),
+    ("C2xC2xC2xC2xC2", 6)])
+def test_loewy_lengths(spec, loewy):
+    # F_2[C_2^n] = F_2[t]/(t - 1)^(2^n); F_2[C_2^k] is a tensor power of
+    # F_2[C2], whose radical has Loewy length 2
+    G = build_group(spec)
+    assert len(gring.augmentation_powers(G)) - 1 == loewy
+    if G.n <= 16:
+        assert len(oracles.augmentation_powers_brute(G)) - 1 == loewy
+
+
+@pytest.mark.parametrize("spec, sizes", [
+    ("C8", (2, 4)), ("D8", (2, 4)), ("Q8", (2, 4)), ("C4xC2", (2, 4)),
+    ("C8xC2", (2,)), ("D16", (2,)), ("Q8xC2", (2,))])
+def test_leading_forms_against_the_brute_powers(spec, sizes):
+    # (v, x mod D^(v+1)): v is the depth of x in the brute-force powers,
+    # and two forms are equal exactly when the depths are and the
+    # difference lies one power deeper
+    G = build_group(spec)
+    brute = oracles.augmentation_powers_brute(G)
+    powers = gring.augmentation_powers(G)
+    bars = [_bar(x) for x in oracles.single_elements(
+        G, SearchConfig(support_sizes=sizes))]
+    depth = [max(k for k, b in enumerate(brute) if oracles.gf2_in_span(b, v))
+             for v in bars]
+    forms = [gring.leading_form(powers, [v >> g & 1 for g in range(G.n)])
+             for v in bars]
+    assert [v for v, _ in forms] == depth
+    for i, j in itertools.combinations(range(len(bars)), 2):
+        assert (forms[i] == forms[j]) == (depth[i] == depth[j] and
+                                          oracles.gf2_in_span(
+                                              brute[depth[i] + 1],
+                                              bars[i] ^ bars[j]))
+
+
+@st.composite
+def principal_samples(draw):
+    """A group of order <= 16, m, and pool elements: some drawn, and for
+    each its translates s^-1 x and x s^-1 by its largest support element,
+    which generate the same ideal."""
+    G = build_group(draw(st.sampled_from(SMALL)))
+    m = draw(st.sampled_from((1, 2, 3)))
+    pool = oracles.single_elements(G, SearchConfig(
+        m=m, support_sizes=tuple(s for s in (2, 4) if s <= G.n)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=10, unique=True))
+    elements = []
+    for x in (pool[i] for i in picks):
+        t = G.inv[max(x.support())]
+        for side in (G.mul[t], [row[t] for row in G.mul]):
+            moved = [0] * G.n
+            for g, c in enumerate(x.coeffs):
+                moved[side[g]] = c
+            elements.append(gring.RingElement(G, m, tuple(moved)))
+        elements.append(x)
+    return G, m, elements
+
+
+@settings(max_examples=20, deadline=None)
+@given(sample=principal_samples())
+@example(sample=(build_group("D8xC2"), 2, oracles.single_elements(
+    build_group("D8xC2"), SearchConfig(m=2, support_sizes=(2,)))))
+def test_generator_test_agrees_with_equal_closures(sample):
+    # for x outside 2R, ideal_closure([x]).generates(y) says RyR = RxR,
+    # which the oracle's closures decide; an element of 2R generates no
+    # ideal of an element outside it and carries no functional
+    G, m, elements = sample
+    keys = [oracles.ideal_closure_worklist([y]).key() for y in elements]
+    for x, key in zip(elements, keys):
+        basis = ideal_closure([x])
+        if not _bar(x):
+            assert basis.principal is None
+            continue
+        assert basis.key() == key
+        assert [basis.generates(y.coeffs) for y in elements] == \
+            [other == key for other in keys]
+
+
+def test_generator_functional_only_on_principal_closures():
+    G = build_group("Q8")
+    x, y = (parse_element_literal(lit, G, 2) for lit in ("1+i", "1+j"))
+    with pytest.raises(Fuchs2Error, match="generator functional"):
+        ideal_closure([gring.RingElement(G, 2, x), gring.RingElement(
+            G, 2, y)]).generates(x)
+    impl = gring._Gf2Basis(G.n)
+    impl.insert(1 << G.n)  # the extra coordinate alone, as a pivot
+    with pytest.raises(InternalInvariantError, match="pivot"):
+        gring._take_functional(impl, G.n)
 
 
 @settings(max_examples=20, deadline=None)
@@ -435,13 +517,16 @@ def test_candidate_stream_pinned(spec, m, budget, limit, count, pin):
     ({"max_gens": 0}, "at least one generator"),
     ({"support_sizes": (0,)}, "at least 2 elements"),
     ({"support_sizes": (2, 0)}, "at least 2 elements"),
+    ({"support_sizes": (2, 2)}, "must be distinct"),
 ])
 def test_search_config_validates_its_fields(kwargs, match):
     # the config used to accept these: the search then returned None for
-    # m = 0 or max_gens = 0, which reads as an exhausted budget, and
-    # raised a bare ValueError for a support size of 0
+    # m = 0 or max_gens = 0, which reads as an exhausted budget, raised a
+    # bare ValueError for a support size of 0, and walked every tuple of
+    # a repeated size twice
     with pytest.raises(Fuchs2Error, match=match):
         SearchConfig(**kwargs)
+    SearchConfig(support_sizes=())  # no pool: the zero ideal alone
 
 
 def test_support_size_above_the_group_order_is_an_error():
@@ -495,6 +580,20 @@ def test_search_q8_in_characteristic_4():
     assert cert is not None
     assert cert.quotient_size == 16
     assert verify_certificate(cert)
+
+
+@pytest.mark.parametrize("spec, config", [
+    ("C8xC2", SearchConfig(m=1)), ("C1", SearchConfig(m=1)),
+    ("C2", SearchConfig(m=1)),
+    ("C8xC2", SearchConfig(m=1, support_sizes=(4,))),
+    ("Q8", SearchConfig(m=2, budget=200_000)),
+    ("D8xC2", SearchConfig(m=1))])
+def test_search_certificates_verify_from_their_specs(spec, config):
+    # the search checks its certificate against the group it holds; the
+    # rendered JSON still verifies with both groups built from its specs
+    cert = search_realizing_ideal(build_group(spec), config)
+    assert cert is not None
+    assert verify_certificate(cert.to_json())
 
 
 def test_pruning_soundness_sampled():
