@@ -9,7 +9,6 @@ from .errors import Fuchs2Error
 from .gring import (
     IdealBasis,
     QuotientRing,
-    RingElement,
     UnitGroup,
     cyclic_quotient_order,
     full_group_ring,

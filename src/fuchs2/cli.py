@@ -25,8 +25,8 @@ from .errors import (
     InternalInvariantError,
     ParseError,
 )
-from .gring import M_CAP, IdealBasis, RingElement, ideal_closure, \
-    quotient_ring, unit_group
+from .gring import M_CAP, IdealBasis, ideal_closure, quotient_ring, \
+    unit_group
 from .groups import build_group, structure_report
 from .parsing import parse_element_literal
 from .screeners import screen
@@ -158,9 +158,8 @@ def cmd_unitgroup(args):
     m = _parse_char(args.char)
     if args.ideal:
         literals = [s.strip() for s in args.ideal.split(";") if s.strip()]
-        gens = [RingElement(G, m, parse_element_literal(lit, G, m))
-                for lit in literals]
-        basis = ideal_closure(gens)
+        basis = ideal_closure(G, m, [parse_element_literal(lit, G, m)
+                                     for lit in literals])
     else:
         basis = IdealBasis.zero(G, m)
     ring = quotient_ring(basis)

@@ -28,10 +28,6 @@ class RingMismatchError(Fuchs2Error):
     """Operands belong to different group rings."""
 
 
-class NotAUnitError(Fuchs2Error):
-    """Inversion was requested for a non-unit."""
-
-
 class ImproperIdealError(Fuchs2Error):
     """An ideal closure reached the whole ring (contains 1)."""
 

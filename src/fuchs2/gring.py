@@ -1,9 +1,11 @@
 """Exact arithmetic in Z_{2^m}[G] and its residue rings.
 
-Elements are coefficient vectors mod 2^m indexed by group elements.  Ideals
-are kept in a canonical basis: reduced row echelon over GF(2) when m = 1
-and Howell normal form over Z_{2^m} otherwise.  Both pack a row into one
-Python int, so row operations are word-parallel, and both find the pivots
+Elements are plain coefficient tuples mod 2^m indexed by group elements,
+the one element form: closures take them, residue rings read and write
+them, and ``convolve`` multiplies two.  Ideals are kept in a canonical
+basis: reduced row echelon over GF(2) when m = 1 and Howell normal form
+over Z_{2^m} otherwise.  Both pack a row into one Python int, so row
+operations are word-parallel, and both find the pivots
 a vector hits with one AND against a mask, so reducing a vector costs one
 row operation per pivot it hits.  A GF(2) row has one bit per group
 element.  A Howell row has a 2m-bit field per group element with the
@@ -71,7 +73,6 @@ from .errors import (
     Fuchs2Error,
     ImproperIdealError,
     InternalInvariantError,
-    NotAUnitError,
     RingMismatchError,
     SizeCapError,
     UnclosedIdealError,
@@ -95,117 +96,8 @@ def _check_m(m):
         raise Fuchs2Error(f"characteristic exponent m={m} outside [1, {M_CAP}]")
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """An element of Z_{2^m}[G] as a dense coefficient tuple."""
-
-    group: CayleyGroup
-    m: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_m(self.m)
-        if len(self.coeffs) != self.group.n:
-            raise RingMismatchError("coefficient vector has wrong length")
-        mod = 1 << self.m
-        if any(not 0 <= c < mod for c in self.coeffs):
-            raise RingMismatchError("coefficient out of range")
-
-    @staticmethod
-    def zero(group, m):
-        return RingElement(group, m, (0,) * group.n)
-
-    @staticmethod
-    def one(group, m):
-        return RingElement(group, m, (1,) + (0,) * (group.n - 1))
-
-    @staticmethod
-    def from_support(group, m, support, coeff=1):
-        coeffs = [0] * group.n
-        for g in support:
-            coeffs[g] = (coeffs[g] + coeff) % (1 << m)
-        return RingElement(group, m, tuple(coeffs))
-
-    @staticmethod
-    def group_element(group, m, g):
-        coeffs = [0] * group.n
-        coeffs[g] = 1
-        return RingElement(group, m, tuple(coeffs))
-
-    def _match(self, other):
-        if self.group is not other.group or self.m != other.m:
-            raise RingMismatchError("operands from different group rings")
-
-    def __add__(self, other):
-        self._match(other)
-        mod = 1 << self.m
-        return RingElement(self.group, self.m, tuple(
-            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._match(other)
-        mod = 1 << self.m
-        return RingElement(self.group, self.m, tuple(
-            (a - b) % mod for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        mod = 1 << self.m
-        return RingElement(self.group, self.m,
-                           tuple((-a) % mod for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._match(other)
-        return RingElement(self.group, self.m,
-                           convolve(self.group, self.m,
-                                    self.coeffs, other.coeffs))
-
-    def support(self):
-        return tuple(g for g, c in enumerate(self.coeffs) if c)
-
-    def augmentation(self):
-        return sum(self.coeffs) % (1 << self.m)
-
-    def is_unit(self):
-        return self.augmentation() % 2 == 1
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def inverse(self):
-        """Invert via the leading-unit decomposition x = u(1 + nil).
-
-        u is the first odd-coefficient term (a unit scalar times a group
-        element); 1 + nil is inverted by the finite geometric series, which
-        terminates because the even-sum ideal is nilpotent.  The result is
-        verified by multiplication on both sides.
-        """
-        if not self.is_unit():
-            raise NotAUnitError("element has even coefficient sum")
-        mod = 1 << self.m
-        g = next(i for i, c in enumerate(self.coeffs) if c % 2)
-        cinv = pow(self.coeffs[g], -1, mod)
-        u_inv = RingElement.from_support(
-            self.group, self.m, (self.group.inv[g],), cinv)
-        y = u_inv * self
-        one = RingElement.one(self.group, self.m)
-        nil = y - one
-        acc = one
-        term = one
-        bound = self.m * self.group.n + 2
-        for _ in range(bound):
-            term = term * (-nil)
-            if term.is_zero():
-                break
-            acc = acc + term
-        else:
-            raise InternalInvariantError("geometric series did not terminate")
-        inv = acc * u_inv
-        if (inv * self != one) or (self * inv != one):
-            raise InternalInvariantError("computed inverse failed to verify")
-        return inv
-
-
 def convolve(group, m, a, b):
+    """The product a*b in Z_{2^m}[G] of two coefficient vectors."""
     mod = 1 << m
     out = [0] * group.n
     mul = group.mul
@@ -706,16 +598,16 @@ class IdealBasis:
         one = (1,) + (0,) * (self.group.n - 1)
         return self.contains(one)
 
-    def generates(self, coeffs):
-        """True when the element ``coeffs`` generates this ideal, a closure
-        of one generator outside 2R: exactly when it lies in the ideal and
-        the generator functional (``ideal_closure``) is 1 there.  The cheap
-        GF(2) tests come first."""
+    def generates(self, coeffs, bar):
+        """True when the element ``coeffs``, whose image mod 2 packs to
+        ``bar`` (``_Gf2Basis.pack``), generates this ideal, a closure of one
+        generator outside 2R: exactly when it lies in the ideal and the
+        generator functional (``ideal_closure``) is 1 there.  The cheap
+        GF(2) tests come first, on ``bar`` alone."""
         if self.principal is None:
             raise Fuchs2Error("no generator functional: not the closure of "
                               "one generator outside 2R")
         mod2, functional = self.principal
-        bar = _Gf2Basis.pack(coeffs)
         if not (functional & bar).bit_count() & 1 or not mod2.contains(bar):
             return False
         return self.m == 1 or self._impl.contains(self._impl.pack(coeffs))
@@ -784,8 +676,12 @@ def _take_functional(impl, n):
     return functional
 
 
-def ideal_closure(gens) -> IdealBasis:
-    """Smallest two-sided ideal containing ``gens``, in canonical form.
+def ideal_closure(group, m, gens) -> IdealBasis:
+    """Smallest two-sided ideal of Z_{2^m}[G] containing ``gens``, each a
+    coefficient sequence indexed by the elements of ``group``, in canonical
+    form.  Raises RingMismatchError for a generator of the wrong length or
+    with a coefficient outside [0, 2^m), and Fuchs2Error for m outside
+    [1, M_CAP] or no generator.
 
     The left ideal generated by x is spanned by its n left translates g*x,
     each read off the row mul[g] on the support of x.  Right translations
@@ -813,13 +709,16 @@ def ideal_closure(gens) -> IdealBasis:
     never a pivot: x mod 2 would then lie in the J of its own ideal, which
     Nakayama's lemma allows only for 0.
     """
+    _check_m(m)
     if not gens:
         raise Fuchs2Error("ideal_closure needs at least one generator")
-    group, m = gens[0].group, gens[0].m
+    n, mod = group.n, 1 << m
     for x in gens:
-        gens[0]._match(x)
-    n = group.n
-    items = [[(h, c) for h, c in enumerate(x.coeffs) if c] for x in gens]
+        if len(x) != n:
+            raise RingMismatchError("coefficient vector has wrong length")
+        if not all(0 <= c < mod for c in x):
+            raise RingMismatchError("coefficient out of range")
+    items = [[(h, c) for h, c in enumerate(x) if c] for x in gens]
     extra = 1 << n if len(gens) == 1 and any(c & 1 for _, c in items[0]) \
         else 0
     impl = _make_impl(group, m, [])
@@ -892,17 +791,17 @@ def augmentation_powers(group):
     return powers
 
 
-def leading_form(powers, coeffs):
-    """The D-adic leading form (v, x' mod D^(v+1)) of the image x' != 0 of
-    ``coeffs`` in F_2[G], for the ``augmentation_powers`` of G: v is the
-    largest k with x' in D^k and the class is the reduced representative.
+def leading_form(powers, bar):
+    """The D-adic leading form (v, x' mod D^(v+1)) of an image x' != 0 in
+    F_2[G], packed to ``bar`` (``_Gf2Basis.pack``), for the
+    ``augmentation_powers`` of G: v is the largest k with x' in D^k and the
+    class is the reduced representative.
     Two generators of one two-sided ideal have one leading form: if x' is
     in D^v, every g x' h is x' mod D^(v+1), so a generator of the ideal of
     x' is x' mod D^(v+1) or lies in D^(v+1), and the latter would put x'
     there too."""
-    v = _Gf2Basis.pack(coeffs)
     for k in range(1, len(powers)):
-        rest = powers[k].reduce(v)
+        rest = powers[k].reduce(bar)
         if rest:
             return k - 1, rest
     raise Fuchs2Error("an element of 2R has no leading form")
@@ -1186,8 +1085,7 @@ def cyclic_quotient_order(N: int, k: int) -> int:
     coeffs = [0] * G.n
     for e in (0, 1, 2, k):
         coeffs[e % G.n] ^= 1
-    gen = RingElement(G, 1, tuple(coeffs))
-    q = quotient_ring(ideal_closure([gen]))
+    q = quotient_ring(ideal_closure(G, 1, [coeffs]))
     t = q.element_index[1]
     order = 1
     r = t
@@ -1206,10 +1104,8 @@ def scalar_unit_identity_check(m: int) -> bool:
     if not 2 <= m <= M_CAP:
         raise Fuchs2Error(f"m={m} outside [2, {M_CAP}]")
     G = catalog_group("C", 1 << m)
-    coeffs = [0] * G.n
-    coeffs[0] = 1
-    coeffs[1] = 2
-    x = RingElement(G, m, tuple(coeffs))
+    one = (1,) + (0,) * (G.n - 1)
+    x = (1, 2) + one[2:]
     for _ in range(m - 1):
-        x = x * x
-    return x == RingElement.one(G, m)
+        x = convolve(G, m, x, x)
+    return x == one

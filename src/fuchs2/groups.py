@@ -723,6 +723,7 @@ CATALOG_NAMED = {
 }
 
 
+@functools.cache
 def catalog_presentation(kind, order=None):
     """Presentation for a named catalog group.
 
@@ -730,7 +731,8 @@ def catalog_presentation(kind, order=None):
     Q8 names its generators i, j) and QD{2^n} (quasidihedral), each for the
     orders of its CATALOG_FAMILIES entry, plus the CATALOG_NAMED groups.
     Each presentation is written once, in the presentation-file grammar,
-    and parsed by ``parse_presentation_text``.
+    and parsed by ``parse_presentation_text`` once per (kind, order): the
+    ``Presentation`` is frozen, so every build shares it.
     """
     if kind in CATALOG_NAMED:
         text = CATALOG_NAMED[kind]

@@ -3,10 +3,11 @@
 The search walks small even-support generator tuples in Z_{2^m}[G] in a
 fixed deterministic order (by generator count, then lexicographically over
 a pool of single generators), depth first over the ideal lattice.  The
-pool is a list of (scalar exponent, support) pairs, and ring elements are
-built only for the tuples yielded and the supports tested.  Pool supports
-fall into orbits under the translations by the inverses of their
-elements, and each distinct principal ideal of scalar 1 is closed once:
+pool is a list of (scalar exponent, support) pairs; an element's dense
+coefficient tuple is built only for the tuples yielded and the orbit
+representatives tested.  Pool supports fall into orbits under the
+translations by the inverses of their elements, and each distinct
+principal ideal of scalar 1 is closed once:
 an orbit's representative is first tested against the ideals closed
 from generators of its leading form in the filtration of F_2[G] by the
 powers of the augmentation ideal, and takes the one it generates
@@ -51,7 +52,7 @@ from .errors import (
     SizeCapError,
     UndecidedError,
 )
-from .gring import M_CAP, IdealBasis, RingElement, _check_m, _sides, \
+from .gring import M_CAP, IdealBasis, _check_m, _sides, \
     augmentation_powers, ideal_closure, ideal_sum, leading_form, \
     quotient_ring, residue_count, unit_group, unit_isomorphism, \
     verify_two_sided
@@ -98,9 +99,14 @@ def _pool(G: CayleyGroup, config: SearchConfig):
             for e in range(config.m)]
 
 
-def _element(G: CayleyGroup, m, entry):
+def _element(G: CayleyGroup, entry):
+    """The coefficient tuple of the pool entry (e, support): 2^e on each
+    element of the support, 0 elsewhere."""
     e, support = entry
-    return RingElement.from_support(G, m, support, 1 << e)
+    coeffs = [0] * G.n
+    for g in support:
+        coeffs[g] = 1 << e
+    return tuple(coeffs)
 
 
 def _principal_closures(G: CayleyGroup, m, pool):
@@ -123,12 +129,13 @@ def _principal_closures(G: CayleyGroup, m, pool):
     once per call), and each closed ideal goes in the bucket of its
     generator's form; x is first tested against the ideals in its bucket,
     and takes the one it generates (``IdealBasis.generates``, exact by
-    Nakayama's lemma).  x lies in the even-sum maximal ideal, so its
-    closure is proper.  Scalars are central, so the ideal generated by
-    2^e*y is 2^e times the one generated by y, the entry of scalar 1 on
-    the same support (``IdealBasis.scaled``); each ideal of scalar 1 is
-    scaled once per exponent, and equal scaled ideals are one interned
-    basis."""
+    Nakayama's lemma).  x mod 2 is packed once, straight from the support,
+    for its leading form and every test.  x lies in the even-sum maximal
+    ideal, so its closure is proper.  Scalars are central, so the ideal
+    generated by 2^e*y is 2^e times the one generated by y, the entry of
+    scalar 1 on the same support (``IdealBasis.scaled``); each ideal of
+    scalar 1 is scaled once per exponent, and equal scaled ideals are one
+    interned basis."""
     orbit_of = {}  # support -> orbit number
     reps = []  # orbit number -> the support it was first reached from
     closures = {}  # orbit number -> its ideal of scalar 1
@@ -163,13 +170,13 @@ def _principal_closures(G: CayleyGroup, m, pool):
 
     def closed(k):
         if k not in closures:
-            x = [0] * G.n
-            for g in reps[k]:
-                x[g] = 1
-            bucket = buckets.setdefault(leading_form(powers, x), [])
-            closures[k] = next((b for b in bucket if b.generates(x)), None)
+            x = _element(G, (0, reps[k]))
+            bar = sum(1 << g for g in reps[k])  # x mod 2, packed
+            bucket = buckets.setdefault(leading_form(powers, bar), [])
+            closures[k] = next((b for b in bucket if b.generates(x, bar)),
+                               None)
             if closures[k] is None:
-                closures[k] = ideal_closure([RingElement(G, m, tuple(x))])
+                closures[k] = ideal_closure(G, m, [x])
                 bucket.append(closures[k])
         return closures[k]
 
@@ -187,7 +194,8 @@ def _principal_closures(G: CayleyGroup, m, pool):
 
 
 def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
-    """Yield (index, generators, closed basis) for each distinct ideal.
+    """Yield (index, generators, closed basis) for each distinct ideal,
+    each generator a coefficient tuple (``_element``).
 
     The raw stream is every generator tuple, by generator count and then
     lexicographically over the single-element pool; `index` is a tuple's
@@ -230,7 +238,7 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
             raise Fuchs2Error(f"support size {size} exceeds |G| = {G.n}")
     pool = _pool(G, config)
     closure = _principal_closures(G, config.m, pool)
-    element = functools.cache(lambda j: _element(G, config.m, pool[j]))
+    element = functools.cache(lambda j: _element(G, pool[j]))
     limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
     # prefix span -> {principal closure -> [prefix + it, its key or None],
     # or None when its key is remembered and no later count extends it:
@@ -550,9 +558,8 @@ def run_fixture(name, ambient_spec, m, literals, expected_spec, witness):
     it.  The spec -> group route of ``verify_certificate`` is exercised by
     the test suite and by ``fuchs2 verify`` on each fixture certificate."""
     ambient = build_group(ambient_spec)
-    gens = [RingElement(ambient, m, parse_element_literal(lit, ambient, m))
-            for lit in literals]
-    basis = ideal_closure(gens)
+    basis = ideal_closure(ambient, m, [
+        parse_element_literal(lit, ambient, m) for lit in literals])
     ring = quotient_ring(basis)
     expected = (ambient if expected_spec == ambient_spec
                 else build_group(expected_spec))

@@ -290,7 +290,7 @@ def two_sided_brute(G, m, rows):
     return all(ref.contains(t) for t in translates)
 
 
-def ideal_closure_worklist(gens):
+def ideal_closure_worklist(group, m, gens):
     """Two-sided closure by a worklist over both sides: every vector that
     grows the span is translated on the left and, for a non-central
     generator, on the right by each minimal generator.  The closure route
@@ -299,10 +299,9 @@ def ideal_closure_worklist(gens):
     from fuchs2.errors import ImproperIdealError
     from fuchs2.gring import IdealBasis, _make_impl, _translations
 
-    group, m = gens[0].group, gens[0].m
     perms = _translations(group)
     impl = _make_impl(group, m, [])
-    work = [v for v in (impl.pack(x.coeffs) for x in gens) if impl.insert(v)]
+    work = [v for v in map(impl.pack, gens) if impl.insert(v)]
     while work:
         v = work.pop()
         for perm in perms:
@@ -530,25 +529,12 @@ def translations_affine_brute(mul, encode):
     return True
 
 
-def brute_find_inverse(G, m, coeffs):
-    """Scan the whole ring for a two-sided inverse (tiny rings only)."""
-    mod = 1 << m
-    for cand in itertools.product(range(mod), repeat=G.n):
-        if naive_convolve(G, m, coeffs, cand) == \
-                (1,) + (0,) * (G.n - 1) and \
-                naive_convolve(G, m, cand, coeffs) == \
-                (1,) + (0,) * (G.n - 1):
-            return cand
-    return None
-
-
 def single_elements(G, config):
-    """The search's pool as ring elements, in pool order: the entry
+    """The search's pool as coefficient tuples, in pool order: the entry
     (e, support) is 2^e times the sum of the support."""
-    from fuchs2.gring import RingElement
     from fuchs2.search import _pool
 
-    return [RingElement.from_support(G, config.m, support, 1 << e)
+    return [tuple(1 << e if g in support else 0 for g in range(G.n))
             for e, support in _pool(G, config)]
 
 
@@ -575,7 +561,7 @@ def candidate_stream_oracle(G, config):
         if index >= config.budget:
             return
         try:
-            basis = ideal_closure(list(gens))
+            basis = ideal_closure(G, config.m, list(gens))
         except ImproperIdealError:
             continue
         key = tuple(map(tuple, basis.rows))
@@ -733,14 +719,13 @@ def fixture_witness_by_unit_table(ambient_spec, m, literals, expected_spec):
     expected group onto it (``groups.isomorphism``) and render the residue
     image of each expected generator in the ambient group; None when there
     is no isomorphism."""
-    from fuchs2.gring import RingElement, ideal_closure, quotient_ring, \
-        unit_group
+    from fuchs2.gring import ideal_closure, quotient_ring, unit_group
     from fuchs2.groups import isomorphism
     from fuchs2.parsing import element_literal, parse_element_literal
 
     ambient = build_group(ambient_spec)
-    basis = ideal_closure([RingElement(ambient, m, parse_element_literal(
-        lit, ambient, m)) for lit in literals])
+    basis = ideal_closure(ambient, m, [
+        parse_element_literal(lit, ambient, m) for lit in literals])
     ring = quotient_ring(basis)
     units = unit_group(ring)
     expected = build_group(expected_spec)

@@ -8,9 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuchs2.errors import (
+    Fuchs2Error,
     ImproperIdealError,
     InternalInvariantError,
-    NotAUnitError,
     RingMismatchError,
     SizeCapError,
     UnclosedIdealError,
@@ -19,7 +19,7 @@ from fuchs2.gring import (
     M_CAP,
     UNIT_TABLE_CAP,
     IdealBasis,
-    RingElement,
+    convolve,
     cyclic_quotient_order,
     full_group_ring,
     ideal_closure,
@@ -39,27 +39,38 @@ import oracles
 
 
 def elem(spec, text, m=1):
+    """The element ``text`` of Z_{2^m}[spec], with its group."""
     G = build_group(spec)
-    return RingElement(G, m, parse_element_literal(text, G, m))
+    return G, parse_element_literal(text, G, m)
+
+
+def close(spec, *literals, m=1):
+    """The ideal_closure of the elements ``literals`` of Z_{2^m}[spec]."""
+    G = build_group(spec)
+    return ideal_closure(G, m, [parse_element_literal(t, G, m)
+                                for t in literals])
+
+
+def _add(m, a, b):
+    return tuple((x + y) % (1 << m) for x, y in zip(a, b))
 
 
 # -- element arithmetic -------------------------------------------------------
 
 def test_one_is_identity():
-    x = elem("C4", "1+a+a^3")
-    one = RingElement.one(x.group, 1)
-    assert one * x == x == x * one
+    G, x = elem("C4", "1+a+a^3")
+    one = (1, 0, 0, 0)
+    assert convolve(G, 1, one, x) == x == convolve(G, 1, x, one)
 
 
 def test_char2_square():
-    x = elem("C4", "1+a")
-    expected = parse_element_literal("1+a^2", x.group, 1)
-    assert (x * x).coeffs == expected
+    G, x = elem("C4", "1+a")
+    assert convolve(G, 1, x, x) == parse_element_literal("1+a^2", G, 1)
 
 
 def test_z4_q8_nilpotent_square():
-    x = elem("Q8", "2*i+2", m=2)
-    assert (x * x).is_zero()
+    G, x = elem("Q8", "2*i+2", m=2)
+    assert not any(convolve(G, 2, x, x))
 
 
 def test_multiply_against_naive_oracle():
@@ -70,38 +81,23 @@ def test_multiply_against_naive_oracle():
         for _ in range(12):
             a = tuple(random.randrange(mod) for _ in range(G.n))
             b = tuple(random.randrange(mod) for _ in range(G.n))
-            fast = (RingElement(G, m, a) * RingElement(G, m, b)).coeffs
-            assert fast == oracles.naive_convolve(G, m, a, b)
+            assert convolve(G, m, a, b) == \
+                oracles.naive_convolve(G, m, a, b)
 
 
 def test_multiply_distributive_associative():
     random.seed(5)
     G = build_group("D8")
     m = 2
-    mk = lambda: RingElement(
-        G, m, tuple(random.randrange(4) for _ in range(G.n)))
+    mk = lambda: tuple(random.randrange(4) for _ in range(G.n))
+    mul = lambda a, b: convolve(G, m, a, b)
     for _ in range(10):
         x, y, z = mk(), mk(), mk()
-        assert x * (y + z) == x * y + x * z
-        assert (x * y) * z == x * (y * z)
-
-
-def test_mismatched_rings_rejected():
-    with pytest.raises(RingMismatchError):
-        elem("C4", "1+a") * elem("C8", "1+a")
-    with pytest.raises(RingMismatchError):
-        x = elem("C4", "1+a", m=1)
-        y = RingElement(x.group, 2, x.coeffs)
-        x * y
+        assert mul(x, _add(m, y, z)) == _add(m, mul(x, y), mul(x, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
 
 # -- augmentation and units ---------------------------------------------------
-
-def test_augmentation_values():
-    assert elem("C8", "1+a+a^4+a^5").augmentation() == 0
-    assert elem("C8", "1").augmentation() == 1
-    assert elem("Q8", "2*i+2", m=2).augmentation() == 0
-
 
 def test_augmentation_is_ring_hom():
     random.seed(3)
@@ -109,34 +105,10 @@ def test_augmentation_is_ring_hom():
     for m in (1, 2):
         mod = 1 << m
         for _ in range(10):
-            a = RingElement(G, m, tuple(random.randrange(mod)
-                                        for _ in range(G.n)))
-            b = RingElement(G, m, tuple(random.randrange(mod)
-                                        for _ in range(G.n)))
-            assert (a + b).augmentation() == \
-                (a.augmentation() + b.augmentation()) % mod
-            assert (a * b).augmentation() == \
-                (a.augmentation() * b.augmentation()) % mod
-
-
-def test_unit_criterion_and_inverse():
-    x = elem("C4", "1+a")
-    assert not x.is_unit()
-    with pytest.raises(NotAUnitError):
-        x.inverse()
-    y = elem("C4", "1+a+a^2")
-    assert y.is_unit()
-    inv = y.inverse()
-    assert inv.coeffs == oracles.brute_find_inverse(y.group, 1, y.coeffs)
-
-
-def test_group_elements_are_units():
-    G = build_group("Q8")
-    for m in (1, 2):
-        for g in range(G.n):
-            x = RingElement.group_element(G, m, g)
-            assert x.is_unit()
-            assert x.inverse() == RingElement.group_element(G, m, G.inv[g])
+            a = tuple(random.randrange(mod) for _ in range(G.n))
+            b = tuple(random.randrange(mod) for _ in range(G.n))
+            assert sum(convolve(G, m, a, b)) % mod == \
+                sum(a) * sum(b) % mod
 
 
 @pytest.mark.parametrize("spec,m", [("C2", 1), ("C2", 2), ("C4", 1),
@@ -146,7 +118,7 @@ def test_units_equal_odd_augmentation_small(spec, m):
     G = build_group(spec)
     mod = 1 << m
     for coeffs in itertools.product(range(mod), repeat=G.n):
-        ours = RingElement(G, m, coeffs).is_unit()
+        ours = sum(coeffs) % 2 == 1
         theirs = oracles.is_unit_by_linear_algebra(G, m, coeffs)
         assert ours == theirs, coeffs
 
@@ -458,14 +430,13 @@ def test_packed_howell_matches_reference(case):
 # -- ideal closure ------------------------------------------------------------
 
 def test_zero_ideal():
-    G = build_group("C4")
-    basis = ideal_closure([RingElement.zero(G, 1)])
+    basis = close("C4", "0")
     assert basis.rank() == 0
     assert basis.closed
 
 
 def test_c8_fixture_closure_dimension():
-    basis = ideal_closure([elem("C8", "1+a+a^4+a^5")])
+    basis = close("C8", "1+a+a^4+a^5")
     assert basis.span_size() == 8  # additive subgroup of size 2^3
     assert basis.closed
     assert verify_two_sided(basis)
@@ -479,18 +450,16 @@ def test_closure_matches_brute_force():
         ("D8", 1, ["1+a+b+a*b"]),
     ]:
         G = build_group(spec)
-        gens = [RingElement(G, m, parse_element_literal(t, G, m))
-                for t in lits]
-        basis = ideal_closure(gens)
-        brute = oracles.brute_two_sided_ideal(G, m, [g.coeffs for g in gens])
+        gens = [parse_element_literal(t, G, m) for t in lits]
+        basis = ideal_closure(G, m, gens)
+        brute = oracles.brute_two_sided_ideal(G, m, gens)
         assert basis.span_size() == len(brute)
         assert all(basis.contains(v) for v in brute)
 
 
 def test_closure_idempotent():
-    basis = ideal_closure([elem("C8", "1+a+a^4+a^5")])
-    again = ideal_closure([RingElement(basis.group, 1, tuple(r))
-                           for r in basis.rows])
+    basis = close("C8", "1+a+a^4+a^5")
+    again = ideal_closure(basis.group, 1, basis.rows)
     assert [tuple(r) for r in again.rows] == [tuple(r) for r in basis.rows]
 
 
@@ -505,7 +474,7 @@ def small_closures(draw):
                                min_size=G.n, max_size=G.n))
         if sum(coeffs) % 2:
             coeffs[draw(st.integers(0, G.n - 1))] ^= 1
-        gens.append(RingElement(G, m, tuple(coeffs)))
+        gens.append(tuple(coeffs))
     return G, m, gens
 
 
@@ -513,27 +482,49 @@ def small_closures(draw):
 @given(case=small_closures())
 def test_closure_against_brute_ideal(case):
     G, m, gens = case
-    basis = ideal_closure(gens)
-    brute = oracles.brute_two_sided_ideal(G, m, [x.coeffs for x in gens])
+    basis = ideal_closure(G, m, gens)
+    brute = oracles.brute_two_sided_ideal(G, m, gens)
     assert basis.span_size() == len(brute)
     assert all(basis.contains(v) for v in brute)
-    again = ideal_closure([RingElement(G, m, tuple(r)) for r in basis.rows]
-                          or [RingElement.zero(G, m)])
+    again = ideal_closure(G, m, basis.rows or [(0,) * G.n])
     assert again.rows == basis.rows
 
 
 def test_improper_ideal_rejected():
     with pytest.raises(ImproperIdealError):
-        ideal_closure([elem("C4", "1")])
+        close("C4", "1")
     with pytest.raises(ImproperIdealError):
-        ideal_closure([elem("C4", "a^2")])  # unit generator
+        close("C4", "a^2")  # unit generator
+
+
+@pytest.mark.parametrize("m, gen, error, match", [
+    (1, (1, 1, 0), RingMismatchError, "wrong length"),
+    (2, (1, 1, 0, 0, 0), RingMismatchError, "wrong length"),
+    (1, (1, 2, 1, 0), RingMismatchError, "out of range"),
+    (1, (1, -1, 0, 0), RingMismatchError, "out of range"),
+    (2, (1, 4, 1, 0), RingMismatchError, "out of range"),
+    (2, (3, -1, 0, 0), RingMismatchError, "out of range"),
+    (0, (1, 1, 0, 0), Fuchs2Error, "m=0 outside"),
+    (M_CAP + 1, (1, 1, 0, 0), Fuchs2Error, f"m={M_CAP + 1} outside"),
+], ids=["short", "long", "2-at-m1", "negative-at-m1", "4-at-m2",
+        "negative-at-m2", "m0", "above-M_CAP"])
+def test_ideal_closure_checks_its_generators(m, gen, error, match):
+    # a generator of Z_{2^m}[C4] has 4 coefficients in [0, 2^m), and m
+    # lies in [1, M_CAP]
+    with pytest.raises(Fuchs2Error, match=match) as info:
+        ideal_closure(build_group("C4"), m, [(1, 1, 0, 0), gen])
+    assert info.type is error
+
+
+def test_ideal_closure_needs_a_generator():
+    with pytest.raises(Fuchs2Error, match="at least one generator") as info:
+        ideal_closure(build_group("C4"), 1, [])
+    assert info.type is Fuchs2Error
 
 
 def test_z4_q8_fixture_quotient_16():
-    G = build_group("Q8")
-    lits = ["2*i+2", "2*j+2", "1+i+i^2+i^3", "1+i+j+i*j", "i*j+j*i"]
-    gens = [RingElement(G, 2, parse_element_literal(t, G, 2)) for t in lits]
-    basis = ideal_closure(gens)
+    basis = close("Q8", "2*i+2", "2*j+2", "1+i+i^2+i^3", "1+i+j+i*j",
+                  "i*j+j*i", m=2)
     ring = quotient_ring(basis)
     assert ring.size == 16
 
@@ -541,10 +532,8 @@ def test_z4_q8_fixture_quotient_16():
 def test_z4_q8_published_generators_alone_give_double_cover():
     # the four published generators close to index 32, whose unit group is
     # Q8 x C2; the i*j+j*i symmetrizer is required to reach Q8 itself
-    G = build_group("Q8")
-    lits = ["2*i+2", "2*j+2", "1+i+i^2+i^3", "1+i+j+i*j"]
-    gens = [RingElement(G, 2, parse_element_literal(t, G, 2)) for t in lits]
-    ring = quotient_ring(ideal_closure(gens))
+    ring = quotient_ring(close("Q8", "2*i+2", "2*j+2", "1+i+i^2+i^3",
+                               "1+i+j+i*j", m=2))
     assert ring.size == 32
     units = unit_group(ring)
     other = build_group("Q8xC2")
@@ -560,7 +549,7 @@ def test_zero_ideal_quotient_is_ambient():
 
 
 def test_c8_quotient_32():
-    basis = ideal_closure([elem("C8", "1+a+a^4+a^5")])
+    basis = close("C8", "1+a+a^4+a^5")
     ring = quotient_ring(basis)
     assert ring.size == 32
 
@@ -568,7 +557,7 @@ def test_c8_quotient_32():
 def test_quotient_multiplication_well_defined():
     random.seed(41)
     G = build_group("C8")
-    basis = ideal_closure([elem("C8", "1+a+a^4+a^5")])
+    basis = close("C8", "1+a+a^4+a^5")
     ring = quotient_ring(basis)
     rows = [tuple(r) for r in basis.rows]
     for _ in range(20):
@@ -594,10 +583,8 @@ def test_unclosed_basis_rejected():
 
 def test_quotient_ring_axioms_on_representatives():
     random.seed(43)
-    G = build_group("Q8")
-    lits = ["2*i+2", "2*j+2", "1+i+i^2+i^3", "1+i+j+i*j", "i*j+j*i"]
-    gens = [RingElement(G, 2, parse_element_literal(t, G, 2)) for t in lits]
-    ring = quotient_ring(ideal_closure(gens))
+    ring = quotient_ring(close("Q8", "2*i+2", "2*j+2", "1+i+i^2+i^3",
+                               "1+i+j+i*j", "i*j+j*i", m=2))
     size = ring.size
     for _ in range(60):
         i, j, k = (random.randrange(size) for _ in range(3))
@@ -633,33 +620,32 @@ def closure_inputs(draw):
                 coeffs[g] = draw(coeff)
         if proper and sum(coeffs) % 2:
             coeffs[draw(st.integers(0, G.n - 1))] ^= 1
-        gens.append(RingElement(G, m, tuple(coeffs)))
-    return gens
+        gens.append(tuple(coeffs))
+    return G, m, gens
 
 
 def _elements(spec, m, *literals):
     G = build_group(spec)
-    return [RingElement(G, m, parse_element_literal(t, G, m))
-            for t in literals]
+    return G, m, [parse_element_literal(t, G, m) for t in literals]
 
 
-def _closure_key(close, gens):
+def _closure_key(close, case):
     try:
-        return close(gens).key()
+        return close(*case).key()
     except ImproperIdealError:
         return None
 
 
 @settings(max_examples=80, deadline=None)
-@given(gens=closure_inputs())
-@example(gens=[elem("D8", "1+a+b+a*b")])
-@example(gens=_elements("D8xC2", 2, "1+a+b+a*b+a^2+a2",
+@given(case=closure_inputs())
+@example(case=_elements("D8", 1, "1+a+b+a*b"))
+@example(case=_elements("D8xC2", 2, "1+a+b+a*b+a^2+a2",
                         "2*a+2*b*a2+2*a^3*b+2*a^2*a2+2*b+1+a"))
-def test_closure_matches_the_worklist_closure(gens):
+def test_closure_matches_the_worklist_closure(case):
     # spanning the left translates and closing them on the right by the
     # non-central generators gives the ideal the two-sided worklist gives
-    assert _closure_key(ideal_closure, gens) == \
-        _closure_key(oracles.ideal_closure_worklist, gens)
+    assert _closure_key(ideal_closure, case) == \
+        _closure_key(oracles.ideal_closure_worklist, case)
 
 
 @pytest.mark.parametrize("spec", ["D8", "Q8", "D8xC2"])
@@ -673,12 +659,10 @@ def test_involution_of_a_closure_is_the_closure_of_x_star(spec, m):
         coeffs = [0] * G.n
         for g in support:
             coeffs[g] = rng.randrange(1, 1 << m, 2)
-        x = RingElement(G, m, tuple(coeffs))
-        x_star = RingElement(G, m, tuple(coeffs[G.inv[g]]
-                                         for g in range(G.n)))
-        ideal = ideal_closure([x])
+        x_star = [coeffs[G.inv[g]] for g in range(G.n)]
+        ideal = ideal_closure(G, m, [coeffs])
         star = oracles.ideal_involution(ideal)
-        assert star.key() == ideal_closure([x_star]).key()
+        assert star.key() == ideal_closure(G, m, [x_star]).key()
         assert oracles.ideal_involution(star).key() == ideal.key()
         moved += star.key() != ideal.key()
     assert moved  # I* differs from I for some x: the rows were moved
@@ -698,9 +682,9 @@ def random_quotients(draw):
         coeffs = [0] * G.n
         for g in support:
             coeffs[g] = draw(st.integers(0, (1 << (m - 1)) - 1)) * 2 + 1
-        gens.append(RingElement(G, m, tuple(coeffs)))
+        gens.append(coeffs)
     try:
-        return quotient_ring(ideal_closure(gens))
+        return quotient_ring(ideal_closure(G, m, gens))
     except SizeCapError:
         assume(False)
 
@@ -910,19 +894,19 @@ def ideal_pairs(draw):
         coeffs = [0] * G.n
         for g in support:
             coeffs[g] = draw(st.integers(0, (1 << (m - 1)) - 1)) * 2 + 1
-        return RingElement(G, m, tuple(coeffs))
+        return tuple(coeffs)
 
-    return ([element() for _ in range(draw(st.integers(1, 3)))],
+    return (G, m, [element() for _ in range(draw(st.integers(1, 3)))],
             [element() for _ in range(draw(st.integers(1, 3)))])
 
 
 @settings(max_examples=60, deadline=None)
 @given(pair=ideal_pairs())
 def test_ideal_sum_is_closure_of_union(pair):
-    a, b = pair
-    total = ideal_sum(ideal_closure(list(a)), ideal_closure(list(b)))
+    G, m, a, b = pair
+    total = ideal_sum(ideal_closure(G, m, a), ideal_closure(G, m, b))
     assert total.closed
-    assert total.rows == ideal_closure(a + b).rows
+    assert total.rows == ideal_closure(G, m, a + b).rows
     assert verify_two_sided(total)
 
 
@@ -930,12 +914,11 @@ def test_ideal_sum_is_closure_of_union(pair):
 @given(pair=ideal_pairs())
 def test_verify_two_sided_matches_brute_over_howell(pair):
     # a closed ideal, and the bare span of a few generators
-    a, b = pair
-    G, m = a[0].group, a[0].m
-    basis = ideal_closure(list(a))
+    G, m, a, b = pair
+    basis = ideal_closure(G, m, a)
     assert verify_two_sided(basis)
     assert oracles.two_sided_brute(G, m, basis.rows)
-    partial = IdealBasis.from_vectors(G, m, [x.coeffs for x in b])
+    partial = IdealBasis.from_vectors(G, m, b)
     assert verify_two_sided(partial) == \
         oracles.two_sided_brute(G, m, partial.rows)
 
@@ -973,8 +956,7 @@ def mixed_closures(draw):
             coeffs[draw(st.integers(0, G.n - 1))] ^= 1
         return tuple(coeffs)
 
-    gens = [RingElement(G, m, vector(True))
-            for _ in range(draw(st.integers(1, 3)))]
+    gens = [vector(True) for _ in range(draw(st.integers(1, 3)))]
     return G, m, gens, vector(draw(st.booleans()))
 
 
@@ -987,7 +969,7 @@ def test_deduplicated_translations_match_both_sided_route(case):
 
     def route():
         try:
-            basis = ideal_closure(gens)
+            basis = ideal_closure(G, m, gens)
         except ImproperIdealError:
             return None, None, None
         perturbed = IdealBasis.from_vectors(G, m, basis.rows + [extra])
@@ -1002,17 +984,17 @@ def test_deduplicated_translations_match_both_sided_route(case):
 
 
 def test_ideal_sum_unclosed_and_mismatched_inputs():
-    b = ideal_closure([elem("C4", "1+a^2")])
+    b = close("C4", "1+a^2")
     G = b.group
     a = IdealBasis.from_vectors(G, 1, [(1, 1, 0, 0)])
     total = ideal_sum(a, b)
     assert not total.closed
     assert total.span_size() == 8
-    other = ideal_closure([RingElement(G, 2, (2, 2, 0, 0))])
+    other = ideal_closure(G, 2, [(2, 2, 0, 0)])
     with pytest.raises(RingMismatchError):
         ideal_sum(b, other)
     with pytest.raises(RingMismatchError):
-        ideal_sum(b, ideal_closure([elem("C8", "1+a^4")]))
+        ideal_sum(b, close("C8", "1+a^4"))
 
 
 # -- unit groups --------------------------------------------------------------
@@ -1023,7 +1005,7 @@ def test_units_z2_c8_invariants():
 
 
 def test_units_of_c8_quotient():
-    basis = ideal_closure([elem("C8", "1+a+a^4+a^5")])
+    basis = close("C8", "1+a+a^4+a^5")
     units = unit_group(quotient_ring(basis))
     assert units.group.abelian_invariants() == (8, 2)
 
@@ -1036,10 +1018,7 @@ def test_units_trivial_field():
 
 def test_unit_count_is_half_of_ring():
     for spec, m, lits in [("C8", 1, ["1+a+a^4+a^5"]), ("C4", 1, ["1+a"])]:
-        G = build_group(spec)
-        gens = [RingElement(G, m, parse_element_literal(t, G, m))
-                for t in lits]
-        ring = quotient_ring(ideal_closure(gens))
+        ring = quotient_ring(close(spec, *lits, m=m))
         units = unit_group(ring)
         assert 2 * units.group.n == ring.size
 

@@ -179,6 +179,26 @@ def test_catalog_builds_every_stated_order():
         assert build_group(spec).n == order
 
 
+def test_catalog_presentation_parses_each_text_once(monkeypatch):
+    # the Presentation is frozen, so every build of a (kind, order) shares
+    # one parse of its text: Q8xQ8, then Q8 and Q8xC2 parse Q8's once
+    parsed = []
+    real = fuchs2.parsing.parse_presentation_text
+
+    def counted(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(fuchs2.parsing, "parse_presentation_text", counted)
+    catalog_presentation.cache_clear()
+    for spec in ("Q8xQ8", "Q8", "Q8xC2"):
+        build_group(spec)
+    assert [text.split("\n")[0] for text in parsed] == ["gens: i j",
+                                                         "gens: a"]
+    assert catalog_presentation("Q", 8) is catalog_presentation("Q", 8)
+    assert len(parsed) == 2
+
+
 def test_relator_that_does_not_close_is_an_invariant_error(monkeypatch):
     # the table of C8 does not satisfy a^4, and enumerate_presentation
     # traces every relator through the table it is given
@@ -368,15 +388,14 @@ def test_conjugacy_classes_against_brute(spec):
 def test_conjugacy_classes_of_a_group_without_generators():
     # the unit group of the C16 fixture's residue ring, C16xC4xC2xC2, is
     # built from a table alone
-    from fuchs2.gring import (RingElement, ideal_closure, quotient_ring,
-                              unit_group)
+    from fuchs2.gring import ideal_closure, quotient_ring, unit_group
     from fuchs2.parsing import parse_element_literal
     from fuchs2.search import FIXTURES
     _, spec, m, literals, _, _ = next(row for row in FIXTURES
                                       if row[0] == "C16_char2")
     ambient = build_group(spec)
-    basis = ideal_closure([RingElement(ambient, m, parse_element_literal(
-        lit, ambient, m)) for lit in literals])
+    basis = ideal_closure(ambient, m, [
+        parse_element_literal(lit, ambient, m) for lit in literals])
     U = unit_group(quotient_ring(basis)).group
     assert U.gen_indices == () and U.n == 256
     assert U.conjugacy_classes() == oracles.conjugacy_classes_brute(U)

@@ -46,7 +46,7 @@ import oracles
 def test_support2_candidates_c4():
     G = build_group("C4")
     cfg = SearchConfig(m=1, support_sizes=(2,), max_gens=1, budget=100)
-    seen = [(idx, [element_literal(g.coeffs, G) for g in gens])
+    seen = [(idx, [element_literal(g, G) for g in gens])
             for idx, gens, _ in enumerate_candidates(G, cfg)]
     # 1+a, 1+a^2, 1+a^3 are the raw stream; 1+a^3 closes to the same
     # ideal as 1+a and is deduplicated
@@ -58,7 +58,7 @@ def test_candidates_have_even_augmentation():
     cfg = SearchConfig(m=1, budget=200)
     for _, gens, _ in enumerate_candidates(G, cfg):
         for g in gens:
-            assert g.augmentation() % 2 == 0
+            assert sum(g) % 2 == 0
 
 
 def test_candidates_respect_budget():
@@ -70,7 +70,7 @@ def test_candidates_respect_budget():
 def test_scalar_candidates_in_char4():
     G = build_group("Q8")
     cfg = SearchConfig(m=2, support_sizes=(2,), max_gens=1, budget=50)
-    lits = [element_literal(gens[0].coeffs, G)
+    lits = [element_literal(gens[0], G)
             for _, gens, _ in enumerate_candidates(G, cfg)]
     assert "2+2*i" in lits  # the published generator shape
 
@@ -88,7 +88,7 @@ def _span_limit(G, config):
 
 def _with_enough_residues(G, config, stream):
     limit = _span_limit(G, config)
-    return [(index, [g.coeffs for g in gens], basis.rows)
+    return [(index, list(gens), basis.rows)
             for index, gens, basis in stream if basis.span_size() <= limit]
 
 
@@ -121,12 +121,11 @@ def test_walk_matches_closing_every_candidate(inputs):
     for index, gens, basis in walk:
         assert index < config.budget and gens == raw[index]
         assert basis.closed
-        assert basis.rows == ideal_closure(list(gens)).rows
+        assert basis.rows == ideal_closure(G, config.m, gens).rows
         # inside the even-sum maximal ideal, so proper
         assert all(sum(r) % 2 == 0 for r in basis.rows)
         if G.n <= 8 and basis.span_size() <= 256:
-            span = oracles.brute_two_sided_ideal(
-                G, config.m, [g.coeffs for g in gens])
+            span = oracles.brute_two_sided_ideal(G, config.m, gens)
             assert len(span) == basis.span_size()
             assert all(basis.contains(v) for v in span)
 
@@ -142,7 +141,7 @@ def _first_skipped_subtree(G, config):
     def size(prefix):
         if prefix not in span:
             span[prefix] = ideal_closure(
-                [pool[i] for i in prefix]).span_size()
+                G, config.m, [pool[i] for i in prefix]).span_size()
         return span[prefix]
 
     raw = (combo for ng in range(1, config.max_gens + 1)
@@ -184,9 +183,9 @@ def _count_closures(monkeypatch):
     calls = []
     real = fuchs2.search.ideal_closure
 
-    def counted(gens):
+    def counted(group, m, gens):
         calls.append(len(gens))
-        return real(gens)
+        return real(group, m, gens)
 
     monkeypatch.setattr(fuchs2.search, "ideal_closure", counted)
     return calls
@@ -201,7 +200,8 @@ def test_search_closes_each_pool_element_at_most_once(monkeypatch):
     assert cert is not None
     pool = oracles.single_elements(G, SearchConfig())
     assert len(pool) == 470
-    distinct = {oracles.ideal_closure_worklist([x]).key() for x in pool}
+    distinct = {oracles.ideal_closure_worklist(G, 1, [x]).key()
+                for x in pool}
     assert len(calls) == len(distinct) == 35
     assert set(calls) == {1}
 
@@ -215,7 +215,7 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
     distinct = {"D8": 9, "Q8": 12, "C4xC2": 13}[spec]
     G = build_group(spec)
     pool = _pool(G, SearchConfig(m=m))
-    keys = [oracles.ideal_closure_worklist([x]).key()
+    keys = [oracles.ideal_closure_worklist(G, m, [x]).key()
             for x in oracles.single_elements(G, SearchConfig(m=m))]
     calls = _count_closures(monkeypatch)
     closure = fuchs2.search._principal_closures(G, m, pool)
@@ -228,7 +228,7 @@ def test_principal_closures_share_each_two_sided_orbit(monkeypatch, spec, m):
 
 
 def _bar(x):
-    return sum(1 << g for g, c in enumerate(x.coeffs) if c & 1)
+    return sum(1 << g for g, c in enumerate(x) if c & 1)
 
 
 @pytest.mark.parametrize("spec", SMALL)
@@ -268,8 +268,7 @@ def test_leading_forms_against_the_brute_powers(spec, sizes):
         G, SearchConfig(support_sizes=sizes))]
     depth = [max(k for k, b in enumerate(brute) if oracles.gf2_in_span(b, v))
              for v in bars]
-    forms = [gring.leading_form(powers, [v >> g & 1 for g in range(G.n)])
-             for v in bars]
+    forms = [gring.leading_form(powers, v) for v in bars]
     assert [v for v, _ in forms] == depth
     for i, j in itertools.combinations(range(len(bars)), 2):
         assert (forms[i] == forms[j]) == (depth[i] == depth[j] and
@@ -291,12 +290,12 @@ def principal_samples(draw):
                           max_size=10, unique=True))
     elements = []
     for x in (pool[i] for i in picks):
-        t = G.inv[max(x.support())]
+        t = G.inv[max(g for g, c in enumerate(x) if c)]
         for side in (G.mul[t], [row[t] for row in G.mul]):
             moved = [0] * G.n
-            for g, c in enumerate(x.coeffs):
+            for g, c in enumerate(x):
                 moved[side[g]] = c
-            elements.append(gring.RingElement(G, m, tuple(moved)))
+            elements.append(tuple(moved))
         elements.append(x)
     return G, m, elements
 
@@ -310,14 +309,15 @@ def test_generator_test_agrees_with_equal_closures(sample):
     # which the oracle's closures decide; an element of 2R generates no
     # ideal of an element outside it and carries no functional
     G, m, elements = sample
-    keys = [oracles.ideal_closure_worklist([y]).key() for y in elements]
+    keys = [oracles.ideal_closure_worklist(G, m, [y]).key()
+            for y in elements]
     for x, key in zip(elements, keys):
-        basis = ideal_closure([x])
+        basis = ideal_closure(G, m, [x])
         if not _bar(x):
             assert basis.principal is None
             continue
         assert basis.key() == key
-        assert [basis.generates(y.coeffs) for y in elements] == \
+        assert [basis.generates(y, _bar(y)) for y in elements] == \
             [other == key for other in keys]
 
 
@@ -325,8 +325,7 @@ def test_generator_functional_only_on_principal_closures():
     G = build_group("Q8")
     x, y = (parse_element_literal(lit, G, 2) for lit in ("1+i", "1+j"))
     with pytest.raises(Fuchs2Error, match="generator functional"):
-        ideal_closure([gring.RingElement(G, 2, x), gring.RingElement(
-            G, 2, y)]).generates(x)
+        ideal_closure(G, 2, [x, y]).generates(x, _bar(x))
     impl = gring._Gf2Basis(G.n)
     impl.insert(1 << G.n)  # the extra coordinate alone, as a pivot
     with pytest.raises(InternalInvariantError, match="pivot"):
@@ -343,7 +342,7 @@ def test_scaled_closure_is_the_direct_closure(spec, m):
     pool = _pool(G, config)
     closure = fuchs2.search._principal_closures(G, m, pool)
     for i, x in enumerate(oracles.single_elements(G, config)):
-        assert closure(i).key() == ideal_closure([x]).key()
+        assert closure(i).key() == ideal_closure(G, m, [x]).key()
 
 
 def test_search_c8_full_stream(monkeypatch):
@@ -445,7 +444,8 @@ def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
     def close(combo):
         if combo not in closed:
             try:
-                closed[combo] = ideal_closure([pool[i] for i in combo])
+                closed[combo] = ideal_closure(
+                    G, m, [pool[i] for i in combo])
             except ImproperIdealError:
                 closed[combo] = None
         return closed[combo]
@@ -462,9 +462,9 @@ def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
             continue
         if len(seen) < cap:
             seen.add(basis.key())
-        expected.append((index, tuple(pool[i].coeffs for i in combo),
+        expected.append((index, tuple(pool[i] for i in combo),
                          basis.key()))
-    walk = [(index, tuple(x.coeffs for x in gens), basis.key())
+    walk = [(index, gens, basis.key())
             for index, gens, basis in enumerate_candidates(G, config)]
     assert walk == expected
     assert len({key for _, _, key in walk}) < len(walk)  # repeats yielded
@@ -502,8 +502,7 @@ def test_candidate_stream_pinned(spec, m, budget, limit, count, pin):
     seen = 0
     for index, gens, basis in itertools.islice(
             enumerate_candidates(G, config), limit):
-        digest.update(repr((index, tuple(x.coeffs for x in gens),
-                            basis.key())).encode() + b"\n")
+        digest.update(repr((index, gens, basis.key())).encode() + b"\n")
         seen += 1
     assert seen == count
     assert digest.hexdigest() == pin
