@@ -28,28 +28,19 @@ the group table on their supports, and closes that left ideal under right
 translation by the non-central generators with a worklist: translations
 are linear, so only the vectors that grew the span need translating, each
 of them once, and over an abelian group no worklist runs.  The closure of
-one generator also carries the functional that tells its generators
-(Nakayama's lemma), and generators of one ideal share their leading form
-in the filtration by the powers of the augmentation ideal.  Whether
-a given span is already two-sided is also decided by its basis class
-(``translation_closed``).  A GF(2) basis reads the columns of its
-annihilator under the standard pairing off the reduced rows: a unit vector
-at each free element, the row's free bits at each pivot element.  The span
-is stable under a permutation P exactly when g -> col[P g] is the linear
-map that the free columns fix, so each permutation costs one table of 2^a
-images, a = n - rank the annihilator's dimension, and one comparison of n
-entries.  Certificates carry ideals of large rank, so a is small; a span
-whose annihilator exceeds ``TABLE_BITS`` is tested on its rows instead.  A
-Howell basis translates its rows and reduces them, the only test over
-Z_{2^m}.
+one generator carries a generator coordinate as one more field, and its
+rows give the ideal's GF(2) image, the functional that tells its
+generators (Nakayama's lemma) and 2^(m-1) times the ideal; generators of
+one ideal share their leading form in the filtration by the powers of the
+augmentation ideal.  Whether a given span is already two-sided is also
+decided by its basis class (``translation_closed``): over GF(2) as
+linearity on the columns of its annihilator, one table of 2^a images per
+permutation for an annihilator of dimension a, and over Z_{2^m} on the
+translates of the Howell rows.
 
 Residue rings Z_{2^m}[G]/I are products on the canonical representatives
-of the quotient module.  A residue index is the mixed-radix number of its
-representative, column 0 least significant, so indices are encoded and
-decoded by arithmetic and the residues are never listed.  The quotient map
-is linear, so multiplication is bilinear on the module generators (the
-columns of radix > 1) and fixed by their d x d structure constants
-proj(g_a g_b), read off the group table once.  Over GF(2) a residue index
+of the quotient module, indexed by mixed-radix numbers and multiplied by
+d x d structure constants (``QuotientRing``).  Over GF(2) a residue index
 is its own coordinate vector, so products are XORs of structure constants;
 over Z_{2^m} the same bilinear sum is Howell-reduced.  No table over the
 whole ring is ever built: the unit group's table is evaluated on the units
@@ -446,6 +437,34 @@ class _HowellBasis:
             out.insert((row << e) & self.low)
         return out
 
+    @staticmethod
+    def halved(image, m):
+        """The Howell basis of 2^(m-1) times a span whose GF(2) image is
+        ``image`` (``split_last``): 2^(m-1)*v depends on v mod 2 alone, so
+        the image's rows, shifted, are its canonical rows."""
+        out = _HowellBasis(image.n, m)
+        w = out.width
+        out.pivots = {(p.bit_length() - 1) // w: (m - 1, row << (m - 1))
+                      for p, row in image.pivots.items()}
+        out.hit = image.mask << (m - 1)
+        return out
+
+    def split_last(self):
+        """The basis with the last field cut off, where a row whose pivot
+        is that field is zero, and the span mod 2 as a GF(2) basis of the
+        rows' bottom bits, a bit per field, that field included."""
+        n, w = self.n - 1, self.width
+        out, image = _HowellBasis(n, self.m), _Gf2Basis(n)
+        below = (1 << (n * w)) - 1
+        bottom = self.add >> self.m
+        for col, (k, row) in self.pivots.items():
+            image.insert(row & bottom)
+            if col < n:
+                out.pivots[col] = (k, row & below)
+        out.hit = self.hit & below
+        out.substituted = self.substituted
+        return out, image
+
     def insert(self, v):
         """Add v to the span; True if the span grew.
 
@@ -587,30 +606,34 @@ class IdealBasis:
         impl = self._impl
         return impl.unpack(impl.reduce(impl.pack(coeffs)))
 
+    def pack_terms(self, support, coeffs):
+        return self._impl.pack_terms(support, coeffs)
+
     def scaled(self, e):
         """The basis of 2^e times the span, for m >= 2 and 0 < e < m.
         Scalars are central, so 2^e times a two-sided ideal is one, and
-        ``closed`` carries over."""
-        return IdealBasis(self.group, self.m, self._impl.scaled(e),
-                          closed=self.closed)
+        ``closed`` carries over.  At e = m - 1 a principal closure's GF(2)
+        image gives the rows (``_HowellBasis.halved``)."""
+        impl = _HowellBasis.halved(self.principal[0], self.m) \
+            if e == self.m - 1 and self.principal else self._impl.scaled(e)
+        return IdealBasis(self.group, self.m, impl, closed=self.closed)
 
     def contains_one(self):
-        one = (1,) + (0,) * (self.group.n - 1)
-        return self.contains(one)
+        return self._impl.contains(1)  # 1 packs to 1 in both forms
 
-    def generates(self, coeffs, bar):
-        """True when the element ``coeffs``, whose image mod 2 packs to
-        ``bar`` (``_Gf2Basis.pack``), generates this ideal, a closure of one
-        generator outside 2R: exactly when it lies in the ideal and the
-        generator functional (``ideal_closure``) is 1 there.  The cheap
-        GF(2) tests come first, on ``bar`` alone."""
+    def generates(self, v):
+        """True when the element packed to v (``pack_terms``) generates
+        this ideal, a closure of one generator outside 2R: exactly when it
+        lies in the ideal and the generator functional (``ideal_closure``)
+        is 1 there.  The cheap GF(2) tests come first, on v mod 2."""
         if self.principal is None:
             raise Fuchs2Error("no generator functional: not the closure of "
                               "one generator outside 2R")
         mod2, functional = self.principal
+        bar = v if self.m == 1 else v & (self._impl.add >> self.m)
         if not (functional & bar).bit_count() & 1 or not mod2.contains(bar):
             return False
-        return self.m == 1 or self._impl.contains(self._impl.pack(coeffs))
+        return self.m == 1 or self._impl.contains(v)
 
     def key(self):
         """Hashable canonical form of the rows: equal keys, equal spans."""
@@ -643,11 +666,12 @@ def _close(group, impl, gens, extra=0):
     """Close the span in ``impl`` of the left translates of ``gens``, each
     a list of (g, c) terms, under right translation by the non-central
     minimal generators: the one closure worklist (see ``ideal_closure``).
-    A nonzero ``extra`` is the bit 1 << n, a coordinate that every left
-    translate has equal to 1 and every right translation fixes."""
-    n = group.n
-    rights = [p + [n] if extra else p for g in group.minimal_generators()
-              for p in _sides(group, g)[1:]]
+    A nonzero ``extra`` is the packed entry 1 at a coordinate n = |G| that
+    every left translate has and every right translation fixes."""
+    n, mul = group.n, group.mul
+    # a left translation is the group's own row (``_sides``)
+    rights = [p + [n] if extra else p for p in _translations(group)
+              if p is not mul[p[0]]]
     work = []
     for items in gens:
         for row in group.mul:
@@ -662,17 +686,16 @@ def _close(group, impl, gens, extra=0):
                 work.append(t)
 
 
-def _take_functional(impl, n):
-    """Strip the extra coordinate n from the rows of a GF(2) closure made
+def _take_functional(impl, extra):
+    """Strip the top bit ``extra`` from the rows of a GF(2) closure made
     with it, and return the OR of the pivots of the rows that had it."""
-    if impl.mask >> n:
+    if impl.mask & extra:
         raise InternalInvariantError("the generator coordinate is a pivot")
-    low = (1 << n) - 1
     functional = 0
     for p, row in impl.pivots.items():
-        if row >> n:
+        if row & extra:
             functional |= p
-            impl.pivots[p] = row & low
+            impl.pivots[p] = row ^ extra
     return functional
 
 
@@ -689,9 +712,7 @@ def ideal_closure(group, m, gens) -> IdealBasis:
     the two-sided ideal is the left ideal of ``gens`` closed under right
     translation by a generating set.  R_g = L_g for central g, so only
     the non-central minimal generators are needed (``_sides``): over an
-    abelian group the left ideal is the ideal and no worklist runs.  The
-    right closure runs a worklist: translations are linear, so only the
-    vectors that grew the span need translating, each of them once.
+    abelian group the left ideal is the ideal and no worklist runs.
     Raises ImproperIdealError if the closure reaches the whole ring.
 
     The closure of one generator x with x mod 2 nonzero carries its
@@ -700,14 +721,15 @@ def ideal_closure(group, m, gens) -> IdealBasis:
     R/M = F_2.  For I = RxR and J = MI + IM every gxh is x mod J, so
     I/J = F_2 and, by Nakayama's lemma, y in I generates I exactly when y
     is not in J, that is when l(y) = 1 for the functional with kernel J,
-    l(sum c_i g_i x h_i) = sum c_i mod 2.  l is read mod 2: over GF(2)
-    every translate of x gets an extra coordinate 1, which translations
-    fix, so the reduced rows are the graph of l, and l(y) is the parity of
-    a & (y mod 2), a the OR of the pivots of the rows whose extra
-    coordinate is 1.  At m = 1 the coordinate rides the closure itself; at
-    m >= 2 a GF(2) closure of x mod 2 runs beside the Howell one.  It is
-    never a pivot: x mod 2 would then lie in the J of its own ideal, which
-    Nakayama's lemma allows only for 0.
+    l(sum c_i g_i x h_i) = sum c_i mod 2.  Every translate of x gets an
+    extra coordinate 1, which translations fix, in the closure itself.
+    Over GF(2) the reduced rows are then the graph of l, and l(y) is the
+    parity of a & (y mod 2), a the OR of the pivots of the rows whose
+    extra coordinate is 1; it is never a pivot, as x mod 2 would then lie
+    in the J of its own ideal.  At m >= 2 it is one more Howell field: a
+    relation sum c_i g_i x h_i = 0 with sum c_i even but nonzero makes a
+    row (0, 2^k), k >= 1, which is dropped, and the GF(2) rows are read
+    off the Howell rows' low bits (``_HowellBasis.split_last``).
     """
     _check_m(m)
     if not gens:
@@ -719,17 +741,19 @@ def ideal_closure(group, m, gens) -> IdealBasis:
         if not all(0 <= c < mod for c in x):
             raise RingMismatchError("coefficient out of range")
     items = [[(h, c) for h, c in enumerate(x) if c] for x in gens]
-    extra = 1 << n if len(gens) == 1 and any(c & 1 for _, c in items[0]) \
-        else 0
-    impl = _make_impl(group, m, [])
-    _close(group, impl, items, extra if m == 1 else 0)
-    basis = IdealBasis(group, m, impl, closed=True)
-    if extra:
+    if len(gens) > 1 or not any(c & 1 for _, c in items[0]):
+        impl = _make_impl(group, m, [])
+        _close(group, impl, items)
+        basis = IdealBasis(group, m, impl, closed=True)
+    else:
+        impl = _Gf2Basis(n) if m == 1 else _HowellBasis(n + 1, m)
+        extra = impl.pack_terms([n], [1])
+        _close(group, impl, items, extra)
         mod2 = impl
         if m > 1:
-            mod2 = _Gf2Basis(n)
-            _close(group, mod2, items, extra)
-        basis.principal = mod2, _take_functional(mod2, n)
+            impl, mod2 = impl.split_last()
+        basis = IdealBasis(group, m, impl, closed=True)
+        basis.principal = mod2, _take_functional(mod2, extra)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
     return basis
@@ -940,6 +964,12 @@ class QuotientRing:
     def augmentation_index(self, i):
         return sum(self.digits(i)) % self.mod
 
+    def units(self):
+        """The residues of odd augmentation: every radix is a power of 2,
+        so a digit's parity is the index bit at its place."""
+        low = sum(self._place[g] for g in self.gens)
+        return [i for i in range(self.size) if (i & low).bit_count() & 1]
+
 
 def _xor_bits(values, mask):
     """XOR of values[b] over the set bits b of mask."""
@@ -1000,8 +1030,7 @@ def unit_group(ring) -> UnitGroup:
     if ring.size // 2 > UNIT_TABLE_CAP:
         raise SizeCapError(
             f"unit group of size {ring.size // 2} exceeds table cap")
-    units = [i for i in range(ring.size)
-             if ring.augmentation_index(i) % 2 == 1]
+    units = ring.units()
     if len(units) != ring.size // 2:
         raise InternalInvariantError("residue ring is not local")
     if ring.one_index not in units:
@@ -1023,11 +1052,12 @@ def unit_isomorphism(ring: QuotientRing, G: CayleyGroup, gens, images):
     """The isomorphism G -> R^x sending gens[j] to residue images[j], as
     a list of residue indices over G, or None when there is none.
 
-    One ``ring.products`` call gives r*image(g) for every residue r and
-    generator g; then the Cayley graph of G is walked breadth first from
-    the identity by lookups in that table: each new element x*g gets
-    phi(x)*image(g), and an edge into an element that already has an image
-    must reproduce it, so phi(1) = 1 holds on every edge into 1 as well.
+    One ``ring.products`` call gives u*image(g) for every unit u and
+    generator g, the only rows read; then the Cayley graph of G is walked
+    breadth first from the identity by lookups in that table: each new
+    element x*g gets phi(x)*image(g), and an edge into an element that
+    already has an image must reproduce it, so phi(1) = 1 holds on every
+    edge into 1 as well.
     phi is returned only when every image has odd augmentation, phi covers
     G and is injective, and the ring has 2|G| residues.
 
@@ -1046,7 +1076,8 @@ def unit_isomorphism(ring: QuotientRing, G: CayleyGroup, gens, images):
         return None
     if any(ring.augmentation_index(r) % 2 == 0 for r in images):
         return None
-    times = ring.products(range(ring.size), images)
+    units = ring.units()
+    times = dict(zip(units, ring.products(units, images)))
     phi = [None] * G.n
     phi[0] = ring.one_index
     walked = [0]

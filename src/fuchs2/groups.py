@@ -116,10 +116,12 @@ class CayleyGroup:
     """
 
     def __init__(self, mul, gen_names=(), gen_indices=(), label_words=None,
-                 name="", check=True):
+                 name="", check=True, inv=None):
         n = len(mul)
         self.n = n
-        self.mul = [list(row) for row in mul]
+        # list rows are kept: callers hand over rows they never change
+        self.mul = mul = [row if type(row) is list else list(row)
+                          for row in mul]
         self.gen_names = tuple(gen_names)
         self.gen_indices = tuple(gen_indices)
         self.label_words = label_words
@@ -127,12 +129,17 @@ class CayleyGroup:
         self.source_spec = None
         if check:
             self._verify()
-        inv = [None] * n
-        for x in range(n):
-            y = self.mul[x].index(0)
-            if self.mul[y][x] != 0:
-                raise ConstructionError(f"element {x} has no two-sided inverse")
-            inv[x] = y
+        if inv is None:
+            # x^-1 = x^(k-1) for x of order k: one walk along the powers
+            # of x gives the inverse of each of them
+            inv = [0] * n
+            for x in range(1, n):
+                if not inv[x]:
+                    powers = [x]
+                    while y := mul[powers[-1]][x]:
+                        powers.append(y)
+                    for y, z in zip(powers, reversed(powers)):
+                        inv[y] = z
         self.inv = inv
         self._orders = None
         self._center = None
@@ -792,7 +799,8 @@ def direct_product(*factors: CayleyGroup) -> CayleyGroup:
     each.  A factor F to the left of R makes the row of (u, x) at offset a
     the concatenation, over v, of blocks[a|F| + F.mul[u][v]][x].  So no
     table of an intermediate product is built, and no entry is added to
-    after the first shift.
+    after the first shift.  An element's inverse is the tuple of its
+    entries' inverses.
     """
     n = math.prod(G.n for G in factors)
     if n > ORDER_CAP:
@@ -835,8 +843,11 @@ def direct_product(*factors: CayleyGroup) -> CayleyGroup:
         name = f"{name}x{G.name}" if name and G.name else ""
         spec = (f"{spec}x{G.source_spec}" if isinstance(spec, str)
                 and isinstance(G.source_spec, str) else None)
+    inv = [0]
+    for G in factors:
+        inv = [a * G.n + b for a in inv for b in G.inv]
     P = CayleyGroup(mul, gen_names=gen_names, gen_indices=gen_indices,
-                    label_words=label_words, name=name, check=False)
+                    label_words=label_words, name=name, check=False, inv=inv)
     P.source_spec = spec
     return P
 

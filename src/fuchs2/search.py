@@ -2,29 +2,22 @@
 
 The search walks small even-support generator tuples in Z_{2^m}[G] in a
 fixed deterministic order (by generator count, then lexicographically over
-a pool of single generators), depth first over the ideal lattice.  The
-pool is a list of (scalar exponent, support) pairs; an element's dense
-coefficient tuple is built only for the tuples yielded and the orbit
-representatives tested.  Pool supports fall into orbits under the
-translations by the inverses of their elements, and each distinct
-principal ideal of scalar 1 is closed once:
-an orbit's representative is first tested against the ideals closed
-from generators of its leading form in the filtration of F_2[G] by the
-powers of the augmentation ideal, and takes the one it generates
-(Nakayama's lemma makes the test exact).  The ideal of 2^e*y is that of
-y scaled by 2^e, since scalars are central.  A tuple's ideal is the sum
-of its entries' principal ideals, obtained by merging one canonical basis
-into its prefix's; each distinct principal ideal is merged into a given
-prefix span once, whatever the generator count, and the merged span and
-its key are reused whenever that ideal comes up again under the same
-span.  A
-prefix whose span already leaves fewer than 2|G| residues (the only size
-a realizing residue ring can have) is not extended, and its subtree is
-counted into the raw index, so the budget ends the stream at the same raw
-index as closing every tuple in turn would.  The zero ideal is tried
-before the walk.  The first candidate with exactly 2|G| residues whose
-unit group is isomorphic to G is certified.  Identical (group, config)
-inputs give byte-identical certificates.
+a pool of single generators), depth first over the ideal lattice, and
+yields only the candidates a certificate can come from: the ideals with
+exactly 2|G| residues.  Each distinct principal ideal of scalar 1 is
+closed once: pool supports fall into orbits under translation by the
+inverses of their elements, and an orbit's representative is first tested
+against the ideals closed from generators of its leading form in the
+filtration of F_2[G] by the powers of the augmentation ideal (Nakayama's
+lemma makes the test exact).  The ideal of 2^e*y is y's scaled by 2^e,
+since scalars are central.  A tuple's ideal is its prefix's span with one
+principal ideal merged in, each merge made once per prefix span.  A
+prefix that leaves fewer than 2|G| residues is not extended, and its
+subtree is counted into the raw index, so the budget ends the stream at
+the same raw index as closing every tuple in turn would.  The zero ideal
+is tried first.  The first candidate whose unit group is isomorphic to G
+is certified; identical (group, config) inputs give byte-identical
+certificates.
 
 The fixture suite rebuilds every explicit ideal from the literature this
 package tracks and checks a recorded witness for each: the images of the
@@ -114,14 +107,11 @@ def _principal_closures(G: CayleyGroup, m, pool):
 
     A group element s in the support of x is a unit, so s^-1 x and x s^-1
     generate the same two-sided ideal as x.  Both keep the scalar and move
-    the support to s^-1 S or S s^-1, which is again a pool support (same
-    size, identity included), so the orbits are orbits of supports: each
-    is walked once, by the moves of each s^-1 built once per call (the
-    left translation, and the right one only where it differs:
-    ``gring._sides``, R_t = L_t exactly when t is central).  The left moves
-    alone take S only to {s^-1 S : s in S}, since t^-1 s^-1 S = (st)^-1 S
-    with st in S; so on an abelian group that set is the orbit, walked in
-    |S| moves.
+    the support to s^-1 S or S s^-1, again a pool support, so the orbits
+    are orbits of supports: each is walked once, by the moves of each s^-1
+    built once per call (the left translation, and the right one only
+    where it differs: ``gring._sides``).  On an abelian group the left
+    moves take S to {s^-1 S : s in S}, the orbit, in |S| moves.
 
     Each distinct ideal of an orbit's representative x of scalar 1 is
     closed once, by ``ideal_closure``.  Generators of one ideal have one
@@ -129,13 +119,11 @@ def _principal_closures(G: CayleyGroup, m, pool):
     once per call), and each closed ideal goes in the bucket of its
     generator's form; x is first tested against the ideals in its bucket,
     and takes the one it generates (``IdealBasis.generates``, exact by
-    Nakayama's lemma).  x mod 2 is packed once, straight from the support,
-    for its leading form and every test.  x lies in the even-sum maximal
-    ideal, so its closure is proper.  Scalars are central, so the ideal
-    generated by 2^e*y is 2^e times the one generated by y, the entry of
-    scalar 1 on the same support (``IdealBasis.scaled``); each ideal of
-    scalar 1 is scaled once per exponent, and equal scaled ideals are one
-    interned basis."""
+    Nakayama's lemma).  x is packed once for its leading form and once for
+    all its tests, straight from the support.  Scalars are central, so the
+    ideal of 2^e*y is 2^e times that of y, the entry of scalar 1 on the
+    same support (``IdealBasis.scaled``); each ideal of scalar 1 is scaled
+    once per exponent, and equal scaled ideals are one interned basis."""
     orbit_of = {}  # support -> orbit number
     reps = []  # orbit number -> the support it was first reached from
     closures = {}  # orbit number -> its ideal of scalar 1
@@ -143,12 +131,11 @@ def _principal_closures(G: CayleyGroup, m, pool):
     scaled = {}  # (ideal of scalar 1, e) -> interned basis
     interned = {}  # key -> scaled basis
     moves = [_sides(G, G.inv[s]) for s in range(G.n)]
+    ones = itertools.repeat(1)
     abelian = G.is_abelian()
     powers = augmentation_powers(G)
 
-    def orbit(support):
-        if support in orbit_of:
-            return orbit_of[support]
+    def orbit(support):  # numbers the orbit of a support not yet reached
         k = orbit_of[support] = len(reps)
         reps.append(support)
         if abelian:
@@ -168,21 +155,25 @@ def _principal_closures(G: CayleyGroup, m, pool):
                         work.append(moved)
         return k
 
-    def closed(k):
-        if k not in closures:
-            x = _element(G, (0, reps[k]))
-            bar = sum(1 << g for g in reps[k])  # x mod 2, packed
-            bucket = buckets.setdefault(leading_form(powers, bar), [])
-            closures[k] = next((b for b in bucket if b.generates(x, bar)),
-                               None)
-            if closures[k] is None:
-                closures[k] = ideal_closure(G, m, [x])
-                bucket.append(closures[k])
-        return closures[k]
+    def closed(k):  # the ideal of orbit k's representative, found once
+        support = reps[k]
+        bar = sum(1 << g for g in support)  # x mod 2, packed
+        bucket = buckets.setdefault(leading_form(powers, bar), [])
+        # x packed in the ideals' own form, once for all the tests
+        v = bucket and bucket[0].pack_terms(support, ones)
+        basis = next((b for b in bucket if b.generates(v)), None)
+        if basis is None:
+            basis = ideal_closure(G, m, [_element(G, (0, support))])
+            bucket.append(basis)
+        closures[k] = basis
+        return basis
 
     def closure(i):
         e, support = pool[i]
-        basis = closed(orbit(support))
+        k = orbit_of.get(support)
+        if k is None:
+            k = orbit(support)
+        basis = closures.get(k) or closed(k)
         if not e:
             return basis
         if (basis, e) not in scaled:
@@ -194,44 +185,34 @@ def _principal_closures(G: CayleyGroup, m, pool):
 
 
 def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
-    """Yield (index, generators, closed basis) for each distinct ideal,
-    each generator a coefficient tuple (``_element``).
+    """Yield (index, generators, closed basis) for each distinct ideal
+    with exactly 2|G| residues, the only size a realizing residue ring can
+    have; each generator is a coefficient tuple (``_element``).
 
     The raw stream is every generator tuple, by generator count and then
     lexicographically over the single-element pool; `index` is a tuple's
     position in it, and the stream ends at raw index `budget`.  It is
-    walked depth first.  The closure of a tuple is the sum of the principal
-    closures of its entries, because a sum of two-sided ideals is a
-    two-sided ideal: each principal closure is computed once
-    (``_principal_closures``), and a tuple's basis is its prefix's basis
-    with one principal closure merged in.  Equal principal closures are one
-    basis object, so the merge depends only on the prefix span and that
-    basis.  One memo per prefix span object keeps, per basis, the merged
-    span and, once a leaf needs it, the span's key; every frame with that
-    prefix span shares it, across generator counts too, since each count's
-    walk reaches the span objects that the counts before it made.  A sum
-    whose key is remembered and which no later count extends is never
-    extended nor yielded again and is kept as None, which drops its span.
-    No later count extends a sum that leaves too few residues, nor one
-    whose lex-least tuple starts at a pool entry that the next count's
-    walk does not reach before the budget ends the stream: so
-    the memo keeps no span of the last count that runs, and of the count
-    before it only those that the budget lets the last one extend.
-    A leaf still tests its stored key against the remembered ones, so a
-    reused span is skipped or yielded exactly as a freshly merged one
-    would be, also past ``DEDUP_CACHE`` remembered keys.
+    walked depth first.  A tuple's ideal is the sum of the principal
+    closures of its entries (``_principal_closures``), since a sum of
+    two-sided ideals is two-sided: its prefix's span with one closure
+    merged in.  Equal principal closures are one basis, so one memo per
+    prefix span object keeps, per basis, the merged span and, once a leaf
+    needs it, the span's key; every frame with that prefix span shares it,
+    across generator counts too.  Only a leaf of exactly 2|G| residues
+    takes a key and a place among the remembered keys.  A sum that no
+    later count extends is kept as None, dropping its span, once its key
+    is remembered or at once when it has another size: that is a sum that
+    leaves too few residues, or whose lex-least tuple starts at a pool
+    entry the next count's walk does not reach before the budget ends the
+    stream.  A reused span is skipped or yielded exactly as a freshly
+    merged one would be, also past ``DEDUP_CACHE`` remembered keys.
 
-    Spans only grow along a branch, and all lie in the even-sum maximal
-    ideal, so none is improper.  A prefix whose span leaves fewer than
-    2|G| residues is not extended: its subtree is skipped and counted into
-    the raw index, so the budget still ends the stream at raw index
-    `budget`, inside a skipped subtree or not.  Leaves that close to an
-    already-yielded basis are skipped.
-
-    So every ideal with at least 2|G| residues is yielded at the same index,
-    with the same generators and rows, as by closing every raw tuple in
-    turn.  Only candidates inside skipped subtrees are never yielded; they
-    have fewer than 2|G| residues and cannot certify.
+    Spans only grow along a branch and lie in the even-sum maximal ideal,
+    so none is improper.  A prefix whose span leaves fewer than 2|G|
+    residues is not extended, and its subtree is counted into the raw
+    index.  So every ideal with exactly 2|G| residues is yielded at the
+    same index, with the same generators and rows, as by closing every
+    raw tuple in turn.
     """
     for size in config.support_sizes:
         if size > G.n:
@@ -265,16 +246,17 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
                 if entry is None:
                     continue
                 span, key = entry
-                later = span.span_size() <= limit  # a later count may extend
+                size = span.span_size()
+                later = size <= limit  # a later count may extend it
                 # first reached, by its lex-least tuple: no tuple that
                 # reaches it later starts at an earlier pool entry
                 if key is None:
-                    key = entry[1] = span.key()
+                    key = entry[1] = span.key() if size == limit else ()
                     later = later and (chosen[0] if chosen else i) < reach
-                fresh = key not in seen
+                fresh = size == limit and key not in seen
                 if fresh and len(seen) < DEDUP_CACHE:
                     seen.add(key)
-                if key in seen and not later:
+                if not later and (key in seen or size != limit):
                     merged[basis] = None  # never extended, never new again
                 if fresh:
                     yield index - 1, tuple(map(element, chosen + [i])), span

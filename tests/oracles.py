@@ -314,6 +314,43 @@ def ideal_closure_worklist(group, m, gens):
     return basis
 
 
+def gf2_side_closure(group, x):
+    """The GF(2) image of the ideal generated by x and its generator
+    functional, by a second closure over GF(2): x mod 2 with an extra
+    coordinate n = |G| set to 1, closed under left and right translation
+    by the minimal generators (each fixing n), then stripped of that
+    coordinate.  The route ``gring.ideal_closure`` took at m >= 2 before
+    the coordinate rode its Howell closure.  Returns (the image's reduced
+    rows, the OR of the pivots of the rows that had the coordinate)."""
+    from fuchs2.gring import _Gf2Basis, _translations
+
+    n = group.n
+    perms = [list(p) + [n] for p in _translations(group)]
+    impl = _Gf2Basis(n)
+    start = sum(1 << g for g, c in enumerate(x) if c & 1) | 1 << n
+    work = [start] if impl.insert(start) else []
+    while work:
+        v = work.pop()
+        for perm in perms:
+            t = impl.translate(v, perm)
+            if impl.insert(t):
+                work.append(t)
+    assert not impl.mask >> n, "the generator coordinate is a pivot"
+    low = (1 << n) - 1
+    functional = sum(p for p, row in impl.pivots.items() if row >> n)
+    return [impl.pivots[p] & low for p in sorted(impl.pivots)], functional
+
+
+def scaled_by_reinsertion(basis, e):
+    """The canonical rows of 2^e times the span of ``basis`` over
+    Z_{2^m}: each canonical row times 2^e inserted into a
+    ``HowellReference``."""
+    ref = HowellReference(basis.group.n, basis.m)
+    for row in basis.rows:
+        ref.insert([c << e for c in row])
+    return ref.rows
+
+
 def gf2_independent(masks):
     """A maximal independent subset of GF(2) masks, in their order."""
     out = []

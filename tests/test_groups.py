@@ -490,6 +490,27 @@ def test_direct_product_table_is_the_componentwise_product(a, b):
     assert direct_product(G, H).mul == expected
 
 
+@pytest.mark.parametrize("spec", ["C1", "C2", "C16", "Q8", "D8xC2",
+                                  "C16xC4xC2xC2", "D8xD8xC2xC4"])
+def test_inverses_are_two_sided(spec):
+    # a direct product's inverses come from its factors', a presented
+    # group's from the powers of each element; both match a row scan
+    G = build_group(spec)
+    assert G.inv == [row.index(0) for row in G.mul]
+    assert all(G.mul[G.inv[x]][x] == 0 for x in range(G.n))
+    H = CayleyGroup(G.mul, check=False)
+    assert H.inv == G.inv
+
+
+def test_cayley_group_keeps_list_rows_as_given():
+    G = build_group("Q8")
+    rows = [list(row) for row in G.mul]
+    H = CayleyGroup(rows)
+    assert all(a is b for a, b in zip(H.mul, rows))
+    # other rows are made lists
+    assert CayleyGroup([tuple(row) for row in rows]).mul == rows
+
+
 # presentation files beside the catalog atoms: one names a generator a2,
 # which the C2 atoms' a takes as its renamed form, and one a and a2
 PRODUCT_FILES = {

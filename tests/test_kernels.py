@@ -106,6 +106,23 @@ def test_light_test_on_tables_that_are_not_groups():
                             kernels.assoc_violation(xor_plus_one))
 
 
+def test_light_test_skips_the_identity_pass():
+    # index 0, yielded first, is a two-sided identity of a group table, so
+    # (x0)y = x(0y) always holds and its pass is skipped: C2^4 takes the
+    # passes of its four generators, n^2 row reads each, not five
+    reads = []
+
+    class Row(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    G = build_group("C2xC2xC2xC2")
+    n = G.n
+    assert kernels.assoc_violation([Row(row) for row in G.mul]) is None
+    assert 4 * n * n <= len(reads) < 5 * n * n
+
+
 @pytest.mark.parametrize("impl", IMPLS)
 def test_conditions_backends(impl):
     assert impl == "pure-python"

@@ -5,7 +5,7 @@ import math
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.search
@@ -45,12 +45,13 @@ import oracles
 
 def test_support2_candidates_c4():
     G = build_group("C4")
-    cfg = SearchConfig(m=1, support_sizes=(2,), max_gens=1, budget=100)
+    cfg = SearchConfig(m=3, support_sizes=(2,), max_gens=1, budget=100)
     seen = [(idx, [element_literal(g, G) for g in gens])
             for idx, gens, _ in enumerate_candidates(G, cfg)]
-    # 1+a, 1+a^2, 1+a^3 are the raw stream; 1+a^3 closes to the same
-    # ideal as 1+a and is deduplicated
-    assert [lits for _, lits in seen] == [["1+a"], ["1+a^2"]]
+    # 2^e(1+a), 2^e(1+a^2), 2^e(1+a^3) for e = 0, 1, 2 are the raw
+    # stream; only 1+a and 1+a^3 leave 2|G| = 8 residues, and 1+a^3
+    # closes to the same ideal as 1+a and is deduplicated
+    assert seen == [(0, ["1+a"])]
 
 
 def test_candidates_have_even_augmentation():
@@ -68,11 +69,13 @@ def test_candidates_respect_budget():
 
 
 def test_scalar_candidates_in_char4():
-    G = build_group("Q8")
-    cfg = SearchConfig(m=2, support_sizes=(2,), max_gens=1, budget=50)
-    lits = [element_literal(gens[0], G)
+    # Z_4[C4]/(2+2a, 1+a^2) has 2|G| = 8 residues: the published
+    # generator shape 2+2g in a candidate
+    G = build_group("C4")
+    cfg = SearchConfig(m=2, support_sizes=(2,), max_gens=2, budget=50)
+    lits = [[element_literal(g, G) for g in gens]
             for _, gens, _ in enumerate_candidates(G, cfg)]
-    assert "2+2*i" in lits  # the published generator shape
+    assert lits == [["2+2*a", "1+a^2"]]
 
 
 # catalog groups of order <= 16
@@ -86,10 +89,11 @@ def _span_limit(G, config):
     return (1 << (config.m * G.n)) // (2 * G.n)
 
 
-def _with_enough_residues(G, config, stream):
+def _exact_size(G, config, stream):
+    """The candidates of a stream that leave exactly 2|G| residues."""
     limit = _span_limit(G, config)
     return [(index, list(gens), basis.rows)
-            for index, gens, basis in stream if basis.span_size() <= limit]
+            for index, gens, basis in stream if basis.span_size() == limit]
 
 
 @st.composite
@@ -114,7 +118,9 @@ def search_inputs(draw):
 def test_walk_matches_closing_every_candidate(inputs):
     G, config = inputs
     walk = list(enumerate_candidates(G, config))
-    assert _with_enough_residues(G, config, walk) == _with_enough_residues(
+    # the walk yields exactly the oracle's candidates of 2|G| residues
+    assert [(index, list(gens), basis.rows)
+            for index, gens, basis in walk] == _exact_size(
         G, config, oracles.candidate_stream_oracle(G, config))
     raw = list(itertools.islice(oracles.raw_candidates(G, config),
                                 config.budget))
@@ -165,8 +171,9 @@ def test_budget_inside_skipped_subtree(spec, m, sizes):
                start + size, start + size + 1)
     config = SearchConfig(m=m, support_sizes=sizes, max_gens=3,
                           budget=max(budgets))
-    expected = _with_enough_residues(
+    expected = _exact_size(
         G, config, oracles.candidate_stream_oracle(G, config))
+    assert expected
     raw = list(itertools.islice(oracles.raw_candidates(G, config),
                                 config.budget))
     for budget in budgets:
@@ -175,7 +182,8 @@ def test_budget_inside_skipped_subtree(spec, m, sizes):
         walk = list(enumerate_candidates(G, config))
         for index, gens, _ in walk:
             assert index < budget and gens == raw[index]
-        assert _with_enough_residues(G, config, walk) == \
+        assert [(index, list(gens), basis.rows)
+                for index, gens, basis in walk] == \
             [row for row in expected if row[0] < budget]
 
 
@@ -317,19 +325,87 @@ def test_generator_test_agrees_with_equal_closures(sample):
             assert basis.principal is None
             continue
         assert basis.key() == key
-        assert [basis.generates(y, _bar(y)) for y in elements] == \
-            [other == key for other in keys]
+        assert [basis.generates(basis.pack_terms(range(G.n), y))
+                for y in elements] == [other == key for other in keys]
 
 
 def test_generator_functional_only_on_principal_closures():
     G = build_group("Q8")
     x, y = (parse_element_literal(lit, G, 2) for lit in ("1+i", "1+j"))
     with pytest.raises(Fuchs2Error, match="generator functional"):
-        ideal_closure(G, 2, [x, y]).generates(x, _bar(x))
+        ideal_closure(G, 2, [x, y]).generates(None)
     impl = gring._Gf2Basis(G.n)
     impl.insert(1 << G.n)  # the extra coordinate alone, as a pivot
     with pytest.raises(InternalInvariantError, match="pivot"):
-        gring._take_functional(impl, G.n)
+        gring._take_functional(impl, 1 << G.n)
+
+
+def _generator_field_pivot(G, m, x):
+    """k when the Howell closure of x with the generator field |G| has the
+    row (0, 2^k), else None."""
+    ext = gring._HowellBasis(G.n + 1, m)
+    gring._close(G, ext, [[(h, c) for h, c in enumerate(x) if c]],
+                 ext.pack_terms([G.n], [1]))
+    return ext.pivots.get(G.n, (None,))[0]
+
+
+def _spread(v, w):
+    return sum(1 << g * w for g in range(v.bit_length()) if v >> g & 1)
+
+
+def _check_one_closure(G, m, x):
+    # the rows are those of the closure without the generator field, the
+    # GF(2) image and functional those of the side closure over GF(2),
+    # and 2^(m-1)*I read off the image is the reinsertion's
+    basis = ideal_closure(G, m, [x])
+    assert basis.rows == oracles.ideal_closure_worklist(G, m, [x]).rows
+    mod2, functional = basis.principal
+    # over Z_{2^m} the image has a bit at the bottom of each 2m-bit field
+    rows, side = oracles.gf2_side_closure(G, x)
+    assert mod2.rows == [_spread(r, 2 * m) for r in rows]
+    assert functional == _spread(side, 2 * m)
+    assert basis.scaled(m - 1).rows == \
+        oracles.scaled_by_reinsertion(basis, m - 1)
+
+
+@st.composite
+def principal_generators(draw):
+    """A group of order <= 16, m in {2, 3, 4} and an element x outside 2R
+    of even coefficient sum: a pool entry of scalar 1 or any vector."""
+    G = build_group(draw(st.sampled_from(SMALL)))
+    m = draw(st.sampled_from((2, 3, 4)))
+    pool = [x for x in oracles.single_elements(G, SearchConfig(
+        m=m, support_sizes=tuple(s for s in (2, 4) if s <= G.n))) if x[0] == 1]
+    x = draw(st.one_of(st.sampled_from(pool), st.lists(
+        st.integers(0, (1 << m) - 1), min_size=G.n, max_size=G.n)))
+    assume(sum(x) % 2 == 0 and any(c & 1 for c in x))
+    return G, m, tuple(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=principal_generators())
+@example(case=(build_group("Q8"), 2, parse_element_literal(
+    "1+i+i^2+j", build_group("Q8"), 2)))
+@example(case=(build_group("D8xC2"), 4, parse_element_literal(
+    "1+a+a^2+b", build_group("D8xC2"), 4)))
+def test_one_closure_matches_the_side_closure(case):
+    _check_one_closure(*case)
+
+
+@pytest.mark.parametrize("spec, m, pivots", [("Q8", 2, 24), ("D8", 3, 24),
+                                             ("C4xC2", 4, 16)])
+def test_generator_field_pivots_are_dropped(spec, m, pivots):
+    # the pool entries of scalar 1 whose closure with the generator field
+    # has a row (0, 2^k), k >= 1, that the one-closure route drops
+    G = build_group(spec)
+    pool = [x for x in oracles.single_elements(G, SearchConfig(m=m))
+            if x[0] == 1]
+    ks = [_generator_field_pivot(G, m, x) for x in pool]
+    assert sum(k is not None for k in ks) == pivots
+    assert all(k is None or 1 <= k < m for k in ks)
+    for x, k in zip(pool, ks):
+        if k is not None:
+            _check_one_closure(G, m, x)
 
 
 @settings(max_examples=20, deadline=None)
@@ -405,19 +481,23 @@ def _memo_spans(stream, firsts=None):
     ("C8xC2", 1, 4, 470 + math.comb(470, 2) + 1, 3, 1),
     ("C8xC2", 2, 4, 1500, 2, 1)])
 def test_merge_memo_keeps_only_what_a_later_count_extends(
-        spec, m, max_gens, budget, runs, reach):
+        monkeypatch, spec, m, max_gens, budget, runs, reach):
     # `runs` counts run, the last of them to the end (max_gens = 2) or cut
     # by the budget after the tuples starting at the first `reach` pool
     # entries.  The memo never holds a span of the last count, nor one that
     # leaves too few residues, and of the count before it only the sums
     # that the last count's tuples extend; it does hold some of those.
+    # It is read at every merge and every yield (the char-4 stream yields
+    # nothing).
     G = build_group(spec)
     config = SearchConfig(m=m, max_gens=max_gens) if budget is None else \
         SearchConfig(m=m, max_gens=max_gens, budget=budget)
     limit = _span_limit(G, config)
     stream = enumerate_candidates(G, config)
-    for _ in stream:
-        held = _memo_spans(stream)
+    held = []
+
+    def check():
+        held[:] = _memo_spans(stream)
         assert len(held) < runs
         assert all(span.span_size() <= limit
                    for level in held for span in level)
@@ -425,45 +505,37 @@ def test_merge_memo_keeps_only_what_a_later_count_extends(
             extended = _memo_spans(stream, range(reach))[runs - 2]
             assert {id(span) for span in held[-1]} <= \
                 {id(span) for span in extended}
+
+    real = fuchs2.search.ideal_sum
+    monkeypatch.setattr(fuchs2.search, "ideal_sum",
+                        lambda a, b: check() or real(a, b))
+    for _ in stream:
+        check()
     assert len(held) == runs - 1
 
 
-@pytest.mark.parametrize("spec, m, cap", [("C8", 1, 3), ("Q8", 2, 5)])
+@pytest.mark.parametrize("spec, m, cap", [("C4xC2", 1, 3), ("Q8", 2, 5)])
 def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
     # past DEDUP_CACHE remembered keys an ideal that comes up again is
     # yielded again, also where its span is reused under the same prefix;
-    # the walk yields every raw tuple outside a skipped subtree that the
-    # capped dedup lets through, in raw order
+    # the walk yields every raw tuple of 2|G| residues that the capped
+    # dedup lets through, in raw order, and only those take a place in it
     monkeypatch.setattr(fuchs2.search, "DEDUP_CACHE", cap)
     G = build_group(spec)
     config = SearchConfig(m=m, max_gens=3, budget=3000)
     limit = _span_limit(G, config)
-    pool = oracles.single_elements(G, config)
-    closed = {}
-
-    def close(combo):
-        if combo not in closed:
-            try:
-                closed[combo] = ideal_closure(
-                    G, m, [pool[i] for i in combo])
-            except ImproperIdealError:
-                closed[combo] = None
-        return closed[combo]
-
     expected, seen = [], set()
-    raw = (combo for ng in range(1, config.max_gens + 1)
-           for combo in itertools.combinations(range(len(pool)), ng))
-    for index, combo in enumerate(itertools.islice(raw, config.budget)):
-        if any(close(combo[:k]) is None or close(combo[:k]).span_size() > limit
-               for k in range(1, len(combo))):
-            continue  # inside a skipped subtree
-        basis = close(combo)
-        if basis is None or basis.key() in seen:
+    for index, combo in enumerate(itertools.islice(
+            oracles.raw_candidates(G, config), config.budget)):
+        try:
+            basis = ideal_closure(G, m, list(combo))
+        except ImproperIdealError:
+            continue
+        if basis.span_size() != limit or basis.key() in seen:
             continue
         if len(seen) < cap:
             seen.add(basis.key())
-        expected.append((index, tuple(pool[i] for i in combo),
-                         basis.key()))
+        expected.append((index, combo, basis.key()))
     walk = [(index, gens, basis.key())
             for index, gens, basis in enumerate_candidates(G, config)]
     assert walk == expected
@@ -471,37 +543,37 @@ def test_stream_past_the_dedup_cache(monkeypatch, spec, m, cap):
 
 
 # sha256 over (index, generator coefficients, key()) of each candidate:
-# (spec, m, budget or None, candidates read or None, candidates, digest).
-# The first three were pinned before the principal-closure orbits shared
-# their moves, the last three before merges were shared under a prefix and
-# closures of 2^e*y scaled from y's; they cover right translations and
-# e = 2.  The C8xC2 stream at m = 1 ends at its 72nd candidate, inside the
-# first 300.
+# (spec, m, budget or None, candidates, digest).  Each digest was derived
+# from ``oracles.candidate_stream_oracle``, which closes every raw tuple,
+# filtered to the candidates with exactly 2|G| residues; the walk yields
+# only those.  C8xC2 at m = 1 is the benchmark's hit search, and C8 the
+# whole default-budget stream, one candidate; they cover right
+# translations (D8) and e = 1 and e = m - 1 = 2 (Q8, C4xC2 at m = 3).
 STREAM_PINS = [
-    ("C8xC2", 1, None, 300, 72,
-     "881ce4d1d7b481ef8a7f4ad6101304728c8fec2b5b2e9523867f20dbab668731"),
-    ("C8xC2", 2, 1500, None, 113,
-     "060c41684d2d00149fa59350cdc9472f3da9e14ff25efd0697bb7c24a84ec448"),
-    ("C8", 1, None, None, 6,
-     "bb075998a7db99a35bffbf4945a23062c018a50ad8676572e3cd88e651753b62"),
-    ("D8", 2, 3000, None, 73,
-     "53a88ab2cab6b7aa6a13583411d26734cedbeee0deb1fcdc4ffdb3ed62ef8f69"),
-    ("Q8", 3, 2000, None, 144,
-     "895f28403945ec7ac297b8e6d2ad4361160fa752fe3d21c390ddf29cf0d0f081"),
-    ("C4xC2", 3, 3000, None, 291,
-     "59716cd446fdb9c7c19cec7cb596db8c9c466548f977c9e0fe09f198b5545365"),
+    ("C8xC2", 1, None, 7,
+     "bcda3d960cd8d6b487021d909268566a3f9856278cc2fd4b2b885a18f1f38fbd"),
+    ("C8xC2", 2, 9000, 6,
+     "4cac62015bef80230c644ff40fa3d865f9d272921a00f4db97752163be746292"),
+    ("C8", 1, None, 1,
+     "c89cbdf27e69d56fa626b21b75ef9fcfd37b47a89f80219d5f1d0a49a32eb2ea"),
+    ("D8", 2, 3000, 8,
+     "3d7e240f9fd495d37de5ea9050c67779a9f02f1dfa32591c73af4a06e51a825d"),
+    ("Q8", 3, 2000, 17,
+     "d8c7d78884e5e0b1409b328f0793169f83f46b68d89eb18bd8930af3fc60e768"),
+    ("C4xC2", 3, 3000, 15,
+     "a7b4ecc9ec4dcd816e5a6aa9c31c7e2485d59e50914f4d4363734031882e1a12"),
 ]
 
 
-@pytest.mark.parametrize("spec, m, budget, limit, count, pin", STREAM_PINS)
-def test_candidate_stream_pinned(spec, m, budget, limit, count, pin):
+@pytest.mark.parametrize("spec, m, budget, count, pin", STREAM_PINS,
+                         ids=[f"{p[0]}-m{p[1]}" for p in STREAM_PINS])
+def test_candidate_stream_pinned(spec, m, budget, count, pin):
     G = build_group(spec)
     config = SearchConfig(m=m) if budget is None else \
         SearchConfig(m=m, budget=budget)
     digest = hashlib.sha256()
     seen = 0
-    for index, gens, basis in itertools.islice(
-            enumerate_candidates(G, config), limit):
+    for index, gens, basis in enumerate_candidates(G, config):
         digest.update(repr((index, gens, basis.key())).encode() + b"\n")
         seen += 1
     assert seen == count
@@ -535,7 +607,10 @@ def test_support_size_above_the_group_order_is_an_error():
     for sizes in ((16,), (2, 16)):
         with pytest.raises(Fuchs2Error, match="support size 16 exceeds"):
             search_realizing_ideal(G, SearchConfig(support_sizes=sizes))
-    assert list(enumerate_candidates(G, SearchConfig(support_sizes=(8,))))
+    # a support as large as the group is allowed: 1+a+a^2+a^3 leaves
+    # Z_2[C4] 2|G| residues
+    assert list(enumerate_candidates(build_group("C4"),
+                                     SearchConfig(support_sizes=(4,))))
 
 
 def test_search_c8xc2_finds_certificate():
@@ -597,15 +672,19 @@ def test_search_certificates_verify_from_their_specs(spec, config):
 
 def test_pruning_soundness_sampled():
     # candidates pruned by the residue-count test truly cannot work: their
-    # unit group (computed anyway) has the wrong order
+    # unit group (computed anyway) has the wrong order; the walk yields
+    # none of them
     from fuchs2.gring import quotient_ring, unit_group
     G = build_group("C4xC2")
     cfg = SearchConfig(m=1, budget=60)
+    walked = {index for index, _, _ in enumerate_candidates(G, cfg)}
     checked = 0
-    for _, gens, basis in enumerate_candidates(G, cfg):
+    for index, _, basis in oracles.candidate_stream_oracle(G, cfg):
         size = (1 << G.n) // basis.span_size()
         if size == 2 * G.n:
+            assert index in walked
             continue  # not pruned
+        assert index not in walked
         units = unit_group(quotient_ring(basis))
         assert units.group.n != G.n
         checked += 1
