@@ -452,7 +452,11 @@ class _HowellBasis:
     def split_last(self):
         """The basis with the last field cut off, where a row whose pivot
         is that field is zero, and the span mod 2 as a GF(2) basis of the
-        rows' bottom bits, a bit per field, that field included."""
+        rows' bottom bits, a bit per field, that field included.
+
+        The GF(2) basis keeps field i's bit at bit 2mi, so only its span
+        operations, pivots and mask are valid; the methods that read bits
+        as elements (``unpack``, ``pivot_radices``, ...) are not."""
         n, w = self.n - 1, self.width
         out, image = _HowellBasis(n, self.m), _Gf2Basis(n)
         below = (1 << (n * w)) - 1
@@ -551,7 +555,8 @@ class IdealBasis:
     """
 
     # (GF(2) basis of the ideal mod 2, mask of its generator functional)
-    # for a principal closure (see ``ideal_closure``), else None
+    # for a principal closure (see ``ideal_closure``), else None; at m >= 2
+    # its bits are spread, one per Howell field (``split_last``)
     principal = None
 
     def __init__(self, group, m, impl, closed=False):

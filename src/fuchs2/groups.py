@@ -116,7 +116,7 @@ class CayleyGroup:
     """
 
     def __init__(self, mul, gen_names=(), gen_indices=(), label_words=None,
-                 name="", check=True, inv=None):
+                 name="", check=True):
         n = len(mul)
         self.n = n
         # list rows are kept: callers hand over rows they never change
@@ -129,17 +129,16 @@ class CayleyGroup:
         self.source_spec = None
         if check:
             self._verify()
-        if inv is None:
-            # x^-1 = x^(k-1) for x of order k: one walk along the powers
-            # of x gives the inverse of each of them
-            inv = [0] * n
-            for x in range(1, n):
-                if not inv[x]:
-                    powers = [x]
-                    while y := mul[powers[-1]][x]:
-                        powers.append(y)
-                    for y, z in zip(powers, reversed(powers)):
-                        inv[y] = z
+        # x^-1 = x^(k-1) for x of order k: one walk along the powers of x
+        # gives the inverse of each of them
+        inv = [0] * n
+        for x in range(1, n):
+            if not inv[x]:
+                powers = [x]
+                while y := mul[powers[-1]][x]:
+                    powers.append(y)
+                for y, z in zip(powers, reversed(powers)):
+                    inv[y] = z
         self.inv = inv
         self._orders = None
         self._center = None
@@ -799,8 +798,7 @@ def direct_product(*factors: CayleyGroup) -> CayleyGroup:
     each.  A factor F to the left of R makes the row of (u, x) at offset a
     the concatenation, over v, of blocks[a|F| + F.mul[u][v]][x].  So no
     table of an intermediate product is built, and no entry is added to
-    after the first shift.  An element's inverse is the tuple of its
-    entries' inverses.
+    after the first shift.
     """
     n = math.prod(G.n for G in factors)
     if n > ORDER_CAP:
@@ -843,11 +841,8 @@ def direct_product(*factors: CayleyGroup) -> CayleyGroup:
         name = f"{name}x{G.name}" if name and G.name else ""
         spec = (f"{spec}x{G.source_spec}" if isinstance(spec, str)
                 and isinstance(G.source_spec, str) else None)
-    inv = [0]
-    for G in factors:
-        inv = [a * G.n + b for a in inv for b in G.inv]
     P = CayleyGroup(mul, gen_names=gen_names, gen_indices=gen_indices,
-                    label_words=label_words, name=name, check=False, inv=inv)
+                    label_words=label_words, name=name, check=False)
     P.source_spec = spec
     return P
 

@@ -493,13 +493,10 @@ def test_direct_product_table_is_the_componentwise_product(a, b):
 @pytest.mark.parametrize("spec", ["C1", "C2", "C16", "Q8", "D8xC2",
                                   "C16xC4xC2xC2", "D8xD8xC2xC4"])
 def test_inverses_are_two_sided(spec):
-    # a direct product's inverses come from its factors', a presented
-    # group's from the powers of each element; both match a row scan
+    # inverses come from the powers of each element and match a row scan
     G = build_group(spec)
     assert G.inv == [row.index(0) for row in G.mul]
     assert all(G.mul[G.inv[x]][x] == 0 for x in range(G.n))
-    H = CayleyGroup(G.mul, check=False)
-    assert H.inv == G.inv
 
 
 def test_cayley_group_keeps_list_rows_as_given():
