@@ -24,6 +24,7 @@ from .errors import (
     Fuchs2Error,
     InternalInvariantError,
     ParseError,
+    UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, ideal_closure, quotient_ring, \
     unit_group
@@ -132,21 +133,24 @@ def cmd_realize(args):
         _emit(args, verdict.to_dict())
         return EXIT_UNKNOWN
     if method == "auto" and m == 1 and G.exponent() <= 4:
-        # screen ran the construction and it was exhausted (known only at
-        # order 128, where the search's pool has 333,502 generators)
+        # screen ran the construction and it was exhausted: known for the
+        # class-4 groups of orders 64 and 128, which the walk of
+        # --method search also exhausts without a hit
         payload = verdict.to_dict()
         payload["search"] = {"result": "not_run",
                              "reason": "exponent <= 4 in characteristic 2: "
                                        "run --method search to force it"}
         _emit(args, payload)
         return EXIT_UNKNOWN
-    # the default support sizes that fit in G (all of them from order 4)
-    sizes = tuple(s for s in SearchConfig.support_sizes if s <= G.n)
-    config = SearchConfig(m=m, support_sizes=sizes, budget=args.budget)
-    cert = search_realizing_ideal(G, config)
+    try:
+        cert = search_realizing_ideal(G, SearchConfig(m=m,
+                                                      budget=args.budget))
+        outcome = {"result": "exhausted"}
+    except UndecidedError:
+        cert, outcome = None, {"budget": args.budget, "result": "budget"}
     if cert is None:
         payload = verdict.to_dict()
-        payload["search"] = {"budget": args.budget, "result": "exhausted"}
+        payload["search"] = outcome
         _emit(args, payload)
         return EXIT_UNKNOWN
     _emit(args, cert.to_dict())

@@ -37,7 +37,8 @@ class UnclosedIdealError(Fuchs2Error):
 
 
 class UndecidedError(Fuchs2Error):
-    """Isomorphism search exhausted its node budget without an answer."""
+    """A node-capped search (isomorphism search or the ideal walk) reached
+    its cap without an answer: a cap is never a refutation."""
 
 
 class CertificateError(Fuchs2Error):

@@ -27,12 +27,12 @@ Two-sided closure spans the left translates of the generators, read off
 the group table on their supports, and closes that left ideal under right
 translation by the non-central generators with a worklist: translations
 are linear, so only the vectors that grew the span need translating, each
-of them once, and over an abelian group no worklist runs.  The closure of
-one generator carries a generator coordinate as one more field, and its
-rows give the ideal's GF(2) image, the functional that tells its
-generators (Nakayama's lemma) and 2^(m-1) times the ideal; generators of
-one ideal share their leading form in the filtration by the powers of the
-augmentation ideal.  Whether a given span is already two-sided is also
+of them once, and over an abelian group no worklist runs.  The powers of
+the maximal ideal M = (2, D), D the augmentation ideal, are spanned by
+the doubles and the left translates of the previous power's rows
+(``maximal_ideal_powers``); both basis classes add and double packed
+vectors (``plus``, ``doubled``) for that and for the ideal walk of
+``search``.  Whether a given span is already two-sided is also
 decided by its basis class (``translation_closed``): over GF(2) as
 linearity on the columns of its annihilator, one table of 2^a images per
 permutation for an annihilator of dimension a, and over Z_{2^m} on the
@@ -200,6 +200,16 @@ class _Gf2Basis:
             out |= 1 << perm[low.bit_length() - 1]
             v ^= low
         return out
+
+    @staticmethod
+    def plus(a, b):
+        """The packed sum a + b."""
+        return a ^ b
+
+    @staticmethod
+    def doubled(v):
+        """The packed 2v: zero over GF(2)."""
+        return 0
 
     @property
     def rows(self):
@@ -402,6 +412,15 @@ class _HowellBasis:
             v ^= c << (g * w)
         return out
 
+    def plus(self, a, b):
+        """The packed sum a + b: each field's sum is below 2^(m+1), so it
+        fits its field and is reduced mod 2^m by the mask."""
+        return (a + b) & self.low
+
+    def doubled(self, v):
+        """The packed 2v."""
+        return (v << 1) & self.low
+
     def load_canonical(self, rows):
         """Make this empty basis the span of ``rows`` and say whether they
         are exactly its canonical rows, in order."""
@@ -428,46 +447,6 @@ class _HowellBasis:
                 self.hit ^= bits
             self.substituted = True
         return [pivots[c][1] for c in sorted(pivots)]
-
-    def scaled(self, e):
-        """The Howell basis of 2^e times the span (0 < e < m): each row
-        shifted e bits within its fields, inserted into a fresh basis."""
-        out = _HowellBasis(self.n, self.m)
-        for _, row in self.pivots.values():
-            out.insert((row << e) & self.low)
-        return out
-
-    @staticmethod
-    def halved(image, m):
-        """The Howell basis of 2^(m-1) times a span whose GF(2) image is
-        ``image`` (``split_last``): 2^(m-1)*v depends on v mod 2 alone, so
-        the image's rows, shifted, are its canonical rows."""
-        out = _HowellBasis(image.n, m)
-        w = out.width
-        out.pivots = {(p.bit_length() - 1) // w: (m - 1, row << (m - 1))
-                      for p, row in image.pivots.items()}
-        out.hit = image.mask << (m - 1)
-        return out
-
-    def split_last(self):
-        """The basis with the last field cut off, where a row whose pivot
-        is that field is zero, and the span mod 2 as a GF(2) basis of the
-        rows' bottom bits, a bit per field, that field included.
-
-        The GF(2) basis keeps field i's bit at bit 2mi, so only its span
-        operations, pivots and mask are valid; the methods that read bits
-        as elements (``unpack``, ``pivot_radices``, ...) are not."""
-        n, w = self.n - 1, self.width
-        out, image = _HowellBasis(n, self.m), _Gf2Basis(n)
-        below = (1 << (n * w)) - 1
-        bottom = self.add >> self.m
-        for col, (k, row) in self.pivots.items():
-            image.insert(row & bottom)
-            if col < n:
-                out.pivots[col] = (k, row & below)
-        out.hit = self.hit & below
-        out.substituted = self.substituted
-        return out, image
 
     def insert(self, v):
         """Add v to the span; True if the span grew.
@@ -554,11 +533,6 @@ class IdealBasis:
     closed basis never contains 1 (such closures are rejected as improper).
     """
 
-    # (GF(2) basis of the ideal mod 2, mask of its generator functional)
-    # for a principal closure (see ``ideal_closure``), else None; at m >= 2
-    # its bits are spread, one per Howell field (``split_last``)
-    principal = None
-
     def __init__(self, group, m, impl, closed=False):
         self.group = group
         self.m = m
@@ -611,34 +585,8 @@ class IdealBasis:
         impl = self._impl
         return impl.unpack(impl.reduce(impl.pack(coeffs)))
 
-    def pack_terms(self, support, coeffs):
-        return self._impl.pack_terms(support, coeffs)
-
-    def scaled(self, e):
-        """The basis of 2^e times the span, for m >= 2 and 0 < e < m.
-        Scalars are central, so 2^e times a two-sided ideal is one, and
-        ``closed`` carries over.  At e = m - 1 a principal closure's GF(2)
-        image gives the rows (``_HowellBasis.halved``)."""
-        impl = _HowellBasis.halved(self.principal[0], self.m) \
-            if e == self.m - 1 and self.principal else self._impl.scaled(e)
-        return IdealBasis(self.group, self.m, impl, closed=self.closed)
-
     def contains_one(self):
         return self._impl.contains(1)  # 1 packs to 1 in both forms
-
-    def generates(self, v):
-        """True when the element packed to v (``pack_terms``) generates
-        this ideal, a closure of one generator outside 2R: exactly when it
-        lies in the ideal and the generator functional (``ideal_closure``)
-        is 1 there.  The cheap GF(2) tests come first, on v mod 2."""
-        if self.principal is None:
-            raise Fuchs2Error("no generator functional: not the closure of "
-                              "one generator outside 2R")
-        mod2, functional = self.principal
-        bar = v if self.m == 1 else v & (self._impl.add >> self.m)
-        if not (functional & bar).bit_count() & 1 or not mod2.contains(bar):
-            return False
-        return self.m == 1 or self._impl.contains(v)
 
     def key(self):
         """Hashable canonical form of the rows: equal keys, equal spans."""
@@ -667,20 +615,17 @@ def _translations(group):
     return group._translations
 
 
-def _close(group, impl, gens, extra=0):
+def _close(group, impl, gens):
     """Close the span in ``impl`` of the left translates of ``gens``, each
     a list of (g, c) terms, under right translation by the non-central
-    minimal generators: the one closure worklist (see ``ideal_closure``).
-    A nonzero ``extra`` is the packed entry 1 at a coordinate n = |G| that
-    every left translate has and every right translation fixes."""
-    n, mul = group.n, group.mul
+    minimal generators: the one closure worklist (see ``ideal_closure``)."""
+    mul = group.mul
     # a left translation is the group's own row (``_sides``)
-    rights = [p + [n] if extra else p for p in _translations(group)
-              if p is not mul[p[0]]]
+    rights = [p for p in _translations(group) if p is not mul[p[0]]]
     work = []
     for items in gens:
-        for row in group.mul:
-            v = impl.pack_moved(items, row) | extra
+        for row in mul:
+            v = impl.pack_moved(items, row)
             if impl.insert(v) and rights:
                 work.append(v)
     while work:
@@ -689,19 +634,6 @@ def _close(group, impl, gens, extra=0):
             t = impl.translate(v, perm)
             if impl.insert(t):
                 work.append(t)
-
-
-def _take_functional(impl, extra):
-    """Strip the top bit ``extra`` from the rows of a GF(2) closure made
-    with it, and return the OR of the pivots of the rows that had it."""
-    if impl.mask & extra:
-        raise InternalInvariantError("the generator coordinate is a pivot")
-    functional = 0
-    for p, row in impl.pivots.items():
-        if row & extra:
-            functional |= p
-            impl.pivots[p] = row ^ extra
-    return functional
 
 
 def ideal_closure(group, m, gens) -> IdealBasis:
@@ -719,22 +651,6 @@ def ideal_closure(group, m, gens) -> IdealBasis:
     the non-central minimal generators are needed (``_sides``): over an
     abelian group the left ideal is the ideal and no worklist runs.
     Raises ImproperIdealError if the closure reaches the whole ring.
-
-    The closure of one generator x with x mod 2 nonzero carries its
-    generator functional (``IdealBasis.generates``).  R = Z_{2^m}[G] is
-    local: M = 2R + D, D the augmentation ideal, is nilpotent and
-    R/M = F_2.  For I = RxR and J = MI + IM every gxh is x mod J, so
-    I/J = F_2 and, by Nakayama's lemma, y in I generates I exactly when y
-    is not in J, that is when l(y) = 1 for the functional with kernel J,
-    l(sum c_i g_i x h_i) = sum c_i mod 2.  Every translate of x gets an
-    extra coordinate 1, which translations fix, in the closure itself.
-    Over GF(2) the reduced rows are then the graph of l, and l(y) is the
-    parity of a & (y mod 2), a the OR of the pivots of the rows whose
-    extra coordinate is 1; it is never a pivot, as x mod 2 would then lie
-    in the J of its own ideal.  At m >= 2 it is one more Howell field: a
-    relation sum c_i g_i x h_i = 0 with sum c_i even but nonzero makes a
-    row (0, 2^k), k >= 1, which is dropped, and the GF(2) rows are read
-    off the Howell rows' low bits (``_HowellBasis.split_last``).
     """
     _check_m(m)
     if not gens:
@@ -745,44 +661,12 @@ def ideal_closure(group, m, gens) -> IdealBasis:
             raise RingMismatchError("coefficient vector has wrong length")
         if not all(0 <= c < mod for c in x):
             raise RingMismatchError("coefficient out of range")
-    items = [[(h, c) for h, c in enumerate(x) if c] for x in gens]
-    if len(gens) > 1 or not any(c & 1 for _, c in items[0]):
-        impl = _make_impl(group, m, [])
-        _close(group, impl, items)
-        basis = IdealBasis(group, m, impl, closed=True)
-    else:
-        impl = _Gf2Basis(n) if m == 1 else _HowellBasis(n + 1, m)
-        extra = impl.pack_terms([n], [1])
-        _close(group, impl, items, extra)
-        mod2 = impl
-        if m > 1:
-            impl, mod2 = impl.split_last()
-        basis = IdealBasis(group, m, impl, closed=True)
-        basis.principal = mod2, _take_functional(mod2, extra)
+    impl = _make_impl(group, m, [])
+    _close(group, impl, [[(h, c) for h, c in enumerate(x) if c]
+                         for x in gens])
+    basis = IdealBasis(group, m, impl, closed=True)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
-    return basis
-
-
-def ideal_sum(a: IdealBasis, b: IdealBasis) -> IdealBasis:
-    """Canonical basis of the span a + b: the rows of the smaller basis
-    inserted into a copy of the larger one (echelon insertion over GF(2),
-    Howell insertion over Z_{2^m}).
-
-    A sum of two-sided ideals is a two-sided ideal, so the sum is closed
-    when both inputs are; a closed sum that reaches 1 raises
-    ImproperIdealError, as ideal_closure does.
-    """
-    if a.group is not b.group or a.m != b.m:
-        raise RingMismatchError("ideals from different group rings")
-    if a.span_size() < b.span_size():
-        a, b = b, a
-    impl = a._impl.copy()
-    for row in b._impl.rows:
-        impl.insert(row)
-    basis = IdealBasis(a.group, a.m, impl, closed=a.closed and b.closed)
-    if basis.closed and basis.contains_one():
-        raise ImproperIdealError("sum reached the whole ring")
     return basis
 
 
@@ -798,42 +682,39 @@ def verify_two_sided(basis: IdealBasis) -> bool:
     return basis._impl.translation_closed(_translations(basis.group))
 
 
-def augmentation_powers(group):
-    """GF(2) bases of the powers D^0 > D^1 > ... > D^L = 0 of the
-    augmentation ideal D of F_2[G], L its Loewy length (Jennings, Trans.
-    AMS 50, 1941): D^1 is spanned by the 1 + g, and D^(k+1) by the
-    (g - 1) r, for g a minimal generator and r a row of D^k.  That
-    suffices because hg - 1 = (h - 1) g + (g - 1), so D is the right ideal
-    of the g - 1, and D^(k+1) = D D^k is the sum of the (g - 1) D^k."""
+def minus_one(n, m, g):
+    """The coefficient tuple of g - 1 in Z_{2^m}[G], |G| = n."""
+    coeffs = [0] * n
+    coeffs[g] += 1
+    coeffs[0] = (coeffs[0] - 1) % (1 << m)
+    return tuple(coeffs)
+
+
+def maximal_ideal_powers(group, m):
+    """Canonical bases, in the basis class ``_make_impl`` chooses, of the
+    powers R = M^0 > M^1 > ... > M^L = 0 of the maximal ideal M = (2, D)
+    of R = Z_{2^m}[G], D the augmentation ideal.  At m = 1, M = D and these
+    are Jennings' powers of D (Trans. AMS 50, 1941), L its Loewy length.
+    M^1 is spanned by 2 and the g - 1, and M^(k+1) by 2r and (g - 1)r, for
+    g a minimal generator and r a row of M^k.  That suffices because
+    hg - 1 = (h - 1)g + (g - 1), so D is the right ideal of the g - 1, and
+    M^(k+1) = M M^k is 2M^k plus the sum of the (g - 1)M^k; as 2r lies in
+    M^(k+1), gr + r spans with it what gr - r does."""
     n = group.n
-    powers = [_Gf2Basis.from_reduced(n, [1 << g for g in range(n)]),
-              _Gf2Basis(n)]
-    for g in range(1, n):
-        powers[1].insert(1 | 1 << g)
+    units = [tuple(int(g == h) for h in range(n)) for g in range(n)]
+    two = tuple(2 * c for c in units[0])
+    powers = [_make_impl(group, m, units),
+              _make_impl(group, m, [two] + [minus_one(n, m, g)
+                                            for g in range(1, n)])]
     lefts = [group.mul[g] for g in group.minimal_generators()]
-    while powers[-1].pivots:
-        power = _Gf2Basis(n)
-        for row in powers[-1].pivots.values():
+    while powers[-1].rank():
+        last, power = powers[-1], _make_impl(group, m, [])
+        for row in last.rows:
+            power.insert(power.doubled(row))
             for perm in lefts:
-                power.insert(_Gf2Basis.translate(row, perm) ^ row)
+                power.insert(power.plus(power.translate(row, perm), row))
         powers.append(power)
     return powers
-
-
-def leading_form(powers, bar):
-    """The D-adic leading form (v, x' mod D^(v+1)) of an image x' != 0 in
-    F_2[G], packed to ``bar`` (``_Gf2Basis.pack``), for the
-    ``augmentation_powers`` of G: v is the largest k with x' in D^k and the
-    class is the reduced representative.
-    Two generators of one two-sided ideal have one leading form: if x' is
-    in D^v, every g x' h is x' mod D^(v+1), so a generator of the ideal of
-    x' is x' mod D^(v+1) or lies in D^(v+1), and the latter would put x'
-    there too."""
-    for k in range(1, len(powers)):
-        rest = powers[k].reduce(bar)
-        if rest:
-            return k - 1, rest
-    raise Fuchs2Error("an element of 2R has no leading form")
 
 
 # -- quotient rings -----------------------------------------------------------

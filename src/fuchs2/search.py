@@ -1,23 +1,17 @@
-"""Bounded ideal search, certificate verification, and the fixture suite.
+"""Exhaustive ideal walk, certificate verification, and the fixture suite.
 
-The search walks small even-support generator tuples in Z_{2^m}[G] in a
-fixed deterministic order (by generator count, then lexicographically over
-a pool of single generators), depth first over the ideal lattice, and
-yields only the candidates a certificate can come from: the ideals with
-exactly 2|G| residues.  Each distinct principal ideal of scalar 1 is
-closed once: pool supports fall into orbits under translation by the
-inverses of their elements, and an orbit's representative is first tested
-against the ideals closed from generators of its leading form in the
-filtration of F_2[G] by the powers of the augmentation ideal (Nakayama's
-lemma makes the test exact).  The ideal of 2^e*y is y's scaled by 2^e,
-since scalars are central.  A tuple's ideal is its prefix's span with one
-principal ideal merged in, each merge made once per prefix span.  A
-prefix that leaves fewer than 2|G| residues is not extended, and its
-subtree is counted into the raw index, so the budget ends the stream at
-the same raw index as closing every tuple in turn would.  The zero ideal
-is tried first.  The first candidate whose unit group is isomorphic to G
-is certified; identical (group, config) inputs give byte-identical
-certificates.
+Let R be a finite ring of characteristic 2^m whose unit group is a
+2-group G.  Then R^x = 1 + J, J the Jacobson radical, and Z_{2^m}*1 + J
+is a local ring with 2|G| elements and the same units.  It is spanned by
+its units (j = (1 + j) - 1), so it is a quotient Z_{2^m}[G]/I on which
+g -> g + I is a bijection of G onto the units.  The search finds every
+such two-sided ideal I, each once, by a walk down Jennings' layers of the
+maximal ideal M = (2, D) of Z_{2^m}[G], D the augmentation ideal
+(``enumerate_candidates``): I is reached through I_t = I + M^t, from
+I_1 = M.  The first hit is certified with the natural map as witness;
+identical (group, config) inputs give byte-identical certificates.  A walk
+that ends without a hit returns None; one that reaches its node cap raises
+UndecidedError, since a cap is never a refutation.
 
 The fixture suite rebuilds every explicit ideal from the literature this
 package tracks and checks a recorded witness for each: the images of the
@@ -28,12 +22,9 @@ is tabulated and no isomorphism is searched for.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
-import math
-import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -45,280 +36,134 @@ from .errors import (
     SizeCapError,
     UndecidedError,
 )
-from .gring import M_CAP, IdealBasis, _check_m, _sides, \
-    augmentation_powers, ideal_closure, ideal_sum, leading_form, \
-    quotient_ring, residue_count, unit_group, unit_isomorphism, \
-    verify_two_sided
-from .groups import CayleyGroup, build_group, isomorphism
+from .gring import M_CAP, IdealBasis, _check_m, _translations, \
+    ideal_closure, maximal_ideal_powers, minus_one, quotient_ring, \
+    residue_count, unit_isomorphism, verify_two_sided
+from .groups import CayleyGroup, build_group
 from .parsing import parse_element_literal, parse_element_terms
 from .star import Certificate, certificate_from_parts
 
 DEFAULT_BUDGET = 1_000_000
-DEDUP_CACHE = 1 << 20  # most basis fingerprints remembered for dedup
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     m: int = 1
-    support_sizes: tuple[int, ...] = (2, 4)
-    max_gens: int = 4
-    budget: int = DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET  # most walk nodes visited
 
     def __post_init__(self):
         _check_m(self.m)
         if self.budget <= 0:
             raise Fuchs2Error("search budget must be positive")
-        if self.max_gens < 1:
-            raise Fuchs2Error("a candidate needs at least one generator")
-        if any(s < 2 for s in self.support_sizes):
-            raise Fuchs2Error("candidate supports need at least 2 elements")
-        if any(s % 2 for s in self.support_sizes):
-            raise Fuchs2Error("candidate supports must be even "
-                              "(generators must lie in the maximal ideal)")
-        if len(set(self.support_sizes)) < len(self.support_sizes):
-            raise Fuchs2Error("candidate support sizes must be distinct")
 
 
-def _pool(G: CayleyGroup, config: SearchConfig):
-    """Deterministic pool of candidate generators, as (e, support) pairs
-    for the elements 2^e * sum of the support: even supports containing the
-    identity, by size and then in index order, each with the scalar
-    exponents 0..m-1.  Every entry has even coefficient sum
-    (``SearchConfig`` allows only even support sizes), so it lies in the
-    even-sum maximal ideal."""
-    return [(e, (0,) + combo)
-            for size in sorted(config.support_sizes)
-            for combo in itertools.combinations(range(1, G.n), size - 1)
-            for e in range(config.m)]
-
-
-def _element(G: CayleyGroup, entry):
-    """The coefficient tuple of the pool entry (e, support): 2^e on each
-    element of the support, 0 elsewhere."""
-    e, support = entry
-    coeffs = [0] * G.n
-    for g in support:
-        coeffs[g] = 1 << e
-    return tuple(coeffs)
-
-
-def _principal_closures(G: CayleyGroup, m, pool):
-    """Lazy principal closure of each pool entry, memoized per entry.
-
-    A group element s in the support of x is a unit, so s^-1 x and x s^-1
-    generate the same two-sided ideal as x.  Both keep the scalar and move
-    the support to s^-1 S or S s^-1, again a pool support, so the orbits
-    are orbits of supports: each is walked once, by the moves of each s^-1
-    built once per call (the left translation, and the right one only
-    where it differs: ``gring._sides``).  On an abelian group the left
-    moves take S to {s^-1 S : s in S}, the orbit, in |S| moves.
-
-    Each distinct ideal of an orbit's representative x of scalar 1 is
-    closed once, by ``ideal_closure``.  Generators of one ideal have one
-    D-adic leading form (``gring.leading_form``, the filtration computed
-    once per call), and each closed ideal goes in the bucket of its
-    generator's form; x is first tested against the ideals in its bucket,
-    and takes the one it generates (``IdealBasis.generates``, exact by
-    Nakayama's lemma).  x is packed once for its leading form and once for
-    all its tests, straight from the support.  Scalars are central, so the
-    ideal of 2^e*y is 2^e times that of y, the entry of scalar 1 on the
-    same support (``IdealBasis.scaled``); each ideal of scalar 1 is scaled
-    once per exponent, and equal scaled ideals are one interned basis."""
-    orbit_of = {}  # support -> orbit number
-    reps = []  # orbit number -> the support it was first reached from
-    closures = {}  # orbit number -> its ideal of scalar 1
-    buckets = {}  # leading form -> the ideals of scalar 1 closed with it
-    scaled = {}  # (ideal of scalar 1, e) -> interned basis
-    interned = {}  # key -> scaled basis
-    moves = [_sides(G, G.inv[s]) for s in range(G.n)]
-    ones = itertools.repeat(1)
-    abelian = G.is_abelian()
-    powers = augmentation_powers(G)
-
-    def orbit(support):  # numbers the orbit of a support not yet reached
-        k = orbit_of[support] = len(reps)
-        reps.append(support)
-        if abelian:
-            at = operator.itemgetter(*support)
-            for s in support:
-                orbit_of[tuple(sorted(at(moves[s][0])))] = k
-            return k
-        work = [support]
-        while work:
-            support = work.pop()
-            at = operator.itemgetter(*support)
-            for s in support:
-                for perm in moves[s]:
-                    moved = tuple(sorted(at(perm)))
-                    if moved not in orbit_of:
-                        orbit_of[moved] = k
-                        work.append(moved)
-        return k
-
-    def closed(k):  # the ideal of orbit k's representative, found once
-        support = reps[k]
-        bar = sum(1 << g for g in support)  # x mod 2, packed
-        bucket = buckets.setdefault(leading_form(powers, bar), [])
-        # x packed in the ideals' own form, once for all the tests
-        v = bucket and bucket[0].pack_terms(support, ones)
-        basis = next((b for b in bucket if b.generates(v)), None)
-        if basis is None:
-            basis = ideal_closure(G, m, [_element(G, (0, support))])
-            bucket.append(basis)
-        closures[k] = basis
-        return basis
-
-    def closure(i):
-        e, support = pool[i]
-        k = orbit_of.get(support)
-        if k is None:
-            k = orbit(support)
-        basis = closures.get(k) or closed(k)
-        if not e:
-            return basis
-        if (basis, e) not in scaled:
-            basis_e = basis.scaled(e)
-            scaled[basis, e] = interned.setdefault(basis_e.key(), basis_e)
-        return scaled[basis, e]
-
-    return functools.cache(closure)
+def _subspaces(d, c):
+    """Each subspace of codimension c in F_2^d once, as its reduced echelon
+    rows (bit masks, pivot = lowest bit) and its non-pivot columns, whose
+    unit vectors span a complement of it."""
+    for pivots in itertools.combinations(range(d), d - c):
+        free = [j for j in range(d) if j not in pivots]
+        slots = [[j for j in free if j > p] for p in pivots]
+        for bits in itertools.product((0, 1), repeat=sum(map(len, slots))):
+            bit = iter(bits)
+            yield [1 << p | sum(1 << j for j in slot if next(bit))
+                   for p, slot in zip(pivots, slots)], free
 
 
 def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
-    """Yield (index, generators, closed basis) for each distinct ideal
-    with exactly 2|G| residues, the only size a realizing residue ring can
-    have; each generator is a coefficient tuple (``_element``).
+    """Yield, as a closed ``IdealBasis``, every two-sided ideal I of
+    Z_{2^m}[G] on which g -> g + I is a bijection of G onto the units of
+    the quotient, each once, depth first; raise UndecidedError before the
+    walk visits more than ``config.budget`` nodes.
 
-    The raw stream is every generator tuple, by generator count and then
-    lexicographically over the single-element pool; `index` is a tuple's
-    position in it, and the stream ends at raw index `budget`.  It is
-    walked depth first.  A tuple's ideal is the sum of the principal
-    closures of its entries (``_principal_closures``), since a sum of
-    two-sided ideals is two-sided: its prefix's span with one closure
-    merged in.  Equal principal closures are one basis, so one memo per
-    prefix span object keeps, per basis, the merged span and, once a leaf
-    needs it, the span's key; every frame with that prefix span shares it,
-    across generator counts too.  Only a leaf of exactly 2|G| residues
-    takes a key and a place among the remembered keys.  A sum that no
-    later count extends is kept as None, dropping its span, once its key
-    is remembered or at once when it has another size: that is a sum that
-    leaves too few residues, or whose lex-least tuple starts at a pool
-    entry the next count's walk does not reach before the budget ends the
-    stream.  A reused span is skipped or yielded exactly as a freshly
-    merged one would be, also past ``DEDUP_CACHE`` remembered keys.
-
-    Spans only grow along a branch and lie in the even-sum maximal ideal,
-    so none is improper.  A prefix whose span leaves fewer than 2|G|
-    residues is not extended, and its subtree is counted into the raw
-    index.  So every ideal with exactly 2|G| residues is yielded at the
-    same index, with the same generators and rows, as by closing every
-    raw tuple in turn.
+    A node is I_t = I + M^t, a canonical basis, with e = log2|M/I_t| and
+    its kernel {g != 1 : g - 1 in I_t}; the root is I_1 = M.  Its children
+    are the I_(t+1) of every I with I_t = I + M^t:
+    C_t = M I_t + I_t M + M^(t+1) lies in I_(t+1), and every subgroup U
+    between C_t and I_t is an ideal, since gu - u and ug - u lie in C_t
+    for every u in I_t and g in G.  C_t is spanned by M^(t+1) and by 2v and
+    P(v) - v, for v a row of I_t and P a translation of ``_translations``
+    (M = 2R + the sum of the (g - 1)R, g a minimal generator, and
+    P(v) + v spans with 2v what P(v) - v does).  The children are the U
+    with U + M^t = I_t and I_t/U of order 2^c, 1 <= c <= k - e,
+    |G| = 2^k: a subspace S of codimension c in W = (M^t + C_t)/C_t, which
+    is U meeting W, together with one of 2^(c r) lifts to U of a basis of
+    I_t/(M^t + C_t), r its dimension, each lift taken mod S.  U is kept
+    only when G maps onto 1 + M/U, that is when its kernel, a subgroup of
+    the parent's, has |G|/|M/U| elements: every I below U has that
+    property, since the units of Z_{2^m}[G]/I map onto those of the
+    quotient by U.  A node with |M/U| = |G| is a hit: G maps onto
+    1 + M/U of |G| elements.  Each I is reached once, through the unique
+    chain I + M^t, and the walk ends, as M is nilpotent.
     """
-    for size in config.support_sizes:
-        if size > G.n:
-            raise Fuchs2Error(f"support size {size} exceeds |G| = {G.n}")
-    pool = _pool(G, config)
-    closure = _principal_closures(G, config.m, pool)
-    element = functools.cache(lambda j: _element(G, pool[j]))
-    limit = (1 << (config.m * G.n)) // (2 * G.n)  # spans leaving 2|G| residues
-    # prefix span -> {principal closure -> [prefix + it, its key or None],
-    # or None when its key is remembered and no later count extends it:
-    # it is never extended nor yielded again}
-    merges = {}
-    reach = 0
-    seen = set()
-    chosen = []
-    index = 0
+    m, n = config.m, G.n
+    k = n.bit_length() - 1
+    powers = maximal_ideal_powers(G, m)
+    last = len(powers) - 1  # M^t = 0 from t = last on
+    perms = _translations(G)
+    shifts = {g: powers[last].pack(minus_one(n, m, g)) for g in range(1, n)}
 
-    def walk(start, left, prefix):
-        nonlocal index
-        merged = merges.setdefault(prefix, {})
-        for i in range(start, len(pool) - left):
-            if index >= config.budget:
-                return
-            basis = closure(i)
-            if basis not in merged:
-                merged[basis] = [basis if prefix is None
-                                 else ideal_sum(prefix, basis), None]
-            entry = merged[basis]
-            if left == 0:
-                index += 1
-                if entry is None:
-                    continue
-                span, key = entry
-                size = span.span_size()
-                later = size <= limit  # a later count may extend it
-                # first reached, by its lex-least tuple: no tuple that
-                # reaches it later starts at an earlier pool entry
-                if key is None:
-                    key = entry[1] = span.key() if size == limit else ()
-                    later = later and (chosen[0] if chosen else i) < reach
-                fresh = size == limit and key not in seen
-                if fresh and len(seen) < DEDUP_CACHE:
-                    seen.add(key)
-                if not later and (key in seen or size != limit):
-                    merged[basis] = None  # never extended, never new again
-                if fresh:
-                    yield index - 1, tuple(map(element, chosen + [i])), span
-            elif entry is None or entry[0].span_size() > limit:
-                index += math.comb(len(pool) - i - 1, left)
-            else:
-                chosen.append(i)
-                yield from walk(i + 1, left - 1, entry[0])
-                chosen.pop()
+    def children(t, ideal, e, kernel):
+        span = powers[min(t + 1, last)].copy()  # C_t
+        rows = ideal.rows
+        for v in rows:
+            span.insert(span.doubled(v))
+            for perm in perms:
+                span.insert(span.plus(span.translate(v, perm), v))
+        top = span.copy()
+        ws = [v for v in powers[min(t, last)].rows if top.insert(v)]  # W
+        bs = [v for v in rows if top.insert(v)]
 
-    raw = 0  # raw tuples of up to ng generators
-    for ng in range(1, config.max_gens + 1):
-        raw += math.comb(len(pool), ng)
-        # the first pool entry at which the budget ends the stream before
-        # any tuple of ng + 1 generators starting there, or 0 when no
-        # later count runs
-        reach = 0 if ng == config.max_gens else bisect.bisect_left(
-            range(len(pool)), config.budget, key=lambda a: raw + math.comb(
-                len(pool), ng + 1) - math.comb(len(pool) - a, ng + 1))
-        yield from walk(0, ng - 1, None)
+        def combination(columns):  # the sum of the ws at those columns
+            return functools.reduce(span.plus, (ws[j] for j in columns), 0)
 
+        for c in range(1, min(len(ws), k - e) + 1):
+            need = (n >> (e + c)) - 1
+            for reduced, free in _subspaces(len(ws), c):
+                base = span.copy()
+                for row in reduced:
+                    base.insert(combination(
+                        j for j in range(len(ws)) if row >> j & 1))
+                lifts = [combination(itertools.compress(free, bits))
+                         for bits in itertools.product((0, 1), repeat=c)]
+                for chosen in itertools.product(lifts, repeat=len(bs)):
+                    child = base.copy()
+                    for b, lift in zip(bs, chosen):
+                        child.insert(span.plus(b, lift))
+                    left = [g for g in kernel if child.contains(shifts[g])]
+                    if len(left) == need:
+                        yield t + 1, child, e + c, left
 
-def _evaluate(G: CayleyGroup, config: SearchConfig, basis):
-    """Certificate for one closed candidate, or None.
-
-    The candidate is proper without a check: every pool element has even
-    coefficient sum, so its ideal lies in the even-sum maximal ideal of
-    the local ring Z_{2^m}[G].  The rendered certificate is checked by
-    ``_check_document`` against G, the route ``run_fixture`` takes; the
-    spec -> group route of ``verify_certificate`` is left to the caller
-    and the test suite."""
-    if basis.span_size() * 2 * G.n != (1 << (config.m * G.n)):
-        return None
-    ring = quotient_ring(basis)
-    units = unit_group(ring)
-    try:
-        phi = isomorphism(G, units.group)
-    except UndecidedError:
-        return None
-    if phi is None:
-        return None
-    images = [units.residue_index[phi[g]] for g in G.gen_indices]
-    cert = certificate_from_parts(G, G, config.m, basis, ring, images,
-                                  method="search")
-    if not _check_document(cert.to_dict(), G, G, config.m):
-        raise InternalInvariantError("search certificate failed to verify")
-    return cert
+    nodes = 0
+    stack = [(1, powers[1], 0, list(range(1, n)))]
+    while stack:
+        t, ideal, e, kernel = stack.pop()
+        nodes += 1
+        if nodes > config.budget:
+            raise UndecidedError(f"the ideal walk reached its cap of "
+                                 f"{config.budget} nodes")
+        if e == k:
+            yield IdealBasis(G, m, ideal, closed=True)
+        else:
+            stack += reversed(list(children(t, ideal, e, kernel)))
 
 
 def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
-    """First certificate in enumeration order, or None at budget
-    exhaustion (which is not a refutation).  The zero ideal is tried
-    first: Z_2[C1] and Z_2[C2] realize their own groups, and for every
-    other group and m its size test rejects it before any ring is built.
-    The candidates are those of ``enumerate_candidates``: each distinct
-    principal ideal is closed once, and each merge made once per prefix
-    span."""
-    candidates = (basis for _, _, basis in enumerate_candidates(G, config))
-    for basis in itertools.chain([IdealBasis.zero(G, config.m)], candidates):
-        cert = _evaluate(G, config, basis)
-        if cert is not None:
-            return cert
+    """Certificate of the first ideal of ``enumerate_candidates``, with
+    the natural map g -> g + I as witness, or None when the walk ends
+    without one; UndecidedError when it reaches its node cap.  The
+    rendered certificate is checked by ``_check_document`` against G, the
+    route ``run_fixture`` takes; the spec -> group route of
+    ``verify_certificate`` is left to the caller and the test suite."""
+    for basis in enumerate_candidates(G, config):
+        ring = quotient_ring(basis)
+        images = [ring.element_index[g] for g in G.gen_indices]
+        cert = certificate_from_parts(G, G, config.m, basis, ring, images,
+                                      method="search")
+        if not _check_document(cert.to_dict(), G, G, config.m):
+            raise InternalInvariantError("search certificate failed to "
+                                         "verify")
+        return cert
     return None
 
 

@@ -314,74 +314,128 @@ def ideal_closure_worklist(group, m, gens):
     return basis
 
 
-def gf2_side_closure(group, x):
-    """The GF(2) image of the ideal generated by x and its generator
-    functional, by a second closure over GF(2): x mod 2 with an extra
-    coordinate n = |G| set to 1, closed under left and right translation
-    by the minimal generators (each fixing n), then stripped of that
-    coordinate.  The route ``gring.ideal_closure`` took at m >= 2 before
-    the coordinate rode its Howell closure.  Returns (the image's reduced
-    rows, the OR of the pivots of the rows that had the coordinate)."""
-    from fuchs2.gring import _Gf2Basis, _translations
+def maximal_ideal_powers_brute(G, m):
+    """Canonical rows (``HowellReference``) of M^0, M^1, ... of the
+    maximal ideal M of Z_{2^m}[G], ending with the first zero power.  M is
+    spanned by 2 and every g - 1, and M^k by the products of k of those:
+    each row of M^(k-1) is multiplied on the right by each of them
+    (``naive_convolve``), with no use of generators or of the routine
+    under test."""
+    n, mod = G.n, 1 << m
+    unit = [tuple(int(h == g) for h in range(n)) for g in range(n)]
+    spanning = [tuple(2 * c % mod for c in unit[0])] + [
+        tuple((c - d) % mod for c, d in zip(unit[g], unit[0]))
+        for g in range(1, n)]
 
-    n = group.n
-    perms = [list(p) + [n] for p in _translations(group)]
-    impl = _Gf2Basis(n)
-    start = sum(1 << g for g, c in enumerate(x) if c & 1) | 1 << n
-    work = [start] if impl.insert(start) else []
-    while work:
-        v = work.pop()
-        for perm in perms:
-            t = impl.translate(v, perm)
-            if impl.insert(t):
-                work.append(t)
-    assert not impl.mask >> n, "the generator coordinate is a pivot"
-    low = (1 << n) - 1
-    functional = sum(p for p, row in impl.pivots.items() if row >> n)
-    return [impl.pivots[p] & low for p in sorted(impl.pivots)], functional
+    def span(vectors):
+        ref = HowellReference(n, m)
+        for v in vectors:
+            ref.insert(v)
+        return ref.rows
 
-
-def scaled_by_reinsertion(basis, e):
-    """The canonical rows of 2^e times the span of ``basis`` over
-    Z_{2^m}: each canonical row times 2^e inserted into a
-    ``HowellReference``."""
-    ref = HowellReference(basis.group.n, basis.m)
-    for row in basis.rows:
-        ref.insert([c << e for c in row])
-    return ref.rows
-
-
-def gf2_independent(masks):
-    """A maximal independent subset of GF(2) masks, in their order."""
-    out = []
-    for v in masks:
-        if gf2_rank(out + [v]) > len(out):
-            out.append(v)
-    return out
-
-
-def gf2_in_span(masks, v):
-    return gf2_rank(masks + [v]) == gf2_rank(masks)
-
-
-def augmentation_powers_brute(G):
-    """Bases of D^0, D^1, ... of the augmentation ideal D of F_2[G], as
-    GF(2) masks, ending with the first zero power.  D^k is spanned by the
-    products of k augmentation elements 1 + g, g in G: each basis vector of
-    D^(k-1) is multiplied on the right by every 1 + g (``naive_convolve``),
-    with no use of generators or of the routine under test."""
-    def mask(v):
-        return sum(1 << g for g, c in enumerate(v) if c & 1)
-
-    aug = [tuple(int(h in (0, g)) for h in range(G.n)) for g in range(1, G.n)]
-    level = [tuple(int(h == g) for h in range(G.n)) for g in range(G.n)]
-    powers = [[mask(v) for v in level]]
-    while level:
-        products = [naive_convolve(G, 1, b, a) for b in level for a in aug]
-        by_mask = {mask(v): v for v in products}
-        level = [by_mask[v] for v in gf2_independent(list(by_mask))]
-        powers.append([mask(v) for v in level])
+    powers = [span(unit)]
+    while powers[-1]:
+        powers.append(span([naive_convolve(G, m, b, a) for b in powers[-1]
+                            for a in spanning]))
     return powers
+
+
+def _minus_one(G, m):
+    """The coefficient tuple of g - 1 for every g != 1."""
+    mod = 1 << m
+    return {g: tuple((int(h == g) - int(h == 0)) % mod for h in range(G.n))
+            for g in range(1, G.n)}
+
+
+def realizing_ideals_by_chains(G, m):
+    """The canonical rows of every two-sided ideal I of Z_{2^m}[G] on
+    which g -> g + I is a bijection onto the units of the quotient, by
+    chains of ideals, each of index 2 in the one before.
+
+    Every such I ends a chain M = K_0 > K_1 > ... > K_k = I, |G| = 2^k, of
+    ideals: the maximal sub-ideals of K containing I have index 2 in K,
+    and they contain N = MK + KM.  G maps onto every 1 + M/K_j, so the
+    kernel {g : g - 1 in K_j} has |G|/2^j elements.  So a breadth-first
+    search finds them all: the children of K are the hyperplanes of K/N,
+    N spanned by 2v, gv - v and vg - v over the rows v of K and every g
+    in G, each hyperplane the kernel of a nonzero functional on K/N; each
+    level is deduplicated by canonical rows and keeps the children whose
+    kernel has the right size.  No layer of powers of M is used."""
+    n, mod = G.n, 1 << m
+    k = n.bit_length() - 1
+    shifts = _minus_one(G, m)
+
+    def canonical(vectors):
+        ref = HowellReference(n, m)
+        for v in vectors:
+            ref.insert(v)
+        return ref
+
+    def moved(v, perm):
+        out = [0] * n
+        for g, c in enumerate(v):
+            out[perm[g]] = c
+        return out
+
+    perms = [G.mul[g] for g in range(n)] + \
+        [[G.mul[h][g] for h in range(n)] for g in range(n)]
+    two = tuple(2 % mod * int(g == 0) for g in range(n))
+    level = {tuple(canonical([two, *shifts.values()]).rows)}
+    for j in range(1, k + 1):
+        children = set()
+        for rows in level:
+            below = canonical(
+                [tuple(2 * c % mod for c in v) for v in rows]
+                + [tuple((a - b) % mod for a, b in zip(moved(v, perm), v))
+                   for v in rows for perm in perms]).rows
+            ref = canonical(below)
+            quotient = [v for v in rows if ref.insert(v)]
+            for f in range(1, 1 << len(quotient)):
+                p = (f & -f).bit_length() - 1
+                child = canonical(below + [
+                    tuple((a + b) % mod for a, b in zip(v, quotient[p]))
+                    if f >> i & 1 else v for i, v in enumerate(quotient)
+                    if i != p])
+                kernel = sum(child.contains(v) for v in shifts.values())
+                if kernel + 1 == n >> j:
+                    children.add(tuple(child.rows))
+        level = children
+    return level
+
+
+def codim_3_ideals_at_order_8(G):
+    """The two-sided ideals of F_2[G], |G| = 8, of codimension 3 in the
+    augmentation ideal D, as sets of their elements (bit masks), by brute
+    force over all 11,811 subspaces of that codimension: each
+    4-dimensional subspace of D, in reduced echelon form over the
+    coordinates of the basis 1 + g, g = 1..7, is kept when it is closed
+    under every translation on both sides.  Such an ideal I realizes G
+    exactly when it contains no 1 + g: then g -> g + I is injective, into
+    units of which there are |G|."""
+    assert G.n == 8
+    perms = [G.mul[g] for g in range(8)] + \
+        [[G.mul[h][g] for h in range(8)] for g in range(8)]
+    subspaces = 0
+    found = set()
+    for pivots in itertools.combinations(range(7), 4):
+        slots = [[j for j in range(p + 1, 7) if j not in pivots]
+                 for p in pivots]
+        for bits in itertools.product((0, 1), repeat=sum(map(len, slots))):
+            bit = iter(bits)
+            rows = [1 << p | sum(1 << j for j in slot if next(bit))
+                    for p, slot in zip(pivots, slots)]
+            subspaces += 1
+            coords = {0}
+            for row in rows:
+                coords |= {c ^ row for c in coords}
+            # coordinate bit j stands for 1 + g, g = j + 1
+            span = {sum(1 << (j + 1) for j in range(7) if c >> j & 1)
+                    | (c.bit_count() & 1) for c in coords}
+            if all(sum(1 << perm[g] for g in range(8) if v >> g & 1) in span
+                   for v in span for perm in perms):
+                found.add(frozenset(span))
+    assert subspaces == 11811
+    return found
 
 
 def ideal_involution(basis):
@@ -564,48 +618,6 @@ def translations_affine_brute(mul, encode):
             if span != f:
                 return False
     return True
-
-
-def single_elements(G, config):
-    """The search's pool as coefficient tuples, in pool order: the entry
-    (e, support) is 2^e times the sum of the support."""
-    from fuchs2.search import _pool
-
-    return [tuple(1 << e if g in support else 0 for g in range(G.n))
-            for e, support in _pool(G, config)]
-
-
-def raw_candidates(G, config):
-    """Every generator tuple of the search, unbudgeted: by count, then
-    lexicographically over its single-element pool."""
-    pool = single_elements(G, config)
-    for ng in range(1, config.max_gens + 1):
-        yield from itertools.combinations(pool, ng)
-
-
-def candidate_stream_oracle(G, config):
-    """The search's candidate stream, one full closure per raw candidate.
-
-    Every generator tuple over the search's single-element pool, by count
-    and then lexicographically, is closed with ideal_closure; improper
-    closures and bases already yielded are skipped, and the stream ends at
-    raw index config.budget.  Yields (index, gens, basis)."""
-    from fuchs2.errors import ImproperIdealError
-    from fuchs2.gring import ideal_closure
-
-    seen = set()
-    for index, gens in enumerate(raw_candidates(G, config)):
-        if index >= config.budget:
-            return
-        try:
-            basis = ideal_closure(G, config.m, list(gens))
-        except ImproperIdealError:
-            continue
-        key = tuple(map(tuple, basis.rows))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield index, gens, basis
 
 
 def residue_transversal(ideal):

@@ -13,8 +13,10 @@ import pytest
 from fuchs2.groups import build_group
 from fuchs2.parsing import parse_presentation_text
 from fuchs2.search import SearchConfig, enumerate_candidates, \
-    run_fixtures, search_realizing_ideal
+    run_fixtures, search_realizing_ideal, verify_certificate
 from fuchs2.star import realize_exponent4
+
+import oracles
 
 
 def sha(text):
@@ -69,21 +71,21 @@ FIXTURES = {
                  "7d1ac1aa5fb1af537c09d052ae5345c6",
 }
 
-SEARCH_C8XC2_CHAR2 = ("6dc3e8d9603e8e5c02af3affbaa81df4"
-                      "784f9f5e8eb38b05b279d49a964c4557")
+# the first hits of the ideal walk, each witnessed by the natural map;
+# re-pinned when the walk replaced the bounded generator-tuple search, and
+# each checked by ``verify_certificate`` and ``oracles.verify_by_unit_table``
+SEARCH_C8XC2_CHAR2 = ("70430b7fba917ed8672c7f85e5f156e8"
+                      "2c3980127982a39eff8c4880661b28ef")
 # realize Q8 --char 4 --method search
-SEARCH_Q8_CHAR4 = ("f1913869cf647f340111d31ee47ac70c"
-                   "32cdb917c9df5939f481ea0ba9611368")
-# realize C4xC2 --char 8 --method search: closures of 2^e*y with
-# 0 < e < m - 1 and with e = m - 1
-SEARCH_C4XC2_CHAR8 = ("62686f74ca0526081c7b52d02d168465"
-                      "43e6fc9b0b5671b7e66a34c537a059db")
-# the char-4 search exhausts its budget, so the candidates' canonical
-# Howell rows, with their raw indices, are what it leaves to pin: derived
-# from the oracle that closes every raw tuple, filtered to 2|G| residues
-# (at the benchmark's budget of 1500 there is none)
-STREAM_C8XC2_CHAR4 = ("9c560c4687333b9df90d1b53b02856373"
-                      "b335c343f2ff9b0dc956f331b41820a")
+SEARCH_Q8_CHAR4 = ("d90b9f6c97a42a850677e1372a7c3726"
+                   "2a17b990feb261cfb81b66d17950bdab")
+# realize C4xC2 --char 8 --method search
+SEARCH_C4XC2_CHAR8 = ("aa0b099d1c95169a25a80cffd9f04628"
+                      "068ace7856eca97d934487522bf19832")
+# every realizing ideal of Z_4[C8xC2], in walk order: 8 ideals, the chain
+# oracle's set; 6 of them have exact characteristic 4
+HITS_C8XC2_CHAR4 = ("527840a5e9f0982d6a0b90644635cd00"
+                    "3ac027886ba48c3a5210451312c28b05")
 
 
 @pytest.mark.parametrize("spec", sorted(REALIZE))
@@ -107,29 +109,38 @@ def test_fixture_certificate_bytes():
     assert got == FIXTURES
 
 
+def _verifies(cert):
+    assert verify_certificate(cert.to_json())
+    assert oracles.verify_by_unit_table(cert.to_dict())
+
+
 def test_search_certificate_bytes_char2():
     cert = search_realizing_ideal(build_group("C8xC2"), SearchConfig())
     assert sha(cert.to_json()) == SEARCH_C8XC2_CHAR2
+    _verifies(cert)
 
 
 def test_search_certificate_bytes_char4():
     cert = search_realizing_ideal(build_group("Q8"), SearchConfig(m=2))
     assert sha(cert.to_json()) == SEARCH_Q8_CHAR4
+    _verifies(cert)
 
 
 def test_search_certificate_bytes_char8():
     cert = search_realizing_ideal(build_group("C4xC2"), SearchConfig(m=3))
     assert sha(cert.to_json()) == SEARCH_C4XC2_CHAR8
+    _verifies(cert)
 
 
-def test_search_stream_bytes_char4():
+def test_search_hit_set_char4():
     G = build_group("C8xC2")
-    config = SearchConfig(m=2, budget=9000)
-    assert search_realizing_ideal(G, config) is None
+    hits = list(enumerate_candidates(G, SearchConfig(m=2)))
     digest = hashlib.sha256()
-    count = 0
-    for index, _, basis in enumerate_candidates(G, config):
-        digest.update(repr((index, basis.rows)).encode())
-        count += 1
-    assert count == 6
-    assert digest.hexdigest() == STREAM_C8XC2_CHAR4
+    for basis in hits:
+        digest.update(repr(basis.rows).encode())
+    assert len(hits) == 8
+    assert sum(not basis.contains((2,) + (0,) * (G.n - 1))
+               for basis in hits) == 6
+    assert {tuple(basis.rows) for basis in hits} == \
+        oracles.realizing_ideals_by_chains(G, 2)
+    assert digest.hexdigest() == HITS_C8XC2_CHAR4

@@ -443,8 +443,7 @@ def test_realize_c2_by_search(capsys):
 
 
 def test_realize_searches_order_2_with_the_sizes_that_fit(capsys):
-    # support size 4 does not fit in C2; the default sizes that do still
-    # find Z_4 = Z_4[C2]/(1+a)
+    # the walk finds Z_4 = Z_4[C2]/(1+a)
     assert dispatch(["realize", "C2", "--char", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == "search" and doc["char"] == 4
@@ -466,6 +465,25 @@ def test_auto_mode_does_not_search_an_exhausted_exponent_4_group(
     assert doc["status"] == "unknown"
     assert doc["search"]["result"] == "not_run"
     assert any("bounded search" in note for note in doc["notes"])
+
+
+@pytest.mark.parametrize("budget, search", [
+    (None, {"result": "exhausted"}),
+    (32, {"budget": 32, "result": "budget"})])
+def test_realize_search_reports_exhaustion_and_the_cap(
+        capsys, tmp_path, budget, search):
+    # an open class-4 group of order 64: its walk ends after 33 nodes
+    # without a hit; a cap below that decides nothing; both are unknown
+    from test_star import OPEN_64
+    pres = tmp_path / "open64.pres"
+    pres.write_text(OPEN_64[0])
+    argv = ["realize", f"file:{pres}", "--method", "search"]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    assert dispatch(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unknown"
+    assert doc["search"] == search
 
 
 def test_certificates_identical_across_processes(tmp_path):

@@ -23,7 +23,6 @@ from fuchs2.gring import (
     cyclic_quotient_order,
     full_group_ring,
     ideal_closure,
-    ideal_sum,
     quotient_ring,
     scalar_unit_identity_check,
     unit_group,
@@ -252,20 +251,21 @@ def test_howell_masks_are_the_fieldwise_sums(n):
         assert h.add == sum((1 << m) << (g * w) for g in range(n))
 
 
-def test_scaled_basis_is_the_span_of_the_scaled_rows():
+def test_packed_sums_and_doubles_are_fieldwise():
+    # plus and doubled of both basis classes are the sum and the double of
+    # the coefficient tuples mod 2^m, with no carry between fields
     random.seed(31)
-    n, m = 5, 3
-    mod = 1 << m
-    for _ in range(15):
-        h = _HowellBasis(n, m)
-        vecs = [[random.randrange(mod) for _ in range(n)] for _ in range(3)]
-        for v in vecs:
-            h.insert(h.pack(v))
-        for e in range(1, m):
-            direct = _HowellBasis(n, m)
-            for v in vecs:
-                direct.insert(direct.pack([(c << e) % mod for c in v]))
-            assert h.scaled(e).rows == direct.rows
+    n = 5
+    for m in range(1, M_CAP + 1):
+        mod = 1 << m
+        impl = _Gf2Basis(n) if m == 1 else _HowellBasis(n, m)
+        for _ in range(15):
+            a, b = ([random.randrange(mod) for _ in range(n)]
+                    for _ in range(2))
+            assert impl.unpack(impl.plus(impl.pack(a), impl.pack(b))) == \
+                tuple((x + y) % mod for x, y in zip(a, b))
+            assert impl.unpack(impl.doubled(impl.pack(a))) == \
+                tuple(2 * x % mod for x in a)
 
 
 def test_howell_form_is_canonical():
@@ -900,16 +900,6 @@ def ideal_pairs(draw):
             [element() for _ in range(draw(st.integers(1, 3)))])
 
 
-@settings(max_examples=60, deadline=None)
-@given(pair=ideal_pairs())
-def test_ideal_sum_is_closure_of_union(pair):
-    G, m, a, b = pair
-    total = ideal_sum(ideal_closure(G, m, a), ideal_closure(G, m, b))
-    assert total.closed
-    assert total.rows == ideal_closure(G, m, a + b).rows
-    assert verify_two_sided(total)
-
-
 @settings(max_examples=40, deadline=None)
 @given(pair=ideal_pairs())
 def test_verify_two_sided_matches_brute_over_howell(pair):
@@ -981,20 +971,6 @@ def test_deduplicated_translations_match_both_sided_route(case):
                            oracles.translations_both_sides):
         assert route() == ours
     assert ours[1] in (None, True)
-
-
-def test_ideal_sum_unclosed_and_mismatched_inputs():
-    b = close("C4", "1+a^2")
-    G = b.group
-    a = IdealBasis.from_vectors(G, 1, [(1, 1, 0, 0)])
-    total = ideal_sum(a, b)
-    assert not total.closed
-    assert total.span_size() == 8
-    other = ideal_closure(G, 2, [(2, 2, 0, 0)])
-    with pytest.raises(RingMismatchError):
-        ideal_sum(b, other)
-    with pytest.raises(RingMismatchError):
-        ideal_sum(b, close("C8", "1+a^4"))
 
 
 # -- unit groups --------------------------------------------------------------

@@ -200,12 +200,13 @@ def test_unit_isomorphism_rejects_non_units_before_any_product(monkeypatch):
 
 
 def test_realize_and_verify_build_no_unit_table(monkeypatch):
-    # unit_group tabulates the units only where an isomorphism is searched
+    # unit_group tabulates the units only for `fuchs2 unitgroup`; the
+    # search module does not import it
     def refuse(ring):
         raise AssertionError("unit_group called")
 
     monkeypatch.setattr(fuchs2.gring, "unit_group", refuse)
-    monkeypatch.setattr(fuchs2.search, "unit_group", refuse)
+    assert not hasattr(fuchs2.search, "unit_group")
     cert = realize_exponent4(build_group("Q8xD8"))
     assert verify_certificate(cert.to_json())
 
