@@ -32,6 +32,7 @@ from .groups import build_group, structure_report
 from .parsing import parse_element_literal
 from .screeners import screen
 from .search import (
+    DEFAULT_BUDGET,
     SearchConfig,
     run_fixtures,
     search_realizing_ideal,
@@ -233,7 +234,7 @@ def make_parser():
     p.add_argument("--method", choices=["auto", "star", "search",
                                         "screen-only"],
                    default="auto")
-    p.add_argument("--budget", type=int, default=SearchConfig.budget)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--output", help="also write the JSON document here")
     p.set_defaults(func=cmd_realize)
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     Fuchs2Error,
@@ -889,15 +888,15 @@ def quotient_ring(ideal: IdealBasis) -> QuotientRing:
     return QuotientRing(ideal)
 
 
-@dataclass
 class UnitGroup:
     """Cayley table on the units of a residue ring, identity first, plus
     the residue index of each unit and its inverse map ``position``
     (residue index -> unit index; non-units are absent)."""
 
-    group: CayleyGroup
-    residue_index: list[int]
-    position: dict[int, int]
+    def __init__(self, group, residue_index, position):
+        self.group = group
+        self.residue_index = residue_index
+        self.position = position
 
 
 def unit_group(ring) -> UnitGroup:

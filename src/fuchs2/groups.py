@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .errors import (
@@ -46,8 +46,8 @@ INDECOMP_CAP = 128
 NORMAL_SUBGROUP_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation",
+                              "gens relators relator_text")):
     """A finite presentation: generator names plus relator words.
 
     Each relator is a word stored as a tuple of (generator index, exponent)
@@ -56,16 +56,15 @@ class Presentation:
     messages.
     """
 
-    gens: tuple[str, ...]
-    relators: tuple[tuple[tuple[int, int], ...], ...]
-    relator_text: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for word in self.relators:
+    def __new__(cls, gens, relators, relator_text=()):
+        for word in relators:
             for g, _ in word:
-                if not 0 <= g < len(self.gens):
+                if not 0 <= g < len(gens):
                     raise ConstructionError(
                         f"relator uses undeclared generator index {g}")
+        return super().__new__(cls, gens, relators, relator_text)
 
 
 def invariants_from_orders(orders):
@@ -1079,15 +1078,16 @@ def is_indecomposable(G: CayleyGroup):
 # -- structure report ---------------------------------------------------------
 
 
-@dataclass
 class StructureReport:
-    order: int
-    exponent: int
-    nilpotency_class: int
-    center: tuple[int, ...]
-    abelian_invariants: tuple[int, ...]
-    indecomposable: bool | None
-    minimal_generator_count: int
+    def __init__(self, order, exponent, nilpotency_class, center,
+                 abelian_invariants, indecomposable, minimal_generator_count):
+        self.order = order
+        self.exponent = exponent
+        self.nilpotency_class = nilpotency_class
+        self.center = center
+        self.abelian_invariants = abelian_invariants
+        self.indecomposable = indecomposable
+        self.minimal_generator_count = minimal_generator_count
 
     def to_dict(self):
         return {

@@ -23,7 +23,7 @@ file:g.presxC2 is a product with C2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError
 from .groups import (
@@ -47,11 +47,11 @@ _ATOM_NAMES = ", ".join([f"{kind}n" for kind in CATALOG_FAMILIES]
                         + list(CATALOG_NAMED) + ["file:<path>"])
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Parsed group expression: a product of named atoms."""
+class GroupSpec(namedtuple("GroupSpec", "atoms")):
+    """Parsed group expression: a product of named atoms, each ("C", 8),
+    ("QD", 16), ("M16",) or ("file", path)."""
 
-    atoms: tuple[tuple, ...]  # ("C", 8) | ("QD", 16) | ("M16",) | ("file", path)
+    __slots__ = ()
 
     def __str__(self):
         return "x".join(self._atom_str(a) for a in self.atoms)

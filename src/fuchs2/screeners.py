@@ -20,7 +20,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
 from .gring import M_CAP
@@ -39,12 +38,12 @@ SCOPE_ANY_RING = "any finite ring"
 SCOPE_CONSTRAINT = "constraint"
 
 
-@dataclass
 class Reason:
-    rule: str
-    statement: str
-    scope: str
-    witness: str | None = None
+    def __init__(self, rule, statement, scope, witness=None):
+        self.rule = rule
+        self.statement = statement
+        self.scope = scope
+        self.witness = witness
 
     def to_dict(self):
         return {
@@ -55,15 +54,16 @@ class Reason:
         }
 
 
-@dataclass
 class Verdict:
-    group_spec: object
-    status: str                       # realizable | not_realizable | unknown
-    scope: str | None
-    reasons: list[Reason]
-    allowed_characteristics: list[int]
-    certificate: Certificate | None = None
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, group_spec, status, scope, reasons,
+                 allowed_characteristics, certificate=None, notes=None):
+        self.group_spec = group_spec
+        self.status = status  # realizable | not_realizable | unknown
+        self.scope = scope
+        self.reasons = reasons
+        self.allowed_characteristics = allowed_characteristics
+        self.certificate = certificate
+        self.notes = [] if notes is None else notes
 
     def to_dict(self):
         return {

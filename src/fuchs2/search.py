@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CertificateError,
@@ -46,15 +46,14 @@ from .star import Certificate, certificate_from_parts
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    m: int = 1
-    budget: int = DEFAULT_BUDGET  # most walk nodes visited
+class SearchConfig(namedtuple("SearchConfig", "m budget")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_m(self.m)
-        if self.budget <= 0:
+    def __new__(cls, m=1, budget=DEFAULT_BUDGET):  # budget: most walk nodes
+        _check_m(m)
+        if budget <= 0:
             raise Fuchs2Error("search budget must be positive")
+        return super().__new__(cls, m, budget)
 
 
 def _subspaces(d, c):
@@ -95,6 +94,12 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     quotient by U.  A node with |M/U| = |G| is a hit: G maps onto
     1 + M/U of |G| elements.  Each I is reached once, through the unique
     chain I + M^t, and the walk ends, as M is nilpotent.
+
+    g -> g - 1 + C_t is a homomorphism F of the kernel K into the F_2-space
+    I_t/C_t, since (g - 1)(h - 1) lies in I_t I_t, inside C_t.  U is kept
+    exactly when F(K) + U/C_t = I_t/C_t, so a node has a child if and only
+    if F(K) and W are both nonzero: when every g - 1 lies in C_t the node
+    is left as soon as C_t is built.
     """
     m, n = config.m, G.n
     k = n.bit_length() - 1
@@ -110,6 +115,8 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
             span.insert(span.doubled(v))
             for perm in perms:
                 span.insert(span.plus(span.translate(v, perm), v))
+        if all(span.contains(shifts[g]) for g in kernel):
+            return
         top = span.copy()
         ws = [v for v in powers[min(t, last)].rows if top.insert(v)]  # W
         bs = [v for v in rows if top.insert(v)]
@@ -154,7 +161,10 @@ def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):
     without one; UndecidedError when it reaches its node cap.  The
     rendered certificate is checked by ``_check_document`` against G, the
     route ``run_fixture`` takes; the spec -> group route of
-    ``verify_certificate`` is left to the caller and the test suite."""
+    ``verify_certificate`` is left to the caller and the test suite.
+    The certificate's ``char`` 2^m names the ambient ring Z_{2^m}[G]; the
+    certified ring's exact characteristic, the least 2^e with 2^e * 1 in
+    I, can be smaller (4 for C4xC2 at m = 3)."""
     for basis in enumerate_candidates(G, config):
         ring = quotient_ring(basis)
         images = [ring.element_index[g] for g in G.gen_indices]
@@ -313,13 +323,14 @@ def _check_document(doc, ambient, target, m) -> bool:
 # -- fixtures -----------------------------------------------------------------
 
 
-@dataclass
 class FixtureResult:
-    name: str
-    expected: str
-    verified: bool
-    certificate: Certificate | None = None
-    detail: str = ""
+    def __init__(self, name, expected, verified, certificate=None,
+                 detail=""):
+        self.name = name
+        self.expected = expected
+        self.verified = verified
+        self.certificate = certificate
+        self.detail = detail
 
     def to_dict(self):
         return {

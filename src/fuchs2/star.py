@@ -34,7 +34,6 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import Fuchs2Error, InternalInvariantError
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 CHIEF_CHAINS = 256
 
 
-@dataclass
 class PcSequence:
     """Ordered composition basis with all relative orders 2.
 
@@ -67,15 +65,13 @@ class PcSequence:
     the conditions and their witness need only ``encode`` and ``decode``.
     """
 
-    group: CayleyGroup
-    elements: tuple[int, ...]
-    split: int
-    decode: list[int]
-    encode: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.encode = [0] * len(self.decode)
-        for d, g in enumerate(self.decode):
+    def __init__(self, group, elements, split, decode):
+        self.group = group
+        self.elements = elements
+        self.split = split
+        self.decode = decode
+        self.encode = [0] * len(decode)
+        for d, g in enumerate(decode):
             self.encode[g] = d
 
     @functools.cached_property
@@ -313,20 +309,23 @@ def complement_ideal(G: CayleyGroup, seq: PcSequence) -> IdealBasis:
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass
 class Certificate:
     """Verified realization witness: a closed ideal of an ambient group
     ring whose residue-ring unit group is isomorphic to the target group,
-    together with the generator-image witness of that isomorphism."""
+    together with the generator-image witness of that isomorphism.  A
+    spec is a str or {"gens": [...], "relators": [...]}; ``witness`` maps
+    each generator label to an ambient element literal."""
 
-    group_spec: object          # str or {"gens": [...], "relators": [...]}
-    ambient_spec: object
-    m: int
-    basis: IdealBasis
-    quotient_size: int
-    witness: dict               # generator label -> ambient element literal
-    method: str
-    tool_version: str = __version__
+    def __init__(self, group_spec, ambient_spec, m, basis, quotient_size,
+                 witness, method, tool_version=__version__):
+        self.group_spec = group_spec
+        self.ambient_spec = ambient_spec
+        self.m = m
+        self.basis = basis
+        self.quotient_size = quotient_size
+        self.witness = witness
+        self.method = method
+        self.tool_version = tool_version
 
     def to_dict(self):
         ambient = self.basis.group

@@ -38,6 +38,18 @@ def test_spec_roundtrip():
         assert spec == again
 
 
+def test_specs_are_immutable_values():
+    spec = parse_group_spec("C8xC2")
+    again = parse_group_spec(" C8 x C2 ")
+    assert spec == again and hash(spec) == hash(again)
+    assert len({spec, again, parse_group_spec("C2xC8")}) == 2
+    with pytest.raises(AttributeError):
+        spec.atoms = (("C", 2),)
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert repr(spec) == "GroupSpec(atoms=(('C', 8), ('C', 2)))"
+
+
 def test_spec_errors():
     with pytest.raises(ParseError):
         parse_group_spec("C6")
@@ -501,3 +513,18 @@ def test_certificates_identical_across_processes(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_import_loads_no_code_generation_machinery():
+    # the package's records are plain classes and namedtuples: importing
+    # it, CLI included, pulls in none of the modules dataclasses needs
+    import subprocess
+    import sys
+    banned = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fuchs2, fuchs2.cli; "
+         f"print(sorted(set({banned!r}) & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

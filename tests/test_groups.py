@@ -100,6 +100,20 @@ def test_inconsistent_presentation_reports_relator():
     assert "a" in str(err.value)
 
 
+def test_presentations_are_immutable_values():
+    pres = Presentation(("a",), (((0, 4),),), ("a^4",))
+    same = Presentation(("a",), (((0, 4),),), ("a^4",))
+    assert pres == same and hash(pres) == hash(same)
+    assert Presentation(("a",), ()) == Presentation(("a",), (), ())
+    for field in ("gens", "relators", "relator_text", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pres, field, ())
+    with pytest.raises(ConstructionError, match="undeclared generator"):
+        Presentation(("a",), (((1, 2),),))
+    assert repr(pres) == ("Presentation(gens=('a',), relators=(((0, 4),),), "
+                          "relator_text=('a^4',))")
+
+
 def test_collapsing_generator_names_a_relator_it_needs():
     from fuchs2.parsing import parse_presentation_text
     rels = ["a^2", "b^2", "[a,b]", "a*b*a"]

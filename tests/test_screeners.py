@@ -11,6 +11,7 @@ from fuchs2.screeners import (
     M_RANGE,
     SCOPE_ALL_2M,
     SCOPE_ANY_RING,
+    Verdict,
     char_constraint,
     characteristic_candidates,
     exponent_bound,
@@ -36,6 +37,13 @@ VERDICTS_DIGEST = ("807c4df5e1eea8191d9f5e1604fb2b69"
 
 
 # -- individual rules ---------------------------------------------------------
+
+def test_verdict_notes_default_to_a_fresh_list():
+    first = Verdict("C2", "unknown", None, [], [1])
+    first.notes.append("a note")
+    second = Verdict("C2", "unknown", None, [], [1])
+    assert second.notes == [] and second.to_dict()["notes"] == []
+
 
 def test_characteristic_candidates_q8():
     # center C2: the order-4 scalar unit group C2 x C_{2^(m-2)} cannot embed

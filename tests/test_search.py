@@ -29,6 +29,7 @@ from fuchs2.groups import build_group
 from fuchs2.parsing import element_literal, parse_element_literal, \
     parse_element_terms
 from fuchs2.search import (
+    DEFAULT_BUDGET,
     FIXTURES,
     SearchConfig,
     enumerate_candidates,
@@ -290,6 +291,33 @@ def test_candidate_stream_pinned(spec, m, count, pin):
 def test_search_config_validates_its_fields(kwargs, match):
     with pytest.raises(Fuchs2Error, match=match):
         SearchConfig(**kwargs)
+
+
+def test_search_configs_are_immutable_values():
+    config = SearchConfig(m=2)
+    assert config == SearchConfig(2, DEFAULT_BUDGET)
+    assert hash(config) == hash(SearchConfig(budget=DEFAULT_BUDGET, m=2))
+    assert config != SearchConfig(m=2, budget=5)
+    assert SearchConfig() == SearchConfig(m=1)
+    for field in ("m", "budget", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(config, field, 3)
+    assert repr(config) == f"SearchConfig(m=2, budget={DEFAULT_BUDGET})"
+
+
+@pytest.mark.parametrize("spec, m, char", [
+    ("C8xC2", 1, 2), ("Q8", 2, 4), ("C4xC2", 3, 4), ("C2xC16", 6, 64)])
+def test_exact_characteristic_of_search_hits(spec, m, char):
+    # the certificate's char, 2^m, names the ambient ring Z_{2^m}[G]; the
+    # certified ring's exact characteristic is the least 2^e with
+    # 2^e * 1 in I, which can be smaller (C4xC2 at m = 3)
+    G = build_group(spec)
+    cert = search_realizing_ideal(G, SearchConfig(m=m))
+    assert cert.to_dict()["char"] == 1 << m
+    exact = next(1 << e for e in range(m + 1)
+                 if cert.basis.contains([(1 << e) % (1 << m)]
+                                        + [0] * (G.n - 1)))
+    assert exact == char
 
 
 def test_search_c8xc2_finds_certificate():
