@@ -200,13 +200,16 @@ def screen(G: CayleyGroup, realize=True) -> Verdict:
         try:
             cert = realize_exponent4(G)
         except InternalInvariantError as exc:
-            # exponent 4 means realizable in characteristic 2 by theory,
-            # but without a verified certificate the honest verdict is
-            # unknown; such groups are recorded as open construction cases
+            # without a verified certificate the verdict is unknown; the
+            # ideal walk (realize --method search) exhausts the class-4
+            # groups of orders 64 and 128 without a hit, which conflicts
+            # with the abstract's exponent-4 sentence (README)
             notes.append(f"constructive realization exhausted its bounded "
-                         f"search ({exc}); exponent-4 theory asserts "
-                         f"realizability in characteristic 2 but no "
-                         f"certificate was produced")
+                         f"search ({exc}); no certificate was produced. "
+                         f"The ideal walk of 'realize --method search' "
+                         f"exhausts the class-4 groups of orders 64 and "
+                         f"128 without a hit, against the abstract's "
+                         f"exponent-4 sentence (README)")
             return Verdict(spec, "unknown", None, reasons, sorted(allowed),
                            notes=notes)
         return Verdict(spec, "realizable", None, reasons,

@@ -80,10 +80,20 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     are the I_(t+1) of every I with I_t = I + M^t:
     C_t = M I_t + I_t M + M^(t+1) lies in I_(t+1), and every subgroup U
     between C_t and I_t is an ideal, since gu - u and ug - u lie in C_t
-    for every u in I_t and g in G.  C_t is spanned by M^(t+1) and by 2v and
-    P(v) - v, for v a row of I_t and P a translation of ``_translations``
-    (M = 2R + the sum of the (g - 1)R, g a minimal generator, and
-    P(v) + v spans with 2v what P(v) - v does).  The children are the U
+    for every u in I_t and g in G.  C_t is built from the few generators
+    X each node carries, not from the rows of I_t.  Lemma: if
+    span(X) + M^t = I_t, then C_t is spanned by M^(t+1) and by 2x and
+    P(x) - x, for x in X and P a translation of ``_translations``.  Proof:
+    M = 2R + the sum of the (g - 1)R, g a minimal generator, so
+    M I_t = 2 I_t + the sum of the (g - 1)I_t, as I_t is an ideal, and
+    likewise I_t M on the right; 2M^t and (g - 1)M^t, on either side, lie
+    in M^(t+1), so the part M^t of I_t adds nothing (and P(x) + x spans
+    with 2x what P(x) - x does).  The root I_1 = M carries X = [].  A
+    child's X is every vector whose insert grew a span while the child
+    was built: the generators that grew C_t, then the combinations of W
+    that grew S + C_t, then the lifted basis vectors that grew U.  A
+    vector that did not grow its span lies in the span of those before
+    it and M^(t+1), so X spans U modulo M^(t+1).  The children are the U
     with U + M^t = I_t and I_t/U of order 2^c, 1 <= c <= k - e,
     |G| = 2^k: a subspace S of codimension c in W = (M^t + C_t)/C_t, which
     is U meeting W, together with one of 2^(c r) lifts to U of a basis of
@@ -108,18 +118,17 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     perms = _translations(G)
     shifts = {g: powers[last].pack(minus_one(n, m, g)) for g in range(1, n)}
 
-    def children(t, ideal, e, kernel):
+    def children(t, ideal, e, kernel, gens):
         span = powers[min(t + 1, last)].copy()  # C_t
-        rows = ideal.rows
-        for v in rows:
-            span.insert(span.doubled(v))
-            for perm in perms:
-                span.insert(span.plus(span.translate(v, perm), v))
+        # a child's X: what grew C_t, then S + C_t, then U (lemma above)
+        grown = [v for x in gens for v in (span.doubled(x), *(
+                 span.plus(span.translate(x, perm), x) for perm in perms))
+                 if span.insert(v)]
         if all(span.contains(shifts[g]) for g in kernel):
             return
         top = span.copy()
         ws = [v for v in powers[min(t, last)].rows if top.insert(v)]  # W
-        bs = [v for v in rows if top.insert(v)]
+        bs = [v for v in ideal.rows if top.insert(v)]
 
         def combination(columns):  # the sum of the ws at those columns
             return functools.reduce(span.plus, (ws[j] for j in columns), 0)
@@ -128,23 +137,23 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
             need = (n >> (e + c)) - 1
             for reduced, free in _subspaces(len(ws), c):
                 base = span.copy()
-                for row in reduced:
-                    base.insert(combination(
-                        j for j in range(len(ws)) if row >> j & 1))
+                based = grown + [v for v in (combination(
+                    j for j in range(len(ws)) if row >> j & 1)
+                    for row in reduced) if base.insert(v)]
                 lifts = [combination(itertools.compress(free, bits))
                          for bits in itertools.product((0, 1), repeat=c)]
                 for chosen in itertools.product(lifts, repeat=len(bs)):
                     child = base.copy()
-                    for b, lift in zip(bs, chosen):
-                        child.insert(span.plus(b, lift))
+                    xs = based + [v for v in map(span.plus, bs, chosen)
+                                  if child.insert(v)]
                     left = [g for g in kernel if child.contains(shifts[g])]
                     if len(left) == need:
-                        yield t + 1, child, e + c, left
+                        yield t + 1, child, e + c, left, xs
 
     nodes = 0
-    stack = [(1, powers[1], 0, list(range(1, n)))]
+    stack = [(1, powers[1], 0, list(range(1, n)), [])]
     while stack:
-        t, ideal, e, kernel = stack.pop()
+        t, ideal, e, kernel, gens = stack.pop()
         nodes += 1
         if nodes > config.budget:
             raise UndecidedError(f"the ideal walk reached its cap of "
@@ -152,7 +161,7 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
         if e == k:
             yield IdealBasis(G, m, ideal, closed=True)
         else:
-            stack += reversed(list(children(t, ideal, e, kernel)))
+            stack += reversed(list(children(t, ideal, e, kernel, gens)))
 
 
 def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):

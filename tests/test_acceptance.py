@@ -87,7 +87,7 @@ def test_criterion_3_units_of_z2_c8():
 
 
 def test_criterion_4_screener_table_and_search():
-    with _Timer("criterion 4 (screener table + bounded search)", 300):
+    with _Timer("criterion 4 (screener table + ideal walk)", 300):
         all_2m = "all characteristics 2^m"
         any_ring = "any finite ring"
         for spec in ("C8", "C16"):

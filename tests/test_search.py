@@ -58,6 +58,23 @@ def _hits(G, m, budget=None):
     return list(enumerate_candidates(G, config))
 
 
+# (spec, m, nodes, hits) of whole walks, counted through the cap as the
+# class-4 pins below are: the walk ends within ``nodes`` and not within
+# one fewer.  The cap bounds every walk, so a change of shape fails here
+# fast, before the larger walks of this file run.
+SHAPE_PINS = [("C8xC2", 2, 39, 8), ("C4xC4", 2, 111, 40),
+              ("D8xC2", 2, 155, 40), ("C8xC4", 1, 37, 0)]
+
+
+@pytest.mark.parametrize("spec, m, nodes, hits", SHAPE_PINS,
+                         ids=[f"{p[0]}-m{p[1]}" for p in SHAPE_PINS])
+def test_walk_shape_pinned(spec, m, nodes, hits):
+    G = build_group(spec)
+    assert len(_hits(G, m, budget=nodes)) == hits
+    with pytest.raises(UndecidedError):
+        _hits(G, m, budget=nodes - 1)
+
+
 @settings(max_examples=16, deadline=None)
 @given(spec=st.sampled_from(SMALL), m=st.sampled_from((1, 2)))
 @example(spec="C8xC2", m=2)
@@ -252,7 +269,9 @@ def test_loewy_lengths(spec, loewy):
 # (spec, m, hits, digest).  Each set of hits was checked equal to
 # ``oracles.realizing_ideals_by_chains``; the digest also pins the order.
 # C8xC2 at m = 1 is the benchmark's hit search and C8 its exhausting one;
-# they cover right translations (D8) and m = 3 (Q8, C4xC2).
+# they cover right translations (D8) and m = 3 (Q8, C4xC2).  The last two
+# are the largest: order 64 at m = 1, and a nonabelian group of order 32
+# at m = 2.
 STREAM_PINS = [
     ("C8xC2", 1, 2,
      "cdb94529b1b9945c516251df4d74eef482090207e9ea3f9d89aba72570a07904"),
@@ -266,6 +285,10 @@ STREAM_PINS = [
      "8035f288c056df8d63000e4fd635c58c5fe73e70121dc651ddaba764313298bd"),
     ("C4xC2", 3, 20,
      "c7f9ae288cf511e316e83f6952a0295041eb3c0ddb55ceb6b4fe974e0b23b29c"),
+    ("C8xC4xC2", 1, 176,
+     "c19e77e2e23df496437325032adeb15b2f4291e19c310396fae8d5de9fbc8aa3"),
+    ("D8xC4", 2, 288,
+     "64aca382733a52f666605bd5c8716dc083465d1d1931c28c3a7a4827fe24ddfb"),
 ]
 
 
