@@ -681,14 +681,6 @@ def verify_two_sided(basis: IdealBasis) -> bool:
     return basis._impl.translation_closed(_translations(basis.group))
 
 
-def minus_one(n, m, g):
-    """The coefficient tuple of g - 1 in Z_{2^m}[G], |G| = n."""
-    coeffs = [0] * n
-    coeffs[g] += 1
-    coeffs[0] = (coeffs[0] - 1) % (1 << m)
-    return tuple(coeffs)
-
-
 def maximal_ideal_powers(group, m):
     """Canonical bases, in the basis class ``_make_impl`` chooses, of the
     powers R = M^0 > M^1 > ... > M^L = 0 of the maximal ideal M = (2, D)
@@ -698,22 +690,31 @@ def maximal_ideal_powers(group, m):
     g a minimal generator and r a row of M^k.  That suffices because
     hg - 1 = (h - 1)g + (g - 1), so D is the right ideal of the g - 1, and
     M^(k+1) = M M^k is 2M^k plus the sum of the (g - 1)M^k; as 2r lies in
-    M^(k+1), gr + r spans with it what gr - r does."""
-    n = group.n
-    units = [tuple(int(g == h) for h in range(n)) for g in range(n)]
-    two = tuple(2 * c for c in units[0])
-    powers = [_make_impl(group, m, units),
-              _make_impl(group, m, [two] + [minus_one(n, m, g)
-                                            for g in range(1, n)])]
+    M^(k+1), gr + r spans with it what gr - r does.
+
+    Lazy: M^(k+1) is built only when the caller asks for it, and M^0 is
+    loaded from its unit rows, which are canonical.  Each power is yielded
+    back-substituted (its ``rows`` read), so copies of it reduce against
+    canonical rows."""
+    n, mod = group.n, 1 << m
+    power = _make_impl(group, m, ())
+    power.load_canonical([power.pack_terms((g,), (1,)) for g in range(n)])
+    yield power
+    power = _make_impl(group, m, ())
+    power.insert(power.pack_terms((0,), (2,)))
+    for g in range(1, n):
+        power.insert(power.pack_terms((0, g), (mod - 1, 1)))
     lefts = [group.mul[g] for g in group.minimal_generators()]
-    while powers[-1].rank():
-        last, power = powers[-1], _make_impl(group, m, [])
-        for row in last.rows:
+    while True:
+        rows = power.rows
+        yield power
+        if not rows:
+            return
+        power = _make_impl(group, m, ())
+        for row in rows:
             power.insert(power.doubled(row))
             for perm in lefts:
                 power.insert(power.plus(power.translate(row, perm), row))
-        powers.append(power)
-    return powers
 
 
 # -- quotient rings -----------------------------------------------------------

@@ -37,8 +37,8 @@ from .errors import (
     UndecidedError,
 )
 from .gring import M_CAP, IdealBasis, _check_m, _translations, \
-    ideal_closure, maximal_ideal_powers, minus_one, quotient_ring, \
-    residue_count, unit_isomorphism, verify_two_sided
+    ideal_closure, maximal_ideal_powers, quotient_ring, residue_count, \
+    unit_isomorphism, verify_two_sided
 from .groups import CayleyGroup, build_group
 from .parsing import parse_element_literal, parse_element_terms
 from .star import Certificate, certificate_from_parts
@@ -110,25 +110,61 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
     exactly when F(K) + U/C_t = I_t/C_t, so a node has a child if and only
     if F(K) and W are both nonzero: when every g - 1 lies in C_t the node
     is left as soon as C_t is built.
+
+    The walk reads few powers of M.  Each step down adds c >= 1 to e, so
+    e >= t - 1, and ``children`` runs only at e < k, that is at t <= k:
+    it reads M^t and, through C_t, M^(t+1), so no power past M^(k+1) is
+    built (``maximal_ideal_powers`` is lazy).  Siblings share prefixes of
+    their X: every child starts with the vectors that grew its parent's
+    C_t, and every child of one S goes on with the same combinations of
+    W.  A span, and the list of the vectors that grew it, are fixed by the
+    sequence of inserts made from M^(t+2), so C_(t+1) after each shared
+    prefix is built once, by the first child expanded, and copied by the
+    others (``prefix``): each child's C_(t+1), that list, the child's
+    children and their order are those of inserting its X vector by
+    vector.
     """
     m, n = config.m, G.n
     k = n.bit_length() - 1
-    powers = maximal_ideal_powers(G, m)
-    last = len(powers) - 1  # M^t = 0 from t = last on
+    stream = maximal_ideal_powers(G, m)
+    powers = [next(stream)]  # M^0, read by no node
     perms = _translations(G)
-    shifts = {g: powers[last].pack(minus_one(n, m, g)) for g in range(1, n)}
+    pack = powers[0].pack_terms
+    shifts = {g: pack((0, g), ((1 << m) - 1, 1)) for g in range(1, n)}
 
-    def children(t, ideal, e, kernel, gens):
-        span = powers[min(t + 1, last)].copy()  # C_t
-        # a child's X: what grew C_t, then S + C_t, then U (lemma above)
-        grown = [v for x in gens for v in (span.doubled(x), *(
-                 span.plus(span.translate(x, perm), x) for perm in perms))
-                 if span.insert(v)]
+    def power(t):  # M^t, pulled on first use; M^L = 0 from t = L on
+        while len(powers) <= t:
+            powers.append(next(stream, powers[-1]))
+        return powers[t]
+
+    def prefix(below, xs):
+        """(span, grown) after the X vectors of ``below``, then xs: a copy
+        of ``below``'s span with 2x and P(x) - x inserted for each x in xs,
+        and ``below``'s grown list with those that grew it appended.
+        Built on the first call, then shared by every caller."""
+        built = []
+
+        def build():
+            if not built:
+                span, grown = below()
+                span = span.copy()
+                built.append((span, grown + [
+                    v for x in xs for v in (span.doubled(x), *(
+                        span.plus(span.translate(x, perm), x)
+                        for perm in perms))
+                    if span.insert(v)]))
+            return built[0]
+        return build
+
+    def children(t, ideal, e, kernel, c_t):
+        span, grown = c_t()
         if all(span.contains(shifts[g]) for g in kernel):
             return
         top = span.copy()
-        ws = [v for v in powers[min(t, last)].rows if top.insert(v)]  # W
+        ws = [v for v in power(t).rows if top.insert(v)]  # W
         bs = [v for v in ideal.rows if top.insert(v)]
+        # a child's X: what grew C_t, then S + C_t, then U (lemma above)
+        shared = prefix(lambda: (power(t + 2), []), grown)
 
         def combination(columns):  # the sum of the ws at those columns
             return functools.reduce(span.plus, (ws[j] for j in columns), 0)
@@ -137,23 +173,23 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
             need = (n >> (e + c)) - 1
             for reduced, free in _subspaces(len(ws), c):
                 base = span.copy()
-                based = grown + [v for v in (combination(
+                below = prefix(shared, [v for v in (combination(
                     j for j in range(len(ws)) if row >> j & 1)
-                    for row in reduced) if base.insert(v)]
+                    for row in reduced) if base.insert(v)])
                 lifts = [combination(itertools.compress(free, bits))
                          for bits in itertools.product((0, 1), repeat=c)]
                 for chosen in itertools.product(lifts, repeat=len(bs)):
                     child = base.copy()
-                    xs = based + [v for v in map(span.plus, bs, chosen)
-                                  if child.insert(v)]
+                    xs = [v for v in map(span.plus, bs, chosen)
+                          if child.insert(v)]
                     left = [g for g in kernel if child.contains(shifts[g])]
                     if len(left) == need:
-                        yield t + 1, child, e + c, left, xs
+                        yield t + 1, child, e + c, left, prefix(below, xs)
 
     nodes = 0
-    stack = [(1, powers[1], 0, list(range(1, n)), [])]
+    stack = [(1, power(1), 0, list(range(1, n)), lambda: (power(2), []))]
     while stack:
-        t, ideal, e, kernel, gens = stack.pop()
+        t, ideal, e, kernel, c_t = stack.pop()
         nodes += 1
         if nodes > config.budget:
             raise UndecidedError(f"the ideal walk reached its cap of "
@@ -161,7 +197,7 @@ def enumerate_candidates(G: CayleyGroup, config: SearchConfig):
         if e == k:
             yield IdealBasis(G, m, ideal, closed=True)
         else:
-            stack += reversed(list(children(t, ideal, e, kernel, gens)))
+            stack += reversed(list(children(t, ideal, e, kernel, c_t)))
 
 
 def search_realizing_ideal(G: CayleyGroup, config: SearchConfig):

@@ -6,7 +6,6 @@ without touching the code paths under test.
 """
 
 import itertools
-import math
 
 from fuchs2.errors import SizeCapError
 from fuchs2.gring import IdealBasis
@@ -698,12 +697,25 @@ def catalog_atoms():
 
 def atom_products(top, counts):
     """Specs of the products of ``k`` catalog atoms (with repetition, in
-    atom order), for k in ``counts``, of order <= top."""
+    atom order), for k in ``counts``, of order <= top: the order of
+    ``itertools.combinations_with_replacement``, pruned while each product
+    is built, since every atom has order >= 2."""
     atoms = catalog_atoms()
-    order = {s: build_group(s).n for s in atoms}
-    return ["x".join(p) for k in counts
-            for p in itertools.combinations_with_replacement(atoms, k)
-            if math.prod(order[s] for s in p) <= top]
+    order = [build_group(s).n for s in atoms]
+
+    def products(k, start, size):
+        # the nondecreasing atom index tuples of length k from start on
+        # whose product with size stays <= top
+        if k == 0:
+            yield ()
+            return
+        for i in range(start, len(atoms)):
+            if size * order[i] << (k - 1) <= top:
+                for rest in products(k - 1, i, size * order[i]):
+                    yield (i, *rest)
+
+    return ["x".join(atoms[i] for i in p) for k in counts
+            for p in products(k, 0, 1)]
 
 
 def char_constraint_by_factor_split(G):

@@ -245,7 +245,7 @@ def test_augmentation_powers_are_products_of_augmentation_elements(spec):
     G = build_group(spec)
     for m in (1, 2, 3):
         brute = oracles.maximal_ideal_powers_brute(G, m)
-        powers = gring.maximal_ideal_powers(G, m)
+        powers = list(gring.maximal_ideal_powers(G, m))
         assert [p.span_size() for p in powers] == \
             [_reference(G, m, rows).span_size() for rows in brute]
         for power, rows in zip(powers, brute):
@@ -260,7 +260,7 @@ def test_loewy_lengths(spec, loewy):
     # F_2[C_2^n] = F_2[t]/(t - 1)^(2^n); F_2[C_2^k] is a tensor power of
     # F_2[C2], whose radical has Loewy length 2
     G = build_group(spec)
-    assert len(gring.maximal_ideal_powers(G, 1)) - 1 == loewy
+    assert len(list(gring.maximal_ideal_powers(G, 1))) - 1 == loewy
     if G.n <= 16:
         assert len(oracles.maximal_ideal_powers_brute(G, 1)) - 1 == loewy
 
@@ -269,9 +269,10 @@ def test_loewy_lengths(spec, loewy):
 # (spec, m, hits, digest).  Each set of hits was checked equal to
 # ``oracles.realizing_ideals_by_chains``; the digest also pins the order.
 # C8xC2 at m = 1 is the benchmark's hit search and C8 its exhausting one;
-# they cover right translations (D8) and m = 3 (Q8, C4xC2).  The last two
-# are the largest: order 64 at m = 1, and a nonabelian group of order 32
-# at m = 2.
+# they cover right translations (D8) and m = 3 (Q8, C4xC2).  C8xC4xC2 and
+# D8xC4 are the largest: order 64 at m = 1, and a nonabelian group of order
+# 32 at m = 2.  The last two reach m = 6 and m = 5, where the powers of M
+# run far below the walk's depth: C2xC16 hits, C4xC8 exhausts.
 STREAM_PINS = [
     ("C8xC2", 1, 2,
      "cdb94529b1b9945c516251df4d74eef482090207e9ea3f9d89aba72570a07904"),
@@ -289,6 +290,10 @@ STREAM_PINS = [
      "c19e77e2e23df496437325032adeb15b2f4291e19c310396fae8d5de9fbc8aa3"),
     ("D8xC4", 2, 288,
      "64aca382733a52f666605bd5c8716dc083465d1d1931c28c3a7a4827fe24ddfb"),
+    ("C2xC16", 6, 32,
+     "8af9f0ffd81e98042dbe155bfa31b49c30971ae8864b146ca072ce2a6a29675f"),
+    ("C4xC8", 5, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
@@ -301,6 +306,22 @@ def test_candidate_stream_pinned(spec, m, count, pin):
         digest.update(repr(basis.rows).encode() + b"\n")
     assert len(hits) == count
     assert digest.hexdigest() == pin
+
+
+def test_walk_pulls_no_power_of_m_past_m_k_plus_1(monkeypatch):
+    # a node at depth t reads M^t and M^(t+1), and children run only at
+    # t <= k, |G| = 2^k; C2xC16 at m = 6 has 57 powers, M^0 ... M^56 = 0
+    pulled = []
+
+    def counted(G, m):
+        for t, power in enumerate(gring.maximal_ideal_powers(G, m)):
+            pulled.append(t)
+            yield power
+
+    monkeypatch.setattr(fuchs2.search, "maximal_ideal_powers", counted)
+    G = build_group("C2xC16")
+    assert len(_hits(G, 6)) == 32
+    assert max(pulled) == 6  # M^(k+1), k = 5
 
 
 # -- search -------------------------------------------------------------------
