@@ -692,18 +692,22 @@ def maximal_ideal_powers(group, m):
     M^(k+1) = M M^k is 2M^k plus the sum of the (g - 1)M^k; as 2r lies in
     M^(k+1), gr + r spans with it what gr - r does.
 
-    Lazy: M^(k+1) is built only when the caller asks for it, and M^0 is
-    loaded from its unit rows, which are canonical.  Each power is yielded
+    Lazy: M^(k+1) is built only when the caller asks for it.  M^0 is
+    loaded from its unit rows, and M^1 = {x : sum of the x_g even} from
+    its closed-form rows e_c + e_(n-1) for c < n - 1, with 2e_(n-1) when
+    m >= 2; both are canonical.  Each power is yielded
     back-substituted (its ``rows`` read), so copies of it reduce against
     canonical rows."""
-    n, mod = group.n, 1 << m
+    n = group.n
     power = _make_impl(group, m, ())
     power.load_canonical([power.pack_terms((g,), (1,)) for g in range(n)])
     yield power
     power = _make_impl(group, m, ())
-    power.insert(power.pack_terms((0,), (2,)))
-    for g in range(1, n):
-        power.insert(power.pack_terms((0, g), (mod - 1, 1)))
+    rows = [power.pack_terms((c, n - 1), (1, 1)) for c in range(n - 1)]
+    if m >= 2:
+        rows.append(power.pack_terms((n - 1,), (2,)))
+    if not power.load_canonical(rows):
+        raise InternalInvariantError("M^1 rows are not canonical")
     lefts = [group.mul[g] for g in group.minimal_generators()]
     while True:
         rows = power.rows

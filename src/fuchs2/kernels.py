@@ -3,7 +3,11 @@
 The deciders use the structure the mathematics gives, and both test only
 a generating set.  `assoc_violation` runs Light's test, O(n^2 d) for d
 generators, on a greedily found generating set (``greedy_generators``):
-its table is not yet known to be a group.  `affine_violation` checks that
+its table is not yet known to be a group.  It checks only tables of
+unknown origin, the unit group's and any other handed to ``CayleyGroup``:
+a presented group is proved by its regular coset action
+(``groups.enumerate_presentation``), and a direct product is built from
+groups.  `affine_violation` checks that
 the left and right translations by each generator of a group, given by
 the caller, are affine on the exponent vectors, O(n d).  Both decide
 exactly the property the cubic scans check, and name a violation read

@@ -854,6 +854,53 @@ def coset_scan_reference(table, cap=None):
         i += 1
 
 
+def presented_table_by_columns(pres):
+    """A presented group built the direct way: the coset table's
+    permutations, column u of the table (x -> x*u) gathered from its BFS
+    parent's column through one direction's permutation, the rows read as
+    the columns transposed, and the table checked by ``CayleyGroup``'s
+    own check (identity, row permutations and Light's test,
+    ``kernels.assoc_violation``).  Nothing is read off the left
+    translations, as ``groups.enumerate_presentation`` does."""
+    from fuchs2.groups import _CosetTable, _relator_directions
+
+    def runs(dirs):
+        # direction sequence -> (generator position, exponent) runs
+        out = []
+        for d in dirs:
+            g, e = d >> 1, -1 if d & 1 else 1
+            if out and out[-1][0] == g and (out[-1][1] > 0) == (e > 0):
+                out[-1] = (g, out[-1][1] + e)
+            else:
+                out.append((g, e))
+        return tuple(out)
+
+    table = _CosetTable(len(pres.gens),
+                        [_relator_directions(w) for w in pres.relators])
+    table.run()
+    perms = table.permutations()
+    n = len(perms[0]) if perms else 1
+    words, cols = [None] * n, [None] * n
+    words[0], cols[0] = (), list(range(n))
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for d, perm in enumerate(perms):
+                u = perm[v]
+                if words[u] is None:
+                    words[u] = words[v] + (d,)
+                    cols[u] = [perm[c] for c in cols[v]]
+                    nxt.append(u)
+        frontier = nxt
+    return CayleyGroup([list(row) for row in zip(*cols)],
+                       gen_names=pres.gens,
+                       gen_indices=[perms[2 * i][0]
+                                    for i in range(len(pres.gens))],
+                       label_words=[runs(w) for w in words],
+                       name="presented", check=True)
+
+
 def first_touch_order(perms, relators):
     """The elements of a permutation group in the order in which tracing
     every relator, in turn, from each element, taken in this same order

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.groups
+import fuchs2.kernels
 import fuchs2.parsing
 from fuchs2.errors import (
     ConstructionError,
@@ -44,7 +45,7 @@ from fuchs2.parsing import parse_group_spec, parse_presentation_text
 from fuchs2.star import chief_chain_sequences
 
 import oracles
-from test_star import CLS3_64, CLS4_128, ENCODE_POOL, _presented
+from test_star import CLS3_64, CLS4_128, ENCODE_POOL, OPEN_64, _presented
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,55 @@ def test_relator_that_does_not_close_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(_CosetTable, "permutations", lambda self: perms)
     with pytest.raises(InternalInvariantError, match="a\\^4"):
         enumerate_presentation(Presentation(("a",), (((0, 4),),), ("a^4",)))
+
+
+PRESENTATIONS = {
+    "CLS3_64": parse_presentation_text(CLS3_64),
+    "CLS4_128": parse_presentation_text(CLS4_128),
+    "OPEN_64a": parse_presentation_text(OPEN_64[0]),
+    "OPEN_64b": parse_presentation_text(OPEN_64[1]),
+    "no generators": Presentation((), ()),
+}
+
+
+# C1 is the one catalog group not built from its presentation
+@pytest.mark.parametrize("spec", [s for s in oracles.catalog_specs(128)
+                                  if s != "C1"] + list(PRESENTATIONS))
+def test_presented_tables_match_the_column_oracle(spec):
+    pres = (PRESENTATIONS[spec] if spec in PRESENTATIONS
+            else catalog_presentation(*parse_group_spec(spec).atoms[0]))
+    G = enumerate_presentation(pres)
+    H = oracles.presented_table_by_columns(pres)
+    assert G.mul == H.mul
+    assert G.label_words == H.label_words
+    assert G.gen_indices == H.gen_indices
+    assert G.inv == H.inv
+
+
+def test_irregular_coset_action_is_an_invariant_error(monkeypatch):
+    # D8 acting on the corners of a square, a = (0 1 2 3), b = (0 1)(2 3):
+    # a complete table on which every D8 relator closes at 0, but not the
+    # regular action, so its columns form the table of C4 with b = a
+    a, a_inv = [1, 2, 3, 0], [3, 0, 1, 2]
+    b = [1, 0, 3, 2]
+    monkeypatch.setattr(_CosetTable, "permutations",
+                        lambda self: [a, a_inv, b, b])
+    pres = parse_presentation_text("gens: a b\nrels: a^4, b^2, b*a*b^-1*a")
+    with pytest.raises(InternalInvariantError, match="not regular"):
+        enumerate_presentation(pres)
+
+
+def test_presented_builds_run_no_light_test(monkeypatch):
+    def refuse(mul):
+        raise AssertionError("Light's test ran")
+
+    monkeypatch.setattr(fuchs2.kernels, "assoc_violation", refuse)
+    for spec in ("C2", "D16", "Q32", "QD64", "SG64_104", "D8xQ8"):
+        build_group(spec)
+    _presented(CLS4_128)
+    # a table of unknown origin is still checked
+    with pytest.raises(AssertionError, match="Light's test ran"):
+        CayleyGroup(build_group("D8").mul)
 
 
 # sha256 of json [mul, gen_indices, labels] for every catalog group:
