@@ -178,8 +178,10 @@ def cmd_unitgroup(args):
     }
     if UG.is_abelian():
         payload["abelian_invariants"] = list(UG.abelian_invariants())
+        # the trivial group has no invariant factors: it prints as C1
         text = (f"{payload['ring']}: {UG.n} units, invariants "
-                + "x".join(f"C{d}" for d in payload["abelian_invariants"]))
+                + ("x".join(f"C{d}" for d in payload["abelian_invariants"])
+                   or "C1"))
     else:
         payload["cayley_table"] = UG.mul
         text = (f"{payload['ring']}: {UG.n} units (nonabelian); "

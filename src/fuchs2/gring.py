@@ -67,7 +67,7 @@ from .errors import (
     SizeCapError,
     UnclosedIdealError,
 )
-from .groups import CayleyGroup, catalog_group
+from .groups import CayleyGroup, catalog_group, memoized
 
 M_CAP = 6
 UNIT_TABLE_CAP = 4096
@@ -600,18 +600,15 @@ def _sides(group, t):
     return (left,) if right == left else (left, right)
 
 
+@memoized
 def _translations(group):
     """Index permutations by a fixed minimal generating set: for each
     generator, its left translation and, when the generator is not central,
     its right one (``_sides``).  A span closed under these is closed under
     translation by every group element on both sides, because the
     generators generate.  On an abelian group that is d permutations
-    instead of 2d, and no permutation appears twice.  Memoized on the
-    group, as its minimal generators are."""
-    if group._translations is None:
-        group._translations = [p for g in group.minimal_generators()
-                               for p in _sides(group, g)]
-    return group._translations
+    instead of 2d, and no permutation appears twice."""
+    return [p for g in group.minimal_generators() for p in _sides(group, g)]
 
 
 def _close(group, impl, gens):
@@ -776,7 +773,7 @@ class QuotientRing:
                     for g in range(n)]
             self.element_index = proj
         else:
-            proj = [ideal.reduce(tuple(int(g == h) for h in range(n)))
+            proj = [impl.unpack(impl.reduce(impl.pack_terms((g,), (1,))))
                     for g in range(n)]
             self.element_index = [
                 sum(p * c for p, c in zip(self._place, v)) for v in proj]

@@ -107,12 +107,31 @@ def unreadable_generator_name(names):
     return None
 
 
+def memoized(query):
+    """A group query computed once per group: its result is kept in the
+    group's one memo dict, ``CayleyGroup._memo``, under the query's name,
+    which no other memoized query shares.  Methods and module functions
+    whose only argument is the group take it alike."""
+    key = query.__name__
+
+    @functools.wraps(query)
+    def cached(group):
+        memo = group._memo
+        if key not in memo:
+            memo[key] = query(group)
+        return memo[key]
+    return cached
+
+
 class CayleyGroup:
     """A finite 2-group of order <= 512 given by its full Cayley table.
 
     mul[x][y] is the index of x*y, index 0 is the identity, and inv[x] is
     the two-sided inverse.  Instances are immutable after construction and
-    safe to share between threads; structural queries cache their results.
+    safe to share between threads.  Structural queries, here and in other
+    modules, are ``memoized``: each result is computed once and kept in
+    the one dict ``_memo``, keyed by the query's name, so the constructor's
+    fields and that dict are all a group holds.
     """
 
     def __init__(self, mul, gen_names=(), gen_indices=(), label_words=None,
@@ -140,19 +159,7 @@ class CayleyGroup:
                 for y, z in zip(powers, reversed(powers)):
                     inv[y] = z
         self.inv = inv
-        self._orders = None
-        self._center = None
-        self._classes = None
-        self._frattini = None
-        self._derived = None
-        self._ucs = None
-        self._min_gens = None
-        self._fingerprints = None
-        self._normal_subgroups = None
-        self._labels = None
-        self._label_index = None
-        self._labels_readable = None
-        self._translations = None  # memo of ``gring._translations``
+        self._memo = {}
 
     def _verify(self):
         """Index 0 is a two-sided identity, every row is a permutation (one
@@ -194,17 +201,16 @@ class CayleyGroup:
     def element_order(self, x):
         return self.element_orders()[x]
 
+    @memoized
     def element_orders(self):
-        if self._orders is None:
-            orders = [1] * self.n
-            for x in range(1, self.n):
-                y, k = x, 1
-                while y != 0:
-                    y = self.mul[y][x]
-                    k += 1
-                orders[x] = k
-            self._orders = orders
-        return self._orders
+        orders = [1] * self.n
+        for x in range(1, self.n):
+            y, k = x, 1
+            while y != 0:
+                y = self.mul[y][x]
+                k += 1
+            orders[x] = k
+        return orders
 
     def exponent(self):
         # orders are powers of 2, so the lcm is the maximum
@@ -219,21 +225,19 @@ class CayleyGroup:
         row = m[x]
         return tuple(g for g in range(self.n) if row[g] == m[g][x])
 
+    @memoized
     def center(self):
         """The elements that commute with every generator of
         ``minimal_generators``, in increasing order: x is central when its
         products with the generators on the left and on the right agree,
         one tuple comparison per element."""
-        if self._center is None:
-            mul, gens = self.mul, self.minimal_generators()
-            if not gens:
-                self._center = tuple(range(self.n))
-            else:
-                left = zip(*[mul[g] for g in gens])
-                right = zip(*[[row[g] for row in mul] for g in gens])
-                self._center = tuple(itertools.compress(
-                    range(self.n), map(operator.eq, left, right)))
-        return self._center
+        mul, gens = self.mul, self.minimal_generators()
+        if not gens:
+            return tuple(range(self.n))
+        left = zip(*[mul[g] for g in gens])
+        right = zip(*[[row[g] for row in mul] for g in gens])
+        return tuple(itertools.compress(
+            range(self.n), map(operator.eq, left, right)))
 
     def is_abelian(self):
         return len(self.center()) == self.n
@@ -264,6 +268,7 @@ class CayleyGroup:
             frontier = nxt
         return tuple(sorted(seen))
 
+    @memoized
     def conjugacy_classes(self):
         """Classes ordered by least member, each a sorted tuple.
 
@@ -271,46 +276,43 @@ class CayleyGroup:
         by the generators g of ``minimal_generators``: conjugation by a
         product is the composite of the conjugations, so O(n d) in all.
         """
-        if self._classes is None:
-            m, n = self.mul, self.n
-            conj = [[m[r][g] for r in m[self.inv[g]]]
-                    for g in self.minimal_generators()]
-            seen = [False] * n
-            classes = []
-            for x in range(n):
-                if seen[x]:
-                    continue
-                seen[x] = True
-                orb = [x]
-                for y in orb:  # grows while it is walked
-                    for c in conj:
-                        z = c[y]
-                        if not seen[z]:
-                            seen[z] = True
-                            orb.append(z)
-                classes.append(tuple(sorted(orb)))
-            self._classes = classes
-        return self._classes
+        m, n = self.mul, self.n
+        conj = [[m[r][g] for r in m[self.inv[g]]]
+                for g in self.minimal_generators()]
+        seen = [False] * n
+        classes = []
+        for x in range(n):
+            if seen[x]:
+                continue
+            seen[x] = True
+            orb = [x]
+            for y in orb:  # grows while it is walked
+                for c in conj:
+                    z = c[y]
+                    if not seen[z]:
+                        seen[z] = True
+                        orb.append(z)
+            classes.append(tuple(sorted(orb)))
+        return classes
 
+    @memoized
     def derived_subgroup(self):
         """Generated by the commutators [x, g] = x^-1 x^g, which are the
         x^-1 y for y in the class of x."""
-        if self._derived is None:
-            m, inv = self.mul, self.inv
-            comms = {m[inv[x]][y] for cls in self.conjugacy_classes()
-                     for x in cls for y in cls}
-            self._derived = self.subgroup(sorted(comms))
-        return self._derived
+        m, inv = self.mul, self.inv
+        comms = {m[inv[x]][y] for cls in self.conjugacy_classes()
+                 for x in cls for y in cls}
+        return self.subgroup(sorted(comms))
 
     def frattini_subgroup(self):
         """Generated by the squares: for p = 2 the Frattini subgroup is
         generated by the squares and the commutators, and every commutator
-        is a product of squares, [x, y] = x^-2 (x y^-1)^2 y^2."""
-        if self._frattini is None:
-            squares = set(map(list.__getitem__, self.mul, range(self.n)))
-            self._frattini = self.subgroup(sorted(squares))
-        return self._frattini
+        is a product of squares, [x, y] = x^-2 (x y^-1)^2 y^2.  Not
+        memoized: ``minimal_generators``, its one caller, is."""
+        squares = set(map(list.__getitem__, self.mul, range(self.n)))
+        return self.subgroup(sorted(squares))
 
+    @memoized
     def upper_central_series(self):
         """[{1}, Z(G), Z_2(G), ...] ending at G (or stalling for non-nilpotent,
         which cannot happen for 2-groups).
@@ -319,21 +321,19 @@ class CayleyGroup:
         that is when x^-1 y does for every y in the class of x.  Z_{i+1} is
         normal, so one member of a class decides the whole class.
         """
-        if self._ucs is None:
-            m, inv = self.mul, self.inv
-            series = [(0,)]
-            current = {0}
-            while len(current) < self.n:
-                nxt = tuple(sorted(
-                    y for cls in self.conjugacy_classes()
-                    if all(m[inv[cls[0]]][y] in current for y in cls)
-                    for y in cls))
-                if len(nxt) == len(current):
-                    break
-                series.append(nxt)
-                current = set(nxt)
-            self._ucs = series
-        return self._ucs
+        m, inv = self.mul, self.inv
+        series = [(0,)]
+        current = {0}
+        while len(current) < self.n:
+            nxt = tuple(sorted(
+                y for cls in self.conjugacy_classes()
+                if all(m[inv[cls[0]]][y] in current for y in cls)
+                for y in cls))
+            if len(nxt) == len(current):
+                break
+            series.append(nxt)
+            current = set(nxt)
+        return series
 
     def nilpotency_class(self):
         series = self.upper_central_series()
@@ -358,8 +358,9 @@ class CayleyGroup:
 
     # -- generating sequences and abelian structure ----------------------
 
+    @memoized
     def minimal_generators(self):
-        """The greedy minimal generating sequence, memoized: from the
+        """The greedy minimal generating sequence: from the
         Frattini subgroup, add the least element outside the span until the
         span is G.
 
@@ -373,16 +374,14 @@ class CayleyGroup:
         ``conjugacy_classes`` and the star-condition decider take this set
         as their generators.
         """
-        if self._min_gens is None:
-            mul = self.mul
-            span = set(self.frattini_subgroup())
-            gens = []
-            for x in range(self.n):
-                if x not in span:
-                    gens.append(x)
-                    span.update([mul[s][x] for s in span])
-            self._min_gens = tuple(gens)
-        return self._min_gens
+        mul = self.mul
+        span = set(self.frattini_subgroup())
+        gens = []
+        for x in range(self.n):
+            if x not in span:
+                gens.append(x)
+                span.update([mul[s][x] for s in span])
+        return tuple(gens)
 
     def abelian_invariants(self):
         """Invariant factors in descending divisibility order."""
@@ -404,29 +403,24 @@ class CayleyGroup:
             parts.append(name if exp == 1 else f"{name}^{exp}")
         return "*".join(parts)
 
+    @memoized
     def labels(self):
-        """``label(x)`` for every x, memoized."""
-        if self._labels is None:
-            self._labels = [self.label(x) for x in range(self.n)]
-        return self._labels
+        """``label(x)`` for every x."""
+        return [self.label(x) for x in range(self.n)]
 
+    @memoized
     def label_index(self):
         """label(x) -> x over the identity and the elements with a label
         word; the g{x} fallback labels name no word and are left out."""
-        if self._label_index is None:
-            words, labels = self.label_words, self.labels()
-            self._label_index = {
-                labels[x]: x for x in range(self.n)
+        words, labels = self.label_words, self.labels()
+        return {labels[x]: x for x in range(self.n)
                 if x == 0 or (words is not None and words[x] is not None)}
-        return self._label_index
 
+    @memoized
     def labels_readable(self):
         """Whether the word grammar reads every generator name back as
-        that one generator (``unreadable_generator_name``), memoized."""
-        if self._labels_readable is None:
-            self._labels_readable = unreadable_generator_name(
-                self.gen_names) is None
-        return self._labels_readable
+        that one generator (``unreadable_generator_name``)."""
+        return unreadable_generator_name(self.gen_names) is None
 
     # -- derived groups --------------------------------------------------
 
@@ -910,9 +904,8 @@ def _renamed(combined):
 # -- isomorphism -------------------------------------------------------------
 
 
+@memoized
 def _element_fingerprints(G: CayleyGroup):
-    if G._fingerprints is not None:
-        return G._fingerprints
     n = G.n
     orders = G.element_orders()
     center = set(G.center())
@@ -924,13 +917,11 @@ def _element_fingerprints(G: CayleyGroup):
     sqrt_count = [0] * n
     for y in range(n):
         sqrt_count[G.mul[y][y]] += 1
-    fps = [
+    return [
         (orders[x], class_size[x], n // class_size[x], sqrt_count[x],
          x in center, x in derived)
         for x in range(n)
     ]
-    G._fingerprints = fps
-    return fps
 
 
 def group_fingerprint(G: CayleyGroup):
@@ -1044,11 +1035,10 @@ def verify_homomorphism(G: CayleyGroup, H: CayleyGroup, phi):
 # -- normal subgroups and decomposability ------------------------------------
 
 
+@memoized
 def normal_subgroups(G: CayleyGroup):
     """All normal subgroups, as sorted member tuples, found by closing
     joins of conjugacy classes."""
-    if G._normal_subgroups is not None:
-        return G._normal_subgroups
     classes = [cls for cls in G.conjugacy_classes() if cls != (0,)]
     trivial = (0,)
     found = {trivial: None}
@@ -1067,9 +1057,7 @@ def normal_subgroups(G: CayleyGroup):
                     found[closed] = None
                     nxt.append(closed)
         frontier = nxt
-    result = sorted(found, key=lambda t: (len(t), t))
-    G._normal_subgroups = result
-    return result
+    return sorted(found, key=lambda t: (len(t), t))
 
 
 def direct_factor_pair(G: CayleyGroup):

@@ -395,6 +395,13 @@ def test_unitgroup(capsys):
     assert doc["quotient_size"] == 32
 
 
+def test_unitgroup_of_the_trivial_group_prints_c1(capsys):
+    assert dispatch(["unitgroup", "C1"]) == 0
+    assert capsys.readouterr().out == "Z_2[C1]: 1 units, invariants C1\n"
+    assert dispatch(["unitgroup", "C1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["abelian_invariants"] == []
+
+
 def test_unknown_flag_rejected(capsys):
     assert dispatch(["screen", "Q8", "--frobnicate"]) == 3
 

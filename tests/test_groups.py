@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fuchs2.gring
 import fuchs2.groups
 import fuchs2.kernels
 import fuchs2.parsing
@@ -570,6 +571,75 @@ def test_cayley_group_keeps_list_rows_as_given():
     assert all(a is b for a, b in zip(H.mul, rows))
     # other rows are made lists
     assert CayleyGroup([tuple(row) for row in rows]).mul == rows
+
+
+# -- the query memo -----------------------------------------------------------
+
+MEMOIZED_QUERIES = {
+    "element_orders": CayleyGroup.element_orders,
+    "center": CayleyGroup.center,
+    "conjugacy_classes": CayleyGroup.conjugacy_classes,
+    "derived_subgroup": CayleyGroup.derived_subgroup,
+    "upper_central_series": CayleyGroup.upper_central_series,
+    "minimal_generators": CayleyGroup.minimal_generators,
+    "labels": CayleyGroup.labels,
+    "label_index": CayleyGroup.label_index,
+    "labels_readable": CayleyGroup.labels_readable,
+    "_element_fingerprints": _element_fingerprints,
+    "normal_subgroups": normal_subgroups,
+    "_translations": fuchs2.gring._translations,
+}
+
+
+@pytest.mark.parametrize("spec", ["C1", "C8", "D8xC4", "CLS4_128"])
+@pytest.mark.parametrize("name", sorted(MEMOIZED_QUERIES))
+def test_memoized_query_returns_its_first_result(spec, name):
+    G = _presented(CLS4_128) if spec == "CLS4_128" else build_group(spec)
+    query = MEMOIZED_QUERIES[name]
+    first = query(G)
+    assert query(G) is first
+    assert G._memo[name] is first
+
+
+def test_minimal_generators_keep_no_frattini_subgroup():
+    G = build_group("D8xC4")
+    G.minimal_generators()
+    assert set(G._memo) == {"minimal_generators"}
+
+
+def test_engines_store_nothing_on_a_group_but_the_memo(
+        monkeypatch, capsys, tmp_path):
+    """Every group made by info, screen, realize, verify and one ideal walk
+    on D8xC4 and CLS4_128 holds the constructor's fields and the memo."""
+    from fuchs2.cli import dispatch
+    from fuchs2.search import SearchConfig, enumerate_candidates
+
+    fields = set(vars(CayleyGroup([[0]])))
+    assert "_memo" in fields
+    made = []
+    init = CayleyGroup.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(CayleyGroup, "__init__", recorded)
+    (tmp_path / "cls4.pres").write_text(CLS4_128)
+    for spec in ("D8xC4", f"file:{tmp_path / 'cls4.pres'}"):
+        cert = tmp_path / "cert.json"
+        for argv in (["info", spec], ["screen", spec],
+                     ["realize", spec, "--method", "search"],
+                     ["realize", spec, "--output", str(cert)]):
+            dispatch(argv)
+        if spec == "D8xC4":
+            assert dispatch(["verify", str(cert)]) == 0
+        G = build_group(spec)
+        next(enumerate_candidates(G, SearchConfig(m=1)), None)
+        assert G._memo
+    capsys.readouterr()
+    assert len(made) > 10
+    for G in made:
+        assert set(vars(G)) == fields, G.name
 
 
 # presentation files beside the catalog atoms: one names a generator a2,

@@ -642,7 +642,7 @@ def test_chief_chains_do_not_build_the_normal_subgroup_lattice(monkeypatch):
     monkeypatch.setattr(star, "normal_subgroups", refuse, raising=False)
     G = _presented(CLS3_64)
     assert len(list(chief_chain_sequences(G))) == 33
-    assert G._normal_subgroups is None
+    assert "normal_subgroups" not in G._memo
 
 
 # -- normal forms -------------------------------------------------------------
