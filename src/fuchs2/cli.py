@@ -3,7 +3,8 @@
 Subcommands:
   info <spec>                        structural report
   screen <spec>                      screener verdict (JSON)
-  realize <spec> [--char C]          certificate or refutation
+  realize <spec> [--char C] [--method auto|search]
+                                     certificate or refutation
   unitgroup <spec> [--char C] [--ideal LITS]
                                      unit group of Z_{2^m}[G] or a quotient
   verify <certificate.json>          re-verify a stored certificate
@@ -38,7 +39,6 @@ from .search import (
     search_realizing_ideal,
     verify_certificate,
 )
-from .star import realize_exponent4
 
 EXIT_OK = 0
 EXIT_NOT_REALIZABLE = 1
@@ -91,8 +91,9 @@ def cmd_info(args):
         f"  minimal generators  {report.minimal_generator_count}",
         f"  indecomposable      {report.indecomposable}",
     ]
-    if report.abelian_invariants:
-        inv = "x".join(f"C{d}" for d in report.abelian_invariants)
+    if G.is_abelian():
+        # the trivial group has no invariant factors: it prints as C1
+        inv = "x".join(f"C{d}" for d in report.abelian_invariants) or "C1"
         lines.append(f"  abelian invariants  {inv}")
     _emit(args, report.to_dict(), "\n".join(lines))
     return EXIT_OK
@@ -110,19 +111,9 @@ def cmd_screen(args):
 def cmd_realize(args):
     G = build_group(args.spec)
     m = _parse_char(args.char)
-    method = args.method
-
-    if method == "star":
-        if G.exponent() > 4:
-            raise ParseError("the constructive method needs exponent <= 4")
-        if m != 1:
-            raise ParseError("the constructive method works in "
-                             "characteristic 2 only")
-        _emit(args, realize_exponent4(G).to_dict())
-        return EXIT_OK
-
+    auto = args.method == "auto"
     # screen runs the constructive realizer itself, in characteristic 2 only
-    verdict = screen(G, realize=(method == "auto" and m == 1))
+    verdict = screen(G, realize=(auto and m == 1))
     if verdict.status == "realizable":
         _emit(args, verdict.certificate.to_dict())
         return EXIT_OK
@@ -130,32 +121,27 @@ def cmd_realize(args):
             verdict.allowed_characteristics:
         _emit(args, verdict.to_dict())
         return EXIT_NOT_REALIZABLE
-    if method == "screen-only":
-        _emit(args, verdict.to_dict())
-        return EXIT_UNKNOWN
-    if method == "auto" and m == 1 and G.exponent() <= 4:
+    if auto and m == 1 and G.exponent() <= 4:
         # screen ran the construction and it was exhausted: known for the
         # class-4 groups of orders 64 and 128, which the walk of
         # --method search also exhausts without a hit
-        payload = verdict.to_dict()
-        payload["search"] = {"result": "not_run",
-                             "reason": "exponent <= 4 in characteristic 2: "
-                                       "run --method search to force it"}
-        _emit(args, payload)
-        return EXIT_UNKNOWN
-    try:
-        cert = search_realizing_ideal(G, SearchConfig(m=m,
-                                                      budget=args.budget))
-        outcome = {"result": "exhausted"}
-    except UndecidedError:
-        cert, outcome = None, {"budget": args.budget, "result": "budget"}
-    if cert is None:
-        payload = verdict.to_dict()
-        payload["search"] = outcome
-        _emit(args, payload)
-        return EXIT_UNKNOWN
-    _emit(args, cert.to_dict())
-    return EXIT_OK
+        outcome = {"result": "not_run",
+                   "reason": "exponent <= 4 in characteristic 2: "
+                             "run --method search to force it"}
+    else:
+        try:
+            cert = search_realizing_ideal(G, SearchConfig(m=m,
+                                                          budget=args.budget))
+            outcome = {"result": "exhausted"}
+        except UndecidedError:
+            cert, outcome = None, {"budget": args.budget, "result": "budget"}
+        if cert is not None:
+            _emit(args, cert.to_dict())
+            return EXIT_OK
+    payload = verdict.to_dict()
+    payload["search"] = outcome
+    _emit(args, payload)
+    return EXIT_UNKNOWN
 
 
 def cmd_unitgroup(args):
@@ -233,9 +219,7 @@ def make_parser():
     p = add("realize", help="find a realization certificate")
     p.add_argument("spec")
     p.add_argument("--char", default="2", help="2, 4, ... or 2^m")
-    p.add_argument("--method", choices=["auto", "star", "search",
-                                        "screen-only"],
-                   default="auto")
+    p.add_argument("--method", choices=["auto", "search"], default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--output", help="also write the JSON document here")
     p.set_defaults(func=cmd_realize)

@@ -37,8 +37,10 @@ class UnclosedIdealError(Fuchs2Error):
 
 
 class UndecidedError(Fuchs2Error):
-    """A node-capped search (isomorphism search or the ideal walk) reached
-    its cap without an answer: a cap is never a refutation."""
+    """A capped search reached its cap without an answer: the isomorphism
+    search or the ideal walk its node cap, or the constructive realizer
+    its CHIEF_CHAINS composition bases.  A cap is never a refutation, and
+    never an internal fault."""
 
 
 class CertificateError(Fuchs2Error):

@@ -39,6 +39,11 @@ from .errors import (
 
 ORDER_CAP = 512
 ENUM_VERTEX_CAP = 200_000
+# bound on vertices made x relator letters, the letters that a scan of
+# every vertex traces: ten times C64:C8's 14,798 x 108, the most a test
+# builds.  A presentation is untrusted input, and a long relator such as
+# a^65536 would otherwise be traced from each of its 65,536 vertices
+ENUM_WORK_CAP = 16_000_000
 # vertex cap of each leave-one-out enumeration that names a collapsing
 # generator's relator; most such runs present an infinite group
 CULPRIT_VERTEX_CAP = 16 * ORDER_CAP
@@ -471,12 +476,16 @@ class _CosetTable:
 
     def __init__(self, ngens, relators, cap=None):
         self.nd = 2 * ngens
-        self.cap = ENUM_VERTEX_CAP if cap is None else cap
         self.relators = [rel for rel in relators]
         # tracing g then g^-1 (and vice versa) must return home
         for i in range(ngens):
             self.relators.append((2 * i, 2 * i + 1))
             self.relators.append((2 * i + 1, 2 * i))
+        # the scan traces each relator from each live vertex, so capping
+        # the vertices caps its work at ENUM_WORK_CAP letters
+        self.letters = sum(map(len, self.relators))
+        self.cap = min(ENUM_VERTEX_CAP if cap is None else cap,
+                       ENUM_WORK_CAP // max(self.letters, 1))
         self.labels = [0]
         self.neighbors = [[_UNDEF] * self.nd]
 
@@ -555,7 +564,8 @@ class _CosetTable:
                         if t >= cap:
                             raise SizeCapError(
                                 f"coset enumeration exceeded {cap} "
-                                f"vertices; the presented group is too "
+                                f"vertices of {self.letters} relator "
+                                f"letters; the presented group is too "
                                 f"large or infinite")
                         labels.append(t)
                         row = [_UNDEF] * nd

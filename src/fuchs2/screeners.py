@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InternalInvariantError
+from .errors import UndecidedError
 from .gring import M_CAP
 from .groups import (
     CayleyGroup,
@@ -167,7 +167,9 @@ def char_constraint(G: CayleyGroup) -> bool:
 def screen(G: CayleyGroup, realize=True) -> Verdict:
     """Aggregate verdict.
 
-    Exponent <= 4 delegates to the constructive realizer.  Otherwise all
+    Exponent <= 4 delegates to the constructive realizer; when its bases
+    run out (UndecidedError) the verdict is unknown, and any other error
+    of the construction propagates.  Otherwise all
     obstructions run; allowed_characteristics is the set of m in [1, 6]
     passing the scalar-embedding and exponent-bound constraints minus any
     m refuted outright.
@@ -199,7 +201,7 @@ def screen(G: CayleyGroup, realize=True) -> Verdict:
     if exponent <= 4 and realize:
         try:
             cert = realize_exponent4(G)
-        except InternalInvariantError as exc:
+        except UndecidedError as exc:
             # without a verified certificate the verdict is unknown; the
             # ideal walk (realize --method search) exhausts the class-4
             # groups of orders 64 and 128 without a hit, which conflicts

@@ -36,7 +36,7 @@ import json
 import operator
 
 from . import kernels
-from .errors import Fuchs2Error, InternalInvariantError
+from .errors import Fuchs2Error, InternalInvariantError, UndecidedError
 from .gring import (
     IdealBasis,
     QuotientRing,
@@ -359,11 +359,13 @@ def realize_exponent4(G: CayleyGroup) -> Certificate:
     Composition basis -> exact condition check on its star operation ->
     complement ideal -> residue ring -> natural map.
     The first of ``composition_bases`` that passes the condition check is
-    used.  By the construction's theorem g -> g + I is an isomorphism onto
-    the unit group, so that map is the witness.  It is checked on every
-    generator edge by ring products (associativity of the ring makes edges
-    suffice, locality makes an injective map onto the units); if the check
-    fails, or yields any other map, InternalInvariantError is raised.
+    used; when none of the first CHIEF_CHAINS passes, UndecidedError is
+    raised, since running out of bases refutes nothing.  By the
+    construction's theorem g -> g + I is an isomorphism onto the unit
+    group, so that map is the witness.  It is checked on every generator
+    edge by ring products (associativity of the ring makes edges suffice,
+    locality makes an injective map onto the units); if the check fails,
+    or yields any other map, InternalInvariantError is raised.
     """
     if G.exponent() > 4:
         raise Fuchs2Error(
@@ -375,7 +377,7 @@ def realize_exponent4(G: CayleyGroup) -> Certificate:
         if verify_star_conditions(G, seq)[0]:
             break
     else:
-        raise InternalInvariantError(
+        raise UndecidedError(
             f"no composition basis satisfied the translation conditions "
             f"within the bounded search ({tried} sequences tried); "
             f"the constructive route is exhausted for this group")

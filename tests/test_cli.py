@@ -402,6 +402,13 @@ def test_unitgroup_of_the_trivial_group_prints_c1(capsys):
     assert json.loads(capsys.readouterr().out)["abelian_invariants"] == []
 
 
+def test_info_of_the_trivial_group_names_c1(capsys):
+    assert dispatch(["info", "C1"]) == 0
+    assert capsys.readouterr().out.endswith("  abelian invariants  C1\n")
+    assert dispatch(["info", "C1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["abelian_invariants"] == []
+
+
 def test_unknown_flag_rejected(capsys):
     assert dispatch(["screen", "Q8", "--frobnicate"]) == 3
 
@@ -446,6 +453,12 @@ def test_cli_json_outputs_are_json(capsys):
                  ["unitgroup", "C4", "--json"]):
         dispatch(argv)
         json.loads(capsys.readouterr().out)
+
+
+def test_realize_methods_are_auto_and_search(capsys):
+    for method in ("star", "screen-only"):
+        assert dispatch(["realize", "Q8", "--method", method]) == 3
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_realize_search_method(capsys):

@@ -164,6 +164,19 @@ def test_collapse_culprit_runs_stop_at_their_vertex_cap(monkeypatch):
     assert any(n == 16 * ORDER_CAP for _, n in leave_one_out)
 
 
+def test_coset_scan_work_is_capped_up_front():
+    # a^65536 and the two inverse-pair relators are 65,540 letters, so the
+    # scan of vertex 0 stops at the cap instead of making 65,536 vertices
+    # and tracing the relator from each of them
+    from fuchs2.groups import ENUM_WORK_CAP
+    letters = 65536 + 4
+    with pytest.raises(SizeCapError,
+                       match=f"exceeded {ENUM_WORK_CAP // letters} vertices "
+                             f"of {letters} relator letters"):
+        enumerate_presentation(parse_presentation_text("gens: a\n"
+                                                       "rels: a^65536"))
+
+
 def test_order_cap():
     from fuchs2.errors import Fuchs2Error
     with pytest.raises(Fuchs2Error):

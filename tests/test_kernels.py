@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuchs2 import kernels
-from fuchs2.errors import ConstructionError, InternalInvariantError
+from fuchs2.errors import (
+    ConstructionError,
+    InternalInvariantError,
+    UndecidedError,
+)
 from fuchs2.groups import CayleyGroup, build_group
 from fuchs2.search import (
     SearchConfig,
@@ -336,7 +340,7 @@ def test_no_program_path_runs_a_scan_or_reads_a_star_table(monkeypatch):
     groups = [build_group(spec) for spec in CERTIFY_LADDER]
     for G in groups + [_presented(CLS3_64)]:
         assert verify_certificate(realize_exponent4(G).to_json())
-    with pytest.raises(InternalInvariantError, match="route is exhausted"):
+    with pytest.raises(UndecidedError, match="route is exhausted"):
         realize_exponent4(_presented(CLS4_128))
     assert all(r.verified for r in run_fixtures())
     cert = search_realizing_ideal(build_group("C8xC2"), SearchConfig(m=1))

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuchs2.groups
+import fuchs2.star
+from fuchs2.errors import InternalInvariantError
 from fuchs2.groups import build_group, is_indecomposable
 from fuchs2.screeners import (
     M_RANGE,
@@ -269,6 +271,21 @@ def test_screen_realizable():
     assert v.status == "realizable"
     assert v.certificate is not None
     assert v.certificate.quotient_size == 16
+
+
+def test_a_fault_under_the_construction_is_not_an_unknown_verdict(
+        monkeypatch):
+    # only running out of bases is undecided; a failed invariant check
+    # inside the construction is a fault and exits 4
+    from fuchs2.cli import dispatch
+
+    def fault(*args):
+        raise InternalInvariantError("complement ideal is not two-sided")
+
+    monkeypatch.setattr(fuchs2.star, "complement_ideal", fault)
+    with pytest.raises(InternalInvariantError, match="two-sided"):
+        screen(build_group("Q8"))
+    assert dispatch(["screen", "Q8"]) == 4
 
 
 def test_screen_m16():

@@ -577,13 +577,17 @@ def test_verify_rejects_ill_typed_fields(field, value):
     ("group", {"gens": ["a", "b"], "relators": ["a^4, b^2", "[b,a]"]}),
     ("group", {"gens": ["a"], "relators": ["a^8\n# note"]}),
     ("group", " Q8 x C2"),
+    # the coset scan's work cap refuses it before a second vertex's scan
+    ("group", {"gens": ["a"], "relators": ["a^65536"]}),
 ])
 def test_verify_rejects_unbuildable_fields(field, value):
     from fuchs2.errors import CertificateError
     doc = realize_exponent4(build_group("Q8")).to_dict()
     doc[field] = value
+    start = time.perf_counter()
     with pytest.raises(CertificateError):
         verify_certificate(doc)
+    assert time.perf_counter() - start < 2
 
 
 def test_verify_refuses_a_spec_that_builds_another_presentation():
