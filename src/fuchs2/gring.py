@@ -42,10 +42,11 @@ Residue rings Z_{2^m}[G]/I are products on the canonical representatives
 of the quotient module, indexed by mixed-radix numbers and multiplied by
 d x d structure constants (``QuotientRing``).  Over GF(2) a residue index
 is its own coordinate vector, so products are XORs of structure constants;
-over Z_{2^m} the same bilinear sum is Howell-reduced.  No table over the
-whole ring is ever built: the unit group's table is evaluated on the units
-alone, and a generator map into the units is checked on the generator
-edges of its group alone (``unit_isomorphism``).
+at m >= 2 residues and constants are packed reduced Howell ints, and a
+product, a sum of terms c*T masked mod 2^m, is Howell-reduced once.  No
+table over the whole ring is built: the unit group's table is evaluated
+on the units alone, and a generator map into the units is checked on the
+generator edges of its group alone (``unit_isomorphism``).
 
 The group ring of a 2-group over Z_{2^m} is local: the elements of even
 coefficient sum form the unique maximal ideal and everything else is a
@@ -116,6 +117,8 @@ class _Gf2Basis:
     adds exactly the rows whose pivot bit is set in v: its cost is the
     number of those bits, not the rank.
     """
+
+    width = 1  # bits per group element
 
     def __init__(self, n):
         self.n = n
@@ -477,13 +480,14 @@ class _HowellBasis:
         return grew
 
     def reduce(self, v):
-        w, low, add, hit, pivots = (self.width, self.low, self.add,
-                                     self.hit, self.pivots)
+        w, low, add, hit, pivots, mask = (self.width, self.low, self.add,
+                                           self.hit, self.pivots,
+                                           self.mod - 1)
         h = v & hit
         while h:
             col = ((h & -h).bit_length() - 1) // w
             k, row = pivots[col]
-            q = (v >> (col * w + k)) & ((self.mod - 1) >> k)
+            q = (v >> (col * w + k)) & (mask >> k)
             # fields below col are untouched and field col drops below 2^k,
             # so the next hit lies above col
             v = (v + add - ((q * row) & low)) & low
@@ -729,10 +733,12 @@ class QuotientRing:
     radix > 1 are the residue module generators g_0..g_{d-1}, and the
     representative of residue i is sum_a c_a(i) g_a, where the c_a(i) are
     the mixed-radix digits of i, column 0 least significant: a residue
-    index is the mixed-radix number of its representative.  ``digits`` and
-    ``rep`` decode an index and ``project`` encodes one; no list of the
-    residues is built.  ``element_index[g]`` is the residue index of g + I,
-    kept from building the structure constants.
+    index is the mixed-radix number of its representative.  Residues are
+    kept packed and reduced in the ideal basis's vector format, so at
+    m >= 2 they are reduced Howell ints: ``rep``, ``terms``, ``project``
+    and ``add_index`` go through the packed vector, and an index is read
+    off its d fields at the generator columns.  No list of the residues is
+    built.  ``element_index[g]`` is the residue index of g + I.
 
     The quotient map is linear, so multiplication is bilinear on the
     generators and fixed by the d x d structure constants
@@ -751,35 +757,27 @@ class QuotientRing:
         self.m = ideal.m
         self.mod = 1 << ideal.m
         self.ideal = ideal
+        self._impl = impl = ideal._impl
         n = self.group.n
-        self.size = total = residue_count(ideal)
-        impl = ideal._impl
+        self.size = residue_count(ideal)
         radix = impl.pivot_radices()
-        self._place = []  # place value of each column in a residue index
-        place = 1
-        for r in radix:
-            self._place.append(place)
-            place *= r
-        if place != total:
-            raise InternalInvariantError(
-                f"residue radices multiply to {place}, not {total}")
         self.gens = [g for g in range(n) if radix[g] > 1]
         self._radix = [radix[g] for g in self.gens]
-        # proj(g) for every group element: a residue index over GF(2), where
-        # residue index bit t is the coefficient at generator t, so indices
-        # add by XOR; otherwise the reduced representative itself
-        if self.m == 1:
-            proj = [_xor_bits(self._place, impl.reduce(1 << g))
-                    for g in range(n)]
-            self.element_index = proj
-        else:
-            proj = [impl.unpack(impl.reduce(impl.pack_terms((g,), (1,))))
-                    for g in range(n)]
-            self.element_index = [
-                sum(p * c for p, c in zip(self._place, v)) for v in proj]
+        # the place value of each generator's digit in a residue index
+        self._place = list(itertools.accumulate(self._radix, operator.mul,
+                                                initial=1))
+        if self._place.pop() != self.size:
+            raise InternalInvariantError(
+                f"residue radices do not multiply to {self.size}")
+        self._shifts = [g * impl.width for g in self.gens]
+        proj = [impl.reduce(1 << g * impl.width) for g in range(n)]
+        self.element_index = list(map(self._index, proj))
         self.one_index = self.element_index[0]
+        # over GF(2) an index is its own coordinate vector, bit t at
+        # generator t, so the constants are indices; else packed vectors
+        sc = self.element_index if self.m == 1 else proj
         mul = self.group.mul
-        self._sc = [[proj[mul[a][b]] for b in self.gens] for a in self.gens]
+        self._sc = [[sc[mul[a][b]] for b in self.gens] for a in self.gens]
 
     def products(self, rows, cols):
         """Residue indices of r * c for r in rows, c in cols, as a
@@ -811,27 +809,44 @@ class QuotientRing:
         return table
 
     def _howell_products(self, rows, cols):
-        # The same bilinear form on mixed-radix digits; sums of reduced
-        # constants can overflow at pivot columns, so each product is
-        # Howell-reduced by project().
-        R = [[_combine(Ta, self.digits(j)) for j in cols] for Ta in self._sc]
-        table = []
-        for i in rows:
-            ci = self.digits(i)
-            table.append([self.project(_combine([Ra[k] for Ra in R], ci))
-                          for k in range(len(cols))])
-        return table
+        # The same bilinear form on packed vectors: R[k][a] =
+        # proj(g_a * rep(cols[k])) unreduced.  A field of acc + c*T is at
+        # most 2^m - 1 + (2^m - 1)^2 < 2^(2m), so it does not carry, and
+        # the mask takes it mod 2^m; each product is reduced once.
+        low, reduce = self._impl.low, self._impl.reduce
+
+        def weighted(coeffs, vectors):
+            acc = 0
+            for c, v in zip(coeffs, vectors):
+                acc = (acc + c * v) & low
+            return acc
+
+        R = [[weighted(cj, Ta) for Ta in self._sc]
+             for cj in map(self.digits, cols)]
+        return [[self._index(reduce(weighted(ci, Rk))) for Rk in R]
+                for ci in map(self.digits, rows)]
 
     def mul_index(self, i, j):
         return self.products([i], [j])[0][0]
 
     def add_index(self, i, j):
-        return self.project([x + y for x, y in zip(self.rep(i), self.rep(j))])
+        impl = self._impl
+        return self._index(impl.reduce(impl.plus(*map(self._packed, (i, j)))))
 
     def project(self, coeffs):
         """Residue index of an ambient coefficient vector."""
-        return sum(p * c for p, c in
-                   zip(self._place, self.ideal.reduce(coeffs)))
+        impl = self._impl
+        return self._index(impl.reduce(impl.pack(coeffs)))
+
+    def _index(self, v):
+        """Residue index of a reduced packed vector, read off its fields."""
+        mask = self.mod - 1
+        return sum(p * ((v >> s) & mask)
+                   for p, s in zip(self._place, self._shifts))
+
+    def _packed(self, i):
+        """The packed canonical representative of residue i."""
+        return sum(c << s for c, s in zip(self.digits(i), self._shifts))
 
     def digits(self, i):
         """The mixed-radix digits c_a(i) of residue index i."""
@@ -843,10 +858,11 @@ class QuotientRing:
 
     def rep(self, i):
         """The canonical representative of residue i."""
-        coeffs = [0] * self.group.n
-        for g, c in zip(self.gens, self.digits(i)):
-            coeffs[g] = c
-        return tuple(coeffs)
+        return self._impl.unpack(self._packed(i))
+
+    def terms(self, i):
+        """The canonical representative of residue i as sparse terms."""
+        return self._impl.terms(self._packed(i))
 
     def augmentation_index(self, i):
         return sum(self.digits(i)) % self.mod
@@ -854,7 +870,7 @@ class QuotientRing:
     def units(self):
         """The residues of odd augmentation: every radix is a power of 2,
         so a digit's parity is the index bit at its place."""
-        low = sum(self._place[g] for g in self.gens)
+        low = sum(self._place)
         return [i for i in range(self.size) if (i & low).bit_count() & 1]
 
 
@@ -866,15 +882,6 @@ def _xor_bits(values, mask):
         acc ^= values[low.bit_length() - 1]
         mask ^= low
     return acc
-
-
-def _combine(vectors, coeffs):
-    """sum_b coeffs[b] * vectors[b], entries left unreduced."""
-    out = [0] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [x + c * y for x, y in zip(out, v)]
-    return out
 
 
 def residue_count(ideal: IdealBasis) -> int:

@@ -262,17 +262,17 @@ def _word_to_element(runs, group: CayleyGroup):
 def parse_element_literal(text, group: CayleyGroup, m: int):
     """Parse an element literal into a coefficient tuple mod 2^m.
 
-    A sum of element labels, which ``element_literal`` writes whenever every
-    coefficient is 1, is read term by term through ``group.label_index()``.
-    Anything else goes through the word parser, and so does every literal
-    over a group whose labels it could read differently."""
-    support = _label_sum(text, group, m)
-    if support is None:
+    A literal made of the terms ``terms_literal`` writes is read term by
+    term through ``group.label_index()`` (``_label_terms``).  Anything else
+    goes through the word parser, and so does every literal over a group
+    whose labels it could read differently."""
+    terms = _label_terms(text, group, m)
+    if terms is None:
         return _parse_literal_words(text, group, m)
     mod = 1 << m
     coeffs = [0] * group.n
-    for g in support:
-        coeffs[g] = (coeffs[g] + 1) % mod
+    for g, c in zip(*terms):
+        coeffs[g] = (coeffs[g] + c) % mod
     return tuple(coeffs)
 
 
@@ -281,28 +281,40 @@ def parse_element_terms(text, group: CayleyGroup, m: int):
     the coefficients mod 2^m; a basis class packs them
     (``pack_terms``), adding the terms at a repeated element.
 
-    A sum of labels is read straight off ``group.label_index()``, one term
-    of coefficient 1 per label, with no dense vector; anything else is
-    read as ``parse_element_literal`` reads it."""
-    support = _label_sum(text, group, m)
-    if support is not None:
-        return support, [1] * len(support)
+    The terms ``terms_literal`` writes are read straight off
+    ``group.label_index()`` (``_label_terms``), with no dense vector;
+    anything else is read as ``parse_element_literal`` reads it."""
+    terms = _label_terms(text, group, m)
+    if terms is not None:
+        return terms
     coeffs = _parse_literal_words(text, group, m)
     support = [g for g, c in enumerate(coeffs) if c]
     return support, [coeffs[g] for g in support]
 
 
-def _label_sum(text, group: CayleyGroup, m: int):
-    """The elements whose labels ``text`` sums, in its order, or None when
-    it is not such a sum or the group's labels could read differently
+# c*label or a bare c, as ``terms_literal`` writes them: 1 < c < 100, no
+# leading zero, which covers every coefficient below 2^6.  No label but "1"
+# starts with a digit, so no label matches.
+_COEFF_TERM_RE = re.compile(r"([2-9]|[1-9][0-9])(?:\*(.+))?")
+
+
+def _label_terms(text, group: CayleyGroup, m: int):
+    """The terms (support, coefficients) of a '+'-separated literal, in its
+    order, when each is one ``terms_literal`` writes: a label, c*label or a
+    bare c for c times the identity, 1 < c < 2^m.  None for any other
+    literal, and when the group's labels could read differently
     (``CayleyGroup.labels_readable``)."""
     if m < 1 or not group.labels_readable():
         return None
-    try:
-        return list(map(group.label_index().__getitem__,
-                        "".join(text.split()).split("+")))
-    except KeyError:
-        return None
+    index, support, coeffs = group.label_index(), [], []
+    for term in "".join(text.split()).split("+"):
+        match = _COEFF_TERM_RE.fullmatch(term)
+        c, label = (int(match[1]), match[2] or "1") if match else (1, term)
+        if label not in index or c >= 1 << m:
+            return None
+        support.append(index[label])
+        coeffs.append(c)
+    return support, coeffs
 
 
 def _parse_literal_words(text, group: CayleyGroup, m: int):

@@ -46,7 +46,7 @@ from .gring import (
     verify_two_sided,
 )
 from .groups import CayleyGroup
-from .parsing import element_literal, terms_literal
+from .parsing import terms_literal
 
 __version__ = "0.1.0"
 
@@ -401,7 +401,7 @@ def certificate_from_parts(G: CayleyGroup, ambient: CayleyGroup, m,
     """Assemble a certificate from an already-verified pipeline run;
     ``images`` are the residue indices of the images of G's generators."""
     group_spec, ambient_spec = group_spec_of(G), group_spec_of(ambient)
-    witness = {name: element_literal(ring.rep(r), ambient)
+    witness = {name: terms_literal(*ring.terms(r), ambient)
                for name, r in zip(G.gen_names, images, strict=True)}
     return Certificate(
         group_spec=group_spec,

@@ -9,15 +9,18 @@ from fuchs2.errors import ParseError
 from fuchs2.groups import CayleyGroup, build_group, enumerate_presentation
 from fuchs2.parsing import (
     PRESENTATION_FILE_CAP,
+    _label_terms,
     _parse_literal_words,
     element_literal,
     parse_element_literal,
     parse_element_terms,
     parse_group_spec,
     parse_presentation_text,
+    terms_literal,
     unreadable_generator_name,
 )
 
+import oracles
 from test_star import CLS3_64
 
 
@@ -215,6 +218,51 @@ def test_sparse_terms_read_as_the_dense_literal(case):
     G, text, m = case
     assert _outcome(_terms_as_dense, text, G, m) == \
         _outcome(parse_element_literal, text, G, m)
+
+
+# catalog groups and products of catalog atoms of order <= 32
+CATALOG_32 = [spec for spec in oracles.catalog_specs(32)
+              + oracles.atom_products(32, (2, 3))
+              if build_group(spec).n <= 32]
+
+
+@st.composite
+def written_terms(draw):
+    """A catalog group, m in {2, 3, 6} and sparse terms as certificates
+    hold them: increasing support, coefficients in [1, 2^m)."""
+    G = build_group(draw(st.sampled_from(CATALOG_32)))
+    m = draw(st.sampled_from((2, 3, 6)))
+    support = sorted(draw(st.sets(st.integers(0, G.n - 1), min_size=1,
+                                  max_size=6)))
+    coeffs = [draw(st.integers(1, (1 << m) - 1)) for _ in support]
+    return G, m, support, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=written_terms())
+def test_coefficient_terms_read_through_the_label_index(case):
+    # every literal terms_literal writes, c*label and bare c included, is
+    # read by the label index, and the word parser reads it the same way
+    G, m, support, coeffs = case
+    text = terms_literal(support, coeffs, G)
+    dense = [0] * G.n
+    for g, c in zip(support, coeffs):
+        dense[g] = c
+    assert _label_terms(text, G, m) == (support, coeffs), text
+    assert _parse_literal_words(text, G, m) == tuple(dense)
+    assert parse_element_literal(text, G, m) == tuple(dense)
+    assert parse_element_terms(text, G, m) == (support, coeffs)
+
+
+@pytest.mark.parametrize("text", ["0*a", "02*a", "4*a", "2*", "*a", "2*zz",
+                                  "2**a", "1*a", "a+02", "3*a+4"])
+def test_terms_the_label_index_refuses_go_to_the_word_parser(text):
+    G = build_group("C8xC2")
+    assert _label_terms(text, G, 2) is None
+    assert _outcome(parse_element_literal, text, G, 2) == \
+        _outcome(_parse_literal_words, text, G, 2)
+    assert _outcome(_terms_as_dense, text, G, 2) == \
+        _outcome(_parse_literal_words, text, G, 2)
 
 
 # -- presentation files -------------------------------------------------------

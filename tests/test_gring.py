@@ -723,6 +723,73 @@ def test_residue_index_is_mixed_radix_number(ring):
         assert ring.element_index[g] == ring.project(e_g)
 
 
+@st.composite
+def deep_quotients(draw):
+    """A residue ring of Z_{2^m}[G] at m = 4 or 6, where a packed Howell
+    field is 8 or 12 bits wide, by 1-3 random generators of even
+    coefficient sum, G of order <= 4, with at most 4096 residues."""
+    G = build_group(draw(st.sampled_from(("C2", "C4", "C2xC2"))))
+    m = draw(st.sampled_from((4, 6)))
+    coeff = st.integers(0, (1 << m) - 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(st.lists(coeff, min_size=G.n, max_size=G.n))
+        x[-1] ^= sum(x) & 1
+        gens.append(x)
+    try:
+        ring = quotient_ring(ideal_closure(G, m, gens))
+    except SizeCapError:
+        assume(False)
+    assume(ring.size <= 4096)
+    return ring
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=deep_quotients(), data=st.data())
+def test_packed_howell_ring_at_wide_fields(ring, data):
+    # the packed residues agree with the transversal and with products
+    # taken by the naive convolution and reduced by the ideal
+    G, m, mod = ring.group, ring.m, ring.mod
+    transversal = oracles.residue_transversal(ring.ideal)
+    assert len(transversal) == ring.size
+    position = {rep: i for i, rep in enumerate(transversal)}
+    for i, rep in enumerate(transversal):
+        assert ring.rep(i) == rep
+        assert ring.project(rep) == i
+        support = [g for g, c in enumerate(rep) if c]
+        assert ring.terms(i) == (support, [rep[g] for g in support])
+    for g in range(G.n):
+        e_g = tuple(int(h == g) for h in range(G.n))
+        assert ring.element_index[g] == position[ring.ideal.reduce(e_g)]
+    index = st.integers(0, ring.size - 1)
+    rows = data.draw(st.lists(index, min_size=1, max_size=6))
+    cols = data.draw(st.lists(index, min_size=1, max_size=6))
+    naive = [[position[ring.ideal.reduce(oracles.naive_convolve(
+        G, m, transversal[i], transversal[j]))] for j in cols] for i in rows]
+    assert ring.products(rows, cols) == naive
+    for i, j in zip(rows, cols):
+        added = [(x + y) % mod for x, y in zip(transversal[i], transversal[j])]
+        assert ring.add_index(i, j) == position[ring.ideal.reduce(added)]
+
+
+def test_q8_char4_fixture_units_are_the_images_of_the_brute_units():
+    # R = Z_4[Q8]/I is local, so x + I is a unit exactly when x is one:
+    # the units of Z_4[Q8], found by linear algebra, map onto the unit
+    # group and the non-units miss it
+    from fuchs2.search import FIXTURES
+    _, spec, m, literals, _, _ = next(row for row in FIXTURES
+                                      if row[0] == "Q8_char4")
+    G = build_group(spec)
+    ring = quotient_ring(ideal_closure(
+        G, m, [parse_element_literal(t, G, m) for t in literals]))
+    units = set(unit_group(ring).residue_index)
+    brute = oracles.brute_unit_set(G, m)
+    assert {ring.project(x) for x in brute} == units
+    assert not any(ring.project(x) in units
+                   for x in itertools.product(range(ring.mod), repeat=G.n)
+                   if x not in brute)
+
+
 def test_products_leave_no_reference_cycles():
     # a memo kept alive by a cycle would outlive the call until the next
     # full collection
