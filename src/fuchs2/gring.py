@@ -16,15 +16,15 @@ mask).  Both forms are unique for the span they generate, support exact
 membership tests, and make certificates byte-stable.  Howell rows are
 back-substituted only when they are read; membership, reduction and
 residue radices need only the Howell property, which every insert keeps.
-Each basis class owns its vector format: it packs coefficient sequences
-into its own vectors, unpacks them, and translates them by group
-permutations, so callers never ask which form they hold; ``_make_impl``
-alone chooses the class.  Certificate rows are written and read as sparse
-terms of the packed row (``terms``, ``pack_terms``): its set bits over
-GF(2), its nonzero fields over Z_{2^m}, with no dense vector between.
+Each basis class encodes its vector format in ``pack_terms`` alone, from
+the sparse terms (support, coefficients) literals are read into; ``pack``
+reads a dense sequence through it, ``translate`` makes moved copies, and
+callers never ask which form they hold (``_make_impl`` chooses).
+Certificate rows are written and read as sparse terms of the packed row
+(``terms``, ``pack_terms``), with no dense vector between.
 
-Two-sided closure spans the left translates of the generators, read off
-the group table on their supports, and closes that left ideal under right
+Two-sided closure packs each generator once, spans its left translates
+along the rows of the group table, and closes that left ideal under right
 translation by the non-central generators with a worklist: translations
 are linear, so only the vectors that grew the span need translating, each
 of them once, and over an abelian group no worklist runs.  The powers of
@@ -56,7 +56,6 @@ suite checks it against an independent linear-algebra oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -155,30 +154,18 @@ class _Gf2Basis:
                 and all(row and row & self.mask == row & -row
                         for row in rows))
 
-    @staticmethod
-    def pack(coeffs):
+    def pack(self, coeffs):
         """The packed vector of a coefficient sequence, read mod 2."""
-        v = 0
-        for g, c in enumerate(coeffs):
-            if c & 1:
-                v |= 1 << g
-        return v
+        return self.pack_terms(range(len(coeffs)), coeffs)
 
     @staticmethod
     def pack_terms(support, coeffs):
         """The packed vector of the sparse terms c*g, for g in ``support``
         and c in ``coeffs``, read mod 2; a repeated g adds."""
-        return functools.reduce(operator.xor, map(
-            operator.lshift, map((1).__and__, coeffs), support), 0)
-
-    @staticmethod
-    def pack_moved(items, perm):
-        """The packed vector with entry c at perm[g] for each (g, c) in
-        items, read mod 2: a translate read off a support."""
         v = 0
-        for g, c in items:
+        for g, c in zip(support, coeffs):
             if c & 1:
-                v |= 1 << perm[g]
+                v ^= 1 << g
         return v
 
     def unpack(self, v):
@@ -362,29 +349,16 @@ class _HowellBasis:
 
     def pack(self, coeffs):
         """The packed vector of a coefficient sequence, read mod 2^m."""
-        w, mask = self.width, self.mod - 1
-        v = 0
-        for g, c in enumerate(coeffs):
-            v |= (c & mask) << (g * w)
-        return v
-
-    def pack_moved(self, items, perm):
-        """The packed vector with entry c at perm[g] for each (g, c) in
-        items, read mod 2^m: a translate read off a support."""
-        w, mask = self.width, self.mod - 1
-        v = 0
-        for g, c in items:
-            v |= (c & mask) << (perm[g] * w)
-        return v
+        return self.pack_terms(range(len(coeffs)), coeffs)
 
     def pack_terms(self, support, coeffs):
         """The packed vector of the sparse terms c*g, for g in ``support``
-        and c in ``coeffs``, read mod 2^m; a repeated g adds."""
-        entries = dict.fromkeys(support, 0)
+        and c in ``coeffs``, read mod 2^m; a repeated g adds (``plus``)."""
+        w, mask, low = self.width, self.mod - 1, self.low
+        v = 0
         for g, c in zip(support, coeffs):
-            entries[g] += c
-        w, mask = self.width, self.mod - 1
-        return sum((c & mask) << (g * w) for g, c in entries.items())
+            v = (v + ((c & mask) << (g * w))) & low
+        return v
 
     def unpack(self, v):
         w, mask = self.width, self.mod - 1
@@ -616,16 +590,16 @@ def _translations(group):
 
 
 def _close(group, impl, gens):
-    """Close the span in ``impl`` of the left translates of ``gens``, each
-    a list of (g, c) terms, under right translation by the non-central
-    minimal generators: the one closure worklist (see ``ideal_closure``)."""
+    """Close the span in ``impl`` of the left translates of the packed
+    vectors ``gens`` under right translation by the non-central minimal
+    generators: the one closure worklist (see ``ideal_closure``)."""
     mul = group.mul
     # a left translation is the group's own row (``_sides``)
     rights = [p for p in _translations(group) if p is not mul[p[0]]]
     work = []
-    for items in gens:
+    for x in gens:
         for row in mul:
-            v = impl.pack_moved(items, row)
+            v = impl.translate(x, row)
             if impl.insert(v) and rights:
                 work.append(v)
     while work:
@@ -644,7 +618,7 @@ def ideal_closure(group, m, gens) -> IdealBasis:
     [1, M_CAP] or no generator.
 
     The left ideal generated by x is spanned by its n left translates g*x,
-    each read off the row mul[g] on the support of x.  Right translations
+    each x packed once and moved along the row mul[g].  Right translations
     commute with left ones, so they map a left ideal to a left ideal, and
     the two-sided ideal is the left ideal of ``gens`` closed under right
     translation by a generating set.  R_g = L_g for central g, so only
@@ -662,8 +636,7 @@ def ideal_closure(group, m, gens) -> IdealBasis:
         if not all(0 <= c < mod for c in x):
             raise RingMismatchError("coefficient out of range")
     impl = _make_impl(group, m, [])
-    _close(group, impl, [[(h, c) for h, c in enumerate(x) if c]
-                         for x in gens])
+    _close(group, impl, map(impl.pack, gens))
     basis = IdealBasis(group, m, impl, closed=True)
     if basis.contains_one():
         raise ImproperIdealError("closure reached the whole ring")
@@ -770,7 +743,7 @@ class QuotientRing:
             raise InternalInvariantError(
                 f"residue radices do not multiply to {self.size}")
         self._shifts = [g * impl.width for g in self.gens]
-        proj = [impl.reduce(1 << g * impl.width) for g in range(n)]
+        proj = [impl.reduce(impl.pack_terms((g,), (1,))) for g in range(n)]
         self.element_index = list(map(self._index, proj))
         self.one_index = self.element_index[0]
         # over GF(2) an index is its own coordinate vector, bit t at
@@ -846,7 +819,7 @@ class QuotientRing:
 
     def _packed(self, i):
         """The packed canonical representative of residue i."""
-        return sum(c << s for c, s in zip(self.digits(i), self._shifts))
+        return self._impl.pack_terms(self.gens, self.digits(i))
 
     def digits(self, i):
         """The mixed-radix digits c_a(i) of residue index i."""

@@ -806,9 +806,8 @@ def catalog_presentation(kind, order=None):
     return parse_presentation_text(text)
 
 
-def catalog_group(kind, order=None, name=None) -> CayleyGroup:
-    if name is None:
-        name = kind if order is None else f"{kind}{order}"
+def catalog_group(kind, order=None) -> CayleyGroup:
+    name = kind if order is None else f"{kind}{order}"
     if kind == "C" and order == 1:
         # the trivial group; its declared generator is the identity
         G = CayleyGroup([[0]], gen_names=("a",), gen_indices=(0,),

@@ -18,6 +18,11 @@ a literal 'x', which a file path may contain too: the path runs up to the
 first 'x' whose remainder parses as a group spec, or else to the end of the
 spec.  So file:dir/box.pres and file:g.txt are single atoms, while
 file:g.presxC2 is a product with C2.
+
+Element literals are read into sparse terms (support, coefficients)
+(``parse_element_terms``): sums of the terms ``terms_literal`` writes
+through the label index, anything else through the word parser.
+``parse_element_literal`` is their dense view.
 """
 
 from __future__ import annotations
@@ -260,36 +265,23 @@ def _word_to_element(runs, group: CayleyGroup):
 
 
 def parse_element_literal(text, group: CayleyGroup, m: int):
-    """Parse an element literal into a coefficient tuple mod 2^m.
-
-    A literal made of the terms ``terms_literal`` writes is read term by
-    term through ``group.label_index()`` (``_label_terms``).  Anything else
-    goes through the word parser, and so does every literal over a group
-    whose labels it could read differently."""
-    terms = _label_terms(text, group, m)
-    if terms is None:
-        return _parse_literal_words(text, group, m)
-    mod = 1 << m
-    coeffs = [0] * group.n
-    for g, c in zip(*terms):
-        coeffs[g] = (coeffs[g] + c) % mod
-    return tuple(coeffs)
+    """The dense view of ``parse_element_terms``: a coefficient tuple mod
+    2^m, the terms at a repeated element added."""
+    mod, dense = 1 << m, [0] * group.n
+    for g, c in zip(*parse_element_terms(text, group, m)):
+        dense[g] = (dense[g] + c) % mod
+    return tuple(dense)
 
 
 def parse_element_terms(text, group: CayleyGroup, m: int):
-    """Parse an element literal into sparse terms (support, coefficients),
-    the coefficients mod 2^m; a basis class packs them
-    (``pack_terms``), adding the terms at a repeated element.
-
-    The terms ``terms_literal`` writes are read straight off
-    ``group.label_index()`` (``_label_terms``), with no dense vector;
-    anything else is read as ``parse_element_literal`` reads it."""
+    """Parse an element literal into sparse terms (support, coefficients)
+    mod 2^m, the one form text is read into; a basis class packs them
+    (``pack_terms``), adding the terms at a repeated element.  The terms
+    ``terms_literal`` writes are read off ``group.label_index()`` when the
+    group's labels read back (``_label_terms``), anything else by the word
+    parser (``_parse_literal_words``)."""
     terms = _label_terms(text, group, m)
-    if terms is not None:
-        return terms
-    coeffs = _parse_literal_words(text, group, m)
-    support = [g for g, c in enumerate(coeffs) if c]
-    return support, [coeffs[g] for g in support]
+    return _parse_literal_words(text, group, m) if terms is None else terms
 
 
 # c*label or a bare c, as ``terms_literal`` writes them: 1 < c < 100, no
@@ -318,10 +310,11 @@ def _label_terms(text, group: CayleyGroup, m: int):
 
 
 def _parse_literal_words(text, group: CayleyGroup, m: int):
-    """The recursive-descent reading of an element literal."""
+    """The recursive-descent reading of an element literal: its nonzero
+    terms (support, coefficients) mod 2^m, in element-index order."""
     mod = 1 << m
     p = _WordParser(text, group.gen_names)
-    coeffs = [0] * group.n
+    entries = {}
     sign = 1
     if p.peek() == "-":
         p.pos += 1
@@ -333,7 +326,7 @@ def _parse_literal_words(text, group: CayleyGroup, m: int):
         if coeff >= mod:
             p.error(f"coefficient {coeff} out of range for characteristic 2^{m}")
         g = _word_to_element(runs, group)
-        coeffs[g] = (coeffs[g] + sign * coeff) % mod
+        entries[g] = (entries.get(g, 0) + sign * coeff) % mod
         if p.pos == len(p.src):
             break
         ch = p.peek()
@@ -344,7 +337,8 @@ def _parse_literal_words(text, group: CayleyGroup, m: int):
         else:
             p.error("expected '+' or '-' between terms")
         p.pos += 1
-    return tuple(coeffs)
+    support = sorted(g for g, c in entries.items() if c)
+    return support, [entries[g] for g in support]
 
 
 def element_literal(coeffs, group: CayleyGroup) -> str:
@@ -387,6 +381,15 @@ def parse_presentation_text(text) -> Presentation:
             raise ParseError(f"unrecognized presentation line: {line!r}")
     if gens is None:
         raise ParseError("presentation file has no 'gens:' line")
+    return presentation(gens, rel_text)
+
+
+def presentation(gens, relator_texts) -> Presentation:
+    """The presentation on the names ``gens`` with the relator words
+    ``relator_texts``, each stripped, as presentation text and a
+    certificate's inline group spec give them; a relator that holds a
+    line break is a ParseError."""
+    gens = tuple(gens)
     if not gens:
         raise ParseError("presentation declares no generators")
     bad = unreadable_generator_name(gens)
@@ -395,11 +398,14 @@ def parse_presentation_text(text) -> Presentation:
                          "must be distinct, must not start with a digit and "
                          "must hold none of + - * ^ [ ] ,")
     pos = {name: i for i, name in enumerate(gens)}
+    rel_text = tuple(rel.strip() for rel in relator_texts)
     relators = []
     for rel in rel_text:
+        if len(rel.splitlines()) > 1:
+            raise ParseError(f"relator {rel!r} holds a line break")
         runs = parse_word(rel, gens)
         relators.append(tuple((pos[name], exp) for name, exp in runs))
-    return Presentation(gens, tuple(relators), tuple(rel_text))
+    return Presentation(gens, tuple(relators), rel_text)
 
 
 def _split_relators(text):

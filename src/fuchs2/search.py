@@ -39,8 +39,8 @@ from .errors import (
 from .gring import M_CAP, IdealBasis, _check_m, _translations, \
     ideal_closure, maximal_ideal_powers, quotient_ring, residue_count, \
     unit_isomorphism, verify_two_sided
-from .groups import CayleyGroup, build_group
-from .parsing import parse_element_literal, parse_element_terms
+from .groups import CayleyGroup, build_group, enumerate_presentation
+from .parsing import parse_element_literal, parse_element_terms, presentation
 from .star import Certificate, certificate_from_parts
 
 DEFAULT_BUDGET = 1_000_000
@@ -232,11 +232,8 @@ def _build_from_spec(spec):
             group = build_group(spec)
         elif (isinstance(spec, dict) and _is_str_list(spec.get("gens"))
                 and _is_str_list(spec.get("relators"))):
-            from .groups import enumerate_presentation
-            from .parsing import parse_presentation_text
-            text = "gens: " + " ".join(spec["gens"]) + "\n" \
-                   + "rels: " + ", ".join(spec["relators"])
-            group = enumerate_presentation(parse_presentation_text(text))
+            group = enumerate_presentation(
+                presentation(spec["gens"], spec["relators"]))
         else:
             raise CertificateError(f"unbuildable group spec {spec!r}")
     except (ParseError, ConstructionError, SizeCapError, OSError,

@@ -1003,7 +1003,11 @@ def parse_literal_dense(text, group, m):
             g = index[t]
             coeffs[g] = (coeffs[g] + 1) % mod
         return tuple(coeffs)
-    return _parse_literal_words(text, group, m)
+    support, coeffs = _parse_literal_words(text, group, m)
+    dense = [0] * group.n
+    for g, c in zip(support, coeffs):
+        dense[g] = c
+    return tuple(dense)
 
 
 def canonical_rows_dense(group, m, literals):

@@ -146,7 +146,7 @@ def test_every_label_reads_back_to_its_element(make):
     for x in range(G.n):
         unit = tuple(int(g == x) for g in range(G.n))
         assert parse_element_literal(G.label(x), G, 1) == unit
-        assert _parse_literal_words(G.label(x), G, 1) == unit
+        assert _words_as_dense(G.label(x), G, 1) == unit
     assert all(G.label(x) == label for label, x in G.label_index().items())
 
 
@@ -189,6 +189,15 @@ def group_and_literal(draw):
     return G, text, draw(st.integers(1, 3))
 
 
+def _words_as_dense(text, G, m):
+    """The word parser's reading of a literal as a dense tuple."""
+    support, coeffs = _parse_literal_words(text, G, m)
+    dense = [0] * G.n
+    for g, c in zip(support, coeffs):
+        dense[g] = c
+    return tuple(dense)
+
+
 def _outcome(parse, text, G, m):
     try:
         return parse(text, G, m)
@@ -201,7 +210,7 @@ def _outcome(parse, text, G, m):
 def test_label_index_read_agrees_with_the_word_parser(case):
     G, text, m = case
     assert _outcome(parse_element_literal, text, G, m) == \
-        _outcome(_parse_literal_words, text, G, m)
+        _outcome(_words_as_dense, text, G, m)
 
 
 def _terms_as_dense(text, G, m):
@@ -249,7 +258,7 @@ def test_coefficient_terms_read_through_the_label_index(case):
     for g, c in zip(support, coeffs):
         dense[g] = c
     assert _label_terms(text, G, m) == (support, coeffs), text
-    assert _parse_literal_words(text, G, m) == tuple(dense)
+    assert _words_as_dense(text, G, m) == tuple(dense)
     assert parse_element_literal(text, G, m) == tuple(dense)
     assert parse_element_terms(text, G, m) == (support, coeffs)
 
@@ -260,9 +269,47 @@ def test_terms_the_label_index_refuses_go_to_the_word_parser(text):
     G = build_group("C8xC2")
     assert _label_terms(text, G, 2) is None
     assert _outcome(parse_element_literal, text, G, 2) == \
-        _outcome(_parse_literal_words, text, G, 2)
+        _outcome(_words_as_dense, text, G, 2)
     assert _outcome(_terms_as_dense, text, G, 2) == \
-        _outcome(_parse_literal_words, text, G, 2)
+        _outcome(_words_as_dense, text, G, 2)
+
+
+@st.composite
+def signed_word_literals(draw):
+    """A catalog group, m in {1, 2, 3, 6}, and 1-6 signed terms c*w, c in
+    [1, 2^m) and w a product of up to three generator powers with
+    exponents in [-9, 9], as a literal and as the dense vector they sum
+    to, computed from the group's table and powers alone."""
+    G = build_group(draw(st.sampled_from(CATALOG_32)))
+    m = draw(st.sampled_from((1, 2, 3, 6)))
+    mod = 1 << m
+    dense = [0] * G.n
+    text = ""
+    for _ in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from((1, -1)))
+        c = draw(st.integers(1, mod - 1))
+        x, factors = 0, []
+        for _ in range(draw(st.integers(0, 3))):
+            gen = draw(st.integers(0, len(G.gen_names) - 1))
+            e = draw(st.integers(-9, 9))
+            x = G.mul[x][G.power(G.gen_indices[gen], e)]
+            factors.append(f"{G.gen_names[gen]}^{e}")
+        dense[x] = (dense[x] + sign * c) % mod
+        term = f"{c}*{'*'.join(factors) or '1'}"
+        text += ("-" if sign < 0 else "+" if text else "") + term
+    return G, m, text, tuple(dense)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signed_word_literals())
+def test_word_literals_read_as_the_sum_of_their_terms(case):
+    G, m, text, dense = case
+    assert parse_element_literal(text, G, m) == dense, text
+    assert _terms_as_dense(text, G, m) == dense, text
+    if "-" in text.replace("^-", "^"):
+        # a '-' term is no label sum, so the word parser reads it
+        support, coeffs = parse_element_terms(text, G, m)
+        assert support == sorted(set(support)) and all(coeffs), text
 
 
 # -- presentation files -------------------------------------------------------

@@ -427,6 +427,36 @@ def test_packed_howell_matches_reference(case):
     _check_against_reference(*case)
 
 
+@st.composite
+def packer_cases(draw):
+    """A basis class at n <= 32 and m in {1, 2, 3, 6}, a vector with
+    entries in [0, 2^(m+1)), sparse terms (a support that may repeat an
+    element) and a permutation of the n elements."""
+    n = draw(st.integers(1, 32))
+    m = draw(st.sampled_from((1, 2, 3, 6)))
+    entries = st.integers(0, (1 << (m + 1)) - 1)
+    v = draw(st.lists(entries, min_size=n, max_size=n))
+    support = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    coeffs = draw(st.lists(entries, min_size=len(support),
+                           max_size=len(support)))
+    perm = draw(st.permutations(range(n)))
+    impl = _Gf2Basis(n) if m == 1 else _HowellBasis(n, m)
+    return impl, m, v, support, coeffs, perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=packer_cases())
+def test_pack_and_translate_go_through_pack_terms(case):
+    # pack_terms alone encodes each class's format; pack is its dense
+    # view, and translating packed terms moves their support
+    impl, m, v, support, coeffs, perm = case
+    nonzero = [g for g, c in enumerate(v) if c]
+    assert impl.pack(v) == impl.pack_terms(nonzero, [v[g] for g in nonzero])
+    assert impl.unpack(impl.pack(v)) == tuple(c % (1 << m) for c in v)
+    assert impl.translate(impl.pack_terms(support, coeffs), perm) == \
+        impl.pack_terms([perm[g] for g in support], coeffs)
+
+
 # -- ideal closure ------------------------------------------------------------
 
 def test_zero_ideal():
